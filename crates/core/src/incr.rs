@@ -39,7 +39,7 @@
 //!
 //! [`DebugSession::rerun`] returns a [`DebugReport`] **byte-identical**
 //! (metrics aside) to a cold run on the patched tables with the same
-//! normalized parameters, at any thread or shard count. The argument,
+//! normalized parameters, at any thread count. The argument,
 //! config by config, with `v` valid entries before the rerun and `v′`
 //! survivors after dropping the `d` entries that touch the delta:
 //!
@@ -82,7 +82,7 @@ use crate::features::FeatureExtractor;
 use crate::joint::{run_joint_with_arenas, CandidateUnion, QStrategy};
 use crate::oracle::Oracle;
 use crate::ssj::{
-    topk_join_sharded, topk_semi_join, ExactScorer, JoinScratchPool, SsjInstance, SsjParams,
+    topk_join_with_scratch, topk_semi_join, ExactScorer, JoinScratch, SsjInstance, SsjParams,
     TopKList,
 };
 use crate::store_io;
@@ -149,9 +149,9 @@ pub struct DebugSession {
     /// fresh [`mc_table::TableStats::compute`] exactly).
     stats_a: IncrTableStats,
     stats_b: IncrTableStats,
-    /// Warm per-worker join scratches for the maintenance joins; dense
-    /// pair-state capped low because delta joins are candidate-sparse.
-    pool: JoinScratchPool,
+    /// Warm join scratch for the maintenance joins; dense pair-state
+    /// capped low because delta joins are candidate-sparse.
+    scratch: JoinScratch,
     /// Union key of the most recently published candidate union, the
     /// `derived_from` provenance of the next one.
     base_union: Option<Digest>,
@@ -163,10 +163,10 @@ fn canonical_sort(entries: &mut [(f64, u64)]) {
     entries.sort_unstable_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
 }
 
-/// Dense pair-state budget for the session pool's scratches. Delta joins
+/// Dense pair-state budget for the session's join scratch. Delta joins
 /// pair a handful of changed records against a full table: their
 /// discovered-pair sets are tiny, so the sparse state map wins on memory
-/// (a full-range dense table would be `|A|·|B|/shards` slots) while small
+/// (a full-range dense table would be `|A|·|B|` slots) while small
 /// cold-sized rejoins still fit under this cap and stay dense.
 const SESSION_DENSE_CAP: usize = 1 << 20;
 
@@ -233,8 +233,8 @@ impl MatchCatcher {
             (tok_a, tok_b, IncrementalDict::new(dict, &order))
         };
         let configs = tree.configs();
-        let pool = JoinScratchPool::new(params.joint.threads.max(1));
-        pool.set_dense_cap(SESSION_DENSE_CAP);
+        let mut scratch = JoinScratch::new();
+        scratch.set_dense_cap(SESSION_DENSE_CAP);
         let mut session = DebugSession {
             params,
             a,
@@ -252,7 +252,7 @@ impl MatchCatcher {
             q,
             stats_a,
             stats_b,
-            pool,
+            scratch,
             base_union: None,
         };
         session.cold_joint();
@@ -582,7 +582,6 @@ impl DebugSession {
         };
         let measure = self.params.joint.measure;
         let newly_killed: FxHashSet<u64> = newly_killed.iter().copied().collect();
-        let threads = self.params.joint.threads.max(1);
         let mut rescored = 0u64;
         let mut reused = 0u64;
         let mut rejoins = 0u64;
@@ -610,23 +609,15 @@ impl DebugSession {
                     records_b: arena_b,
                     killed: &self.killed,
                 };
-                // Fresh-merge counts come from the kernel's own counter:
-                // per-scratch counters are out of reach inside the
-                // sharded workers.
-                let scored_before = MetricsSnapshot::capture();
-                let list = topk_join_sharded(
+                let list = topk_join_with_scratch(
                     inst,
                     ssj,
-                    |_| ExactScorer(measure),
+                    &ExactScorer(measure),
                     &survivors,
                     None,
-                    threads,
-                    threads,
-                    Some(&self.pool),
+                    &mut self.scratch,
                 );
-                rescored += MetricsSnapshot::capture()
-                    .since(&scored_before)
-                    .counter("mc.core.ssj.scored");
+                rescored += self.scratch.last_scored();
                 self.lists[i] = list.sorted_entries();
                 self.valid[i] = self.lists[i].len();
                 continue;
@@ -643,7 +634,7 @@ impl DebugSession {
             // which beats the event kernel's per-token heap ops by an
             // order of magnitude and is bit-identical to it.
             let mut contributions: Vec<(f64, u64)> = Vec::new();
-            let mut scratch = self.pool.lock_slot(0);
+            let scratch = &mut self.scratch;
             if !changed_a.is_empty() {
                 let masked = {
                     let _s = mc_obs::span!("mc.core.incr.mask");
@@ -661,7 +652,7 @@ impl DebugSession {
                     &ExactScorer(measure),
                     &survivors,
                     None,
-                    &mut scratch,
+                    scratch,
                     0,
                 );
                 rescored += scratch.last_scored();
@@ -686,19 +677,10 @@ impl DebugSession {
                     &contributions
                 };
                 let _s = mc_obs::span!("mc.core.incr.j2");
-                let j2 = topk_semi_join(
-                    inst,
-                    ssj,
-                    &ExactScorer(measure),
-                    seed,
-                    None,
-                    &mut scratch,
-                    1,
-                );
+                let j2 = topk_semi_join(inst, ssj, &ExactScorer(measure), seed, None, scratch, 1);
                 rescored += scratch.last_scored();
                 contributions.extend(j2.sorted_entries());
             }
-            drop(scratch);
             // Un-killed untouched pairs re-enter the candidate universe;
             // delta joins already cover un-killed pairs with a changed
             // endpoint. Membership mirrors QJoin: at least `q` common

@@ -43,11 +43,10 @@
 
 use crate::config::{Config, ConfigTree};
 use crate::ssj::{
-    select_q_cached, topk_join_sharded, topk_join_with_scratch, ExactScorer, JoinScratch,
-    JoinScratchPool, PairScorer, ScoreCache, ScoreOutcome, SsjInstance, SsjParams, TopKList,
+    select_q, topk_join_with_scratch, ExactScorer, JoinScratch, PairScorer, ScoreCache,
+    ScoreOutcome, SsjInstance, SsjParams, TopKList,
 };
 use mc_strsim::arena::RecordArena;
-use mc_strsim::bitmap::{overlap_with_bound_bitmap, BitmapIndex};
 use mc_strsim::dict::TokenizedTable;
 use mc_strsim::measures::{
     multiset_overlap, overlap_bound_key, overlap_with_bound, required_overlap_keyed, SetMeasure,
@@ -397,11 +396,6 @@ struct ReuseScorer<'a> {
     /// Per-gate required-overlap memo for the direct (non-writer)
     /// scoring path.
     bound_memo: RefCell<BoundMemo>,
-    /// Bitmap indexes of this config's arenas (A side, B side) when the
-    /// bitmap kernel is selected. Only the direct scoring path consults
-    /// them; the kernel is exactly equivalent to the scalar merge, so
-    /// results stay bit-identical either way.
-    bitmaps: Option<(&'a BitmapIndex, &'a BitmapIndex)>,
 }
 
 impl PairScorer for ReuseScorer<'_> {
@@ -504,50 +498,10 @@ impl PairScorer for ReuseScorer<'_> {
             .bound_memo
             .borrow_mut()
             .required(self.measure, gate, ra.len(), rb.len());
-        let o = match self.bitmaps {
-            Some((ba, bb)) => overlap_with_bound_bitmap(ba, bb, ra, rb, a, b, o_min),
-            None => overlap_with_bound(ra, rb, o_min),
-        };
-        match o {
+        match overlap_with_bound(ra, rb, o_min) {
             Some(o) => ScoreOutcome::Scored(self.measure.from_overlap(o, ra.len(), rb.len())),
             None => ScoreOutcome::Refuted,
         }
-    }
-}
-
-/// Per-shard scorer of the sharded execution path: a fresh
-/// [`ReuseScorer`] whose hit/miss tallies flush into the run-wide
-/// atomics when the shard worker drops it (scorers are deliberately not
-/// `Sync`, so each shard owns one).
-struct ShardScorer<'a> {
-    inner: ReuseScorer<'a>,
-    hits: &'a AtomicUsize,
-    misses: &'a AtomicUsize,
-}
-
-impl PairScorer for ShardScorer<'_> {
-    fn score(&self, a: TupleId, b: TupleId, ra: &[u32], rb: &[u32]) -> f64 {
-        self.inner.score(a, b, ra, rb)
-    }
-
-    fn score_above(
-        &self,
-        a: TupleId,
-        b: TupleId,
-        ra: &[u32],
-        rb: &[u32],
-        gate: f64,
-    ) -> ScoreOutcome {
-        self.inner.score_above(a, b, ra, rb, gate)
-    }
-}
-
-impl Drop for ShardScorer<'_> {
-    fn drop(&mut self) {
-        self.hits
-            .fetch_add(self.inner.hits.get(), Ordering::Relaxed);
-        self.misses
-            .fetch_add(self.inner.misses.get(), Ordering::Relaxed);
     }
 }
 
@@ -566,33 +520,6 @@ pub enum QStrategy {
     },
 }
 
-/// Which intersection kernel the direct (non-writer) scoring path uses.
-///
-/// Both kernels return the same overlap integer with the same
-/// `Some`/`None` outcome, so the choice never changes results — only
-/// where the merge cycles go.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SsjKernel {
-    /// The scalar merge+gallop kernel (`overlap_with_bound`).
-    Scalar,
-    /// Bitset popcount over the top `bits` token ranks, scalar merge on
-    /// the rare prefix (see `mc_strsim::bitmap`).
-    Bitmap {
-        /// Width of the frequent suffix each bitset covers, in ranks.
-        bits: u32,
-    },
-}
-
-impl SsjKernel {
-    /// The bitmap kernel at its default width
-    /// ([`mc_strsim::bitmap::DEFAULT_FREQ_BITS`]).
-    pub fn bitmap() -> SsjKernel {
-        SsjKernel::Bitmap {
-            bits: mc_strsim::bitmap::DEFAULT_FREQ_BITS,
-        }
-    }
-}
-
 /// Parameters of the joint execution.
 #[derive(Debug, Clone, Copy)]
 pub struct JointParams {
@@ -606,18 +533,6 @@ pub struct JointParams {
     /// parallelism; [`run_joint`] still tolerates an explicit 0 as "all
     /// cores", but `DebuggerParams::validate` rejects it.
     pub threads: usize,
-    /// Record-range shards per config join. 1 (the default) keeps the
-    /// paper's one-config-per-core schedule; above 1, configs run
-    /// **sequentially** in tree order and each join is split into this
-    /// many A-record ranges executed by up to [`JointParams::threads`]
-    /// workers (`crate::ssj::topk_join_sharded`) — the right trade on
-    /// huge inputs whose root join dwarfs the rest of the tree.
-    /// Sharding forces the overlap database off (see
-    /// [`run_joint_with_arenas`]); results are bit-identical at every
-    /// shard count.
-    pub shards: usize,
-    /// Intersection kernel of the direct scoring path.
-    pub kernel: SsjKernel,
     /// Enable the overlap database `H`.
     pub reuse_overlaps: bool,
     /// Enable parent→child top-k list seeding.
@@ -625,16 +540,6 @@ pub struct JointParams {
     /// Minimum average merged record length (tokens) for overlap reuse to
     /// engage (the paper's `t = 20`).
     pub reuse_min_avg_tokens: f64,
-    /// Clamp the effective shard count to the machine's available
-    /// parallelism (default `true`). Requesting more shards than cores
-    /// only adds scratch/merge overhead — the scale bench measured a
-    /// 0.66× *slowdown* at 8 shards on a 1-core host — so the executor
-    /// runs `min(shards, max(cores, 2))` instead; the floor of 2 keeps a
-    /// sharded request sharded (same reuse-off semantics, so results
-    /// stay machine-independent). Results are bit-identical at every
-    /// shard count, so the clamp never changes output — benches that
-    /// record shard-dependent work counters opt out for reproducibility.
-    pub clamp_shards: bool,
 }
 
 impl Default for JointParams {
@@ -644,12 +549,9 @@ impl Default for JointParams {
             measure: SetMeasure::Jaccard,
             q: QStrategy::Fixed(1),
             threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
-            shards: 1,
-            kernel: SsjKernel::Scalar,
             reuse_overlaps: true,
             reuse_topk: true,
             reuse_min_avg_tokens: 20.0,
-            clamp_shards: true,
         }
     }
 }
@@ -777,32 +679,7 @@ pub fn run_joint_with_arenas(
             .sum();
         (total_a + total_b) as f64 / (tok_a.rows() + tok_b.rows()).max(1) as f64
     };
-    // Sharding disables the overlap database: which pairs a writer
-    // scores — and therefore which keys its DB holds — depends on
-    // per-shard threshold evolution, so DB membership (and with it a
-    // child's hit/miss pattern and the decomposed-score approximation)
-    // would vary with the shard count. With the DB off, every score
-    // comes from the same exact kernel and the output is bit-identical
-    // at every shard count (`topk_join_sharded`'s guarantee).
-    let shards_requested = params.shards.max(1);
-    // Shard clamp (`JointParams::clamp_shards`): more shards than cores
-    // is pure overhead. The floor of 2 matters for semantics, not speed:
-    // `shards == 1` re-enables the overlap DB, so clamping a sharded
-    // request all the way to 1 on a small machine would change which
-    // score path runs — and with it the output — by host. Keeping a
-    // sharded request at ≥ 2 shards preserves the reuse-off contract,
-    // and sharded results are bit-identical at every shard count.
-    let shards = if params.clamp_shards && shards_requested > 1 {
-        let cores = std::thread::available_parallelism().map_or(shards_requested, |p| p.get());
-        shards_requested.min(cores.max(2))
-    } else {
-        shards_requested
-    };
-    mc_obs::gauge!("mc.core.joint.shards_effective").set(shards as i64);
-    if shards < shards_requested {
-        mc_obs::counter!("mc.core.joint.shards_clamped").inc();
-    }
-    let reuse = params.reuse_overlaps && shards == 1 && avg_len >= params.reuse_min_avg_tokens;
+    let reuse = params.reuse_overlaps && avg_len >= params.reuse_min_avg_tokens;
 
     // One overlap DB per writer (expanded) config.
     let mut dbs: Vec<Option<OverlapDb>> = (0..n).map(|_| None).collect();
@@ -823,7 +700,7 @@ pub fn run_joint_with_arenas(
         QStrategy::Fixed(q) => (q.max(1), None),
         QStrategy::Auto { max_q, prelude_k } => {
             let cache = ScoreCache::new();
-            let q = select_q_cached(
+            let q = select_q(
                 SsjInstance {
                     records_a: root_a,
                     records_b: root_b,
@@ -848,20 +725,11 @@ pub fn run_joint_with_arenas(
     let hits = AtomicUsize::new(0);
     let misses = AtomicUsize::new(0);
 
-    // Under sharding, parallelism moves inside each join: one config at
-    // a time, `threads` workers over its record-range shards. The
-    // scratch pool is shared by every config's sharded join — building
-    // a fresh `JoinScratch` per shard per config was the scale bench's
-    // dominant allocation source (each scratch's dense postings index
-    // is one `Vec` per token rank).
-    let workers = if shards > 1 { 1 } else { threads };
-    let scratch_pool = (shards > 1).then(|| JoinScratchPool::new(threads.clamp(1, shards)));
-
     mc_obs::gauge!("mc.core.joint.workers").set(threads as i64);
     mc_obs::gauge!("mc.core.joint.q_used").set(q_used as i64);
     let obs = mc_obs::ObsContext::current();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
+        for _ in 0..threads {
             scope.spawn(|| {
                 let _obs = obs.attach();
                 // Per-thread work statistics, flushed when the worker
@@ -906,21 +774,10 @@ pub fn run_joint_with_arenas(
                             })
                             .collect()
                     });
-                    let bitmaps = match params.kernel {
-                        SsjKernel::Scalar => None,
-                        SsjKernel::Bitmap { bits } => {
-                            let bound = records_a.rank_bound().max(records_b.rank_bound());
-                            Some((
-                                BitmapIndex::build(records_a, bound, bits),
-                                BitmapIndex::build(records_b, bound, bits),
-                            ))
-                        }
-                    };
-                    let bitmap_refs = bitmaps.as_ref().map(|(x, y)| (x, y));
                     let scorer = ReuseScorer {
                         measure: params.measure,
                         parent_db,
-                        parent_slots: parent_slots.clone(),
+                        parent_slots,
                         own_db: dbs[i].as_ref(),
                         // The prelude cache is keyed on the *root* arenas,
                         // so only the root config may consume it.
@@ -932,7 +789,6 @@ pub fn run_joint_with_arenas(
                         misses: Cell::new(0),
                         cells_scratch: RefCell::new(CellsScratch::default()),
                         bound_memo: RefCell::new(BoundMemo::default()),
-                        bitmaps: bitmap_refs,
                     };
                     // Top-k seeding: adopt the parent's finished list,
                     // re-scored under this config.
@@ -968,38 +824,14 @@ pub fn run_joint_with_arenas(
                         q: q_used,
                         measure: params.measure,
                     };
-                    let list = if shards > 1 {
-                        topk_join_sharded(
-                            inst,
-                            ssj_params,
-                            |_| ShardScorer {
-                                inner: ReuseScorer {
-                                    measure: params.measure,
-                                    parent_db,
-                                    parent_slots: parent_slots.clone(),
-                                    own_db: dbs[i].as_ref(),
-                                    score_cache: if i == 0 { score_cache.as_ref() } else { None },
-                                    my_attrs: config.positions(),
-                                    tok_a,
-                                    tok_b,
-                                    hits: Cell::new(0),
-                                    misses: Cell::new(0),
-                                    cells_scratch: RefCell::new(CellsScratch::default()),
-                                    bound_memo: RefCell::new(BoundMemo::default()),
-                                    bitmaps: bitmap_refs,
-                                },
-                                hits: &hits,
-                                misses: &misses,
-                            },
-                            &seed,
-                            None,
-                            shards,
-                            threads,
-                            scratch_pool.as_ref(),
-                        )
-                    } else {
-                        topk_join_with_scratch(inst, ssj_params, &scorer, &seed, None, &mut scratch)
-                    };
+                    let list = topk_join_with_scratch(
+                        inst,
+                        ssj_params,
+                        &scorer,
+                        &seed,
+                        None,
+                        &mut scratch,
+                    );
                     hits.fetch_add(scorer.hits.get(), Ordering::Relaxed);
                     misses.fetch_add(scorer.misses.get(), Ordering::Relaxed);
                     finished[i]
@@ -1289,119 +1121,6 @@ mod tests {
                 "lists not bit-identical at {threads} threads"
             );
         }
-    }
-
-    /// Bit patterns of every list of a run (q_used + score bits + keys).
-    fn run_bits(out: &JointOutput) -> (usize, Vec<Vec<(u64, u64)>>) {
-        (
-            out.q_used,
-            out.lists
-                .iter()
-                .map(|l| {
-                    l.sorted_entries()
-                        .into_iter()
-                        .map(|(s, key)| (s.to_bits(), key))
-                        .collect()
-                })
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn sharded_runs_are_bit_identical_across_shards_and_kernels() {
-        let (a, b) = fixture();
-        let (ta, tb, tree) = tree_for(&a, &b);
-        let killed = PairSet::new();
-        // Sharding forces the overlap DB off, so the reference is the
-        // reuse-off unsharded run.
-        let base = run_joint(
-            &ta,
-            &tb,
-            &killed,
-            &tree,
-            JointParams {
-                k: 15,
-                threads: 2,
-                reuse_overlaps: false,
-                ..Default::default()
-            },
-        );
-        let base_bits = run_bits(&base);
-        for shards in [2usize, 4, 16] {
-            for kernel in [
-                SsjKernel::Scalar,
-                SsjKernel::bitmap(),
-                SsjKernel::Bitmap { bits: 7 },
-            ] {
-                for threads in [1usize, 3] {
-                    let out = run_joint(
-                        &ta,
-                        &tb,
-                        &killed,
-                        &tree,
-                        JointParams {
-                            k: 15,
-                            threads,
-                            shards,
-                            kernel,
-                            reuse_overlaps: false,
-                            ..Default::default()
-                        },
-                    );
-                    assert_eq!(
-                        base_bits,
-                        run_bits(&out),
-                        "shards={shards} kernel={kernel:?} threads={threads}"
-                    );
-                }
-            }
-        }
-        // A sharded run with reuse_overlaps=true behaves identically:
-        // the flag is forced off under sharding.
-        let forced = run_joint(
-            &ta,
-            &tb,
-            &killed,
-            &tree,
-            JointParams {
-                k: 15,
-                shards: 4,
-                reuse_overlaps: true,
-                reuse_min_avg_tokens: 0.0,
-                ..Default::default()
-            },
-        );
-        assert_eq!(base_bits, run_bits(&forced));
-        assert_eq!(forced.reuse_hits, 0, "overlap DB must stay off");
-    }
-
-    #[test]
-    fn bitmap_kernel_is_bit_identical_with_reuse_on() {
-        let (a, b) = fixture();
-        let (ta, tb, tree) = tree_for(&a, &b);
-        let killed = PairSet::new();
-        let mk = |kernel| {
-            run_joint(
-                &ta,
-                &tb,
-                &killed,
-                &tree,
-                JointParams {
-                    k: 20,
-                    threads: 2,
-                    kernel,
-                    reuse_min_avg_tokens: 0.0, // force reuse on
-                    q: QStrategy::Auto {
-                        max_q: 3,
-                        prelude_k: 5,
-                    },
-                    ..Default::default()
-                },
-            )
-        };
-        let scalar = mk(SsjKernel::Scalar);
-        let bitmap = mk(SsjKernel::bitmap());
-        assert_eq!(run_bits(&scalar), run_bits(&bitmap));
     }
 
     #[test]

@@ -74,10 +74,10 @@ impl Ord for Score {
 /// The kept set is **canonical**: entries are totally ordered by
 /// `(score descending, pair key ascending)` — the same tie-break
 /// [`select_q`] uses — and the list always holds the top k of everything
-/// ever offered under that order, regardless of offer order. This is
-/// what makes sharded joins mergeable bit-identically: each shard's list
-/// and the merged list are pure functions of the offered pair sets, not
-/// of event interleaving (see [`topk_join_sharded`]).
+/// ever offered under that order, regardless of offer order. The list is
+/// therefore a pure function of the offered pair set, not of event
+/// interleaving, which is what lets [`topk_semi_join`] and the
+/// incremental debugger's merges reproduce the event loop bit for bit.
 #[derive(Debug, Clone)]
 pub struct TopKList {
     k: usize,
@@ -163,14 +163,6 @@ impl TopKList {
                 self.heap.pop();
                 self.heap.push(Reverse((Score(score), Reverse(pair))));
             }
-        }
-    }
-
-    /// Merges another list into this one (used when a child config adopts
-    /// its parent's re-scored list, §4.2).
-    pub fn merge(&mut self, other: &TopKList) {
-        for &Reverse((s, Reverse(p))) in other.heap.iter() {
-            self.insert(s.0, p);
         }
     }
 
@@ -318,7 +310,7 @@ impl PairScorer for ExactScorer {
 const CACHE_SHARDS: usize = 16;
 
 /// A concurrent, insert-only pair → score cache shared by the `q`
-/// preludes of [`select_q_cached`] and the winning `q`'s main run.
+/// preludes of [`select_q`] and the winning `q`'s main run.
 ///
 /// Set-measure scores are q-independent, so every pair a prelude scores
 /// is a pair the main run would otherwise score again from scratch. The
@@ -385,7 +377,7 @@ impl ScoreCache {
     }
 }
 
-/// The prelude scorer of [`select_q_cached`]: exact scoring that
+/// The prelude scorer of [`select_q`]: exact scoring that
 /// **populates** a [`ScoreCache`] as a side effect.
 ///
 /// Deliberately write-only (see [`ScoreCache`]): consulting the cache
@@ -499,24 +491,15 @@ enum Step {
 }
 
 /// The pair-state table behind the event loop: dense when the join's
-/// `rows × |B|` fits the scratch's dense budget (default
-/// [`DENSE_STATES_MAX`]), a hash map otherwise. `rows` is the A-side
-/// *range* the join covers — a shard of a partitioned join sizes its
-/// dense table by its own row range, so sharding retires the global
-/// `|A| × |B|` cap: each shard only needs `(|A| / shards) × |B|` slots.
-/// Generation stamps make dense reuse across joins O(1) — `prepare`
-/// bumps the generation instead of clearing millions of slots.
+/// `|A| × |B|` fits the scratch's dense budget (default
+/// [`DENSE_STATES_MAX`]), a hash map otherwise. Generation stamps make
+/// dense reuse across joins O(1) — `prepare` bumps the generation
+/// instead of clearing millions of slots.
 enum StateTable<'s> {
     Dense {
         slots: &'s mut [u64],
         gen: u64,
         nb: usize,
-        /// First A-record id of the covered range; dense rows are
-        /// indexed relative to it.
-        a_lo: TupleId,
-        /// First B-record id of the covered range (`nb` counts records
-        /// from here); dense columns are indexed relative to it.
-        b_lo: TupleId,
     },
     Sparse {
         map: &'s mut FxHashMap<u64, PairState>,
@@ -529,14 +512,8 @@ impl StateTable<'_> {
     #[inline]
     fn advance(&mut self, a: TupleId, b: TupleId, q: usize, discovered: &mut u64) -> Step {
         match self {
-            StateTable::Dense {
-                slots,
-                gen,
-                nb,
-                a_lo,
-                b_lo,
-            } => {
-                let slot = &mut slots[(a - *a_lo) as usize * *nb + (b - *b_lo) as usize];
+            StateTable::Dense { slots, gen, nb } => {
+                let slot = &mut slots[a as usize * *nb + b as usize];
                 if (*slot >> 32) != *gen {
                     *discovered += 1;
                     *slot = *gen << 32;
@@ -580,16 +557,9 @@ impl StateTable<'_> {
     #[inline]
     fn seed(&mut self, key: u64) {
         match self {
-            StateTable::Dense {
-                slots,
-                gen,
-                nb,
-                a_lo,
-                b_lo,
-            } => {
+            StateTable::Dense { slots, gen, nb } => {
                 let (a, b) = split_pair_key(key);
-                slots[(a - *a_lo) as usize * *nb + (b - *b_lo) as usize] =
-                    (*gen << 32) | SCORED_BIT;
+                slots[a as usize * *nb + b as usize] = (*gen << 32) | SCORED_BIT;
             }
             StateTable::Sparse { map } => {
                 map.insert(
@@ -665,14 +635,9 @@ pub struct JoinScratch {
     /// that is unaffected by threshold gating, so [`select_q`]'s cost
     /// model is stable across kernel changes).
     scored_tokens: u64,
-    /// Scoring attempts the most recent join refuted via merge abort.
-    merge_aborts: u64,
     /// Pairs the most recent join actually scored (completed merges that
     /// produced a fresh score, cache hits and aborts excluded).
     scored: u64,
-    /// Scoring attempts the most recent join served from a cache
-    /// (score cache or overlap database) without a fresh merge.
-    cache_served: u64,
     /// [`topk_semi_join`] pair state, indexed by post-side record id:
     /// the probe generation that last touched the pair and its
     /// common-token count (high bit = scored). Valid only while one
@@ -723,8 +688,6 @@ impl JoinScratch {
         if !self.dense && cells != Some(0) {
             // The pair-state table exceeds its slot budget: this join
             // takes the hash-map path (correct but slower per probe).
-            // Persistently high values at scale suggest sharding the join
-            // so each shard's row range fits the dense budget again.
             mc_obs::counter!("mc.core.ssj.dense_fallback").inc();
         }
         if self.dense {
@@ -745,9 +708,7 @@ impl JoinScratch {
         self.heap.reserve(na + nb);
         self.events = 0;
         self.scored_tokens = 0;
-        self.merge_aborts = 0;
         self.scored = 0;
-        self.cache_served = 0;
     }
 
     /// Clears the subset of the scratch [`topk_semi_join`] uses: the
@@ -763,9 +724,7 @@ impl JoinScratch {
         }
         self.events = 0;
         self.scored_tokens = 0;
-        self.merge_aborts = 0;
         self.scored = 0;
-        self.cache_served = 0;
     }
 
     /// Heap events the most recent join on this scratch processed — a
@@ -781,21 +740,11 @@ impl JoinScratch {
         self.scored_tokens
     }
 
-    /// Scoring attempts the most recent join refuted via merge abort.
-    pub fn last_merge_aborts(&self) -> u64 {
-        self.merge_aborts
-    }
-
     /// Pairs the most recent join scored with a completed merge (fresh
     /// scores only — cache hits and refuted merges excluded). The
     /// incremental debugger reads this to account re-scoring work.
     pub fn last_scored(&self) -> u64 {
         self.scored
-    }
-
-    /// Scoring attempts the most recent join answered from a cache.
-    pub fn last_cache_served(&self) -> u64 {
-        self.cache_served
     }
 
     /// Whether the most recent join on this scratch used the dense
@@ -812,51 +761,16 @@ impl JoinScratch {
     }
 }
 
-/// A pool of [`JoinScratch`] buffers shared across consecutive
-/// [`topk_join_sharded`] calls.
-///
-/// Without a pool every sharded join allocates one fresh scratch per
-/// worker, and a scratch is *expensive* to warm up: its dense postings
-/// index holds one `Vec` per token rank (hundreds of thousands on real
-/// vocabularies). A joint run executes one sharded join per config, so
-/// `shards × configs` scratches were built and thrown away. The joint
-/// executor instead builds one pool sized to its worker count and passes
-/// it to every config's join; worker `w` of each join locks slot `w`, so
-/// locks are uncontended and each slot's buffers stay warm across
-/// configs (the same steady-state-allocation-free contract
-/// [`topk_join_with_scratch`] gives single-threaded callers).
-pub struct JoinScratchPool {
-    slots: Vec<parking_lot::Mutex<JoinScratch>>,
-}
-
-impl JoinScratchPool {
-    /// A pool with `workers` slots (at least one).
-    pub fn new(workers: usize) -> Self {
-        JoinScratchPool {
-            slots: (0..workers.max(1))
-                .map(|_| parking_lot::Mutex::new(JoinScratch::new()))
-                .collect(),
-        }
-    }
-
-    /// Locks the slot for worker `w` (wrapping if the pool is smaller
-    /// than the caller's worker count).
-    pub(crate) fn lock_slot(&self, w: usize) -> parking_lot::MutexGuard<'_, JoinScratch> {
-        self.slots[w % self.slots.len()].lock()
-    }
-
-    /// Overrides every slot's dense pair-state budget (see
-    /// [`JoinScratch::set_dense_cap`]). The incremental debugger caps
-    /// its session pool: delta joins pair a handful of changed records
-    /// with a full table, so their candidate sets are sparse and a
-    /// full-range dense table would be tens of megabytes per slot for
-    /// no probe-speed win.
-    pub fn set_dense_cap(&self, cap: usize) {
-        for slot in &self.slots {
-            slot.lock().set_dense_cap(cap);
-        }
-    }
-}
+/// Slack for comparisons between a *prefix bound* and the list
+/// threshold. Bounds and scores are computed by different floating-point
+/// expression trees, so a bound that equals a later score in exact
+/// arithmetic can land one ulp below it after rounding (cosine's
+/// `o / sqrt(la·lb)` vs `sqrt(rem / la)`). Distinct rational
+/// score/bound values on integer token counts differ by far more than
+/// 1e-12 while rounding error stays below 1e-15, so the slack separates
+/// "really below" from "equal up to rounding" exactly. Score-vs-gate
+/// comparisons need no slack: both sides are the same expression.
+const BOUND_SLACK: f64 = 1e-12;
 
 /// Runs the top-k join with a fresh scratch. Prefer
 /// [`topk_join_with_scratch`] when executing many joins on one thread.
@@ -886,145 +800,12 @@ pub fn topk_join_with_scratch(
     cancel: Option<&AtomicBool>,
     scratch: &mut JoinScratch,
 ) -> TopKList {
-    topk_join_in_range(
-        inst,
-        params,
-        scorer,
-        seed,
-        cancel,
-        scratch,
-        0,
-        inst.records_a.len() as TupleId,
-        0,
-        inst.records_b.len() as TupleId,
-        None,
-    )
-}
-
-/// Which side's record range [`topk_join_sharded_on`] partitions.
-///
-/// Per-pair work splits across shards either way (a pair lands in
-/// exactly one shard); what repeats per shard is the *other* side's
-/// per-event bookkeeping. Shard the side whose records dominate the
-/// event count: the incremental debugger joins a handful of changed
-/// records against a full table, and picks the axis that puts the full
-/// table's events into the partitioned side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardAxis {
-    /// Partition `[0, |A|)` into contiguous A-record ranges.
-    A,
-    /// Partition `[0, |B|)` into contiguous B-record ranges.
-    B,
-}
-
-/// Slack for comparisons between a *prefix bound* and the list
-/// threshold. Bounds and scores are computed by different floating-point
-/// expression trees, so a bound that equals a later score in exact
-/// arithmetic can land one ulp below it after rounding (cosine's
-/// `o / sqrt(la·lb)` vs `sqrt(rem / la)`). Distinct rational
-/// score/bound values on integer token counts differ by far more than
-/// 1e-12 while rounding error stays below 1e-15, so the slack separates
-/// "really below" from "equal up to rounding" exactly. Score-vs-gate
-/// comparisons need no slack: both sides are the same expression.
-const BOUND_SLACK: f64 = 1e-12;
-
-/// The cross-shard pruning state of [`topk_join_sharded`]: one shared
-/// canonical [`TopKList`] holding the union of every shard's accepted
-/// entries, plus its current threshold cached as the bit pattern of a
-/// non-negative `f64` (for which integer `fetch_max` ordering coincides
-/// with numeric ordering) so the hot loop reads it with one relaxed
-/// load.
-///
-/// A shard's *local* threshold is the k-th best of its own range's pairs
-/// — far below the global k-th when the data is split many ways, so a
-/// shard pruning only with its local list overexplores superlinearly in
-/// the shard count. The shared list restores single-shard pruning
-/// quality: its threshold is the k-th best of *everything any shard has
-/// accepted so far*, which evolves like the unsharded run's threshold.
-///
-/// Soundness: every entry offered is a genuine pair score (seeds are
-/// pre-offered once, scored pairs are scored by exactly one shard), so
-/// the shared list is a canonical top-k of a subset of the final pair
-/// set and its threshold never exceeds the final global k-th score.
-/// Pruning events and gating scorers against it therefore only drops
-/// pairs that cannot appear in the merged top-k — the merged
-/// `sorted_entries()` stays bit-identical at every shard and thread
-/// count. Offers happen only for entries that pass the gate (a few per
-/// shard beyond k), so the mutex is effectively uncontended.
-struct SharedBound {
-    /// Bit pattern of the shared list's current threshold (0 until the
-    /// list fills). Monotone non-decreasing.
-    bits: AtomicU64,
-    /// Union of all shards' accepted entries, canonical order.
-    list: parking_lot::Mutex<TopKList>,
-}
-
-impl SharedBound {
-    fn new(k: usize) -> Self {
-        SharedBound {
-            bits: AtomicU64::new(0),
-            list: parking_lot::Mutex::new(TopKList::new(k)),
-        }
-    }
-
-    /// The current bound (0.0 until the shared list fills).
-    #[inline]
-    fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    /// Offers an accepted entry to the shared list and publishes the
-    /// possibly-raised threshold.
-    fn offer(&self, score: f64, pair: u64) {
-        let mut list = self.list.lock();
-        list.insert(score, pair);
-        let thr = list.threshold();
-        drop(list);
-        if thr > 0.0 {
-            self.bits.fetch_max(thr.to_bits(), Ordering::Relaxed);
-        }
-    }
-}
-
-/// The event loop of [`topk_join_with_scratch`], restricted to A-records
-/// in `[a_lo, a_hi)` and B-records in `[b_lo, b_hi)` — the unit of work
-/// of one shard of [`topk_join_sharded_on`] (which restricts exactly one
-/// of the two ranges per shard). A pair `(a, b)` is discovered by
-/// whichever side's prefix event hits the other's posting list, and with
-/// each side's postings holding only its range's records, exactly the
-/// pairs with `a ∈ [a_lo, a_hi) ∧ b ∈ [b_lo, b_hi)` are discovered.
-/// Per-pair work (state advance, scoring) is therefore perfectly
-/// partitioned across disjoint ranges; only the unrestricted side's
-/// per-event bookkeeping is repeated per shard. The full join is the
-/// `[0, |A|) × [0, |B|)` range.
-///
-/// `shared` is the cross-shard bound: folded into every prune and gate
-/// decision (max with the local threshold) and raised whenever this
-/// shard's own list fills. `None` for unsharded joins.
-#[allow(clippy::too_many_arguments)]
-fn topk_join_in_range(
-    inst: SsjInstance<'_>,
-    params: SsjParams,
-    scorer: &dyn PairScorer,
-    seed: &[(f64, u64)],
-    cancel: Option<&AtomicBool>,
-    scratch: &mut JoinScratch,
-    a_lo: TupleId,
-    a_hi: TupleId,
-    b_lo: TupleId,
-    b_hi: TupleId,
-    shared: Option<&SharedBound>,
-) -> TopKList {
     assert!(params.q >= 1, "q must be at least 1");
-    assert!(a_lo <= a_hi && a_hi as usize <= inst.records_a.len());
-    assert!(b_lo <= b_hi && b_hi as usize <= inst.records_b.len());
     let credit = params.q - 1;
     let rank_bound = inst.records_a.rank_bound().max(inst.records_b.rank_bound()) as usize;
-    let rows = (a_hi - a_lo) as usize;
-    let a_off = a_lo as usize;
-    let cols = (b_hi - b_lo) as usize;
-    let b_off = b_lo as usize;
-    scratch.prepare(rows, cols, rank_bound);
+    let na = inst.records_a.len();
+    let nb = inst.records_b.len();
+    scratch.prepare(na, nb, rank_bound);
     let JoinScratch {
         pos,
         run,
@@ -1038,9 +819,7 @@ fn topk_join_in_range(
         heap,
         events: scratch_events,
         scored_tokens: scratch_scored_tokens,
-        merge_aborts: scratch_merge_aborts,
         scored: scratch_scored,
-        cache_served: scratch_cache_served,
         ..
     } = scratch;
 
@@ -1048,46 +827,34 @@ fn topk_join_in_range(
         StateTable::Dense {
             slots: &mut dense_states[..],
             gen: *dense_gen as u64,
-            nb: cols,
-            a_lo,
-            b_lo,
+            nb,
         }
     } else {
         StateTable::Sparse { map: states }
     };
 
-    // Every seed raises the threshold (shards receive the full seed list
-    // for maximal pruning), but only in-range pairs exist in this range's
-    // state table — out-of-range pairs can never be rediscovered here.
     let mut k_list = TopKList::with_capacity_hint(params.k, seed.len());
     for &(score, pair) in seed {
         if !inst.killed.contains_key(pair) {
             k_list.insert(score, pair);
+            // A seed outside the arenas can never be rediscovered, and
+            // its dense slot index would alias another pair's.
             let (a, b) = split_pair_key(pair);
-            if a >= a_lo && a < a_hi && b >= b_lo && b < b_hi {
+            if (a as usize) < na && (b as usize) < nb {
                 table.seed(pair);
             }
         }
     }
 
-    for r in a_lo..a_hi {
-        let rec = inst.records_a.record(r);
-        if !rec.is_empty() {
-            heap.push(Event {
-                bound: Score(bound_with_credit(params.measure, rec.len(), 1, credit)),
-                side: 0,
-                rec: r,
-            });
-        }
-    }
-    for r in b_lo..b_hi {
-        let rec = inst.records_b.record(r);
-        if !rec.is_empty() {
-            heap.push(Event {
-                bound: Score(bound_with_credit(params.measure, rec.len(), 1, credit)),
-                side: 1,
-                rec: r,
-            });
+    for (side, arena) in [(0u8, inst.records_a), (1, inst.records_b)] {
+        for (r, rec) in arena.iter().enumerate() {
+            if !rec.is_empty() {
+                heap.push(Event {
+                    bound: Score(bound_with_credit(params.measure, rec.len(), 1, credit)),
+                    side,
+                    rec: r as TupleId,
+                });
+            }
         }
     }
 
@@ -1107,20 +874,13 @@ fn topk_join_in_range(
 
     let mut since_cancel_check = 0u32;
     while let Some(ev) = heap.pop() {
-        // The pruning threshold: the local list's (0 until it fills),
-        // raised to the cross-shard bound when sharded. The shared bound
-        // never exceeds the final global k-th score, so folding it in
-        // keeps the merged result exact (see [`SharedBound`]).
-        let threshold = match shared {
-            Some(s) => k_list.threshold().max(s.get()),
-            None => k_list.threshold(),
-        };
+        let threshold = k_list.threshold();
         if threshold > 0.0 && ev.bound.0 < threshold - BOUND_SLACK {
             // Everything still on the heap is pruned by the prefix
             // bound. Strictly below the threshold only: an event whose
             // bound *equals* the threshold can still yield a tie that
             // displaces a larger pair key under the canonical order, so
-            // it must be processed for shard-count invariance.
+            // it must be processed for the list to stay canonical.
             n_bound_pruned += heap.len() as u64 + 1;
             break;
         }
@@ -1142,12 +902,7 @@ fn topk_join_in_range(
             inst.records_b
         };
         let rec = arena.record(ev.rec);
-        // Scratch arrays cover only each side's covered range.
-        let idx = if side == 0 {
-            ev.rec as usize - a_off
-        } else {
-            ev.rec as usize - b_off
-        };
+        let idx = ev.rec as usize;
         let p = pos[side][idx] as usize; // 0-indexed token to process
         let tok = rec[p];
 
@@ -1191,34 +946,19 @@ fn topk_join_in_range(
                     // `score < threshold` and could never enter the
                     // list, while exact threshold ties come through for
                     // the canonical key tie-break — the outcome split
-                    // never changes the resulting list. When sharded,
-                    // the cross-shard bound raises the gate the same
-                    // way (one ulp below, ties still come through).
-                    let mut gate = k_list.gate();
-                    if let Some(s) = shared {
-                        let thr = s.get();
-                        if thr > 0.0 {
-                            gate = gate.max(f64::next_down(thr));
-                        }
-                    }
-                    let accepted = match scorer.score_above(a, b, ra, rb, gate) {
+                    // never changes the resulting list.
+                    match scorer.score_above(a, b, ra, rb, k_list.gate()) {
                         ScoreOutcome::Scored(s) => {
                             n_scored += 1;
                             k_list.insert(s, key);
-                            Some(s)
                         }
                         ScoreOutcome::Cached(s) => {
                             n_cached += 1;
                             k_list.insert(s, key);
-                            Some(s)
                         }
                         ScoreOutcome::Refuted => {
                             n_aborted += 1;
-                            None
                         }
-                    };
-                    if let (Some(score), Some(s)) = (accepted, shared) {
-                        s.offer(score, key);
                     }
                 }
             }
@@ -1244,12 +984,8 @@ fn topk_join_in_range(
         if next_p < rec.len() {
             let b = bound_with_credit(params.measure, rec.len(), next_p + 1, credit);
             // Mirror the pop-side prune: re-enqueue while the bound can
-            // still reach the threshold (local or cross-shard), ties
-            // included.
-            let threshold = match shared {
-                Some(s) => k_list.threshold().max(s.get()),
-                None => k_list.threshold(),
-            };
+            // still reach the threshold, ties included.
+            let threshold = k_list.threshold();
             if threshold == 0.0 || b >= threshold - BOUND_SLACK {
                 heap.push(Event {
                     bound: Score(b),
@@ -1263,9 +999,7 @@ fn topk_join_in_range(
     }
     *scratch_events = n_events;
     *scratch_scored_tokens = n_scored_tokens;
-    *scratch_merge_aborts = n_aborted;
     *scratch_scored = n_scored;
-    *scratch_cache_served = n_cached;
     mc_obs::counter!("mc.core.ssj.events").add(n_events);
     mc_obs::counter!("mc.core.ssj.candidates").add(n_discovered);
     mc_obs::counter!("mc.core.ssj.scored").add(n_scored);
@@ -1274,201 +1008,6 @@ fn topk_join_in_range(
     mc_obs::counter!("mc.core.ssj.killed_skipped").add(n_killed_skipped);
     mc_obs::counter!("mc.core.ssj.bound_pruned").add(n_bound_pruned);
     k_list
-}
-
-/// Runs the top-k join partitioned into `shards` contiguous A-record
-/// ranges executed by up to `threads` workers, then merges the per-shard
-/// lists canonically. The result's `sorted_entries()` is **bit-identical
-/// to the unsharded join at any shard/thread count**:
-///
-/// * pairs are partitioned by their A-record's range, so each shard's
-///   canonical list is a pure function of its own pair set;
-/// * every shard receives the full seed list (raising its threshold as
-///   early as possible); broadcast seeds are deduplicated by pair key at
-///   merge time, where duplicates carry identical scores;
-/// * the merge re-offers every shard entry to one canonical
-///   [`TopKList`], whose kept set is offer-order-independent.
-///
-/// `make_scorer` builds one scorer per shard on the worker thread that
-/// runs it (scorers are deliberately not `Sync`); it must be cheap and
-/// produce scorers that agree bit-for-bit on every pair.
-///
-/// `pool` optionally supplies per-worker [`JoinScratch`] buffers reused
-/// across calls (see [`JoinScratchPool`]); `None` allocates fresh
-/// scratches as before. The pool never affects results — scratches are
-/// fully re-prepared per join.
-#[allow(clippy::too_many_arguments)]
-pub fn topk_join_sharded<S, F>(
-    inst: SsjInstance<'_>,
-    params: SsjParams,
-    make_scorer: F,
-    seed: &[(f64, u64)],
-    cancel: Option<&AtomicBool>,
-    shards: usize,
-    threads: usize,
-    pool: Option<&JoinScratchPool>,
-) -> TopKList
-where
-    S: PairScorer,
-    F: Fn(usize) -> S + Sync,
-{
-    topk_join_sharded_on(
-        inst,
-        params,
-        make_scorer,
-        seed,
-        cancel,
-        shards,
-        threads,
-        pool,
-        ShardAxis::A,
-    )
-}
-
-/// [`topk_join_sharded`] with an explicit shard [`ShardAxis`]: `A`
-/// partitions A-record ranges (the default), `B` partitions B-record
-/// ranges. The bit-identity contract is symmetric — every pair lands in
-/// exactly one shard either way, and the canonical merge is
-/// offer-order-independent — so the axis never changes the result, only
-/// which side's per-event bookkeeping is repeated per shard.
-#[allow(clippy::too_many_arguments)]
-pub fn topk_join_sharded_on<S, F>(
-    inst: SsjInstance<'_>,
-    params: SsjParams,
-    make_scorer: F,
-    seed: &[(f64, u64)],
-    cancel: Option<&AtomicBool>,
-    shards: usize,
-    threads: usize,
-    pool: Option<&JoinScratchPool>,
-    axis: ShardAxis,
-) -> TopKList
-where
-    S: PairScorer,
-    F: Fn(usize) -> S + Sync,
-{
-    let na = inst.records_a.len();
-    let nb = inst.records_b.len();
-    let sharded_n = match axis {
-        ShardAxis::A => na,
-        ShardAxis::B => nb,
-    };
-    let shards = shards.clamp(1, sharded_n.max(1));
-    if shards == 1 {
-        let scorer = make_scorer(0);
-        return match pool {
-            Some(p) => {
-                topk_join_with_scratch(inst, params, &scorer, seed, cancel, &mut p.lock_slot(0))
-            }
-            None => topk_join(inst, params, &scorer, seed, cancel),
-        };
-    }
-    let _span = mc_obs::span!("mc.core.ssj.sharded");
-    // Each shard covers the full range of one side and a contiguous
-    // slice of the other.
-    let bounds: Vec<(TupleId, TupleId, TupleId, TupleId)> = (0..shards)
-        .map(|i| {
-            let lo = (sharded_n * i / shards) as TupleId;
-            let hi = (sharded_n * (i + 1) / shards) as TupleId;
-            match axis {
-                ShardAxis::A => (lo, hi, 0, nb as TupleId),
-                ShardAxis::B => (0, na as TupleId, lo, hi),
-            }
-        })
-        .collect();
-    let workers = threads.clamp(1, shards);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: Vec<std::sync::OnceLock<(TopKList, u64)>> =
-        (0..shards).map(|_| std::sync::OnceLock::new()).collect();
-    // Cross-shard pruning state: one shared canonical top-k whose
-    // threshold every shard folds into its prune/gate decisions. Seeds
-    // are pre-offered exactly once here (shards would otherwise offer
-    // duplicates, and duplicate keys in the shared list would inflate
-    // its threshold past the true global k-th — an unsound prune).
-    let shared = SharedBound::new(params.k);
-    for &(score, pair) in seed {
-        if !inst.killed.contains_key(pair) {
-            shared.offer(score, pair);
-        }
-    }
-    let obs = mc_obs::ObsContext::current();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (next, results, bounds) = (&next, &results, &bounds);
-            let (make_scorer, obs, shared) = (&make_scorer, &obs, &shared);
-            scope.spawn(move || {
-                let _obs = obs.attach();
-                // Worker `w` owns pool slot `w`: uncontended, and the
-                // slot's buffers stay warm across consecutive sharded
-                // joins that share the pool.
-                let mut local = None;
-                let mut leased = None;
-                let scratch: &mut JoinScratch = match pool {
-                    Some(p) => &mut *leased.insert(p.lock_slot(w)),
-                    None => local.insert(JoinScratch::new()),
-                };
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= shards {
-                        break;
-                    }
-                    let scorer = make_scorer(i);
-                    let (a_lo, a_hi, b_lo, b_hi) = bounds[i];
-                    // Per-thread CPU time, not wall time: on a host with
-                    // fewer cores than workers the scheduler interleaves
-                    // shards, and a wall clock would charge each shard
-                    // for time its siblings ran.
-                    let started = mc_obs::thread_cpu_us();
-                    let list = topk_join_in_range(
-                        inst,
-                        params,
-                        &scorer,
-                        seed,
-                        cancel,
-                        scratch,
-                        a_lo,
-                        a_hi,
-                        b_lo,
-                        b_hi,
-                        Some(shared),
-                    );
-                    let busy = mc_obs::thread_cpu_us().saturating_sub(started);
-                    let _ = results[i].set((list, busy));
-                }
-            });
-        }
-    });
-    // The slowest shard's busy time is this join's parallel critical
-    // path — the wall clock the sharded stage takes once `threads >=
-    // shards`. Recorded so scale benches can report parallel scaling
-    // even when the bench machine has fewer cores than shards.
-    let critical_us = results
-        .iter()
-        .map(|slot| slot.get().expect("every shard produced a list").1)
-        .max()
-        .unwrap_or(0);
-    mc_obs::histogram!("mc.core.ssj.shard_critical_us").record(critical_us);
-    if std::env::var("MC_SSJ_SHARD_DEBUG").is_ok_and(|v| v == "1") {
-        let times: Vec<u64> = results
-            .iter()
-            .map(|slot| slot.get().expect("every shard produced a list").1)
-            .collect();
-        eprintln!("shard busy us: {times:?}");
-    }
-    // Canonical merge: offer every shard entry once (seeds were
-    // broadcast, so the same pair key may surface from several shards
-    // with an identical score — first offer wins, the rest are skipped).
-    let mut seen: FxHashMap<u64, ()> = fx_map();
-    let mut merged = TopKList::new(params.k);
-    for slot in &results {
-        let (list, _) = slot.get().expect("every shard produced a list");
-        for (score, pair) in list.sorted_entries() {
-            if seen.insert(pair, ()).is_none() {
-                merged.insert(score, pair);
-            }
-        }
-    }
-    merged
 }
 
 /// Heap-free one-directional variant of the top-k join for asymmetric
@@ -1536,9 +1075,7 @@ pub fn topk_semi_join(
         semi_gen,
         events: scratch_events,
         scored_tokens: scratch_scored_tokens,
-        merge_aborts: scratch_merge_aborts,
         scored: scratch_scored,
-        cache_served: scratch_cache_served,
         ..
     } = scratch;
 
@@ -1727,9 +1264,7 @@ pub fn topk_semi_join(
     }
     *scratch_events = n_tokens;
     *scratch_scored_tokens = n_scored_tokens;
-    *scratch_merge_aborts = n_aborted;
     *scratch_scored = n_scored;
-    *scratch_cache_served = n_cached;
     mc_obs::counter!("mc.core.ssj.events").add(n_tokens);
     mc_obs::counter!("mc.core.ssj.candidates").add(n_discovered);
     mc_obs::counter!("mc.core.ssj.scored").add(n_scored);
@@ -1772,24 +1307,15 @@ pub fn brute_force_topk(inst: SsjInstance<'_>, k: usize, measure: SetMeasure) ->
 /// heap events processed plus tokens fed to the scorer (ties go to the
 /// smaller `q`). Repeated runs at any thread count therefore pick the
 /// same `q`. Deterministic inputs can also fix `q` via [`SsjParams`].
-pub fn select_q(
-    inst: SsjInstance<'_>,
-    measure: SetMeasure,
-    max_q: usize,
-    prelude_k: usize,
-) -> usize {
-    select_q_cached(inst, measure, max_q, prelude_k, None)
-}
-
-/// [`select_q`] with an optional [`ScoreCache`] that the preludes
-/// populate as they score (write-only; see [`CachedExactScorer`]). The
-/// winning `q`'s main run can then consume the cache and skip re-scoring
-/// every pair a prelude already scored — the cost of determinism
-/// (running all preludes to completion) is recycled instead of wasted.
 ///
-/// The chosen `q` is identical to [`select_q`]'s: the cost model reads
-/// events and *attempt-time* scored tokens, both unaffected by the cache.
-pub fn select_q_cached(
+/// With a [`ScoreCache`], the preludes populate it as they score
+/// (write-only; see [`CachedExactScorer`]). The winning `q`'s main run
+/// can then consume the cache and skip re-scoring every pair a prelude
+/// already scored — the cost of determinism (running all preludes to
+/// completion) is recycled instead of wasted. The chosen `q` does not
+/// depend on the cache: the cost model reads events and *attempt-time*
+/// scored tokens, both unaffected by it.
+pub fn select_q(
     inst: SsjInstance<'_>,
     measure: SetMeasure,
     max_q: usize,
@@ -2150,7 +1676,7 @@ mod tests {
             records_b: &b,
             killed: &killed,
         };
-        let q = select_q(inst, SetMeasure::Jaccard, 4, 10);
+        let q = select_q(inst, SetMeasure::Jaccard, 4, 10, None);
         assert!((1..=4).contains(&q));
     }
 
@@ -2228,54 +1754,6 @@ mod tests {
         }
         let views: Vec<&[u32]> = recs.iter().map(|r| r.as_slice()).collect();
         RecordArena::from_records(&views)
-    }
-
-    #[test]
-    fn sharded_join_is_bit_identical_across_shard_and_thread_counts() {
-        let a = random_arena(11, 120, 40, 9);
-        let b = random_arena(23, 90, 40, 9);
-        let mut killed = PairSet::new();
-        killed.insert(3, 4);
-        killed.insert(17, 2);
-        let inst = SsjInstance {
-            records_a: &a,
-            records_b: &b,
-            killed: &killed,
-        };
-        let seed = [(0.75, pair_key(5, 5)), (0.4, pair_key(9, 1))];
-        for m in [
-            SetMeasure::Jaccard,
-            SetMeasure::Cosine,
-            SetMeasure::Dice,
-            SetMeasure::Overlap,
-        ] {
-            for (k, q) in [(10, 1), (50, 1), (10, 2)] {
-                let params = SsjParams { k, q, measure: m };
-                let baseline = topk_join(inst, params, &ExactScorer(m), &seed, None);
-                for shards in [1, 3, 4, 8, 200] {
-                    for threads in [1, 4] {
-                        // Alternate pooled and pool-free scratches to
-                        // cover both paths of the reuse machinery.
-                        let pool = (shards % 2 == 0).then(|| JoinScratchPool::new(threads));
-                        let sharded = topk_join_sharded(
-                            inst,
-                            params,
-                            |_| ExactScorer(m),
-                            &seed,
-                            None,
-                            shards,
-                            threads,
-                            pool.as_ref(),
-                        );
-                        assert_eq!(
-                            baseline.sorted_entries(),
-                            sharded.sorted_entries(),
-                            "{m:?} k={k} q={q} shards={shards} threads={threads}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -127,13 +127,7 @@ pub fn union_key(tok: Digest, tree: &ConfigTree, params: &JointParams, killed: &
             w.write_u64(prelude_k as u64);
         }
     }
-    // Shard count and kernel are result-neutral (the sharded join is
-    // bit-identical at every shard count, and both kernels compute the
-    // same exact overlaps) — except that sharding forces the overlap
-    // database off. Key on the *effective* reuse flag so a sharded run
-    // shares its slot with an unsharded reuse-off run (their unions are
-    // bit-identical) and never aliases a reuse-on one.
-    w.write_u8((params.reuse_overlaps && params.shards <= 1) as u8);
+    w.write_u8(params.reuse_overlaps as u8);
     w.write_u8(params.reuse_topk as u8);
     w.write_f64(params.reuse_min_avg_tokens);
     // `PairSet` iterates in hash order; fold through the

@@ -419,7 +419,7 @@ impl EntityFactory for SongFactory {
 /// Zipfian rank-frequency law. The resulting document frequencies mirror
 /// real text (a handful of stopword-like tokens in most records, a long
 /// tail of rare ones), which is exactly the regime the SSJ prefix filter
-/// and the frequent-rank bitmap kernel are designed around.
+/// is designed around.
 pub struct ZipfFactory {
     pool: Vec<String>,
     /// Cumulative (unnormalized) Zipf weights over `pool` ranks.

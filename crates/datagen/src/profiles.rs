@@ -140,7 +140,7 @@ impl DatasetProfile {
                 // Vocabulary grows with the table so up-scaling does not
                 // collapse every record onto the same few tokens; the
                 // exponent keeps the head heavy enough that the frequent
-                // ranks matter (they are what the bitmap kernel targets).
+                // ranks matter (they are what the prefix filter defers).
                 let vocab = (approx_rows / 4).clamp(1_000, 50_000);
                 Box::new(ZipfFactory::new(rng, vocab, 1.07))
             }

@@ -9,6 +9,13 @@
 //! numbers held as `f64` — integral values round-trip exactly up to
 //! 2^53, far above any counter we emit.
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so without a limit a small hostile document
+/// (a few kilobytes of `[`) overflows the parsing thread's stack and
+/// aborts the process. Every document the workspace writes nests far
+/// shallower than this.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -27,11 +34,13 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
-    /// Parses a complete JSON document.
+    /// Parses a complete JSON document. Nesting arrays/objects deeper
+    /// than 128 levels is an error.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -225,6 +234,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -263,8 +274,22 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if b == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') if self.eat_lit("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_lit("false") => Ok(JsonValue::Bool(false)),
@@ -445,6 +470,21 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(JsonValue::parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(JsonValue::parse(&format!("{{\"a\": {}}}", nested(MAX_DEPTH))).is_err());
+        // Unbounded recursion would overflow a spawned thread's default
+        // stack long before 100,000 levels and abort the process.
+        let hostile = "[".repeat(100_000);
+        let result = std::thread::spawn(move || JsonValue::parse(&hostile))
+            .join()
+            .expect("parser thread survives");
+        assert!(result.is_err());
     }
 
     #[test]

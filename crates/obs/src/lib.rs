@@ -31,7 +31,6 @@
 //! §Observability for the catalog and the rules for adding one.
 
 pub mod context;
-pub mod cpu;
 pub mod export;
 pub mod json;
 pub mod metrics;
@@ -39,7 +38,6 @@ pub mod snapshot;
 pub mod span;
 
 pub use context::{AttachGuard, ObsContext};
-pub use cpu::thread_cpu_us;
 pub use json::JsonValue;
 pub use metrics::{registry, Counter, Gauge, Histogram, Registry};
 pub use snapshot::{HistogramSnap, MetricsSnapshot, SnapEvent, SpanStat};

@@ -9,9 +9,6 @@
 //!   order used by prefix-filtering joins (rare tokens first);
 //! * [`arena`] — flat CSR-style record storage (one contiguous token
 //!   buffer + offsets) that the top-k join hot loops operate on;
-//! * [`bitmap`] — per-record bitsets over the high-frequency suffix of
-//!   the rank space, with a popcount intersection kernel exactly
-//!   equivalent to the scalar merge;
 //! * [`measures`] — set-based similarity (Jaccard, cosine, Dice, overlap)
 //!   on sorted token multisets, plus edit distance, with the per-measure
 //!   prefix upper bounds the top-k join relies on;
@@ -26,7 +23,6 @@
 //! computation is a linear merge.
 
 pub mod arena;
-pub mod bitmap;
 pub mod dict;
 pub mod jaro;
 pub mod join;
@@ -35,7 +31,6 @@ pub mod prefix;
 pub mod tokenize;
 
 pub use arena::{RecordArena, StableBytes};
-pub use bitmap::{overlap_with_bound_bitmap, BitmapIndex};
 pub use dict::{TokenDict, TokenizedTable};
 pub use jaro::{jaro, jaro_winkler, jaro_winkler_above};
 pub use measures::{

@@ -118,33 +118,6 @@ pub fn overlap_with_bound(a: &[u32], b: &[u32], o_min: usize) -> Option<usize> {
     (o >= o_min).then_some(o)
 }
 
-/// Popcount of the bitwise AND of two equal-length `u64` word slices —
-/// the intersection-size kernel behind the bitmap path
-/// ([`crate::bitmap`]).
-///
-/// Four independent accumulators over 4-word chunks keep the loop free
-/// of a serial dependency, so the compiler can vectorize it (`count_ones`
-/// plus lane adds map onto SSE/AVX2/NEON popcount idioms); the remainder
-/// falls back to a scalar fold.
-#[inline]
-pub fn word_intersection_count(a: &[u64], b: &[u64]) -> usize {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0u64; 4];
-    let mut ca = a.chunks_exact(4);
-    let mut cb = b.chunks_exact(4);
-    for (wa, wb) in ca.by_ref().zip(cb.by_ref()) {
-        acc[0] += (wa[0] & wb[0]).count_ones() as u64;
-        acc[1] += (wa[1] & wb[1]).count_ones() as u64;
-        acc[2] += (wa[2] & wb[2]).count_ones() as u64;
-        acc[3] += (wa[3] & wb[3]).count_ones() as u64;
-    }
-    let mut total = acc.iter().sum::<u64>() as usize;
-    for (wa, wb) in ca.remainder().iter().zip(cb.remainder()) {
-        total += (wa & wb).count_ones() as usize;
-    }
-    total
-}
-
 /// The minimal integer overlap `o` with
 /// `measure.from_overlap(o, la, lb) > t` (**strictly**), or
 /// `min(la, lb) + 1` when no reachable overlap beats `t` — the
@@ -644,28 +617,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn word_intersection_count_matches_naive_popcount() {
-        // Lengths straddling the 4-word unroll boundary, with patterns
-        // that exercise every lane.
-        for len in 0..11usize {
-            let a: Vec<u64> = (0..len as u64)
-                .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | (1 << (i % 64)))
-                .collect();
-            let b: Vec<u64> = (0..len as u64)
-                .map(|i| i.wrapping_mul(0xc2b2_ae3d_27d4_eb4f) | (1 << ((i * 7) % 64)))
-                .collect();
-            let naive: usize = a
-                .iter()
-                .zip(&b)
-                .map(|(x, y)| (x & y).count_ones() as usize)
-                .sum();
-            assert_eq!(word_intersection_count(&a, &b), naive, "len={len}");
-        }
-        assert_eq!(word_intersection_count(&[], &[]), 0);
-        assert_eq!(word_intersection_count(&[u64::MAX; 5], &[u64::MAX; 5]), 320);
     }
 
     #[test]

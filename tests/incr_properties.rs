@@ -4,11 +4,11 @@
 //! of table deltas and killed-set diffs, `DebugSession::rerun` produces a
 //! `DebugReport` **byte-identical** (metrics aside) to a cold
 //! `start_session` on the patched tables with the same killed set and
-//! parameters — for every similarity measure, at shard counts 1 and 4,
-//! and for `q > 1`. The comparison covers every result-bearing field:
-//! ranked candidates (via `e_size`), confirmed matches in discovery
-//! order, per-iteration verifier records, label counts, and the problem
-//! summary.
+//! parameters — for every similarity measure, for `q > 1`, and through
+//! the full-rejoin fallback. The comparison covers every result-bearing
+//! field: ranked candidates (via `e_size`), confirmed matches in
+//! discovery order, per-iteration verifier records, label counts, and
+//! the problem summary.
 
 use matchcatcher::debugger::{DebugReport, DebuggerParams, MatchCatcher};
 use matchcatcher::joint::QStrategy;
@@ -19,7 +19,7 @@ use mc_datagen::delta::{perturb_killed, random_delta, DeltaSpec};
 use mc_datagen::profiles::DatasetProfile;
 use mc_obs::MetricsSnapshot;
 use mc_strsim::measures::SetMeasure;
-use mc_table::{AttrId, GoldMatches, PairSet, Table, TableDelta, TupleId};
+use mc_table::{AttrId, GoldMatches, PairSet, RowEdit, Table, TableDelta, TupleId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,13 +51,10 @@ fn fixture(seed: u64) -> (Table, Table, PairSet, GoldMatches) {
     (ds.a, ds.b, killed, ds.gold)
 }
 
-fn session_params(measure: SetMeasure, q: usize, shards: usize) -> DebuggerParams {
+fn session_params(measure: SetMeasure, q: usize) -> DebuggerParams {
     let mut p = DebuggerParams::small();
     p.joint.measure = measure;
     p.joint.q = QStrategy::Fixed(q);
-    p.joint.shards = shards;
-    // Exercise the requested shard count even on small CI machines.
-    p.joint.clamp_shards = false;
     p.incr.margin = 32;
     p
 }
@@ -105,32 +102,87 @@ fn check_incremental_exactness(params: DebuggerParams, seed: u64, rounds: usize)
 
 #[test]
 fn incremental_matches_cold_jaccard() {
-    check_incremental_exactness(session_params(SetMeasure::Jaccard, 1, 1), 3, 3);
+    check_incremental_exactness(session_params(SetMeasure::Jaccard, 1), 3, 3);
 }
 
 #[test]
 fn incremental_matches_cold_cosine() {
-    check_incremental_exactness(session_params(SetMeasure::Cosine, 1, 1), 4, 3);
+    check_incremental_exactness(session_params(SetMeasure::Cosine, 1), 4, 3);
 }
 
 #[test]
 fn incremental_matches_cold_dice() {
-    check_incremental_exactness(session_params(SetMeasure::Dice, 1, 1), 5, 3);
+    check_incremental_exactness(session_params(SetMeasure::Dice, 1), 5, 3);
 }
 
 #[test]
 fn incremental_matches_cold_overlap() {
-    check_incremental_exactness(session_params(SetMeasure::Overlap, 1, 1), 6, 3);
-}
-
-#[test]
-fn incremental_matches_cold_sharded() {
-    check_incremental_exactness(session_params(SetMeasure::Jaccard, 1, 4), 7, 3);
+    check_incremental_exactness(session_params(SetMeasure::Overlap, 1), 6, 3);
 }
 
 #[test]
 fn incremental_matches_cold_q2() {
-    check_incremental_exactness(session_params(SetMeasure::Jaccard, 2, 1), 8, 3);
+    check_incremental_exactness(session_params(SetMeasure::Jaccard, 2), 8, 3);
+}
+
+/// With no margin, editing the row behind a reported candidate leaves
+/// fewer than `k` survivors in every config that listed it, which forces
+/// the full seeded rejoin; the rerun must still equal a cold session.
+#[test]
+fn full_rejoin_fallback_matches_cold() {
+    let (a, b, killed, gold) = fixture(7);
+    let mut params = session_params(SetMeasure::Jaccard, 1);
+    params.incr.margin = 0;
+    // Session-scoped metrics: concurrent tests must not bleed into the
+    // counters asserted below.
+    params.obs = mc_obs::ObsContext::session();
+    let mc = MatchCatcher::new(params);
+    let mut oracle = GoldOracle::exact(&gold);
+    let (mut session, start) = mc.start_session(a, b, killed, &mut oracle);
+    let &(x, _) = start
+        .confirmed_matches
+        .first()
+        .expect("fixture recovers matches");
+
+    // A confirmed match is a union pair, so row `x` holds an entry of
+    // some config's top-k list. Swapping it with its neighbour changes
+    // both rows but keeps every column's value multiset, so the table
+    // statistics — and with them the config tree — stay as they were.
+    let y = (x + 1) % session.table_a().len() as TupleId;
+    let delta_a = TableDelta {
+        updates: vec![
+            RowEdit {
+                id: x,
+                tuple: session.table_a().tuple(y).clone(),
+            },
+            RowEdit {
+                id: y,
+                tuple: session.table_a().tuple(x).clone(),
+            },
+        ],
+        deletes: Vec::new(),
+        inserts: Vec::new(),
+    };
+    let incr = session
+        .rerun(&delta_a, &TableDelta::new(), None, &mut oracle)
+        .unwrap();
+    assert_eq!(
+        incr.metrics.counter("mc.core.incr.full_rebuilds"),
+        0,
+        "the delta must keep the config tree, or no list is maintained"
+    );
+    assert!(
+        incr.metrics.counter("mc.core.incr.full_rejoins") > 0,
+        "dropping listed entries with no margin must force a full rejoin"
+    );
+
+    let (_, cold) = mc.start_session(
+        session.table_a().clone(),
+        session.table_b().clone(),
+        session.killed().clone(),
+        &mut GoldOracle::exact(&gold),
+    );
+    assert_eq!(summarize(&cold), summarize(&incr));
 }
 
 /// The killed-only fast path must reuse every join: zero pairs rescored
@@ -138,7 +190,11 @@ fn incremental_matches_cold_q2() {
 #[test]
 fn killed_only_diff_reuses_joins() {
     let (a, b, killed, gold) = fixture(9);
-    let mc = MatchCatcher::new(session_params(SetMeasure::Jaccard, 1, 1));
+    let mut params = session_params(SetMeasure::Jaccard, 1);
+    // Session-scoped metrics: concurrent tests patch records too, and
+    // the exact `records_patched == 0` check below must not see them.
+    params.obs = mc_obs::ObsContext::session();
+    let mc = MatchCatcher::new(params);
     let mut oracle = GoldOracle::exact(&gold);
     let (mut session, _) = mc.start_session(a, b, killed, &mut oracle);
 
@@ -151,7 +207,6 @@ fn killed_only_diff_reuses_joins() {
         10,
         &mut rng,
     );
-    let before = MetricsSnapshot::capture();
     let incr = session
         .rerun(
             &TableDelta::new(),
@@ -160,7 +215,7 @@ fn killed_only_diff_reuses_joins() {
             &mut oracle,
         )
         .unwrap();
-    let delta = MetricsSnapshot::capture().since(&before);
+    let delta = &incr.metrics;
     assert!(
         delta.counter("mc.core.incr.killed_fast_path") > 0,
         "killed-only diff must take the fast path"
@@ -189,7 +244,7 @@ fn killed_only_diff_reuses_joins() {
 #[test]
 fn compaction_preserves_exactness() {
     let (a, b, killed, gold) = fixture(10);
-    let mut params = session_params(SetMeasure::Jaccard, 1, 1);
+    let mut params = session_params(SetMeasure::Jaccard, 1);
     params.incr.compact_threshold = 0.05;
     let mc = MatchCatcher::new(params);
     let mut oracle = GoldOracle::exact(&gold);

@@ -14,11 +14,14 @@ use mc_blocking::{Blocker, KeyFunc};
 use mc_datagen::delta::{random_delta, DeltaSpec};
 use mc_datagen::profiles::DatasetProfile;
 use mc_obs::JsonValue;
+use mc_serve::frame::{read_frame, write_frame, FrameError};
 use mc_serve::proto::report_summary;
 use mc_serve::{Client, Daemon, ServeParams};
 use mc_table::{AttrId, GoldMatches, PairSet, Table, TableDelta, Tuple};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -419,4 +422,70 @@ fn gc_verb_requires_a_store_and_collects_the_warm_tier() {
     let (_, protocol_errors) = daemon.shutdown();
     assert_eq!(protocol_errors, 0);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Blocks for the next reply frame on a raw connection.
+fn read_reply(stream: &mut TcpStream) -> JsonValue {
+    loop {
+        match read_frame(stream, 64 << 20, 10_000) {
+            Ok(v) => return v,
+            Err(FrameError::Idle) => continue,
+            Err(e) => panic!("recv: {e}"),
+        }
+    }
+}
+
+#[test]
+fn deeply_nested_frame_is_a_bad_request() {
+    let daemon = Daemon::spawn(ServeParams::default()).expect("spawn");
+    let mut stream = TcpStream::connect(daemon.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+
+    // 100 KB of `[`: far below the frame cap, and deep enough to
+    // overflow the connection thread's stack under unbounded recursion.
+    let body = "[".repeat(100_000);
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(body.as_bytes());
+    stream.write_all(&frame).expect("send nested frame");
+    let resp = read_reply(&mut stream);
+    assert_eq!(resp.get("ok").and_then(JsonValue::as_bool), Some(false));
+    assert_eq!(
+        resp.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(JsonValue::as_str),
+        Some("bad_request")
+    );
+
+    // The connection stays usable for a normal request.
+    write_frame(&mut stream, &open_profile_request()).expect("send open");
+    let resp = read_reply(&mut stream);
+    assert_eq!(resp.get("ok").and_then(JsonValue::as_bool), Some(true));
+    assert!(resp.get("session").and_then(JsonValue::as_u64).is_some());
+
+    let (_, protocol_errors) = daemon.shutdown();
+    assert_eq!(protocol_errors, 1, "only the nested frame is malformed");
+}
+
+#[test]
+fn hostile_thread_count_matches_one_thread() {
+    let daemon = Daemon::spawn(ServeParams::default()).expect("spawn");
+    let mut client = connect(&daemon);
+    let open_with_threads = |client: &mut Client, threads: u64| {
+        let mut req = open_profile_request();
+        if let JsonValue::Obj(members) = &mut req {
+            members.push(("threads".into(), threads.into()));
+        }
+        let resp = client.call_ok(&req).expect("open");
+        resp.get("report").unwrap().to_json_string()
+    };
+    let one = open_with_threads(&mut client, 1);
+    // 2^40 workers: the thread count may only size worker pools already
+    // capped by config, attribute or pair counts — never an allocation.
+    let hostile = open_with_threads(&mut client, 1 << 40);
+    assert_eq!(one, hostile);
+
+    let (_, protocol_errors) = daemon.shutdown();
+    assert_eq!(protocol_errors, 0);
 }

@@ -701,109 +701,3 @@ fn measures_are_bounded_and_symmetric() {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// Bitmap/SIMD kernel equivalence (mc_strsim::bitmap vs the scalar oracle)
-// ---------------------------------------------------------------------------
-
-/// Random sorted multiset records with Zipf-like skew toward the **top**
-/// of the rank space — the production dict assigns frequent tokens the
-/// highest ranks, which is exactly the regime the bitmap kernel targets.
-fn zipfish_records(rng: &mut StdRng, n: usize, universe: u32, max_len: usize) -> Vec<Vec<u32>> {
-    (0..n)
-        .map(|_| {
-            let len = rng.random_range(0..=max_len);
-            let mut v: Vec<u32> = (0..len)
-                .map(|_| {
-                    let u: f64 = rng.random_range(0.0..1.0);
-                    universe - 1 - ((u * u) * universe as f64) as u32
-                })
-                .collect();
-            v.sort_unstable();
-            v
-        })
-        .collect()
-}
-
-#[test]
-fn bitmap_kernel_matches_scalar_oracle_on_adversarial_bounds() {
-    use mc_strsim::bitmap::{overlap_with_bound_bitmap, BitmapIndex};
-    for case in 0..CASES / 2 {
-        let mut rng = StdRng::seed_from_u64(0xb17_0000 + case as u64);
-        let universe = rng.random_range(8..400u32);
-        let (na, nb) = (rng.random_range(1..20), rng.random_range(1..20));
-        let recs_a = zipfish_records(&mut rng, na, universe, 12);
-        let recs_b = zipfish_records(&mut rng, nb, universe, 12);
-        let a = RecordArena::from_records(&recs_a);
-        let b = RecordArena::from_records(&recs_b);
-        let bound = a.rank_bound().max(b.rank_bound());
-        for bits in [0u32, 5, 64, 512] {
-            let ba = BitmapIndex::build(&a, bound, bits);
-            let bb = BitmapIndex::build(&b, bound, bits);
-            for (i, ra) in recs_a.iter().enumerate() {
-                for (j, rb) in recs_b.iter().enumerate() {
-                    let o = multiset_overlap(ra, rb);
-                    let min_len = ra.len().min(rb.len());
-                    for o_min in [
-                        0,
-                        1,
-                        o.saturating_sub(1),
-                        o,
-                        o + 1,
-                        min_len,
-                        min_len + 1,
-                        usize::MAX,
-                    ] {
-                        let oracle = overlap_with_bound(ra, rb, o_min);
-                        let got =
-                            overlap_with_bound_bitmap(&ba, &bb, ra, rb, i as u32, j as u32, o_min);
-                        assert_eq!(
-                            got, oracle,
-                            "case {case} bits={bits} pair=({i},{j}) o_min={o_min}"
-                        );
-                        assert_eq!(got, (o >= o_min).then_some(o));
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn bitmap_kernel_preserves_measure_derived_gates() {
-    use mc_strsim::bitmap::{overlap_with_bound_bitmap, BitmapIndex};
-    for case in 0..CASES / 2 {
-        let mut rng = StdRng::seed_from_u64(0xb17_4000 + case as u64);
-        let universe = rng.random_range(8..200u32);
-        let (na, nb) = (rng.random_range(1..16), rng.random_range(1..16));
-        let recs_a = zipfish_records(&mut rng, na, universe, 10);
-        let recs_b = zipfish_records(&mut rng, nb, universe, 10);
-        let a = RecordArena::from_records(&recs_a);
-        let b = RecordArena::from_records(&recs_b);
-        let bound = a.rank_bound().max(b.rank_bound());
-        let ba = BitmapIndex::build(&a, bound, 64);
-        let bb = BitmapIndex::build(&b, bound, 64);
-        for m in SetMeasure::ALL {
-            for (i, ra) in recs_a.iter().enumerate() {
-                for (j, rb) in recs_b.iter().enumerate() {
-                    let s = m.score(ra, rb);
-                    for t in [-1.0, 0.0, 0.25, s, 0.75, 1.0] {
-                        let o_min = required_overlap(m, t, ra.len(), rb.len());
-                        let got =
-                            overlap_with_bound_bitmap(&ba, &bb, ra, rb, i as u32, j as u32, o_min);
-                        match got {
-                            Some(o) => {
-                                // The gated score must agree bitwise with
-                                // the ungated one.
-                                let gs = m.from_overlap(o, ra.len(), rb.len());
-                                assert!(s > t, "case {case} {m:?} t={t}");
-                                assert_eq!(gs.to_bits(), s.to_bits());
-                            }
-                            None => assert!(s <= t, "case {case} {m:?} t={t}"),
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
