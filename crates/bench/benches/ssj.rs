@@ -1,13 +1,13 @@
 //! Criterion micro-benchmarks for the top-k SSJ engine: QJoin vs the
-//! TopKJoin baseline (the §4.1 improvement) and joint vs individual
-//! multi-config execution (the §4.2 improvement).
+//! TopKJoin baseline (the §4.1 improvement) and multi-config execution
+//! on one worker vs one config per core (the §4.2 schedule).
 //!
 //! Set `MC_BENCH_SMOKE=1` to shrink the dataset and sample counts to a
 //! CI-friendly smoke run that only checks the benches still execute.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use matchcatcher::config::ConfigGenerator;
-use matchcatcher::joint::{run_individual, run_joint, JointParams};
+use matchcatcher::joint::{run_joint, JointParams};
 use matchcatcher::ssj::{topk_join, ExactScorer, SsjInstance, SsjParams};
 use mc_datagen::profiles::DatasetProfile;
 use mc_strsim::arena::RecordArena;
@@ -73,7 +73,7 @@ fn bench_qjoin_vs_topkjoin(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_joint_vs_individual(c: &mut Criterion) {
+fn bench_multi_config(c: &mut Criterion) {
     let ds = DatasetProfile::AmazonGoogle.generate_scaled(3, scale());
     let gen = ConfigGenerator::default();
     let promising = gen.promising(&ds.a, &ds.b);
@@ -82,30 +82,26 @@ fn bench_joint_vs_individual(c: &mut Criterion) {
     let killed = PairSet::new();
     let mut group = c.benchmark_group("multi_config");
     group.sample_size(10);
-    group.bench_function("individual_serial", |b| {
-        b.iter(|| {
-            let out = run_individual(&ta, &tb, &killed, &tree, 100, SetMeasure::Jaccard);
-            black_box(out.lists.len())
-        })
-    });
-    group.bench_function("joint_reuse_parallel", |b| {
-        b.iter(|| {
-            let out = run_joint(
-                &ta,
-                &tb,
-                &killed,
-                &tree,
-                JointParams {
-                    k: 100,
-                    reuse_min_avg_tokens: 0.0,
-                    ..Default::default()
-                },
-            );
-            black_box(out.lists.len())
-        })
-    });
+    for (name, threads) in [("one_worker", 1), ("config_per_core", 0)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let out = run_joint(
+                    &ta,
+                    &tb,
+                    &killed,
+                    &tree,
+                    JointParams {
+                        k: 100,
+                        threads,
+                        ..Default::default()
+                    },
+                );
+                black_box(out.lists.len())
+            })
+        });
+    }
     group.finish();
 }
 
-criterion_group!(benches, bench_qjoin_vs_topkjoin, bench_joint_vs_individual);
+criterion_group!(benches, bench_qjoin_vs_topkjoin, bench_multi_config);
 criterion_main!(benches);

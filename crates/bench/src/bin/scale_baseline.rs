@@ -6,11 +6,10 @@
 //!   the root config's join runs on a single thread through the one
 //!   event-loop kernel.
 //!
-//! The overlap database is off, so every score comes from the exact
-//! merge kernel this profile measures (overlap reuse has its own
-//! ablation, `ablation_joint`). Timings are best-of-`--runs`; the work
-//! counters are identical in every repetition, and the allocation count
-//! comes from the first (cold) one, deterministic under pinned threads.
+//! Every score comes from the exact merge kernel this profile measures.
+//! Timings are best-of-`--runs`; the work counters are identical in
+//! every repetition, and the allocation count comes from the first
+//! (cold) one, deterministic under pinned threads.
 //!
 //! `MC_BENCH_SMOKE=1` shrinks the defaults to `--scale 0.02 --runs 1`
 //! for CI; explicit flags still override.
@@ -51,7 +50,6 @@ fn main() {
 
     let mut params = JointParams {
         k,
-        reuse_overlaps: false,
         ..Default::default()
     };
     if threads != 0 {

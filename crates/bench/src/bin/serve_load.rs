@@ -113,8 +113,6 @@ fn delta_json(d: &TableDelta, width: usize) -> JsonValue {
 fn reference_params() -> DebuggerParams {
     let mut p = DebuggerParams::small();
     p.joint.q = QStrategy::Fixed(1);
-    p.joint.reuse_overlaps = false;
-    p.joint.reuse_topk = false;
     p
 }
 

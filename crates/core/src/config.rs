@@ -157,19 +157,6 @@ impl ConfigTree {
     pub fn parent(&self, i: usize) -> Option<usize> {
         self.nodes[i].parent
     }
-
-    /// Indexes of nodes that were expanded (have children).
-    pub fn writers(&self) -> Vec<usize> {
-        let mut w: Vec<usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.expanded)
-            .map(|(i, _)| i)
-            .collect();
-        w.sort_unstable();
-        w
-    }
 }
 
 /// Tuning knobs for config generation.
@@ -568,16 +555,6 @@ mod tests {
             p.attrs,
             vec![schema.expect_id("u1"), schema.expect_id("u2")]
         );
-    }
-
-    #[test]
-    fn writers_are_the_expanded_nodes() {
-        let p = promising_of(&[3.0, 2.0, 1.0], &[2.0; 3], &[2.0; 3]);
-        let tree = ConfigGenerator::default().build_tree(&p);
-        let writers = tree.writers();
-        // m = 3: expansions happen at the root and one level-2 node.
-        assert_eq!(writers.len(), 2);
-        assert_eq!(writers[0], 0);
     }
 
     #[test]

@@ -125,6 +125,21 @@ impl DebuggerParams {
         }
         Ok(())
     }
+
+    /// Opens the configured artifact store, if any. A store that cannot
+    /// be opened (unwritable root, foreign marker) must never break a
+    /// debugging run or session: it is counted and ignored, and the
+    /// caller runs cold.
+    pub(crate) fn open_store(&self) -> Option<Store> {
+        let config = self.store.as_ref()?;
+        match Store::open(config) {
+            Ok(s) => Some(s),
+            Err(_) => {
+                mc_obs::counter!("mc.store.open_failed").inc();
+                None
+            }
+        }
+    }
 }
 
 /// Precomputed state shared by the debugging stages.
@@ -322,20 +337,6 @@ impl MatchCatcher {
 
     fn prepare_from_promising(&self, a: &Table, b: &Table, promising: PromisingAttrs) -> Prepared {
         self.prepare_from_promising_cached(a, b, promising, None).0
-    }
-
-    /// Opens the configured artifact store, if any. A store that cannot
-    /// be opened (unwritable root, foreign marker) must never break a
-    /// debugging run: it is counted and ignored.
-    fn open_store(&self) -> Option<Store> {
-        let config = self.params.store.as_ref()?;
-        match Store::open(config) {
-            Ok(s) => Some(s),
-            Err(_) => {
-                mc_obs::counter!("mc.store.open_failed").inc();
-                None
-            }
-        }
     }
 
     /// Store-aware [`MatchCatcher::prepare`]: on a tokenization-artifact
@@ -542,7 +543,7 @@ impl MatchCatcher {
         // Everything below — including worker threads, which re-attach
         // at their spawn sites — records into this run's context.
         let _obs = self.params.obs.attach();
-        let store = self.open_store();
+        let store = self.params.open_store();
         let baseline = MetricsSnapshot::capture();
         let (prepared, tok) = observed(observer, Stage::Prepare, || {
             self.prepare_cached(a, b, store.as_ref())

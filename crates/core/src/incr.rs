@@ -39,7 +39,7 @@
 //!
 //! [`DebugSession::rerun`] returns a [`DebugReport`] **byte-identical**
 //! (metrics aside) to a cold run on the patched tables with the same
-//! normalized parameters, at any thread count. The argument,
+//! parameters, at any thread count. The argument,
 //! config by config, with `v` valid entries before the rerun and `v′`
 //! survivors after dropping the `d` entries that touch the delta:
 //!
@@ -60,18 +60,12 @@
 //!
 //! Sessions **require** a fixed QJoin `q` ([`QStrategy::Fixed`]): `Auto`
 //! re-selects `q` from prelude-join costs, which the patched state
-//! cannot reproduce bit-identically. The overlap database is likewise
-//! forced off (`reuse_overlaps = false`) — its decomposed-score
-//! approximation depends on which pairs a writer config scored, which
-//! differs between a cold and an incremental execution. Parent→child
-//! top-k seeding is forced off too (`reuse_topk = false`): seeds are
-//! inserted into a child's list verbatim, so with `q > 1` a parent can
-//! leak pairs below the child's q-overlap floor into its list — pairs no
-//! q-join over the child's own universe can rediscover, which makes each
-//! list depend on the whole ancestor chain instead of being the top-K of
-//! one config's candidate universe. With both knobs off, every list is a
-//! pure function of (arena contents, killed set, `k`, `q`, measure) —
-//! the property all of the maintenance above relies on.
+//! cannot reproduce bit-identically. Everything else is the joint
+//! stage's own contract ([`crate::joint`]): every list is the exact
+//! top-K of one config's candidate universe, a pure function of (arena
+//! contents, killed set, `k`, `q`, measure) — the property all of the
+//! maintenance above relies on. So a session's first report and
+//! [`MatchCatcher::run`] with the same parameters are one computation.
 //!
 //! Everything the session computes is instrumented under
 //! `mc.core.incr.*` (see the metrics catalog in `DESIGN.md`).
@@ -88,7 +82,7 @@ use crate::ssj::{
 use crate::store_io;
 use crate::verify::run_verifier;
 use mc_obs::MetricsSnapshot;
-use mc_store::{ArtifactKind, Digest, Store};
+use mc_store::{ArtifactKind, Digest};
 use mc_strsim::arena::RecordArena;
 use mc_strsim::dict::{IncrementalDict, TokenizedTable};
 use mc_strsim::measures::multiset_overlap;
@@ -123,7 +117,7 @@ impl Default for IncrParams {
 /// between runs so that [`DebugSession::rerun`] can patch it instead of
 /// recomputing it. Created by [`MatchCatcher::start_session`].
 pub struct DebugSession {
-    /// Normalized parameters (fixed `q`, overlap reuse off).
+    /// Parameters; `q` is always `Fixed(q ≥ 1)`.
     params: DebuggerParams,
     a: Table,
     b: Table,
@@ -175,11 +169,11 @@ impl MatchCatcher {
     /// cold (at list size `K = k + margin`) and returns the live session
     /// plus the first [`DebugReport`].
     ///
-    /// The session normalizes parameters for incremental exactness:
-    /// `reuse_overlaps` is forced off, and a [`QStrategy::Auto`] `q` is
-    /// rejected (panic) — fix `q` explicitly for sessions. The returned
-    /// report is byte-identical (metrics aside) to [`MatchCatcher::run`]
-    /// with the same normalized parameters.
+    /// A [`QStrategy::Auto`] `q` is rejected (panic) — fix `q`
+    /// explicitly for sessions; a fixed `q` of 0 runs as 1, as in
+    /// [`MatchCatcher::run`]. The returned report is byte-identical
+    /// (metrics aside) to [`MatchCatcher::run`] with the same
+    /// parameters.
     pub fn start_session(
         &self,
         a: Table,
@@ -199,16 +193,6 @@ impl MatchCatcher {
             ),
         };
         params.joint.q = QStrategy::Fixed(q);
-        // The overlap DB's decomposed-score approximation depends on
-        // which pairs each writer scored — execution-order state no
-        // incremental rerun can reproduce. Off, every score comes from
-        // the one exact kernel.
-        params.joint.reuse_overlaps = false;
-        // Parent→child seeding inserts parent pairs verbatim, letting
-        // sub-q-overlap pairs leak into a child's list (see the module
-        // docs); each list must be the top-K of its own config's
-        // universe for incremental maintenance to be exact.
-        params.joint.reuse_topk = false;
 
         let _obs = params.obs.attach();
         let baseline = MetricsSnapshot::capture();
@@ -262,7 +246,7 @@ impl MatchCatcher {
 }
 
 impl DebugSession {
-    /// The session's normalized parameters.
+    /// The session's parameters (`q` resolved to `Fixed(q ≥ 1)`).
     pub fn params(&self) -> &DebuggerParams {
         &self.params
     }
@@ -344,17 +328,7 @@ impl DebugSession {
     fn cold_joint(&mut self) {
         let _span = mc_obs::Span::enter(Stage::TopK.span_name());
         let threads = self.params.joint.threads.max(1);
-        let store = self
-            .params
-            .store
-            .as_ref()
-            .and_then(|c| match Store::open(c) {
-                Ok(s) => Some(s),
-                Err(_) => {
-                    mc_obs::counter!("mc.store.open_failed").inc();
-                    None
-                }
-            });
+        let store = self.params.open_store();
         let tok_key = store.as_ref().map(|_| {
             store_io::tok_key(
                 self.a.content_digest(),
@@ -796,15 +770,8 @@ impl DebugSession {
     /// its cold ancestor. No-op without a configured store; store
     /// failures degrade silently (counted), exactly like the cold path.
     fn publish_union(&mut self, union: &CandidateUnion) {
-        let Some(config) = self.params.store.as_ref() else {
+        let Some(store) = self.params.open_store() else {
             return;
-        };
-        let store = match Store::open(config) {
-            Ok(s) => s,
-            Err(_) => {
-                mc_obs::counter!("mc.store.open_failed").inc();
-                return;
-            }
         };
         let tok = store_io::tok_key(
             self.a.content_digest(),
@@ -812,10 +779,10 @@ impl DebugSession {
             &self.promising.attrs,
             Tokenizer::Word,
         );
-        // Keyed at the *report* k with the session's normalized params:
-        // the published bytes are exactly what a cold run with these
-        // params would produce, so the key must be the one that cold run
-        // would derive.
+        // Keyed at the *report* k with the session's params: the
+        // published bytes are exactly what a cold run with these params
+        // would produce, so the key is the one that cold run derives —
+        // and a later `MatchCatcher::run` over these tables loads it.
         let ukey = store_io::union_key(tok, &self.tree, &self.params.joint, &self.killed);
         store.publish(
             ArtifactKind::CandidateUnion,
@@ -870,19 +837,62 @@ mod tests {
 
     #[test]
     fn session_start_matches_one_shot_run() {
+        // Same parameters on both sides — the paper's defaults included;
+        // the session changes nothing but how it holds its lists.
         let (a, b, killed, gold) = fixture();
-        let mc = MatchCatcher::new(params());
-        let mut normalized = params();
-        normalized.joint.reuse_overlaps = false;
-        normalized.joint.reuse_topk = false;
-        let cold =
-            MatchCatcher::new(normalized).run(&a, &b, &killed, &mut GoldOracle::exact(&gold));
-        let (_, start) = mc.start_session(a, b, killed, &mut GoldOracle::exact(&gold));
-        assert_eq!(summarize(&cold), summarize(&start));
-        assert!(
-            !start.confirmed_matches.is_empty(),
-            "fixture recovers matches"
+        for p in [params(), DebuggerParams::default()] {
+            let mc = MatchCatcher::new(p);
+            let cold = mc.run(&a, &b, &killed, &mut GoldOracle::exact(&gold));
+            let (_, start) = mc.start_session(
+                a.clone(),
+                b.clone(),
+                killed.clone(),
+                &mut GoldOracle::exact(&gold),
+            );
+            assert_eq!(summarize(&cold), summarize(&start));
+            assert!(
+                !start.confirmed_matches.is_empty(),
+                "fixture recovers matches"
+            );
+        }
+    }
+
+    /// A fresh store directory under the system temp dir.
+    fn temp_store(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "mc_incr_{tag}_{}_{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::SystemTime::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ))
+    }
+
+    #[test]
+    fn one_shot_run_starts_warm_from_a_session_published_union() {
+        use mc_store::StoreConfig;
+        let root = temp_store("union");
+        let (a, b, killed, gold) = fixture();
+        let mut p = params();
+        p.store = Some(StoreConfig::at(&root));
+        p.obs = mc_obs::ObsContext::session();
+        let mc = MatchCatcher::new(p);
+        let (_, start) = mc.start_session(
+            a.clone(),
+            b.clone(),
+            killed.clone(),
+            &mut GoldOracle::exact(&gold),
         );
+        let run = mc.run(&a, &b, &killed, &mut GoldOracle::exact(&gold));
+        assert_eq!(summarize(&start), summarize(&run));
+        assert_eq!(
+            run.metrics.span("mc.core.joint.run").count,
+            0,
+            "the run must load the session's union instead of joining"
+        );
+        assert!(run.metrics.counter("mc.store.hits") > 0);
+        std::fs::remove_dir_all(root).ok();
     }
 
     #[test]
@@ -973,14 +983,7 @@ mod tests {
     #[test]
     fn warm_session_start_reuses_store_arenas_identically() {
         use mc_store::StoreConfig;
-        let root = std::env::temp_dir().join(format!(
-            "mc_incr_warm_{}_{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::SystemTime::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
+        let root = temp_store("warm");
         let (a, b, killed, gold) = fixture();
         let with_store = |root: &std::path::Path| {
             let mut p = params();

@@ -230,8 +230,8 @@ pub struct SsjInstance<'a> {
 pub enum ScoreOutcome {
     /// A full merge completed; the score is exact.
     Scored(f64),
-    /// The exact score was obtained without a fresh merge (score cache or
-    /// overlap-database hit).
+    /// The exact score was obtained without a fresh merge (a score-cache
+    /// hit).
     Cached(f64),
     /// The merge aborted: the score is provably `≤` the gate. A refuted
     /// pair can never enter the top-k list, so no score is produced.
@@ -250,7 +250,7 @@ impl ScoreOutcome {
 }
 
 /// Scores a pair given both records; the joint executor substitutes a
-/// reuse-aware scorer here (§4.2).
+/// scorer that consults Auto-q's prelude [`ScoreCache`] here.
 ///
 /// Deliberately **not** `Sync`: every scorer is created and consumed on
 /// a single worker thread, which lets implementations keep cheap
@@ -775,8 +775,9 @@ const BOUND_SLACK: f64 = 1e-12;
 /// Runs the top-k join with a fresh scratch. Prefer
 /// [`topk_join_with_scratch`] when executing many joins on one thread.
 ///
-/// * `seed` — optional initial entries (a parent config's re-scored top-k
-///   list, §4.2); seeded pairs are marked scored and never recomputed.
+/// * `seed` — optional initial entries with their exact scores (a
+///   session's surviving list entries); seeded pairs are marked scored
+///   and never recomputed.
 /// * `cancel` — optional cooperative cancellation flag; a cancelled
 ///   join returns its partial list.
 pub fn topk_join(

@@ -21,11 +21,12 @@
 //! * **CandidateUnion** — the joint stage's entire output (config masks,
 //!   `q_used`, the deduplicated pair list and per-config score matrix),
 //!   keyed by the tokenization key, the config-tree shape, every
-//!   result-affecting [`JointParams`] field and an order-independent
-//!   digest of the killed set `C`. The worker-thread count is
-//!   deliberately **excluded**: the joint stage is bit-deterministic
-//!   across thread counts (see [`crate::joint`]'s module docs), so a
-//!   union computed with 8 threads is byte-valid for a 1-thread rerun.
+//!   result-affecting [`JointParams`] field (`k`, measure, `q`) and an
+//!   order-independent digest of the killed set `C`. The worker-thread
+//!   count is deliberately **excluded**: the joint stage is
+//!   bit-deterministic across thread counts (see [`crate::joint`]'s
+//!   module docs), so a union computed with 8 threads is byte-valid for
+//!   a 1-thread rerun.
 //!
 //! Every decoder returns `Option` and validates structural invariants
 //! (shapes, sortedness, offset monotonicity), so a corrupt artifact that
@@ -99,9 +100,13 @@ pub fn arena_key(tok: Digest, side: u8, positions: &[usize]) -> Digest {
 }
 
 /// Key of the joint stage's candidate union. Covers everything that can
-/// change the union — tree shape, `k`, measure, `q` strategy, the reuse
-/// knobs, and the killed set — but **not** the thread count (the joint
-/// stage is bit-deterministic across thread counts).
+/// change the union — tree shape, `k`, measure, `q` strategy and the
+/// killed set — but **not** the thread count (the joint stage is
+/// bit-deterministic across thread counts).
+///
+/// A [`crate::incr::DebugSession`] publishes its reports' unions under
+/// this same key, so a one-shot run over the same inputs and parameters
+/// starts warm from a union a session published.
 pub fn union_key(tok: Digest, tree: &ConfigTree, params: &JointParams, killed: &PairSet) -> Digest {
     let mut w = DigestWriter::new();
     w.write_str("mc-store/union/v1");
@@ -110,7 +115,8 @@ pub fn union_key(tok: Digest, tree: &ConfigTree, params: &JointParams, killed: &
     w.write_u64(configs.len() as u64);
     for (i, c) in configs.iter().enumerate() {
         w.write_u32(c.mask());
-        // Parent links matter: they decide seeding and overlap reuse.
+        // Parent links change no list (each is its own config's exact
+        // top-k); they stay in the key so existing stores keep theirs.
         w.write_u32(tree.parent(i).map_or(u32::MAX, |p| p as u32));
     }
     w.write_u64(params.k as u64);
@@ -127,9 +133,13 @@ pub fn union_key(tok: Digest, tree: &ConfigTree, params: &JointParams, killed: &
             w.write_u64(prelude_k as u64);
         }
     }
-    w.write_u8(params.reuse_overlaps as u8);
-    w.write_u8(params.reuse_topk as u8);
-    w.write_f64(params.reuse_min_avg_tokens);
+    // The reuse-off setting of knobs the joint stage no longer has
+    // (overlap DB, list seeding, average-length gate), as constants:
+    // every existing key keeps its value, so stores that sessions
+    // published stay warm.
+    w.write_u8(0);
+    w.write_u8(0);
+    w.write_f64(20.0);
     // `PairSet` iterates in hash order; fold through the
     // order-independent set digest so every iteration order keys alike.
     w.write_digest(digest_u64_set(killed.iter().map(|(a, b)| pair_key(a, b))));
@@ -646,8 +656,9 @@ mod tests {
         assert_ne!(ak, arena_key(d(3), 0, &[0, 2]), "tok key");
     }
 
-    #[test]
-    fn union_key_ignores_threads_and_killed_order() {
+    /// Fixed `union_key` inputs: a two-attribute tree, a synthetic
+    /// tokenization key and a 50-pair killed set.
+    fn union_key_inputs() -> (Digest, ConfigTree, PairSet) {
         use crate::config::{ConfigGenerator, ConfigGeneratorParams, PromisingAttrs};
         let promising = PromisingAttrs {
             attrs: vec![AttrId(0), AttrId(1)],
@@ -656,24 +667,36 @@ mod tests {
             avg_tokens_b: vec![3.0, 2.0],
         };
         let tree = ConfigGenerator::new(ConfigGeneratorParams::default()).build_tree(&promising);
-        let tok = tok_key(
-            {
-                let mut w = DigestWriter::new();
-                w.write_u64(1);
-                w.finish()
-            },
-            {
-                let mut w = DigestWriter::new();
-                w.write_u64(2);
-                w.finish()
-            },
-            &promising.attrs,
-            Tokenizer::Word,
-        );
+        let d = |n: u64| {
+            let mut w = DigestWriter::new();
+            w.write_u64(n);
+            w.finish()
+        };
+        let tok = tok_key(d(1), d(2), &promising.attrs, Tokenizer::Word);
         let mut killed = PairSet::new();
         for i in 0..50u32 {
             killed.insert(i, (i * 7) % 50);
         }
+        (tok, tree, killed)
+    }
+
+    #[test]
+    fn session_union_key_is_golden() {
+        // The key sessions derived for `DebuggerParams::small()` before
+        // the reuse knobs left `JointParams` (sessions always ran with
+        // both off). Matching it keeps every store a session published
+        // warm, for sessions and one-shot runs alike.
+        let (tok, tree, killed) = union_key_inputs();
+        let p = crate::debugger::DebuggerParams::small().joint;
+        assert_eq!(
+            union_key(tok, &tree, &p, &killed).to_hex(),
+            "21a522e3f2f2a78aa0a6d0e7a69e6e8f"
+        );
+    }
+
+    #[test]
+    fn union_key_ignores_threads_and_killed_order() {
+        let (tok, tree, killed) = union_key_inputs();
         let mut p = JointParams {
             threads: 1,
             ..Default::default()
@@ -684,9 +707,9 @@ mod tests {
         p.k += 1;
         assert_ne!(k1, union_key(tok, &tree, &p, &killed), "k separates");
         p.k -= 1;
-        p.reuse_topk = !p.reuse_topk;
-        assert_ne!(k1, union_key(tok, &tree, &p, &killed));
-        p.reuse_topk = !p.reuse_topk;
+        p.q = QStrategy::Fixed(2);
+        assert_ne!(k1, union_key(tok, &tree, &p, &killed), "q separates");
+        p.q = QStrategy::Fixed(1);
         let mut more = PairSet::new();
         for (a, b) in killed.iter() {
             more.insert(a, b);

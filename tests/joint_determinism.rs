@@ -1,9 +1,9 @@
 //! Thread-count invariance of the *joint* stage, in the style of
-//! `verifier_parallel.rs`: with parent-gated reuse and deterministic
+//! `verifier_parallel.rs`: with no cross-config waits and deterministic
 //! empirical `q` selection, `run_joint` must produce a bit-identical
 //! candidate union — same `q_used`, same pairs, same `f64` score bit
 //! patterns — at every worker-thread count, on a realistic datagen
-//! profile with both reuse mechanisms engaged.
+//! profile with the root config consuming the Auto-q score cache.
 
 use matchcatcher::debugger::{DebuggerParams, MatchCatcher};
 use matchcatcher::joint::{run_joint, CandidateUnion, JointParams, QStrategy};
@@ -46,9 +46,6 @@ fn joint_union_is_bit_identical_across_thread_counts() {
                         max_q: 3,
                         prelude_k: 20,
                     },
-                    reuse_overlaps: true,
-                    reuse_topk: true,
-                    reuse_min_avg_tokens: 0.0, // force overlap reuse on
                     ..Default::default()
                 },
             );
@@ -67,37 +64,5 @@ fn joint_union_is_bit_identical_across_thread_counts() {
             runs[0].1, run.1,
             "candidate union not bit-identical at {threads} threads"
         );
-    }
-}
-
-#[test]
-fn joint_union_is_bit_identical_with_seeding_only() {
-    // reuse_topk without the overlap DB exercises the parent-wait gate on
-    // the seeding path alone.
-    let ds = DatasetProfile::FodorsZagats.generate_scaled(5, 0.25);
-    let blocker = Blocker::Hash(KeyFunc::Attr(AttrId(0)));
-    let c = blocker.apply(&ds.a, &ds.b);
-    let mc = MatchCatcher::new(DebuggerParams::small());
-    let prepared = mc.prepare(&ds.a, &ds.b);
-
-    let run = |threads: usize| {
-        let out = run_joint(
-            &prepared.tok_a,
-            &prepared.tok_b,
-            &c,
-            &prepared.tree,
-            JointParams {
-                k: 40,
-                threads,
-                reuse_overlaps: false,
-                reuse_topk: true,
-                ..Default::default()
-            },
-        );
-        union_bits(&CandidateUnion::build(&out.lists))
-    };
-    let serial = run(1);
-    for threads in [2, 4] {
-        assert_eq!(serial, run(threads), "diverged at {threads} threads");
     }
 }

@@ -1,7 +1,7 @@
 //! Acceptance tests for the `mc-obs` pipeline instrumentation: a
 //! [`MetricsSnapshot`] captured around [`MatchCatcher::run`] on a datagen
 //! profile must cover every layer — SSJ candidate/pruning counters,
-//! overlap-database reuse, per-stage spans, and per-iteration verifier
+//! joint-stage scheduling, per-stage spans, and per-iteration verifier
 //! statistics.
 //!
 //! The registry is process-global and tests in this binary run in
@@ -32,10 +32,7 @@ fn metrics_snapshot_covers_the_whole_pipeline() {
 
     let mut params = DebuggerParams::small();
     params.joint.k = 100;
-    // One worker → configs run in tree order, so parents populate the
-    // overlap DB before their children read it (deterministic hits).
     params.joint.threads = 1;
-    params.joint.reuse_min_avg_tokens = 0.0; // force overlap reuse on
     let mc = MatchCatcher::new(params);
     let mut oracle = GoldOracle::exact(&ds.gold);
     let report = mc.run(&ds.a, &ds.b, &c, &mut oracle);
@@ -74,23 +71,7 @@ fn metrics_snapshot_covers_the_whole_pipeline() {
         "bound-based pruning fired"
     );
 
-    // ── Overlap-database reuse (§4.2) ───────────────────────────────────
-    assert!(
-        m.counter("mc.core.joint.overlap_db.inserts") > 0,
-        "writers recorded overlaps"
-    );
-    assert!(
-        m.counter("mc.core.joint.overlap_db.hits") > 0,
-        "children reused overlaps"
-    );
-    assert!(
-        m.counter("mc.core.joint.overlap_db.misses") > 0,
-        "fresh pairs missed the db"
-    );
-    assert!(
-        m.counter("mc.core.joint.reuse_hits") > 0,
-        "scorer-level reuse hits"
-    );
+    // ── Joint execution, one config per core (§4.2) ─────────────────────
     assert!(m.counter("mc.core.joint.configs_executed") > 0);
 
     // ── Per-stage span durations ────────────────────────────────────────

@@ -54,9 +54,6 @@ fn fixture() -> (Table, Table, PairSet, GoldMatches) {
 fn reference_params() -> DebuggerParams {
     let mut p = DebuggerParams::small();
     p.joint.q = QStrategy::Fixed(1);
-    // Sessions normalize these off for incremental exactness.
-    p.joint.reuse_overlaps = false;
-    p.joint.reuse_topk = false;
     p
 }
 
