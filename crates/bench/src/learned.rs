@@ -60,8 +60,7 @@ pub fn sample_pairs(
 /// every non-numeric attribute (plus first/last-word variants for text),
 /// SIM blockers at a few thresholds, and numeric bands.
 pub fn candidate_pool(a: &Table, b: &Table) -> Vec<Blocker> {
-    let stats_a = TableStats::compute(a);
-    let stats_b = TableStats::compute(b);
+    let (stats_a, stats_b) = TableStats::compute_pair(a, b);
     let mut pool = Vec::new();
     for (attr, _) in a.schema().iter() {
         let ty = stats_a.attr(attr).attr_type;

@@ -201,8 +201,7 @@ impl ConfigGenerator {
 
     /// Selects the promising attribute set `T` from the two tables.
     pub fn promising(&self, a: &Table, b: &Table) -> PromisingAttrs {
-        let sa = TableStats::compute(a);
-        let sb = TableStats::compute(b);
+        let (sa, sb) = TableStats::compute_pair(a, b);
         self.promising_from_stats(a, &sa, &sb)
     }
 

@@ -321,8 +321,7 @@ impl MatchCatcher {
     /// `FindLongAttr` are still computed from the data.
     pub fn prepare_with_attrs(&self, a: &Table, b: &Table, attrs: &[AttrId]) -> Prepared {
         assert!(!attrs.is_empty(), "curated attribute set must be non-empty");
-        let stats_a = mc_table::stats::TableStats::compute(a);
-        let stats_b = mc_table::stats::TableStats::compute(b);
+        let (stats_a, stats_b) = mc_table::stats::TableStats::compute_pair(a, b);
         let promising = crate::config::PromisingAttrs {
             attrs: attrs.to_vec(),
             e_scores: attrs

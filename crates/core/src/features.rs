@@ -10,6 +10,7 @@ use mc_ml::RowsView;
 use mc_strsim::dict::TokenizedTable;
 use mc_strsim::measures::{edit_similarity, SetMeasure};
 use mc_table::{split_pair_key, AttrId, Table, TupleId};
+use std::cell::RefCell;
 
 /// Truncation bound for edit-distance features (edit distance is
 /// quadratic; long descriptions would dominate verification time).
@@ -65,34 +66,78 @@ impl<'t> FeatureExtractor<'t> {
 
     /// Writes the feature vector for `(aid, bid)` into `out`, which must
     /// be exactly [`FeatureExtractor::n_features`] long. This is the
-    /// matrix-fill path: one row slot of a shared flat buffer.
+    /// matrix-fill path: one row slot of a shared flat buffer. On ASCII
+    /// data it allocates nothing: lowercased cells and the concatenated
+    /// rank vectors are built in per-thread scratch.
     pub fn features_into(&self, aid: TupleId, bid: TupleId, out: &mut [f64]) {
         assert_eq!(out.len(), self.n_features(), "feature slot width mismatch");
-        let mut total_a = 0usize;
-        let mut total_b = 0usize;
-        for (i, &attr) in self.attrs.iter().enumerate() {
-            let ra = self.tok_a.ranks(i, aid);
-            let rb = self.tok_b.ranks(i, bid);
-            total_a += ra.len();
-            total_b += rb.len();
-            out[i * 3] = SetMeasure::Jaccard.score(ra, rb);
-            let va = self.a.value(aid, attr).unwrap_or("");
-            let vb = self.b.value(bid, attr).unwrap_or("");
-            out[i * 3 + 1] = edit_similarity(&truncate(va), &truncate(vb));
-            out[i * 3 + 2] = f64::from(!va.is_empty() && !vb.is_empty());
-        }
-        // Concatenated Jaccard over all promising attributes.
-        let merged_a = self.tok_a.merged(&self.all_idx, aid);
-        let merged_b = self.tok_b.merged(&self.all_idx, bid);
-        out[self.attrs.len() * 3] = SetMeasure::Jaccard.score(&merged_a, &merged_b);
-        // Token-length ratio (1 = same length).
-        let m = total_a.max(total_b);
-        out[self.attrs.len() * 3 + 1] = if m == 0 {
-            1.0
-        } else {
-            total_a.min(total_b) as f64 / m as f64
-        };
+        ROW_SCRATCH.with(|s| {
+            let RowScratch {
+                lower_a,
+                lower_b,
+                merged_a,
+                merged_b,
+            } = &mut *s.borrow_mut();
+            let mut total_a = 0usize;
+            let mut total_b = 0usize;
+            for (i, &attr) in self.attrs.iter().enumerate() {
+                let ra = self.tok_a.ranks(i, aid);
+                let rb = self.tok_b.ranks(i, bid);
+                total_a += ra.len();
+                total_b += rb.len();
+                out[i * 3] = SetMeasure::Jaccard.score(ra, rb);
+                let va = self.a.value(aid, attr).unwrap_or("");
+                let vb = self.b.value(bid, attr).unwrap_or("");
+                out[i * 3 + 1] = edit_similarity(edit_form(va, lower_a), edit_form(vb, lower_b));
+                out[i * 3 + 2] = f64::from(!va.is_empty() && !vb.is_empty());
+            }
+            // Concatenated Jaccard over all promising attributes.
+            self.tok_a.merged_into(&self.all_idx, aid, merged_a);
+            self.tok_b.merged_into(&self.all_idx, bid, merged_b);
+            out[self.attrs.len() * 3] = SetMeasure::Jaccard.score(merged_a, merged_b);
+            // Token-length ratio (1 = same length).
+            let m = total_a.max(total_b);
+            out[self.attrs.len() * 3 + 1] = if m == 0 {
+                1.0
+            } else {
+                total_a.min(total_b) as f64 / m as f64
+            };
+        });
     }
+}
+
+/// Per-thread buffers behind [`FeatureExtractor::features_into`]: the
+/// matrix fill runs on scoped workers, so a thread-local keeps every
+/// worker allocation-free without threading scratch through the caller.
+#[derive(Default)]
+struct RowScratch {
+    lower_a: String,
+    lower_b: String,
+    merged_a: Vec<u32>,
+    merged_b: Vec<u32>,
+}
+
+thread_local! {
+    static ROW_SCRATCH: RefCell<RowScratch> = RefCell::new(RowScratch::default());
+}
+
+/// The form a cell's edit feature compares: its first
+/// [`EDIT_FEATURE_MAX_CHARS`] chars, lowercased. When those chars are all
+/// ASCII they are one byte each, and `str::to_lowercase` maps exactly
+/// `A..=Z` to `a..=z` on ASCII, so the form is the byte prefix lowercased
+/// in `buf`. Anything else goes through [`truncate`], whose
+/// `to_lowercase` knows the context- and length-changing Unicode cases
+/// ('İ', final 'Σ').
+fn edit_form<'b>(v: &str, buf: &'b mut String) -> &'b str {
+    let n = v.len().min(EDIT_FEATURE_MAX_CHARS);
+    if v.as_bytes()[..n].is_ascii() {
+        buf.clear();
+        buf.push_str(&v[..n]);
+        buf.make_ascii_lowercase();
+    } else {
+        *buf = truncate(v);
+    }
+    buf
 }
 
 /// A row-major flat feature matrix over a fixed list of candidate pairs:
@@ -323,6 +368,104 @@ mod tests {
         let mut m = FeatureMatrix::new(0, fx.n_features());
         m.ensure_all(&[], &fx, 2);
         assert!(m.is_empty());
+    }
+
+    /// The row builder as it was before the scratch kernel: an owned
+    /// lowercased `truncate` per cell, the full-table edit distance, and
+    /// an owned concatenated rank vector per side.
+    fn reference_row(fx: &FeatureExtractor<'_>, aid: TupleId, bid: TupleId) -> Vec<f64> {
+        fn dp(a: &str, b: &str) -> usize {
+            let a: Vec<char> = a.chars().collect();
+            let b: Vec<char> = b.chars().collect();
+            let mut prev: Vec<usize> = (0..=b.len()).collect();
+            for (i, ca) in a.iter().enumerate() {
+                let mut cur = vec![i + 1; b.len() + 1];
+                for (j, cb) in b.iter().enumerate() {
+                    let cost = usize::from(ca != cb);
+                    cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
+                }
+                prev = cur;
+            }
+            prev[b.len()]
+        }
+        fn similarity(a: &str, b: &str) -> f64 {
+            let m = a.chars().count().max(b.chars().count());
+            if m == 0 {
+                return 1.0;
+            }
+            1.0 - dp(a, b) as f64 / m as f64
+        }
+        let mut out = vec![0.0; fx.n_features()];
+        let (mut total_a, mut total_b) = (0usize, 0usize);
+        for (i, &attr) in fx.attrs.iter().enumerate() {
+            let ra = fx.tok_a.ranks(i, aid);
+            let rb = fx.tok_b.ranks(i, bid);
+            total_a += ra.len();
+            total_b += rb.len();
+            out[i * 3] = SetMeasure::Jaccard.score(ra, rb);
+            let va = fx.a.value(aid, attr).unwrap_or("");
+            let vb = fx.b.value(bid, attr).unwrap_or("");
+            out[i * 3 + 1] = similarity(&truncate(va), &truncate(vb));
+            out[i * 3 + 2] = f64::from(!va.is_empty() && !vb.is_empty());
+        }
+        let merged_a = fx.tok_a.merged(&fx.all_idx, aid);
+        let merged_b = fx.tok_b.merged(&fx.all_idx, bid);
+        out[fx.attrs.len() * 3] = SetMeasure::Jaccard.score(&merged_a, &merged_b);
+        let m = total_a.max(total_b);
+        out[fx.attrs.len() * 3 + 1] = if m == 0 {
+            1.0
+        } else {
+            total_a.min(total_b) as f64 / m as f64
+        };
+        out
+    }
+
+    #[test]
+    fn scratch_rows_are_bit_equal_to_the_reference_builder() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt as _, SeedableRng};
+        let words: Vec<&str> = "Dave SMITH atlanta İstanbul ΟΔΟΣ Σίσυφος café CAFÉ \
+                                new York x straße the and ΣΑΣ ok"
+            .split_whitespace()
+            .collect();
+        let mut rng = StdRng::seed_from_u64(17);
+        let cell = |rng: &mut StdRng| -> Option<String> {
+            match rng.random_range(0..8usize) {
+                0 => None,
+                1 => Some(String::new()),
+                n => {
+                    // n == 7 builds values well past the 48-char cut.
+                    let len = if n == 7 {
+                        rng.random_range(8..20usize)
+                    } else {
+                        rng.random_range(1..5usize)
+                    };
+                    let v: Vec<&str> = (0..len)
+                        .map(|_| words[rng.random_range(0..words.len())])
+                        .collect();
+                    Some(v.join(" "))
+                }
+            }
+        };
+        let schema = Arc::new(Schema::from_names(["name", "city", "desc"]));
+        let mut a = Table::new("A", Arc::clone(&schema));
+        let mut b = Table::new("B", schema);
+        for _ in 0..60 {
+            a.push(Tuple::new((0..3).map(|_| cell(&mut rng)).collect()));
+            b.push(Tuple::new((0..3).map(|_| cell(&mut rng)).collect()));
+        }
+        let attrs = vec![AttrId(0), AttrId(1), AttrId(2)];
+        let (ta, tb, _) = TokenizedTable::build_pair(&a, &b, &attrs, Tokenizer::Word);
+        let fx = FeatureExtractor::new(&a, &b, &attrs, &ta, &tb);
+        let mut row = vec![0.0; fx.n_features()];
+        for aid in 0..a.len() as TupleId {
+            for bid in 0..b.len() as TupleId {
+                fx.features_into(aid, bid, &mut row);
+                let want = reference_row(&fx, aid, bid);
+                let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&row), bits(&want), "pair ({aid}, {bid})");
+            }
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl DecisionTree {
     /// this is how bootstrap resampling enters without cloning rows).
     pub(crate) fn fit_samples<S: Samples>(
         samples: &S,
-        idx: Vec<usize>,
+        mut idx: Vec<usize>,
         params: &TreeParams,
         rng: &mut StdRng,
         scratch: &mut TreeScratch,
@@ -102,7 +102,7 @@ impl DecisionTree {
             nodes: Vec::new(),
             n_features: samples.n_features(),
         };
-        tree.grow(samples, idx, 0, params, rng, scratch);
+        tree.grow(samples, &mut idx, 0, params, rng, scratch);
         tree
     }
 
@@ -158,11 +158,14 @@ impl DecisionTree {
         counts
     }
 
-    /// Grows the subtree for `idx`, returning its node index.
+    /// Grows the subtree for `idx`, returning its node index. A split
+    /// partitions `idx` in place into its two children's runs; the order
+    /// inside a run is arbitrary, which is safe because a subtree depends
+    /// only on the multiset of its samples (see the module docs).
     fn grow<S: Samples>(
         &mut self,
         samples: &S,
-        idx: Vec<usize>,
+        idx: &mut [usize],
         depth: usize,
         params: &TreeParams,
         rng: &mut StdRng,
@@ -175,14 +178,18 @@ impl DecisionTree {
             self.nodes.push(Node::Leaf { prob });
             return self.nodes.len() - 1;
         }
-        let Some((feature, threshold)) = self.best_split(samples, &idx, params, rng, scratch)
-        else {
+        let Some((feature, threshold)) = self.best_split(samples, idx, params, rng, scratch) else {
             self.nodes.push(Node::Leaf { prob });
             return self.nodes.len() - 1;
         };
-        let (li, ri): (Vec<usize>, Vec<usize>) = idx
-            .into_iter()
-            .partition(|&i| samples.feature(i, feature) <= threshold);
+        let mut n_left = 0;
+        for k in 0..idx.len() {
+            if samples.feature(idx[k], feature) <= threshold {
+                idx.swap(n_left, k);
+                n_left += 1;
+            }
+        }
+        let (li, ri) = idx.split_at_mut(n_left);
         debug_assert!(!li.is_empty() && !ri.is_empty());
         // Reserve a slot for this split node before growing children.
         let at = self.nodes.len();
@@ -352,6 +359,39 @@ mod tests {
         assert_eq!(t1, t2);
         for s in &x {
             assert_eq!(t1.predict_proba(s), t2.predict_proba(s));
+        }
+    }
+
+    #[test]
+    fn tree_depends_only_on_the_sample_multiset() {
+        // `grow` partitions its index slice in place, so children see
+        // their samples in an arbitrary order; any order of the same
+        // bootstrap multiset must grow the same tree.
+        let x: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![(i % 7) as f64, ((i * 5) % 11) as f64, (i % 3) as f64])
+            .collect();
+        let y: Vec<bool> = (0..40).map(|i| (i % 7) * 2 + (i % 3) > 6).collect();
+        let samples = VecSamples { x: &x, y: &y };
+        let params = TreeParams {
+            features_per_split: 2,
+            ..TreeParams::default()
+        };
+        let mut picks: Vec<usize> = (0..60).map(|i| (i * 17 + 3) % 40).collect();
+        let fit = |idx: Vec<usize>| {
+            let mut rng = StdRng::seed_from_u64(5);
+            DecisionTree::fit_samples(
+                &samples,
+                idx,
+                &params,
+                &mut rng,
+                &mut TreeScratch::default(),
+            )
+        };
+        let want = fit(picks.clone());
+        assert!(want.node_count() > 3, "the fixture must split");
+        for round in 0..5u64 {
+            picks.shuffle(&mut StdRng::seed_from_u64(round));
+            assert_eq!(fit(picks.clone()), want, "order {round}");
         }
     }
 

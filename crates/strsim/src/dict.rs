@@ -217,16 +217,19 @@ impl TokenizedTable {
     /// in token space). `attr_indexes` refer to positions in the original
     /// `attrs` slice.
     pub fn merged(&self, attr_indexes: &[usize], tuple: TupleId) -> Vec<u32> {
-        let total: usize = attr_indexes
-            .iter()
-            .map(|&i| self.ranks(i, tuple).len())
-            .sum();
-        let mut out = Vec::with_capacity(total);
+        let mut out = Vec::with_capacity(self.merged_len(attr_indexes, tuple));
+        self.merged_into(attr_indexes, tuple, &mut out);
+        out
+    }
+
+    /// [`TokenizedTable::merged`] into a caller-owned buffer, which is
+    /// cleared first — the allocation-free form for per-row hot loops.
+    pub fn merged_into(&self, attr_indexes: &[usize], tuple: TupleId, out: &mut Vec<u32>) {
+        out.clear();
         for &i in attr_indexes {
             out.extend_from_slice(self.ranks(i, tuple));
         }
         out.sort_unstable();
-        out
     }
 
     /// Total token count (multiset cardinality) of a tuple over a set of

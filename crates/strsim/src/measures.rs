@@ -334,23 +334,105 @@ impl SetMeasure {
 
 /// Levenshtein edit distance between two strings (character-level).
 ///
-/// Implemented by iterative deepening over [`bounded_edit_distance`]: the
-/// band starts at the length difference (a lower bound on the distance)
-/// and doubles until the exact distance fits, so similar strings — the
-/// common case behind edit features and misspelling checks — cost
-/// O(d·min(|a|,|b|)) instead of the classic full O(|a|·|b|) table.
+/// When the shorter string has at most 64 chars this is Myers'
+/// bit-vector algorithm in Hyyrö's formulation (Myers, J. ACM 46(3),
+/// 1999; Hyyrö 2001): one column of the DP table is packed into a pair
+/// of `u64` delta vectors, so each char of the longer string costs a
+/// constant number of word operations and nothing is allocated. Longer
+/// pairs run the banded program of [`bounded_edit_distance`] once with a
+/// band as wide as the longer string, which always holds the distance.
 pub fn edit_distance(a: &str, b: &str) -> usize {
-    let la = a.chars().count();
-    let lb = b.chars().count();
-    let max = la.max(lb);
-    let mut k = la.abs_diff(lb).max(1).min(max.max(1));
-    loop {
-        if let Some(d) = bounded_edit_distance(a, b, k) {
-            return d;
-        }
-        // k = max always succeeds (the distance never exceeds max).
-        k = (k * 2).min(max);
+    edit_distance_counted(a, a.chars().count(), b, b.chars().count())
+}
+
+/// [`edit_distance`] given both strings' char counts.
+fn edit_distance_counted(a: &str, la: usize, b: &str, lb: usize) -> usize {
+    let (pattern, m, text) = if la <= lb { (a, la, b) } else { (b, lb, a) };
+    if m == 0 {
+        return la.max(lb);
     }
+    if m <= 64 {
+        return myers64(&PatternMasks::new(pattern), m, text);
+    }
+    let max = la.max(lb);
+    bounded_edit_distance(a, b, max).expect("the distance never exceeds the longer length")
+}
+
+/// Per-char match masks of a pattern of at most 64 chars: bit `i` of a
+/// char's mask is set iff the pattern's `i`-th char is that char. ASCII
+/// chars index a table; the few others sit in a fixed-size list, so
+/// building and probing never allocate.
+struct PatternMasks {
+    ascii: [u64; 128],
+    other: [(char, u64); 64],
+    n_other: usize,
+}
+
+impl PatternMasks {
+    fn new(pattern: &str) -> Self {
+        let mut masks = PatternMasks {
+            ascii: [0; 128],
+            other: [('\0', 0); 64],
+            n_other: 0,
+        };
+        for (i, c) in pattern.chars().enumerate() {
+            let bit = 1u64 << i;
+            if c.is_ascii() {
+                masks.ascii[c as usize] |= bit;
+            } else if let Some(slot) = masks.other[..masks.n_other]
+                .iter_mut()
+                .find(|(oc, _)| *oc == c)
+            {
+                slot.1 |= bit;
+            } else {
+                masks.other[masks.n_other] = (c, bit);
+                masks.n_other += 1;
+            }
+        }
+        masks
+    }
+
+    #[inline]
+    fn get(&self, c: char) -> u64 {
+        if c.is_ascii() {
+            self.ascii[c as usize]
+        } else {
+            self.other[..self.n_other]
+                .iter()
+                .find(|(oc, _)| *oc == c)
+                .map_or(0, |&(_, m)| m)
+        }
+    }
+}
+
+/// Global Levenshtein distance between a pattern of `m` chars
+/// (`1 ≤ m ≤ 64`, given by its masks) and `text`. `pv`/`mv` hold the
+/// vertical +1/−1 deltas of the current DP column; `d0` marks the cells
+/// whose diagonal delta is zero. The score follows the bottom row
+/// `D[m][j]`, starting from `D[m][0] = m`; the `| 1` on the horizontal
+/// +1 vector is the top row `D[0][j] = j` of a global alignment.
+fn myers64(masks: &PatternMasks, m: usize, text: &str) -> usize {
+    debug_assert!((1..=64).contains(&m));
+    let last = 1u64 << (m - 1);
+    let mut pv = !0u64;
+    let mut mv = 0u64;
+    let mut score = m;
+    for c in text.chars() {
+        let eq = masks.get(c);
+        let d0 = (((eq & pv).wrapping_add(pv)) ^ pv) | eq | mv;
+        let ph = mv | !(d0 | pv);
+        let mh = d0 & pv;
+        if ph & last != 0 {
+            score += 1;
+        } else if mh & last != 0 {
+            score -= 1;
+        }
+        let ph = (ph << 1) | 1;
+        let mh = mh << 1;
+        pv = mh | !(d0 | ph);
+        mv = ph & d0;
+    }
+    score
 }
 
 /// The exact edit distance when it is `<= k`, else `None` — a banded
@@ -446,14 +528,14 @@ pub fn edit_similarity(a: &str, b: &str) -> f64 {
     if m == 0 {
         return 1.0;
     }
-    1.0 - edit_distance(a, b) as f64 / m as f64
+    1.0 - edit_distance_counted(a, la, b, lb) as f64 / m as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Classic full-table two-row DP — the reference the banded/deepening
+    /// Classic full-table two-row DP — the reference the banded/bit-vector
     /// paths are checked against.
     fn edit_distance_dp(a: &str, b: &str) -> usize {
         let a: Vec<char> = a.chars().collect();
@@ -610,12 +692,57 @@ mod tests {
         for a in words {
             for b in words {
                 let d = edit_distance_dp(a, b);
-                assert_eq!(edit_distance(a, b), d, "deepening a={a:?} b={b:?}");
+                assert_eq!(edit_distance(a, b), d, "a={a:?} b={b:?}");
                 for k in 0..8 {
                     let got = bounded_edit_distance(a, b, k);
                     assert_eq!(got, (d <= k).then_some(d), "a={a:?} b={b:?} k={k}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn bit_vector_edit_distance_equals_full_dp_on_random_strings() {
+        // Alphabets: lowercase, mixed case, and non-ASCII (case pairs,
+        // multi-byte chars, a char whose lowercase is two chars). Small
+        // alphabets force many matches; lengths straddle the 64-char
+        // boundary between the bit-vector and the banded program.
+        let alphabets: [&[char]; 4] = [
+            &['a', 'b', 'c', 'd'],
+            &['a', 'A', 'b', 'B', ' ', 'z'],
+            &['é', 'É', 'e', 'İ', 'Σ', 'σ', 'ς', '字', ' '],
+            &['x', 'y', 'ß', '\u{a0}', '\u{3000}', '😀'],
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for case in 0..3000 {
+            let alphabet = alphabets[case % alphabets.len()];
+            let (la, lb) = if case % 3 == 0 {
+                // Around the boundary on both sides.
+                (60 + next(10), 60 + next(10))
+            } else {
+                (next(81), next(81))
+            };
+            let a: String = (0..la).map(|_| alphabet[next(alphabet.len())]).collect();
+            let mut b: String = (0..lb).map(|_| alphabet[next(alphabet.len())]).collect();
+            if case % 5 == 0 {
+                // Near-duplicates: a few deletions from `a`.
+                let mut chars: Vec<char> = a.chars().collect();
+                for _ in 0..next(4) {
+                    if !chars.is_empty() {
+                        chars.remove(next(chars.len()));
+                    }
+                }
+                b = chars.into_iter().collect();
+            }
+            let d = edit_distance_dp(&a, &b);
+            assert_eq!(edit_distance(&a, &b), d, "case {case}: a={a:?} b={b:?}");
+            assert_eq!(edit_distance(&b, &a), d, "case {case}: swapped");
         }
     }
 

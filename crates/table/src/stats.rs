@@ -14,6 +14,7 @@ use crate::delta::TableDelta;
 use crate::hash::{fx_map, fx_set, FxHashMap, FxHashSet};
 use crate::schema::{AttrId, AttrType};
 use crate::table::{Table, Tuple};
+use std::hash::{Hash, Hasher};
 
 /// Fraction of parseable values above which an undeclared attribute is
 /// classified as numeric.
@@ -87,52 +88,28 @@ pub struct TableStats {
 
 impl TableStats {
     /// Computes statistics over every attribute of `table`, performing a
-    /// single pass per attribute.
+    /// single pass per attribute (one job per attribute; see
+    /// [`TableStats::compute_pair`]).
     pub fn compute(table: &Table) -> Self {
-        let schema = table.schema();
-        let mut attrs = Vec::with_capacity(schema.len());
-        for (attr, decl) in schema.iter() {
-            let mut non_missing = 0usize;
-            let mut token_total = 0usize;
-            let mut values: FxHashSet<String> = fx_set();
-            let mut numeric_hits = 0usize;
-            let mut boolean_hits = 0usize;
-            for (_, tuple) in table.iter() {
-                let Some(v) = tuple.value(attr) else { continue };
-                let v = v.trim();
-                if v.is_empty() {
-                    continue;
-                }
-                non_missing += 1;
-                token_total += v.split_whitespace().count();
-                if parse_numeric(v) {
-                    numeric_hits += 1;
-                }
-                if parse_boolean(v) {
-                    boolean_hits += 1;
-                }
-                values.insert(v.to_ascii_lowercase());
-            }
-            let distinct = values.len();
-            let attr_type = decl
-                .declared
-                .unwrap_or_else(|| infer_type(non_missing, distinct, numeric_hits, boolean_hits));
-            let keep_values = matches!(attr_type, AttrType::Categorical | AttrType::Boolean);
-            attrs.push(AttrStats {
-                attr,
-                rows: table.len(),
-                non_missing,
-                distinct,
-                avg_tokens: if non_missing == 0 {
-                    0.0
-                } else {
-                    token_total as f64 / non_missing as f64
-                },
-                attr_type,
-                value_set: if keep_values { values } else { fx_set() },
-            });
+        let jobs: Vec<(&Table, AttrId)> = table.schema().attr_ids().map(|f| (table, f)).collect();
+        TableStats {
+            attrs: scan_jobs(&jobs),
         }
-        TableStats { attrs }
+    }
+
+    /// [`TableStats::compute`] for both tables of a matching task at
+    /// once: one job per (table, attribute), split across scoped workers
+    /// sized by the available parallelism. Each job is an
+    /// allocation-free pass over one column, so the result does not
+    /// depend on the worker count.
+    pub fn compute_pair(a: &Table, b: &Table) -> (TableStats, TableStats) {
+        let jobs: Vec<(&Table, AttrId)> = [a, b]
+            .into_iter()
+            .flat_map(|t| t.schema().attr_ids().map(move |f| (t, f)))
+            .collect();
+        let mut attrs = scan_jobs(&jobs);
+        let attrs_b = attrs.split_off(a.schema().len());
+        (TableStats { attrs }, TableStats { attrs: attrs_b })
     }
 
     /// Statistics for a single attribute.
@@ -178,36 +155,35 @@ struct IncrAttrStats {
 }
 
 impl IncrAttrStats {
-    /// Accounts one non-missing occurrence of `v` (already trimmed).
-    fn add_value(&mut self, v: &str) {
+    /// Accounts one non-missing occurrence of `v` (already trimmed);
+    /// `buf` is scratch for the cell helpers.
+    fn add_value(&mut self, v: &str, buf: &mut String) {
         self.non_missing += 1;
-        self.token_total += v.split_whitespace().count();
-        if parse_numeric(v) {
-            self.numeric_hits += 1;
+        self.token_total += word_count(v);
+        self.numeric_hits += usize::from(parse_numeric(v, buf));
+        self.boolean_hits += usize::from(parse_boolean(v));
+        let key = ascii_lowercase_in(v, buf);
+        match self.counts.get_mut(key) {
+            Some(n) => *n += 1,
+            None => {
+                self.counts.insert(key.to_owned(), 1);
+            }
         }
-        if parse_boolean(v) {
-            self.boolean_hits += 1;
-        }
-        *self.counts.entry(v.to_ascii_lowercase()).or_insert(0) += 1;
     }
 
     /// Reverses [`IncrAttrStats::add_value`] for one occurrence of `v`.
-    fn remove_value(&mut self, v: &str) {
+    fn remove_value(&mut self, v: &str, buf: &mut String) {
         self.non_missing -= 1;
-        self.token_total -= v.split_whitespace().count();
-        if parse_numeric(v) {
-            self.numeric_hits -= 1;
-        }
-        if parse_boolean(v) {
-            self.boolean_hits -= 1;
-        }
-        let key = v.to_ascii_lowercase();
+        self.token_total -= word_count(v);
+        self.numeric_hits -= usize::from(parse_numeric(v, buf));
+        self.boolean_hits -= usize::from(parse_boolean(v));
+        let key = ascii_lowercase_in(v, buf);
         let n = self
             .counts
-            .get_mut(&key)
+            .get_mut(key)
             .expect("removed value must have been added");
         if *n == 1 {
-            self.counts.remove(&key);
+            self.counts.remove(key);
         } else {
             *n -= 1;
         }
@@ -236,7 +212,7 @@ impl IncrTableStats {
     /// Builds the counters with one pass over `table`.
     pub fn compute(table: &Table) -> Self {
         let schema = table.schema();
-        let mut attrs: Vec<IncrAttrStats> = schema
+        let attrs: Vec<IncrAttrStats> = schema
             .attr_ids()
             .map(|attr| IncrAttrStats {
                 attr,
@@ -247,17 +223,15 @@ impl IncrTableStats {
                 counts: fx_map(),
             })
             .collect();
-        for (_, tuple) in table.iter() {
-            for st in &mut attrs {
-                if let Some(v) = trimmed(tuple, st.attr) {
-                    st.add_value(v);
-                }
-            }
-        }
-        IncrTableStats {
+        let mut incr = IncrTableStats {
             rows: table.len(),
             attrs,
+        };
+        let mut buf = String::new();
+        for (_, tuple) in table.iter() {
+            incr.add_row(tuple, &mut buf);
         }
+        incr
     }
 
     /// Folds a delta into the counters. Must be called with the
@@ -265,33 +239,34 @@ impl IncrTableStats {
     /// are read from it) and a delta that [`TableDelta::validate`]s
     /// against it.
     pub fn apply_delta(&mut self, table: &Table, delta: &TableDelta) {
+        let mut buf = String::new();
         for edit in &delta.updates {
-            self.remove_row(table.tuple(edit.id));
-            self.add_row(&edit.tuple);
+            self.remove_row(table.tuple(edit.id), &mut buf);
+            self.add_row(&edit.tuple, &mut buf);
         }
         for &id in &delta.deletes {
             // Deletes tombstone the row to all-`None`: the slot (and the
             // row count) stays, its values go.
-            self.remove_row(table.tuple(id));
+            self.remove_row(table.tuple(id), &mut buf);
         }
         for t in &delta.inserts {
-            self.add_row(t);
+            self.add_row(t, &mut buf);
             self.rows += 1;
         }
     }
 
-    fn add_row(&mut self, tuple: &Tuple) {
+    fn add_row(&mut self, tuple: &Tuple, buf: &mut String) {
         for st in &mut self.attrs {
             if let Some(v) = trimmed(tuple, st.attr) {
-                st.add_value(v);
+                st.add_value(v, buf);
             }
         }
     }
 
-    fn remove_row(&mut self, tuple: &Tuple) {
+    fn remove_row(&mut self, tuple: &Tuple, buf: &mut String) {
         for st in &mut self.attrs {
             if let Some(v) = trimmed(tuple, st.attr) {
-                st.remove_value(v);
+                st.remove_value(v, buf);
             }
         }
     }
@@ -343,16 +318,159 @@ fn trimmed(tuple: &Tuple, attr: AttrId) -> Option<&str> {
     }
 }
 
-fn parse_numeric(v: &str) -> bool {
-    let cleaned: String = v.chars().filter(|c| *c != '$' && *c != ',').collect();
-    cleaned.parse::<f64>().is_ok()
+/// One column's statistics: the single pass behind
+/// [`TableStats::compute`]. Distinct values are counted through
+/// [`AsciiCaseless`] keys that borrow the cells, so the pass allocates
+/// only when the distinct set grows, plus the retained value set of a
+/// categorical or boolean column.
+fn scan_attr(table: &Table, attr: AttrId) -> AttrStats {
+    let mut non_missing = 0usize;
+    let mut token_total = 0usize;
+    let mut numeric_hits = 0usize;
+    let mut boolean_hits = 0usize;
+    let mut values: FxHashSet<AsciiCaseless<'_>> = fx_set();
+    let mut buf = String::new();
+    for (_, tuple) in table.iter() {
+        let Some(v) = trimmed(tuple, attr) else {
+            continue;
+        };
+        non_missing += 1;
+        token_total += word_count(v);
+        numeric_hits += usize::from(parse_numeric(v, &mut buf));
+        boolean_hits += usize::from(parse_boolean(v));
+        values.insert(AsciiCaseless(v));
+    }
+    let distinct = values.len();
+    let attr_type = table
+        .schema()
+        .attr(attr)
+        .declared
+        .unwrap_or_else(|| infer_type(non_missing, distinct, numeric_hits, boolean_hits));
+    let keep_values = matches!(attr_type, AttrType::Categorical | AttrType::Boolean);
+    AttrStats {
+        attr,
+        rows: table.len(),
+        non_missing,
+        distinct,
+        avg_tokens: if non_missing == 0 {
+            0.0
+        } else {
+            token_total as f64 / non_missing as f64
+        },
+        attr_type,
+        value_set: if keep_values {
+            values.iter().map(|v| v.0.to_ascii_lowercase()).collect()
+        } else {
+            fx_set()
+        },
+    }
 }
 
+/// Runs [`scan_attr`] for every `(table, attribute)` job, in job order,
+/// on up to `available_parallelism()` scoped workers that each take a
+/// contiguous run of jobs.
+fn scan_jobs(jobs: &[(&Table, AttrId)]) -> Vec<AttrStats> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(jobs.len());
+    if workers <= 1 {
+        return jobs.iter().map(|&(t, f)| scan_attr(t, f)).collect();
+    }
+    let mut slots: Vec<Option<AttrStats>> = jobs.iter().map(|_| None).collect();
+    let per = jobs.len().div_ceil(workers);
+    std::thread::scope(|s| {
+        for (group, out) in jobs.chunks(per).zip(slots.chunks_mut(per)) {
+            s.spawn(move || {
+                for (&(t, f), slot) in group.iter().zip(out) {
+                    *slot = Some(scan_attr(t, f));
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|st| st.expect("every stats job ran"))
+        .collect()
+}
+
+/// `v.to_ascii_lowercase()`, built in `buf`.
+fn ascii_lowercase_in<'b>(v: &str, buf: &'b mut String) -> &'b str {
+    buf.clear();
+    buf.push_str(v);
+    buf.make_ascii_lowercase();
+    buf
+}
+
+/// A borrowed cell value that hashes and compares ASCII-case-
+/// insensitively: two keys are equal iff their `to_ascii_lowercase`
+/// strings are, so a set of keys has exactly as many members as the set
+/// of lowercased strings, without building one `String` per cell.
+struct AsciiCaseless<'a>(&'a str);
+
+impl PartialEq for AsciiCaseless<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.eq_ignore_ascii_case(other.0)
+    }
+}
+
+impl Eq for AsciiCaseless<'_> {}
+
+impl Hash for AsciiCaseless<'_> {
+    /// Hashes the lowercased bytes eight at a time (the tail zero-padded)
+    /// and then the length, so equal keys feed identical words.
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let bytes = self.0.as_bytes();
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let mut w: [u8; 8] = c.try_into().expect("chunks_exact yields 8 bytes");
+            w.make_ascii_lowercase();
+            h.write_u64(u64::from_le_bytes(w));
+        }
+        let rem = chunks.remainder();
+        let mut w = [0u8; 8];
+        w[..rem.len()].copy_from_slice(rem);
+        w.make_ascii_lowercase();
+        h.write_u64(u64::from_le_bytes(w));
+        h.write_usize(bytes.len());
+    }
+}
+
+/// `v.split_whitespace().count()`. On ASCII the whitespace chars are
+/// exactly `\t`, `\n`, VT, FF, `\r` and space (`char::is_whitespace`,
+/// which unlike `u8::is_ascii_whitespace` includes VT), so a byte loop
+/// counts the word starts; other values take `split_whitespace` itself.
+fn word_count(v: &str) -> usize {
+    if !v.is_ascii() {
+        return v.split_whitespace().count();
+    }
+    let mut words = 0usize;
+    let mut in_word = false;
+    for &b in v.as_bytes() {
+        let space = matches!(b, b'\t'..=b'\r' | b' ');
+        words += usize::from(!space && !in_word);
+        in_word = !space;
+    }
+    words
+}
+
+/// True iff `v`, with every `$` and `,` removed, parses as an `f64`.
+/// The stripped copy is built in `buf`, and only when `v` has one of
+/// them.
+fn parse_numeric(v: &str, buf: &mut String) -> bool {
+    if !v.bytes().any(|b| b == b'$' || b == b',') {
+        return v.parse::<f64>().is_ok();
+    }
+    buf.clear();
+    buf.extend(v.chars().filter(|c| *c != '$' && *c != ','));
+    buf.parse::<f64>().is_ok()
+}
+
+/// True iff `v` is a boolean word, ignoring ASCII case.
 fn parse_boolean(v: &str) -> bool {
-    matches!(
-        v.to_ascii_lowercase().as_str(),
-        "true" | "false" | "t" | "f" | "yes" | "no" | "y" | "n" | "0" | "1"
-    )
+    v.len() <= 5
+        && ["true", "false", "t", "f", "yes", "no", "y", "n", "0", "1"]
+            .iter()
+            .any(|w| v.eq_ignore_ascii_case(w))
 }
 
 /// The rule-based attribute-type classifier from §3.2: numeric if nearly
@@ -527,6 +645,164 @@ mod tests {
         incr.apply_delta(&t, &delta2);
         delta2.apply(&mut t).unwrap();
         assert_eq!(incr.snapshot(&t), TableStats::compute(&t));
+    }
+
+    /// The scan as it was before the allocation-free pass: one owned
+    /// lowercased `String` per cell, a stripped copy per numeric probe.
+    fn reference_compute(table: &Table) -> TableStats {
+        fn parse_numeric(v: &str) -> bool {
+            let cleaned: String = v.chars().filter(|c| *c != '$' && *c != ',').collect();
+            cleaned.parse::<f64>().is_ok()
+        }
+        fn parse_boolean(v: &str) -> bool {
+            matches!(
+                v.to_ascii_lowercase().as_str(),
+                "true" | "false" | "t" | "f" | "yes" | "no" | "y" | "n" | "0" | "1"
+            )
+        }
+        let schema = table.schema();
+        let mut attrs = Vec::with_capacity(schema.len());
+        for (attr, decl) in schema.iter() {
+            let mut non_missing = 0usize;
+            let mut token_total = 0usize;
+            let mut values: FxHashSet<String> = fx_set();
+            let mut numeric_hits = 0usize;
+            let mut boolean_hits = 0usize;
+            for (_, tuple) in table.iter() {
+                let Some(v) = tuple.value(attr) else { continue };
+                let v = v.trim();
+                if v.is_empty() {
+                    continue;
+                }
+                non_missing += 1;
+                token_total += v.split_whitespace().count();
+                if parse_numeric(v) {
+                    numeric_hits += 1;
+                }
+                if parse_boolean(v) {
+                    boolean_hits += 1;
+                }
+                values.insert(v.to_ascii_lowercase());
+            }
+            let distinct = values.len();
+            let attr_type = decl
+                .declared
+                .unwrap_or_else(|| infer_type(non_missing, distinct, numeric_hits, boolean_hits));
+            let keep_values = matches!(attr_type, AttrType::Categorical | AttrType::Boolean);
+            attrs.push(AttrStats {
+                attr,
+                rows: table.len(),
+                non_missing,
+                distinct,
+                avg_tokens: if non_missing == 0 {
+                    0.0
+                } else {
+                    token_total as f64 / non_missing as f64
+                },
+                attr_type,
+                value_set: if keep_values { values } else { fx_set() },
+            });
+        }
+        TableStats { attrs }
+    }
+
+    #[test]
+    fn ascii_word_loop_agrees_with_split_whitespace() {
+        for b in 0u8..128 {
+            let v = format!("a{}b{}", b as char, b as char);
+            assert_eq!(
+                word_count(&v),
+                v.split_whitespace().count(),
+                "byte {b:#04x}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_pass_scan_equals_the_reference_scan() {
+        // Cells chosen to hit every helper's edge: Unicode whitespace
+        // (U+00A0, U+3000) and VT inside and around values, currency and
+        // grouping marks, float spellings `parse` accepts, boolean words
+        // in any case, ASCII case pairs that must merge and non-ASCII ones
+        // ('É'/'é') that must not, and whitespace-only cells.
+        let cells: Vec<&str> = concat!(
+            "dave smith|Dave  Smith|DAVE SMITH|caf\u{e9}|CAF\u{c9}|caf\u{c9}|",
+            "a\u{a0}b|a\u{3000}b c|x\u{b}y|\u{b}|\u{a0}| \u{3000} |\t\r\n|",
+            "$1,200|1,200.50|$|,|inf|NaN|-infinity|+3e4|12|0|1|",
+            "YES|yes|f|F|No|T|maybe|\u{130}stanbul|ISTANBUL|istanbul|",
+            "a long text with many words|\u{3a3}\u{391}\u{3a3}|x\u{b}|  padded  "
+        )
+        .split('|')
+        .collect();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for round in 0..40 {
+            // Narrow pools make categorical/boolean columns (which keep
+            // their value sets); wide ones make text columns.
+            let pool = 2 + next(cells.len() - 1);
+            let rows: Vec<Tuple> = (0..1 + next(80))
+                .map(|_| {
+                    Tuple::new(
+                        (0..3)
+                            .map(|c| match next(6) {
+                                0 => None,
+                                _ if c == 2 => Some(["yes", "NO", "t", "F", "1"][next(5)].into()),
+                                _ => Some(cells[next(pool)].to_string()),
+                            })
+                            .collect(),
+                    )
+                })
+                .collect();
+            let mut t = Table::new("T", Arc::new(Schema::from_names(["x", "y", "z"])));
+            for r in rows {
+                t.push(r);
+            }
+            let want = reference_compute(&t);
+            assert_eq!(TableStats::compute(&t), want, "round {round}");
+            let (pa, pb) = TableStats::compute_pair(&t, &t.head(t.len() / 2));
+            assert_eq!(pa, want, "round {round}: pair, left");
+            assert_eq!(
+                pb,
+                reference_compute(&t.head(t.len() / 2)),
+                "round {round}: pair, right"
+            );
+            assert_eq!(
+                IncrTableStats::compute(&t).snapshot(&t),
+                want,
+                "round {round}: incr"
+            );
+
+            // Deltas drawn from the same cells must keep the snapshot equal.
+            let mut incr = IncrTableStats::compute(&t);
+            let n_inserts = next(4);
+            let mut cell = || (next(5) > 0).then(|| cells[next(cells.len())].to_string());
+            let delta = crate::delta::TableDelta {
+                inserts: (0..n_inserts)
+                    .map(|_| Tuple::new(vec![cell(), cell(), cell()]))
+                    .collect(),
+                deletes: if t.len() > 1 {
+                    vec![t.len() as u32 - 1]
+                } else {
+                    vec![]
+                },
+                updates: vec![crate::delta::RowEdit {
+                    id: 0,
+                    tuple: Tuple::new(vec![cell(), cell(), cell()]),
+                }],
+            };
+            incr.apply_delta(&t, &delta);
+            delta.apply(&mut t).unwrap();
+            assert_eq!(
+                incr.snapshot(&t),
+                reference_compute(&t),
+                "round {round}: delta"
+            );
+        }
     }
 
     #[test]
