@@ -25,7 +25,10 @@
 //! (`--scale 0.1 --runs 1`) for CI; explicit flags still override. The
 //! JSON also carries the first (cold) repetition's allocation count from
 //! the counting global allocator — with `--threads` pinned it is a
-//! deterministic work counter `mc bench-compare` can budget.
+//! deterministic work counter `mc bench-compare` can budget — and the
+//! tokenization's own count (`allocs.tokenize_count`), which its fixed
+//! chunk split keeps deterministic up to the few allocations each
+//! tokenization worker thread costs.
 //!
 //! `cargo run --release -p mc-bench --bin ssj_baseline [--scale X]
 //!  [--runs N] [--threads N] [--out PATH] [--budget PATH]`
@@ -56,6 +59,7 @@ struct ProfileReport {
     cache_hits: u64,
     scored_saved: u64,
     allocs: AllocStats,
+    tokenize_allocs: AllocStats,
     auto_q: AutoQReport,
 }
 
@@ -83,7 +87,9 @@ fn run_profile(
     let tree = generator.build_tree(&promising);
 
     let tok_base = MetricsSnapshot::capture();
+    let tok_allocs = AllocStats::capture();
     let (ta, tb, _) = TokenizedTable::build_pair(&ds.a, &ds.b, &promising.attrs, Tokenizer::Word);
+    let tokenize_allocs = AllocStats::capture().since(&tok_allocs);
     let tokenize_us = MetricsSnapshot::capture()
         .since(&tok_base)
         .span("mc.strsim.dict.build")
@@ -163,6 +169,7 @@ fn run_profile(
         cache_hits: delta.counter("mc.core.ssj.cache_hits"),
         scored_saved: delta.counter("mc.core.ssj.scored_saved"),
         allocs,
+        tokenize_allocs,
         auto_q,
     }
 }
@@ -233,7 +240,7 @@ fn main() {
              \"candidates\": {}, \"stages\": {{\"tokenize_us\": {}, \"joint_us\": {}, \
              \"config_us\": {}}}, \"counters\": {{\"events\": {}, \"scored\": {}, \
              \"merge_aborts\": {}, \"cache_hits\": {}, \"scored_saved\": {}}}, \
-             \"allocs\": {{\"count\": {}, \"bytes\": {}}}, \
+             \"allocs\": {{\"count\": {}, \"bytes\": {}, \"tokenize_count\": {}}}, \
              \"auto_q\": {{\"q_used\": {}, \"select_q_us\": {}, \"joint_us\": {}, \
              \"cache_hits\": {}}}}}",
             r.name,
@@ -251,6 +258,7 @@ fn main() {
             r.scored_saved,
             r.allocs.allocations,
             r.allocs.bytes,
+            r.tokenize_allocs.allocations,
             r.auto_q.q_used,
             r.auto_q.select_q_us,
             r.auto_q.joint_us,

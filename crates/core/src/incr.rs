@@ -18,7 +18,8 @@
 //!   every similarity measure is a function of multiset overlaps and
 //!   record lengths, which relabeling ranks cannot change — so results
 //!   are bit-identical anyway (rank-permutation invariance).
-//! * **Arenas** are patched record-by-record
+//! * **Arenas** — the tokenized tables' per-attribute rank columns and
+//!   every config's record arenas — are patched record-by-record
 //!   ([`RecordArena::patch_record`]): tombstone + append into a spill
 //!   region, compacted back into one contiguous buffer when the garbage
 //!   ratio passes [`IncrParams::compact_threshold`].
@@ -272,7 +273,7 @@ impl DebugSession {
     }
 
     /// Estimated resident heap footprint of the session's pipeline
-    /// state, in bytes: raw tables, tokenized rank vectors, per-config
+    /// state, in bytes: raw tables, tokenized rank columns, per-config
     /// arenas (mapped pages count like owned bytes — eviction cares
     /// about address-space pressure either way), and maintained top-K
     /// lists. An *estimate* for eviction budgeting (`mc-serve`'s
@@ -292,21 +293,16 @@ impl DebugSession {
                 }
             }
         }
+        // `total_tokens` counts live tokens and is valid on patched
+        // (non-compact) arenas, where the raw buffer accessor would
+        // refuse; garbage spans pending compaction are deliberately not
+        // billed.
+        let arena_bytes = |arena: &RecordArena| arena.total_tokens() * 4 + (arena.len() + 1) * 8;
         for tok in [&self.tok_a, &self.tok_b] {
-            for attr in 0..tok.attr_count() {
-                for row in 0..tok.rows() as TupleId {
-                    total += PER_VEC + tok.ranks(attr, row).len() * 4;
-                }
-            }
+            total += tok.columns().iter().map(arena_bytes).sum::<usize>();
         }
         for (arena_a, arena_b) in &self.arenas {
-            for arena in [arena_a, arena_b] {
-                // `total_tokens` counts live tokens and is valid on
-                // patched (non-compact) arenas, where the raw buffer
-                // accessor would refuse; garbage spans pending
-                // compaction are deliberately not billed.
-                total += arena.total_tokens() * 4 + (arena.len() + 1) * 8;
-            }
+            total += arena_bytes(arena_a) + arena_bytes(arena_b);
         }
         for list in &self.lists {
             total += PER_VEC + list.len() * 16;
@@ -483,8 +479,8 @@ impl DebugSession {
     }
 
     /// Patches the tokenized tables and every config arena for the
-    /// changed rows, compacting arenas whose garbage ratio passed the
-    /// threshold.
+    /// changed rows, compacting tokenized columns and arenas whose
+    /// garbage ratio passed the threshold.
     fn patch_tokenized(&mut self, changed_a: &[TupleId], changed_b: &[TupleId]) {
         let _span = mc_obs::span!("mc.core.incr.patch");
         let attrs = self.promising.attrs.clone();
@@ -495,9 +491,9 @@ impl DebugSession {
                 .dict
                 .retokenize_row(&self.a, id, &attrs, Tokenizer::Word);
             if (id as usize) < self.tok_a.rows() {
-                self.tok_a.set_row(id, per_attr);
+                self.tok_a.set_row(id, &per_attr);
             } else {
-                let nid = self.tok_a.push_row(per_attr);
+                let nid = self.tok_a.push_row(&per_attr);
                 debug_assert_eq!(nid, id, "insert ids must be dense");
             }
         }
@@ -506,13 +502,15 @@ impl DebugSession {
                 .dict
                 .retokenize_row(&self.b, id, &attrs, Tokenizer::Word);
             if (id as usize) < self.tok_b.rows() {
-                self.tok_b.set_row(id, per_attr);
+                self.tok_b.set_row(id, &per_attr);
             } else {
-                let nid = self.tok_b.push_row(per_attr);
+                let nid = self.tok_b.push_row(&per_attr);
                 debug_assert_eq!(nid, id, "insert ids must be dense");
             }
         }
         let threshold = self.params.incr.compact_threshold;
+        self.tok_a.compact(threshold);
+        self.tok_b.compact(threshold);
         for (ci, (arena_a, arena_b)) in self.arenas.iter_mut().enumerate() {
             let pos = self.configs[ci].positions();
             for (arena, tok, changed) in [

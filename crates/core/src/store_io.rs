@@ -41,7 +41,7 @@ use mc_strsim::dict::{TokenOrder, TokenizedTable};
 use mc_strsim::measures::SetMeasure;
 use mc_strsim::tokenize::Tokenizer;
 use mc_table::digest::digest_u64_set;
-use mc_table::{pair_key, AttrId, PairSet, TupleId};
+use mc_table::{pair_key, AttrId, PairSet};
 
 /// Stable tag per measure (keys must not depend on enum declaration
 /// order surviving refactors).
@@ -146,44 +146,29 @@ pub fn union_key(tok: Digest, tree: &ConfigTree, params: &JointParams, killed: &
     w.finish()
 }
 
-/// Writes one CSR column: `offsets` (length `rows + 1`) then the
-/// flattened tokens.
-fn put_csr(w: &mut ByteWriter, records: impl Iterator<Item = impl AsRef<[u32]>>, rows: usize) {
-    let mut offsets = Vec::with_capacity(rows + 1);
-    let mut tokens = Vec::new();
-    offsets.push(0u32);
-    for r in records {
-        tokens.extend_from_slice(r.as_ref());
-        offsets.push(tokens.len() as u32);
+/// Writes one rank column as CSR: `offsets` (length `rows + 1`), then
+/// the flattened tokens.
+fn put_csr(w: &mut ByteWriter, col: &RecordArena) {
+    if !col.is_compact() {
+        // A session-patched column: lay its live records back to back.
+        let mut compact = col.clone();
+        compact.compact();
+        return put_csr(w, &compact);
     }
-    w.put_u32_slice(&offsets);
-    w.put_u32_slice(&tokens);
+    w.put_u32_slice(col.offsets());
+    w.put_u32_slice(col.tokens());
 }
 
-/// Reads one CSR column back into per-record vectors, validating the
-/// offsets invariant and per-record sortedness.
-fn get_csr(r: &mut ByteReader<'_>, rows: usize) -> Option<Vec<Vec<u32>>> {
+/// Reads one CSR column straight into a record arena, validating the
+/// offsets invariant and per-record sortedness
+/// ([`RecordArena::from_parts`]).
+fn get_csr(r: &mut ByteReader<'_>, rows: usize) -> Option<RecordArena> {
     let offsets = r.get_u32_vec()?;
     let tokens = r.get_u32_vec()?;
-    if offsets.len() != rows + 1 || offsets.first() != Some(&0) {
+    if offsets.len() != rows.checked_add(1)? {
         return None;
     }
-    if *offsets.last()? as usize != tokens.len() {
-        return None;
-    }
-    let mut out = Vec::with_capacity(rows);
-    for w in offsets.windows(2) {
-        let (lo, hi) = (w[0] as usize, w[1] as usize);
-        if lo > hi {
-            return None;
-        }
-        let rec = &tokens[lo..hi];
-        if rec.windows(2).any(|t| t[0] > t[1]) {
-            return None; // rank vectors must be sorted
-        }
-        out.push(rec.to_vec());
-    }
-    Some(out)
+    RecordArena::from_parts(tokens, offsets)
 }
 
 /// Encodes the tokenization artifact: rank table, then each side's
@@ -193,17 +178,20 @@ pub fn encode_tokenization(
     tok_a: &TokenizedTable,
     tok_b: &TokenizedTable,
 ) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    // Exact size: length prefixes, the rank table, each side's header,
+    // and each column's offsets and tokens.
+    let columns: usize = [tok_a, tok_b]
+        .iter()
+        .flat_map(|tok| tok.columns())
+        .map(|col| 16 + 4 * (col.len() + 1 + col.total_tokens()))
+        .sum();
+    let mut w = ByteWriter::with_capacity(8 + 4 * order.len() + 2 * 16 + columns);
     w.put_u32_slice(order.rank_table());
     for tok in [tok_a, tok_b] {
         w.put_u64(tok.rows() as u64);
         w.put_u64(tok.attr_count() as u64);
-        for attr in 0..tok.attr_count() {
-            put_csr(
-                &mut w,
-                (0..tok.rows() as TupleId).map(|t| tok.ranks(attr, t)),
-                tok.rows(),
-            );
+        for col in tok.columns() {
+            put_csr(&mut w, col);
         }
     }
     w.into_bytes()
@@ -213,24 +201,22 @@ pub fn encode_tokenization(
 pub fn decode_tokenization(bytes: &[u8]) -> Option<(TokenOrder, TokenizedTable, TokenizedTable)> {
     let mut r = ByteReader::new(bytes);
     let rank_table = r.get_u32_vec()?;
-    let mut sides = Vec::with_capacity(2);
-    for _ in 0..2 {
+    let mut side = || -> Option<TokenizedTable> {
         let rows = usize::try_from(r.get_u64()?).ok()?;
         let attr_count = usize::try_from(r.get_u64()?).ok()?;
         if attr_count > 32 {
             return None; // configs are 32-bit masks; more attrs is garbage
         }
-        let mut cols = Vec::with_capacity(attr_count);
-        for _ in 0..attr_count {
-            cols.push(get_csr(&mut r, rows)?);
-        }
-        sides.push(TokenizedTable::from_columns(cols, rows)?);
-    }
+        let cols = (0..attr_count)
+            .map(|_| get_csr(&mut r, rows))
+            .collect::<Option<Vec<_>>>()?;
+        TokenizedTable::from_columns(cols, rows)
+    };
+    let tok_a = side()?;
+    let tok_b = side()?;
     if !r.is_exhausted() {
         return None;
     }
-    let tok_b = sides.pop()?;
-    let tok_a = sides.pop()?;
     Some((TokenOrder::from_rank_table(rank_table), tok_a, tok_b))
 }
 
@@ -478,7 +464,7 @@ pub fn decode_union_full(
 mod tests {
     use super::*;
     use mc_strsim::dict::TokenizedTable;
-    use mc_table::{Schema, Table, Tuple};
+    use mc_table::{Schema, Table, Tuple, TupleId};
     use std::sync::Arc;
 
     fn tok_pair() -> (TokenOrder, TokenizedTable, TokenizedTable) {

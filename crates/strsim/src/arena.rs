@@ -148,8 +148,9 @@ impl RecordArena {
 
     /// Seals owned buffers into an arena, caching the data pointers.
     /// Invariants (offsets shape, sortedness) are the caller's problem —
-    /// this is the private trusted constructor.
-    fn from_owned(tokens: Vec<u32>, offsets: Vec<u32>, rank_bound: u32) -> RecordArena {
+    /// this is the crate's trusted constructor (the tokenizer's chunked
+    /// build seals its columns through it).
+    pub(crate) fn from_owned(tokens: Vec<u32>, offsets: Vec<u32>, rank_bound: u32) -> RecordArena {
         debug_assert!(!offsets.is_empty());
         let mut arena = RecordArena {
             tokens: std::ptr::null(),

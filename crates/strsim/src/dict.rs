@@ -7,18 +7,66 @@
 //! each token a *rank* such that iterating a record's ranks in ascending
 //! order visits rare tokens first.
 //!
-//! [`TokenizedTable`] stores, for each tuple of a table, the per-attribute
-//! rank vectors — the representation both the SIM-blocker joins and the
-//! debugger's top-k joins operate on.
+//! [`TokenizedTable`] stores, for each attribute of a table, one flat
+//! [`RecordArena`] column holding every tuple's sorted rank vector — the
+//! representation both the SIM-blocker joins and the debugger's top-k
+//! joins operate on.
+//!
+//! [`TokenizedTable::build_pair`] splits both tables into chunks of a
+//! fixed number of rows and tokenizes each chunk in one pass on scoped
+//! workers, against a chunk-local dictionary and straight into flat
+//! columns. Merging the chunk dictionaries in row order (A's chunks, then
+//! B's) reproduces the ids and document frequencies of one sequential
+//! pass exactly, so the ranks do not depend on the worker count.
 
+use crate::arena::RecordArena;
 use crate::tokenize::Tokenizer;
-use mc_table::hash::FxHashMap;
+use mc_table::hash::{FxHashMap, FxHasher};
 use mc_table::{AttrId, Table, TupleId};
+use std::hash::Hasher;
+use std::ops::Range;
+use std::sync::Mutex;
+
+/// Rows per tokenization chunk. A constant, so the split into chunks —
+/// and with it the build's allocation count — is the same on every
+/// machine; the worker count only decides how the chunks are shared out.
+const CHUNK_ROWS: usize = 4096;
+
+/// End of a [`TokenDict`] hash chain.
+const NO_TOKEN: u32 = u32::MAX;
+
+/// The dictionary's token hash: FxHash over the bytes and the length,
+/// then a murmur3 finalizer so the low bits, which pick the hash-map
+/// bucket, depend on every byte.
+fn token_hash(token: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(token.as_bytes());
+    h.write_usize(token.len());
+    let mut x = h.finish();
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
 
 /// Interns token strings to dense `u32` ids and counts document frequency.
+///
+/// Token texts are stored back to back in one string and found through
+/// their hash, so interning allocates only when a buffer grows, never
+/// once per token.
 #[derive(Debug, Default)]
 pub struct TokenDict {
-    ids: FxHashMap<String, u32>,
+    /// Every token's text, concatenated in id order.
+    text: String,
+    /// `ends[id]`: where token `id` ends in `text` (it starts where
+    /// token `id - 1` ends, or at 0).
+    ends: Vec<u32>,
+    /// Token hash → the most recently interned id with that hash.
+    heads: FxHashMap<u64, u32>,
+    /// `chain[id]`: the previous id with the same hash, or [`NO_TOKEN`].
+    /// Full 64-bit collisions are rare, so chains are one id long.
+    chain: Vec<u32>,
     /// Document frequency per token id (number of records containing it).
     df: Vec<u32>,
 }
@@ -29,32 +77,30 @@ impl TokenDict {
         TokenDict::default()
     }
 
-    /// Interns `token`, returning its id. Does **not** bump the document
-    /// frequency; call [`TokenDict::observe_record`] per record instead.
+    /// Interns `token`, returning its id (ids are dense, in first-seen
+    /// order). Does **not** bump the document frequency.
     pub fn intern(&mut self, token: &str) -> u32 {
-        if let Some(&id) = self.ids.get(token) {
-            return id;
+        let next = self.df.len() as u32;
+        let head = self.heads.entry(token_hash(token)).or_insert(NO_TOKEN);
+        let mut id = *head;
+        while id != NO_TOKEN {
+            if token_text(&self.text, &self.ends, id) == token {
+                return id;
+            }
+            id = self.chain[id as usize];
         }
-        let id = self.df.len() as u32;
-        self.ids.insert(token.to_string(), id);
+        self.chain.push(*head);
+        *head = next;
+        self.text.push_str(token);
+        let end = u32::try_from(self.text.len()).expect("token text exceeds 4 GiB");
+        self.ends.push(end);
         self.df.push(0);
-        id
+        next
     }
 
-    /// Interns every token of a record and bumps document frequency once
-    /// per distinct token in the record. Returns the record's token ids in
-    /// order of appearance (with duplicates).
-    pub fn observe_record<'a>(&mut self, tokens: impl Iterator<Item = &'a str>) -> Vec<u32> {
-        let mut out: Vec<u32> = tokens.map(|t| self.intern(t)).collect();
-        // Bump df once per distinct token.
-        let mut seen = out.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        for id in seen {
-            self.df[id as usize] += 1;
-        }
-        out.shrink_to_fit();
-        out
+    /// The text of token `id`.
+    pub(crate) fn token(&self, id: u32) -> &str {
+        token_text(&self.text, &self.ends, id)
     }
 
     /// Number of distinct tokens.
@@ -72,6 +118,20 @@ impl TokenDict {
         self.df[id as usize]
     }
 
+    /// Interns every token of `part` in `part`'s id order and adds its
+    /// document frequencies; returns the map `part` id → id. Absorbing
+    /// the chunk dictionaries of a sequence of records in order yields
+    /// the ids and frequencies one pass over the whole sequence would.
+    fn absorb(&mut self, part: &TokenDict) -> Vec<u32> {
+        (0..part.len() as u32)
+            .map(|local| {
+                let id = self.intern(part.token(local));
+                self.df[id as usize] += part.df(local);
+                id
+            })
+            .collect()
+    }
+
     /// Computes the global order: returns `rank_of[id]` such that ranks
     /// ascend with `(df, id)`. After freezing, records should be remapped
     /// through this table and sorted ascending.
@@ -86,6 +146,14 @@ impl TokenDict {
     }
 }
 
+/// Token `id`'s text from a [`TokenDict`]'s buffers (a free function so
+/// `intern` can read them while holding a hash-map entry).
+fn token_text<'a>(text: &'a str, ends: &[u32], id: u32) -> &'a str {
+    let id = id as usize;
+    let lo = if id == 0 { 0 } else { ends[id - 1] as usize };
+    &text[lo..ends[id] as usize]
+}
+
 /// The frozen global token order (ascending document frequency).
 #[derive(Debug, Clone)]
 pub struct TokenOrder {
@@ -97,14 +165,6 @@ impl TokenOrder {
     #[inline]
     pub fn rank(&self, id: u32) -> u32 {
         self.rank_of[id as usize]
-    }
-
-    /// Remaps a record's token ids to ranks and sorts ascending (rare
-    /// tokens first). Multiplicity is preserved.
-    pub fn sort_record(&self, ids: &[u32]) -> Vec<u32> {
-        let mut ranks: Vec<u32> = ids.iter().map(|&id| self.rank(id)).collect();
-        ranks.sort_unstable();
-        ranks
     }
 
     /// Number of distinct tokens in the order.
@@ -129,16 +189,17 @@ impl TokenOrder {
     }
 }
 
-/// Per-attribute tokenized form of a table: for each tuple and attribute,
-/// the sorted rank vector of that attribute's value.
+/// Per-attribute tokenized form of a table: for each attribute, one flat
+/// [`RecordArena`] column whose record `t` is tuple `t`'s sorted rank
+/// vector for that attribute.
 ///
 /// Built once per `(table pair, tokenizer)`; every downstream join then
 /// works on integer slices. The concatenation of several attributes'
 /// sorted vectors can be merged in O(n) since each is already sorted.
 #[derive(Debug)]
 pub struct TokenizedTable {
-    /// `cols[attr][tuple]` = sorted rank vector.
-    cols: Vec<Vec<Vec<u32>>>,
+    /// `cols[attr].record(tuple)` = sorted rank vector.
+    cols: Vec<RecordArena>,
     rows: usize,
 }
 
@@ -168,28 +229,13 @@ impl TokenizedTable {
         tokenizer: Tokenizer,
     ) -> (TokenizedTable, TokenizedTable, TokenOrder, TokenDict) {
         let _span = mc_obs::span!("mc.strsim.dict.build");
-        let mut dict = TokenDict::new();
-        // First pass: intern with df counting, storing raw ids.
-        let raw_a = raw_tokenize(a, attrs, tokenizer, &mut dict);
-        let raw_b = raw_tokenize(b, attrs, tokenizer, &mut dict);
-        let order = dict.freeze();
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let built = build_chunked(a, b, attrs, tokenizer, CHUNK_ROWS, workers);
+        let dict = &built.3;
         mc_obs::counter!("mc.strsim.dict.builds").inc();
         mc_obs::gauge!("mc.strsim.dict.distinct_tokens").set(dict.len() as i64);
         mc_obs::histogram!("mc.strsim.dict.tokens_per_build").record(dict.len() as u64);
-        (
-            TokenizedTable::from_raw(raw_a, &order, a.len()),
-            TokenizedTable::from_raw(raw_b, &order, b.len()),
-            order,
-            dict,
-        )
-    }
-
-    fn from_raw(raw: Vec<Vec<Vec<u32>>>, order: &TokenOrder, rows: usize) -> TokenizedTable {
-        let cols = raw
-            .into_iter()
-            .map(|col| col.into_iter().map(|ids| order.sort_record(&ids)).collect())
-            .collect();
-        TokenizedTable { cols, rows }
+        built
     }
 
     /// The sorted rank vector for `(attr_index, tuple)`, where `attr_index`
@@ -197,7 +243,7 @@ impl TokenizedTable {
     /// [`TokenizedTable::build_pair`].
     #[inline]
     pub fn ranks(&self, attr_index: usize, tuple: TupleId) -> &[u32] {
-        &self.cols[attr_index][tuple as usize]
+        self.cols[attr_index].record(tuple)
     }
 
     /// Number of tuples.
@@ -210,6 +256,11 @@ impl TokenizedTable {
     #[inline]
     pub fn attr_count(&self) -> usize {
         self.cols.len()
+    }
+
+    /// The per-attribute rank columns, in `attrs` order.
+    pub fn columns(&self) -> &[RecordArena] {
+        &self.cols
     }
 
     /// Merges the sorted rank vectors of several attributes of one tuple
@@ -242,11 +293,10 @@ impl TokenizedTable {
     }
 
     /// Rebuilds a tokenized table from per-attribute rank columns (as
-    /// read back from a store artifact). Each `cols[attr][tuple]` must be
-    /// a sorted rank vector; every column must have `rows` entries.
-    /// Returns `None` on shape mismatch so corrupt artifacts degrade to
-    /// cache misses instead of panics.
-    pub fn from_columns(cols: Vec<Vec<Vec<u32>>>, rows: usize) -> Option<TokenizedTable> {
+    /// read back from a store artifact). Every column must hold `rows`
+    /// records. Returns `None` on shape mismatch so corrupt artifacts
+    /// degrade to cache misses instead of panics.
+    pub fn from_columns(cols: Vec<RecordArena>, rows: usize) -> Option<TokenizedTable> {
         if cols.iter().any(|col| col.len() != rows) {
             return None;
         }
@@ -255,26 +305,223 @@ impl TokenizedTable {
 
     /// Replaces one tuple's rank vectors (one sorted vector per
     /// attribute, in the same attribute order the table was built with).
-    /// Used by incremental sessions after a row edit.
-    pub fn set_row(&mut self, tuple: TupleId, per_attr: Vec<Vec<u32>>) {
+    /// Used by incremental sessions after a row edit; the old vectors
+    /// stay behind as garbage until [`TokenizedTable::compact`].
+    pub fn set_row(&mut self, tuple: TupleId, per_attr: &[Vec<u32>]) {
         assert_eq!(per_attr.len(), self.cols.len(), "attr count mismatch");
-        debug_assert!(per_attr.iter().all(|v| v.windows(2).all(|w| w[0] <= w[1])));
         for (col, ranks) in self.cols.iter_mut().zip(per_attr) {
-            col[tuple as usize] = ranks;
+            col.patch_record(tuple, ranks);
         }
     }
 
     /// Appends a new tuple's rank vectors, returning its id.
-    pub fn push_row(&mut self, per_attr: Vec<Vec<u32>>) -> TupleId {
+    pub fn push_row(&mut self, per_attr: &[Vec<u32>]) -> TupleId {
         assert_eq!(per_attr.len(), self.cols.len(), "attr count mismatch");
-        debug_assert!(per_attr.iter().all(|v| v.windows(2).all(|w| w[0] <= w[1])));
         for (col, ranks) in self.cols.iter_mut().zip(per_attr) {
-            col.push(ranks);
+            col.push_record(ranks);
         }
         let id = self.rows as TupleId;
         self.rows += 1;
         id
     }
+
+    /// Compacts every column whose garbage ratio
+    /// ([`RecordArena::garbage_ratio`]) exceeds `max_garbage`, so patched
+    /// columns are laid out back to back again.
+    pub fn compact(&mut self, max_garbage: f64) {
+        for col in &mut self.cols {
+            if col.garbage_ratio() > max_garbage {
+                col.compact();
+            }
+        }
+    }
+}
+
+/// One CSR column under construction: the chunk's cells back to back,
+/// with chunk-local offsets starting at 0.
+struct ChunkColumn {
+    tokens: Vec<u32>,
+    offsets: Vec<u32>,
+    /// `max rank + 1` over the column, once remapped.
+    rank_bound: u32,
+}
+
+/// A run of at most [`CHUNK_ROWS`] consecutive rows of one table, tokenized
+/// against its own dictionary.
+struct Chunk<'t> {
+    table: &'t Table,
+    rows: Range<usize>,
+    /// Chunk-local ids in first-seen order, with per-cell document
+    /// frequencies.
+    dict: TokenDict,
+    /// One column per attribute: chunk-local ids after [`Chunk::scan`],
+    /// sorted global ranks after [`Chunk::remap`].
+    cols: Vec<ChunkColumn>,
+    /// Chunk-local id → global rank, set between the two passes.
+    ranks: Vec<u32>,
+}
+
+impl<'t> Chunk<'t> {
+    fn new(table: &'t Table, rows: Range<usize>) -> Self {
+        Chunk {
+            table,
+            rows,
+            dict: TokenDict::new(),
+            cols: Vec::new(),
+            ranks: Vec::new(),
+        }
+    }
+
+    /// Tokenizes the chunk's cells in row-major order (row, then
+    /// attribute, then token — the order of one sequential pass),
+    /// interning into the chunk dictionary and counting each token's
+    /// document frequency once per cell.
+    fn scan(&mut self, attrs: &[AttrId], tokenizer: Tokenizer) {
+        let n = self.rows.len();
+        self.cols = attrs
+            .iter()
+            .map(|_| {
+                let mut offsets = Vec::with_capacity(n + 1);
+                offsets.push(0);
+                ChunkColumn {
+                    tokens: Vec::new(),
+                    offsets,
+                    rank_bound: 0,
+                }
+            })
+            .collect();
+        let mut buf = String::new();
+        // `last_cell[id]`: the last cell (numbered from 1) that counted
+        // token `id`, so a token repeated within a cell counts once.
+        let mut last_cell: Vec<u32> = Vec::new();
+        let mut cell = 0u32;
+        let dict = &mut self.dict;
+        for row in self.rows.clone() {
+            let tuple = self.table.tuple(row as TupleId);
+            for (col, &attr) in self.cols.iter_mut().zip(attrs) {
+                cell += 1;
+                if let Some(v) = tuple.value(attr) {
+                    tokenizer.for_each_token(v, &mut buf, |t| {
+                        let id = dict.intern(t);
+                        if id as usize == last_cell.len() {
+                            last_cell.push(0);
+                        }
+                        if last_cell[id as usize] != cell {
+                            last_cell[id as usize] = cell;
+                            dict.df[id as usize] += 1;
+                        }
+                        col.tokens.push(id);
+                    });
+                }
+                let end = u32::try_from(col.tokens.len()).expect("column exceeds u32 tokens");
+                col.offsets.push(end);
+            }
+        }
+    }
+
+    /// Maps every local id to its global rank and sorts each cell.
+    fn remap(&mut self) {
+        for col in &mut self.cols {
+            let mut bound = 0;
+            for t in &mut col.tokens {
+                *t = self.ranks[*t as usize];
+                bound = bound.max(*t + 1);
+            }
+            col.rank_bound = bound;
+            for w in col.offsets.windows(2) {
+                col.tokens[w[0] as usize..w[1] as usize].sort_unstable();
+            }
+        }
+    }
+}
+
+/// The build behind [`TokenizedTable::build_pair_retained`], with the
+/// chunk size and worker count as parameters.
+fn build_chunked(
+    a: &Table,
+    b: &Table,
+    attrs: &[AttrId],
+    tokenizer: Tokenizer,
+    chunk_rows: usize,
+    workers: usize,
+) -> (TokenizedTable, TokenizedTable, TokenOrder, TokenDict) {
+    let split = |t| {
+        (0..Table::len(t))
+            .step_by(chunk_rows)
+            .map(move |lo| Chunk::new(t, lo..(lo + chunk_rows).min(t.len())))
+    };
+    let mut chunks: Vec<Chunk<'_>> = split(a).chain(split(b)).collect();
+    for_each_parallel(&mut chunks, workers, |c| c.scan(attrs, tokenizer));
+    // Row order — A's chunks, then B's — gives every token the id and
+    // document frequency one sequential pass would.
+    let mut dict = TokenDict::new();
+    let ids: Vec<Vec<u32>> = chunks.iter().map(|c| dict.absorb(&c.dict)).collect();
+    let order = dict.freeze();
+    for (chunk, mut ranks) in chunks.iter_mut().zip(ids) {
+        for r in &mut ranks {
+            *r = order.rank(*r);
+        }
+        chunk.ranks = ranks;
+    }
+    for_each_parallel(&mut chunks, workers, Chunk::remap);
+    let (chunks_a, chunks_b) = chunks.split_at(a.len().div_ceil(chunk_rows));
+    (
+        concat_chunks(chunks_a, attrs.len(), a.len()),
+        concat_chunks(chunks_b, attrs.len(), b.len()),
+        order,
+        dict,
+    )
+}
+
+/// Lays one table's remapped chunks out as one compact column per
+/// attribute.
+fn concat_chunks(chunks: &[Chunk<'_>], attr_count: usize, rows: usize) -> TokenizedTable {
+    let cols = (0..attr_count)
+        .map(|ci| {
+            let total = chunks.iter().map(|c| c.cols[ci].tokens.len()).sum();
+            // Offsets are u32: every one of them is at most `total`.
+            assert!(total <= u32::MAX as usize, "column exceeds u32 tokens");
+            let mut tokens = Vec::with_capacity(total);
+            let mut offsets = Vec::with_capacity(rows + 1);
+            offsets.push(0u32);
+            let mut rank_bound = 0;
+            for col in chunks.iter().map(|c| &c.cols[ci]) {
+                let base = tokens.len() as u32;
+                offsets.extend(col.offsets[1..].iter().map(|&o| base + o));
+                tokens.extend_from_slice(&col.tokens);
+                rank_bound = rank_bound.max(col.rank_bound);
+            }
+            RecordArena::from_owned(tokens, offsets, rank_bound)
+        })
+        .collect();
+    TokenizedTable { cols, rows }
+}
+
+/// Runs `f` on every item, on up to `workers` scoped threads that take
+/// the next unclaimed item until none is left (inline when one worker
+/// suffices).
+fn for_each_parallel<T: Send>(items: &mut [T], workers: usize, f: impl Fn(&mut T) + Sync) {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let queue = Mutex::new(items.iter_mut());
+    let next = || {
+        queue
+            .lock()
+            .expect("no worker panics holding the queue")
+            .next()
+    };
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| {
+                while let Some(item) = next() {
+                    f(item);
+                }
+            });
+        }
+    });
 }
 
 /// Session-owned tokenizer state for incremental re-tokenization.
@@ -294,6 +541,8 @@ pub struct IncrementalDict {
     dict: TokenDict,
     /// `id → rank`; a permutation of `0..len` extended append-only.
     rank_of: Vec<u32>,
+    /// Token scratch for [`Tokenizer::for_each_token`].
+    buf: String,
 }
 
 impl IncrementalDict {
@@ -304,6 +553,7 @@ impl IncrementalDict {
         IncrementalDict {
             dict,
             rank_of: order.rank_table().to_vec(),
+            buf: String::new(),
         }
     }
 
@@ -326,23 +576,21 @@ impl IncrementalDict {
     /// first seen now at the next free ranks. `None` (missing value)
     /// yields an empty vector.
     pub fn ranks_of_value(&mut self, value: Option<&str>, tokenizer: Tokenizer) -> Vec<u32> {
+        let mut ranks = Vec::new();
         let Some(v) = value else {
-            return Vec::new();
+            return ranks;
         };
-        let mut ranks: Vec<u32> = tokenizer
-            .tokens(v)
-            .iter()
-            .map(|t| {
-                let id = self.dict.intern(t);
-                if id as usize == self.rank_of.len() {
-                    // First appearance after the freeze: new ids are
-                    // dense, so `id == len` exactly when fresh, and the
-                    // next free rank equals the table length.
-                    self.rank_of.push(id);
-                }
-                self.rank_of[id as usize]
-            })
-            .collect();
+        let IncrementalDict { dict, rank_of, buf } = self;
+        tokenizer.for_each_token(v, buf, |t| {
+            let id = dict.intern(t);
+            if id as usize == rank_of.len() {
+                // First appearance after the freeze: new ids are dense,
+                // so `id == len` exactly when fresh, and the next free
+                // rank equals the table length.
+                rank_of.push(id);
+            }
+            ranks.push(rank_of[id as usize]);
+        });
         ranks.sort_unstable();
         ranks
     }
@@ -440,30 +688,6 @@ pub fn is_strict_sorted_subset<T: Ord>(a: &[T], b: &[T]) -> bool {
     true
 }
 
-fn raw_tokenize(
-    table: &Table,
-    attrs: &[AttrId],
-    tokenizer: Tokenizer,
-    dict: &mut TokenDict,
-) -> Vec<Vec<Vec<u32>>> {
-    let mut cols: Vec<Vec<Vec<u32>>> = attrs
-        .iter()
-        .map(|_| Vec::with_capacity(table.len()))
-        .collect();
-    let mut scratch: Vec<String> = Vec::new();
-    for (_, tuple) in table.iter() {
-        for (ci, &attr) in attrs.iter().enumerate() {
-            scratch.clear();
-            if let Some(v) = tuple.value(attr) {
-                scratch = tokenizer.tokens(v);
-            }
-            let ids = dict.observe_record(scratch.iter().map(|s| s.as_str()));
-            cols[ci].push(ids);
-        }
-    }
-    cols
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,6 +702,245 @@ mod tests {
         let mut b = Table::new("B", schema);
         b.push(Tuple::from_present(["david smith", "atlanta"]));
         (a, b)
+    }
+
+    /// Deterministic xorshift stream for the randomized tests.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// A random table over a skewed vocabulary (so tokens recur across
+    /// chunks and tables), with missing values, repeated tokens within a
+    /// cell, mixed case and non-ASCII words.
+    fn random_table(name: &str, rows: usize, seed: u64) -> Table {
+        const WORDS: &[&str] = &[
+            "smith", "Smith", "jones", "atlanta", "new", "york", "ny", "la", "la", "grill", "café",
+            "ÄRZTE", "straße", "İzmir", "x1", "42", "b.", "o'neil", "san-jose", "the",
+        ];
+        let mut next = rng(seed);
+        let schema = Arc::new(Schema::from_names(["name", "city", "note"]));
+        let mut t = Table::new(name, schema);
+        for _ in 0..rows {
+            let values = (0..3)
+                .map(|_| {
+                    if next().is_multiple_of(7) {
+                        return None;
+                    }
+                    let len = (next() % 5) as usize;
+                    let words: Vec<&str> = (0..len)
+                        .map(|_| {
+                            // Squaring skews the picks towards the head.
+                            let r = (next() % 1000) as usize;
+                            WORDS[r * r * WORDS.len() / 1_000_000]
+                        })
+                        .collect();
+                    Some(words.join(" "))
+                })
+                .collect();
+            t.push(Tuple::new(values));
+        }
+        t
+    }
+
+    /// The sequential build as it was before chunking: a `String`-keyed
+    /// dictionary, row-major interning, df counted by cloning, sorting
+    /// and deduplicating each cell's ids, and one `Vec` per cell. The
+    /// chunked build must reproduce its ids, df, ranks and rank table.
+    struct ReferenceBuild {
+        /// `cols[side][attr][tuple]` = sorted rank vector.
+        cols: [Vec<Vec<Vec<u32>>>; 2],
+        rank_table: Vec<u32>,
+        /// Token texts in id order.
+        tokens: Vec<String>,
+        df: Vec<u32>,
+    }
+
+    fn reference_build(
+        a: &Table,
+        b: &Table,
+        attrs: &[AttrId],
+        tokenizer: Tokenizer,
+    ) -> ReferenceBuild {
+        let mut ids: FxHashMap<String, u32> = FxHashMap::default();
+        let mut tokens: Vec<String> = Vec::new();
+        let mut df: Vec<u32> = Vec::new();
+        let mut raw = |table: &Table| {
+            let mut cols: Vec<Vec<Vec<u32>>> = vec![Vec::new(); attrs.len()];
+            for (_, tuple) in table.iter() {
+                for (ci, &attr) in attrs.iter().enumerate() {
+                    let toks = tuple
+                        .value(attr)
+                        .map_or_else(Vec::new, |v| tokenizer.tokens(v));
+                    let rec: Vec<u32> = toks
+                        .into_iter()
+                        .map(|t| {
+                            *ids.entry(t.clone()).or_insert_with(|| {
+                                tokens.push(t);
+                                df.push(0);
+                                (tokens.len() - 1) as u32
+                            })
+                        })
+                        .collect();
+                    let mut seen = rec.clone();
+                    seen.sort_unstable();
+                    seen.dedup();
+                    for id in seen {
+                        df[id as usize] += 1;
+                    }
+                    cols[ci].push(rec);
+                }
+            }
+            cols
+        };
+        let raw_a = raw(a);
+        let raw_b = raw(b);
+        let mut by_df: Vec<u32> = (0..df.len() as u32).collect();
+        by_df.sort_unstable_by_key(|&id| (df[id as usize], id));
+        let mut rank_table = vec![0u32; df.len()];
+        for (rank, &id) in by_df.iter().enumerate() {
+            rank_table[id as usize] = rank as u32;
+        }
+        let to_ranks = |raw: Vec<Vec<Vec<u32>>>| -> Vec<Vec<Vec<u32>>> {
+            raw.into_iter()
+                .map(|col| {
+                    col.into_iter()
+                        .map(|ids| {
+                            let mut r: Vec<u32> =
+                                ids.iter().map(|&id| rank_table[id as usize]).collect();
+                            r.sort_unstable();
+                            r
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        ReferenceBuild {
+            cols: [to_ranks(raw_a), to_ranks(raw_b)],
+            rank_table: rank_table.clone(),
+            tokens,
+            df,
+        }
+    }
+
+    fn assert_matches_reference(
+        built: &(TokenizedTable, TokenizedTable, TokenOrder, TokenDict),
+        want: &ReferenceBuild,
+        what: &str,
+    ) {
+        let (ta, tb, order, dict) = built;
+        assert_eq!(order.rank_table(), want.rank_table, "{what}: rank table");
+        assert_eq!(dict.len(), want.tokens.len(), "{what}: distinct tokens");
+        for (id, text) in want.tokens.iter().enumerate() {
+            assert_eq!(dict.token(id as u32), text, "{what}: id {id}");
+            assert_eq!(dict.df(id as u32), want.df[id], "{what}: df of {text:?}");
+        }
+        for (side, tok) in [ta, tb].into_iter().enumerate() {
+            let cols = &want.cols[side];
+            assert_eq!(tok.attr_count(), cols.len(), "{what}");
+            for (ci, col) in cols.iter().enumerate() {
+                assert_eq!(tok.rows(), col.len(), "{what}");
+                assert!(tok.columns()[ci].is_compact(), "{what}");
+                for (t, ranks) in col.iter().enumerate() {
+                    assert_eq!(
+                        tok.ranks(ci, t as TupleId),
+                        &ranks[..],
+                        "{what}: {side}/{ci}/{t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_build_equals_sequential_reference() {
+        let a = random_table("A", 61, 11);
+        let b = random_table("B", 37, 23);
+        let empty = Table::new("E", Arc::clone(a.schema()));
+        let attrs = [AttrId(0), AttrId(2), AttrId(1)];
+        for tokenizer in [Tokenizer::Word, Tokenizer::QGram(3)] {
+            for (ta, tb) in [(&a, &b), (&b, &a), (&a, &empty), (&empty, &b)] {
+                let want = reference_build(ta, tb, &attrs, tokenizer);
+                for chunk_rows in [1, 2, 7, CHUNK_ROWS] {
+                    for workers in 1..=4 {
+                        let built = build_chunked(ta, tb, &attrs, tokenizer, chunk_rows, workers);
+                        let what = format!("{tokenizer:?}, chunk {chunk_rows}, {workers} workers");
+                        assert_matches_reference(&built, &want, &what);
+                    }
+                }
+                let retained = TokenizedTable::build_pair_retained(ta, tb, &attrs, tokenizer);
+                assert_matches_reference(&retained, &want, "build_pair_retained");
+            }
+        }
+    }
+
+    #[test]
+    fn patched_columns_hold_a_cold_builds_ranks() {
+        let attrs = [AttrId(0), AttrId(1), AttrId(2)];
+        let b = random_table("B", 9, 5);
+        let cold_a = random_table("A", 40, 7);
+        let (cold, _, _) = TokenizedTable::build_pair(&cold_a, &b, &attrs, Tokenizer::Word);
+        let cold_row = |t: TupleId| -> Vec<Vec<u32>> {
+            (0..attrs.len())
+                .map(|ci| cold.ranks(ci, t).to_vec())
+                .collect()
+        };
+        for seed in 1..=8u64 {
+            // Start from different content over the first 25 rows.
+            let start_a = random_table("A0", 25, 100 + seed);
+            let (mut tok, _, _) = TokenizedTable::build_pair(&start_a, &b, &attrs, Tokenizer::Word);
+            let mut next = rng(seed);
+            let junk = |next: &mut dyn FnMut() -> u64| -> Vec<Vec<u32>> {
+                (0..attrs.len())
+                    .map(|_| {
+                        let mut r: Vec<u32> =
+                            (0..next() % 6).map(|_| (next() % 50) as u32).collect();
+                        r.sort_unstable();
+                        r
+                    })
+                    .collect()
+            };
+            for _ in 0..200 {
+                let t = (next() % tok.rows() as u64) as TupleId;
+                if next().is_multiple_of(3) {
+                    tok.set_row(t, &junk(&mut next));
+                } else {
+                    tok.set_row(t, &cold_row(t));
+                }
+                if tok.rows() < cold.rows() && next().is_multiple_of(4) {
+                    tok.push_row(&junk(&mut next));
+                }
+                if next().is_multiple_of(10) {
+                    tok.compact([0.0, 0.2, 0.4, 1.0][(next() % 4) as usize]);
+                }
+            }
+            // Settle every row on the cold build's ranks, then compare
+            // both before and after a full compaction.
+            while tok.rows() < cold.rows() {
+                tok.push_row(&junk(&mut next));
+            }
+            for t in 0..cold.rows() as TupleId {
+                tok.set_row(t, &cold_row(t));
+                if next().is_multiple_of(16) {
+                    tok.compact(0.4);
+                }
+            }
+            for max_garbage in [1.0, 0.0] {
+                tok.compact(max_garbage);
+                assert_eq!(tok.rows(), cold.rows());
+                for ci in 0..attrs.len() {
+                    for t in 0..cold.rows() as TupleId {
+                        assert_eq!(tok.ranks(ci, t), cold.ranks(ci, t), "seed {seed}");
+                    }
+                }
+            }
+            assert!(tok.columns().iter().all(RecordArena::is_compact));
+        }
     }
 
     #[test]
@@ -504,34 +967,58 @@ mod tests {
     }
 
     #[test]
-    fn df_counts_documents_not_occurrences() {
+    fn token_dict_interns_densely_and_finds_texts() {
         let mut d = TokenDict::new();
-        let r = d.observe_record(["la", "la", "land"].into_iter());
-        assert_eq!(r.len(), 3);
-        assert_eq!(d.df(r[0]), 1, "duplicate within one record counts once");
-        d.observe_record(["la"].into_iter());
-        assert_eq!(d.df(r[0]), 2);
+        assert!(d.is_empty());
+        assert_eq!(d.intern("la"), 0);
+        assert_eq!(d.intern("land"), 1);
+        assert_eq!(d.intern("la"), 0);
+        assert_eq!(d.intern(""), 2);
+        assert_eq!(d.intern("l"), 3);
+        assert_eq!(d.len(), 4);
+        assert_eq!(
+            [d.token(0), d.token(1), d.token(2), d.token(3)],
+            ["la", "land", "", "l"]
+        );
+        assert_eq!(d.df(1), 0, "interning alone counts no documents");
+    }
+
+    fn one_column_table(values: &[&str]) -> Table {
+        let schema = Arc::new(Schema::from_names(["x"]));
+        let mut t = Table::new("T", schema);
+        for v in values {
+            t.push(Tuple::from_present([*v]));
+        }
+        t
+    }
+
+    #[test]
+    fn df_counts_documents_not_occurrences() {
+        let a = one_column_table(&["la la land", "la"]);
+        let b = one_column_table(&[]);
+        let (ta, _, _, mut d) =
+            TokenizedTable::build_pair_retained(&a, &b, &[AttrId(0)], Tokenizer::Word);
+        assert_eq!(ta.ranks(0, 0).len(), 3);
+        let (la, land) = (d.intern("la"), d.intern("land"));
+        assert_eq!(d.df(la), 2, "duplicate within one record counts once");
+        assert_eq!(d.df(land), 1);
     }
 
     #[test]
     fn rare_tokens_get_low_ranks() {
-        let mut d = TokenDict::new();
-        let common = d.intern("common");
-        let rare = d.intern("rare");
-        for _ in 0..5 {
-            d.observe_record(["common"].into_iter());
-        }
-        d.observe_record(["rare"].into_iter());
-        let order = d.freeze();
-        assert!(order.rank(rare) < order.rank(common));
+        let a = one_column_table(&["common", "common rare", "common", "common", "common"]);
+        let b = one_column_table(&["common"]);
+        let (_, _, order, mut d) =
+            TokenizedTable::build_pair_retained(&a, &b, &[AttrId(0)], Tokenizer::Word);
+        assert!(order.rank(d.intern("rare")) < order.rank(d.intern("common")));
     }
 
     #[test]
     fn sort_record_preserves_multiplicity() {
-        let mut d = TokenDict::new();
-        let ids = d.observe_record(["b", "a", "b"].into_iter());
-        let order = d.freeze();
-        let sorted = order.sort_record(&ids);
+        let a = one_column_table(&["b a b"]);
+        let b = one_column_table(&[]);
+        let (ta, _, _) = TokenizedTable::build_pair(&a, &b, &[AttrId(0)], Tokenizer::Word);
+        let sorted = ta.ranks(0, 0);
         assert_eq!(sorted.len(), 3);
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -595,10 +1082,10 @@ mod tests {
         let (a, b) = demo_tables();
         let attrs = [AttrId(0), AttrId(1)];
         let (mut ta, _tb, _order) = TokenizedTable::build_pair(&a, &b, &attrs, Tokenizer::Word);
-        ta.set_row(1, vec![vec![0, 3], vec![]]);
+        ta.set_row(1, &[vec![0, 3], vec![]]);
         assert_eq!(ta.ranks(0, 1), &[0, 3]);
         assert!(ta.ranks(1, 1).is_empty());
-        let id = ta.push_row(vec![vec![7], vec![1, 2]]);
+        let id = ta.push_row(&[vec![7], vec![1, 2]]);
         assert_eq!(id, 2);
         assert_eq!(ta.rows(), 3);
         assert_eq!(ta.ranks(1, 2), &[1, 2]);

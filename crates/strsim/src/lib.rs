@@ -19,7 +19,7 @@
 //!   strings.
 //!
 //! Tokens are interned to dense `u32` ranks ordered by ascending document
-//! frequency, so a record is a sorted `Vec<u32>` and every similarity
+//! frequency, so a record is a sorted `u32` slice and every similarity
 //! computation is a linear merge.
 
 pub mod arena;

@@ -187,6 +187,26 @@ mod tests {
     }
 
     #[test]
+    fn insert_only_delta_clears_the_source_digest() {
+        let mut t = Table::new("A", Arc::new(Schema::from_names(["name", "city"])));
+        t.push(Tuple::from_present(["dave", "atlanta"]));
+        let file = crate::digest::digest_bytes(b"one-row file");
+        t.set_source_digest(file);
+        assert_eq!(t.content_digest(), file);
+        let d = TableDelta {
+            inserts: vec![Tuple::from_present(["ana", "sf"])],
+            ..TableDelta::default()
+        };
+        assert_eq!(d.apply(&mut t).unwrap(), vec![1]);
+        assert_eq!(t.source_digest(), None, "an insert invalidates the digest");
+        assert_ne!(
+            t.content_digest(),
+            file,
+            "the edited table keys apart from its file"
+        );
+    }
+
+    #[test]
     fn validate_rejects_bad_batches() {
         let t = demo();
         let unknown = TableDelta {

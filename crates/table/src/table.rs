@@ -2,7 +2,7 @@
 
 use crate::digest::{Digest, DigestWriter};
 use crate::schema::{AttrId, Schema};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Index of a tuple within a [`Table`].
 ///
@@ -79,6 +79,8 @@ pub struct Table {
     /// (see [`crate::csv::from_csv_path`]) so content-addressed caches
     /// never need to re-read the file.
     source_digest: Option<Digest>,
+    /// Memo of [`Table::content_digest`]; reset by every mutator.
+    digest: OnceLock<Digest>,
 }
 
 impl Table {
@@ -89,6 +91,7 @@ impl Table {
             rows: Vec::new(),
             name: name.into(),
             source_digest: None,
+            digest: OnceLock::new(),
         }
     }
 
@@ -109,6 +112,7 @@ impl Table {
             rows,
             name: name.into(),
             source_digest: None,
+            digest: OnceLock::new(),
         }
     }
 
@@ -116,6 +120,7 @@ impl Table {
     /// Subsequent [`Table::content_digest`] calls return it directly.
     pub fn set_source_digest(&mut self, digest: Digest) {
         self.source_digest = Some(digest);
+        self.digest = OnceLock::new();
     }
 
     /// The recorded source-byte digest, if the table was loaded from a
@@ -134,10 +139,19 @@ impl Table {
     /// forms intentionally differ — a file-loaded table and a
     /// structurally identical in-memory table hash to different keys,
     /// which can only cause a cache miss, never a wrong hit.
+    ///
+    /// The digest is computed once and memoized until the next
+    /// mutation ([`Table::push`], [`Table::replace`],
+    /// [`Table::set_source_digest`]).
     pub fn content_digest(&self) -> Digest {
-        if let Some(d) = self.source_digest {
-            return d;
-        }
+        *self.digest.get_or_init(|| match self.source_digest {
+            Some(d) => d,
+            None => self.hash_rows(),
+        })
+    }
+
+    /// The content digest computed from the schema and rows.
+    fn hash_rows(&self) -> Digest {
         let mut w = DigestWriter::new();
         w.write_u64(self.schema.len() as u64);
         for (_, attr) in self.schema.iter() {
@@ -177,10 +191,13 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Appends a row, returning its [`TupleId`].
+    /// Appends a row, returning its [`TupleId`]. As with
+    /// [`Table::replace`], the source digest is cleared.
     pub fn push(&mut self, tuple: Tuple) -> TupleId {
         assert_eq!(tuple.len(), self.schema.len(), "row width mismatch");
         assert!(self.rows.len() < u32::MAX as usize, "table full");
+        self.source_digest = None;
+        self.digest = OnceLock::new();
         let id = self.rows.len() as TupleId;
         self.rows.push(tuple);
         id
@@ -192,6 +209,7 @@ impl Table {
     pub fn replace(&mut self, id: TupleId, tuple: Tuple) -> Tuple {
         assert_eq!(tuple.len(), self.schema.len(), "row width mismatch");
         self.source_digest = None;
+        self.digest = OnceLock::new();
         std::mem::replace(&mut self.rows[id as usize], tuple)
     }
 
@@ -226,6 +244,7 @@ impl Table {
             name: self.name.clone(),
             // A truncated copy no longer has the source file's content.
             source_digest: None,
+            digest: OnceLock::new(),
         }
     }
 }
@@ -311,6 +330,43 @@ mod tests {
             crate::digest::digest_bytes(b"file bytes")
         );
         assert_eq!(t.head(1).source_digest(), None);
+    }
+
+    #[test]
+    fn digest_memo_tracks_every_mutator_and_clone() {
+        let s = demo_schema();
+        let mut t = Table::new("A", s);
+        // The memo must equal a fresh computation after every step.
+        let check = |t: &Table| {
+            let fresh = t.source_digest().unwrap_or_else(|| t.hash_rows());
+            assert_eq!(t.content_digest(), fresh);
+            assert_eq!(
+                t.clone().content_digest(),
+                fresh,
+                "clone carries a valid memo"
+            );
+        };
+        check(&t);
+        t.push(Tuple::from_present(["Dave", "Atlanta"]));
+        check(&t);
+        let before = t.content_digest();
+        t.replace(0, Tuple::from_present(["Joe", "NY"]));
+        check(&t);
+        assert_ne!(t.content_digest(), before);
+        t.set_source_digest(crate::digest::digest_bytes(b"file bytes"));
+        check(&t);
+        assert_eq!(
+            t.content_digest(),
+            crate::digest::digest_bytes(b"file bytes")
+        );
+        let file = t.clone();
+        t.push(Tuple::from_present(["Ana", "SF"]));
+        check(&t);
+        assert_eq!(t.source_digest(), None, "push clears the source digest");
+        assert_ne!(t.content_digest(), file.content_digest());
+        check(&file);
+        t.replace(1, Tuple::new(vec![None, None]));
+        check(&t);
     }
 
     #[test]
