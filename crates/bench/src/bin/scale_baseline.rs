@@ -11,6 +11,13 @@
 //! every repetition, and the allocation count comes from the first
 //! (cold) one, deterministic under pinned threads.
 //!
+//! A `measures` section pins the join's work for every measure and
+//! `q ∈ {1, 2, 3}`: events, candidates, scored and |E| of one joint run
+//! on one worker, always on `zipf-scale` ×0.02 (whatever `--scale`
+//! says), where even the Overlap join at `q = 1` takes well under a
+//! second. Work counters do not depend on the machine, so CI gates them
+//! exactly.
+//!
 //! `MC_BENCH_SMOKE=1` shrinks the defaults to `--scale 0.02 --runs 1`
 //! for CI; explicit flags still override.
 //!
@@ -18,12 +25,15 @@
 //!  [--runs N] [--threads N] [--k N] [--out PATH]`
 
 use matchcatcher::config::ConfigGenerator;
-use matchcatcher::joint::{run_joint, CandidateUnion, JointParams};
+use matchcatcher::joint::{
+    build_arenas, run_joint, run_joint_with_arenas, CandidateUnion, JointParams, QStrategy,
+};
 use mc_bench::alloc::AllocStats;
 use mc_bench::env::BenchEnv;
 use mc_datagen::profiles::DatasetProfile;
 use mc_obs::MetricsSnapshot;
 use mc_strsim::dict::TokenizedTable;
+use mc_strsim::measures::SetMeasure;
 use mc_strsim::tokenize::Tokenizer;
 use mc_table::PairSet;
 
@@ -79,16 +89,16 @@ fn main() {
     let config_us = delta.span("mc.core.joint.config").total_us;
     let events = delta.counter("mc.core.ssj.events");
     let scored = delta.counter("mc.core.ssj.scored");
-    let dense_fallbacks = delta.counter("mc.core.ssj.dense_fallback");
+    let measures = measure_sweep(seed, k);
 
     let json = format!(
-        "{{\n  \"schema\": \"mc-bench-scale/v2\",\n  \"dataset\": {{\"name\": \"{}\", \
+        "{{\n  \"schema\": \"mc-bench-scale/v3\",\n  \"dataset\": {{\"name\": \"{}\", \
          \"scale\": {}, \"records_a\": {}, \"records_b\": {}, \"k\": {}, \
          \"configs\": {}, \"tokenize_us\": {}}},\n  \"variants\": [\
          \n    {{\"name\": \"single_scalar\", \"candidates\": {}, \
          \"stages\": {{\"joint_us\": {}, \"config_us\": {}}}, \
-         \"counters\": {{\"events\": {}, \"scored\": {}, \"dense_fallbacks\": {}}}, \
-         \"allocs\": {{\"count\": {}, \"bytes\": {}}}}}\n  ]\n}}\n",
+         \"counters\": {{\"events\": {}, \"scored\": {}}}, \
+         \"allocs\": {{\"count\": {}, \"bytes\": {}}}}}\n  ],\n  \"measures\": [\n{}\n  ]\n}}\n",
         ds.name,
         scale,
         ds.a.len(),
@@ -101,17 +111,62 @@ fn main() {
         config_us,
         events,
         scored,
-        dense_fallbacks,
         allocs.allocations,
-        allocs.bytes
+        allocs.bytes,
+        measures.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_scale.json");
 
     println!(
         "single_scalar: joint {:.2}ms, events {events}, scored {scored}, \
-         dense fallbacks {dense_fallbacks}, allocs {}, |E| {candidates}",
+         allocs {}, |E| {candidates}",
         joint_us as f64 / 1e3,
         allocs.allocations
     );
     println!("wrote {out_path}");
+}
+
+/// Scale of the `measures` sweep's dataset.
+const SWEEP_SCALE: f64 = 0.02;
+
+/// One JSON row per measure × `q ∈ {1, 2, 3}`: the work counters and |E|
+/// of a one-worker joint run on `zipf-scale` ×[`SWEEP_SCALE`].
+fn measure_sweep(seed: u64, k: usize) -> Vec<String> {
+    let ds = DatasetProfile::ZipfScale.generate_scaled(seed, SWEEP_SCALE);
+    let generator = ConfigGenerator::default();
+    let promising = generator.promising(&ds.a, &ds.b);
+    let tree = generator.build_tree(&promising);
+    let (ta, tb, _) = TokenizedTable::build_pair(&ds.a, &ds.b, &promising.attrs, Tokenizer::Word);
+    let arenas = build_arenas(&ta, &tb, &tree.configs(), 1);
+    let killed = PairSet::new();
+    let mut rows = Vec::new();
+    for measure in SetMeasure::ALL {
+        for q in 1..=3 {
+            let params = JointParams {
+                k,
+                measure,
+                q: QStrategy::Fixed(q),
+                threads: 1,
+                ..Default::default()
+            };
+            let base = MetricsSnapshot::capture();
+            let out = run_joint_with_arenas(&ta, &tb, &killed, &tree, params, &arenas);
+            let delta = MetricsSnapshot::capture().since(&base);
+            let name = format!("{}_q{q}", measure.label());
+            let (events, candidates, scored) = (
+                delta.counter("mc.core.ssj.events"),
+                delta.counter("mc.core.ssj.candidates"),
+                delta.counter("mc.core.ssj.scored"),
+            );
+            let union = CandidateUnion::build(&out.lists).len();
+            println!(
+                "{name}: events {events}, candidates {candidates}, scored {scored}, |E| {union}"
+            );
+            rows.push(format!(
+                "    {{\"name\": \"{name}\", \"events\": {events}, \"candidates\": {candidates}, \
+                 \"scored\": {scored}, \"union\": {union}}}"
+            ));
+        }
+    }
+    rows
 }

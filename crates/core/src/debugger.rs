@@ -367,12 +367,8 @@ impl MatchCatcher {
         let generator = ConfigGenerator::new(self.params.config);
         let tree = generator.build_tree(&promising);
         let key = store.map(|_| {
-            store_io::tok_key(
-                a.content_digest(),
-                b.content_digest(),
-                &promising.attrs,
-                Tokenizer::Word,
-            )
+            let (digest_a, digest_b) = store_io::content_digests(a, b);
+            store_io::tok_key(digest_a, digest_b, &promising.attrs, Tokenizer::Word)
         });
         let cached = match (store, key) {
             (Some(s), Some(k)) => s

@@ -31,7 +31,10 @@
 //!   for pairs touching the delta. When the surviving prefix falls below
 //!   the report size `k`, that config falls back to one full join
 //!   *seeded* with the survivors (still much cheaper than cold: seeds
-//!   raise the pruning threshold immediately).
+//!   raise the pruning threshold immediately). Delta joins and rejoins
+//!   share the session's one [`JoinScratch`], whose buffers are
+//!   `O(|A| + |B| + postings)`: no join keeps state per discovered pair,
+//!   so a rejoin at any table size needs no memory cap.
 //! * **Killed-set-only diffs** are the fast path: every join is reused
 //!   verbatim; newly-killed pairs are dropped from the lists and
 //!   un-killed pairs are re-scored directly against the cached arenas.
@@ -144,8 +147,7 @@ pub struct DebugSession {
     /// fresh [`mc_table::TableStats::compute`] exactly).
     stats_a: IncrTableStats,
     stats_b: IncrTableStats,
-    /// Warm join scratch for the maintenance joins; dense pair-state
-    /// capped low because delta joins are candidate-sparse.
+    /// Warm join scratch for the maintenance joins.
     scratch: JoinScratch,
     /// Union key of the most recently published candidate union, the
     /// `derived_from` provenance of the next one.
@@ -157,13 +159,6 @@ pub struct DebugSession {
 fn canonical_sort(entries: &mut [(f64, u64)]) {
     entries.sort_unstable_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
 }
-
-/// Dense pair-state budget for the session's join scratch. Delta joins
-/// pair a handful of changed records against a full table: their
-/// discovered-pair sets are tiny, so the sparse state map wins on memory
-/// (a full-range dense table would be `|A|·|B|` slots) while small
-/// cold-sized rejoins still fit under this cap and stay dense.
-const SESSION_DENSE_CAP: usize = 1 << 20;
 
 impl MatchCatcher {
     /// Starts an incremental debugging session: runs the full pipeline
@@ -218,8 +213,6 @@ impl MatchCatcher {
             (tok_a, tok_b, IncrementalDict::new(dict, &order))
         };
         let configs = tree.configs();
-        let mut scratch = JoinScratch::new();
-        scratch.set_dense_cap(SESSION_DENSE_CAP);
         let mut session = DebugSession {
             params,
             a,
@@ -237,7 +230,7 @@ impl MatchCatcher {
             q,
             stats_a,
             stats_b,
-            scratch,
+            scratch: JoinScratch::new(),
             base_union: None,
         };
         session.cold_joint();
@@ -326,12 +319,8 @@ impl DebugSession {
         let threads = self.params.joint.threads.max(1);
         let store = self.params.open_store();
         let tok_key = store.as_ref().map(|_| {
-            store_io::tok_key(
-                self.a.content_digest(),
-                self.b.content_digest(),
-                &self.promising.attrs,
-                Tokenizer::Word,
-            )
+            let (digest_a, digest_b) = store_io::content_digests(&self.a, &self.b);
+            store_io::tok_key(digest_a, digest_b, &self.promising.attrs, Tokenizer::Word)
         });
         self.arenas = crate::debugger::assemble_arenas_cached(
             &self.tok_a,
@@ -601,10 +590,10 @@ impl DebugSession {
             // unchanged_A × changed_B). Each join is seeded with the
             // best entries known so far — exactness does not need the
             // seeds, only the thresholds they raise. Both run the
-            // heap-free semi-join with the changed set as the posted
+            // queue-free semi-join with the changed set as the posted
             // side: the full table streams past a tiny postings index,
-            // which beats the event kernel's per-token heap ops by an
-            // order of magnitude and is bit-identical to it.
+            // which beats the event kernel's per-token queue and
+            // accumulator work and is bit-identical to it.
             let mut contributions: Vec<(f64, u64)> = Vec::new();
             let scratch = &mut self.scratch;
             if !changed_a.is_empty() {
@@ -771,12 +760,8 @@ impl DebugSession {
         let Some(store) = self.params.open_store() else {
             return;
         };
-        let tok = store_io::tok_key(
-            self.a.content_digest(),
-            self.b.content_digest(),
-            &self.promising.attrs,
-            Tokenizer::Word,
-        );
+        let (digest_a, digest_b) = store_io::content_digests(&self.a, &self.b);
+        let tok = store_io::tok_key(digest_a, digest_b, &self.promising.attrs, Tokenizer::Word);
         // Keyed at the *report* k with the session's params: the
         // published bytes are exactly what a cold run with these params
         // would produce, so the key is the one that cold run derives —

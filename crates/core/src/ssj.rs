@@ -9,8 +9,8 @@
 //! * extending record `w` to 1-indexed position `p` caps any newly
 //!   discovered pair at `ubound(|w|, p)` (see
 //!   [`mc_strsim::measures::SetMeasure::prefix_ubound`]);
-//! * a max-heap of per-record caps drives extension order ("extend the
-//!   prefix whose next token has the highest cap");
+//! * a priority queue of per-record caps drives extension order ("extend
+//!   the prefix whose next token has the highest cap");
 //! * the join stops when the best remaining cap cannot beat the current
 //!   k-th score.
 //!
@@ -35,9 +35,52 @@
 //! searches the occurrence check used to need: a record's own occurrence
 //! count is maintained incrementally as its prefix extends, and a
 //! partner's count is read straight off its posting. All per-join state
-//! (positions, run counters, postings, pair states, the event heap)
+//! (positions, run counters, postings, the event queue, the accumulator)
 //! lives in a reusable [`JoinScratch`] so that consecutive joins on one
-//! worker allocate nothing in steady state.
+//! worker allocate nothing in steady state. Every buffer is
+//! `O(|A| + |B| + postings)`: nothing is kept per discovered pair.
+//!
+//! ## The event queue
+//!
+//! Events pop in descending bound order (`total_cmp`), ties by
+//! ascending `(side, record)`. The queue keeps one bucket per distinct
+//! bound value: equal `to_bits()` is exactly a `total_cmp` tie, and
+//! bounds are tabulated per (record length, position) when the join
+//! starts. Two facts make that order exact without a heap:
+//!
+//! * `bound_with_credit` is non-increasing in the position for all four
+//!   measures, with or without credit. Every push therefore lands at or
+//!   below the open (highest) bucket, and a bucket's contents are final
+//!   when it opens; sorting it by key once then gives its pop order.
+//! * A push at the open bucket's own bound can only come from the record
+//!   just popped, which was the smallest key left at that bound, so it
+//!   is the next event in that order; the loop processes it at once.
+//!
+//! A prune counts every still-queued event plus the popped one in
+//! `bound_pruned`.
+//!
+//! ## Pair counts without pair states
+//!
+//! A pair is *discovered* at its first common prefix token and scored
+//! at its `q`-th. Both need the pair's common count, which the loop
+//! derives instead of storing. Take the prober `r` at position `p` with
+//! token `t`, its `occ`-th copy, and a partner `o` whose prefix holds at
+//! least `occ` copies of `t`. Records are sorted, so `o`'s prefix holds
+//! every token of `o` below `t`, and `r`'s prefix holds every token of
+//! `r` below `t` plus `occ − 1` copies of `t`. Their common count before
+//! this incidence is thus `Σ_{u<t} min(copies_r(u), copies_o(u)) + occ −
+//! 1`. The sum is what a walk of the partner-side postings of `r`'s
+//! completed token runs accumulates, with `copies_o(u)` read off `o`'s
+//! posting. The loop keeps it in a generation-stamped per-partner array,
+//! the same shape as [`topk_semi_join`]'s per-probe pair states. It
+//! extends the array in place while `r`'s events run back to back (no
+//! partner prefix changes in between) and rebuilds it on any other
+//! event. Records put their rarest tokens first, so the walk covers the
+//! shortest postings lists, and at `p = 0` there is nothing to walk. A
+//! count of 1 is a discovery, a count of `q` is scored, and any other
+//! count was handled at an earlier incidence. Seeded pairs sit in a
+//! small sorted set consulted only at those two counts, so they are
+//! never discovered and never rescored.
 
 use mc_strsim::arena::RecordArena;
 use mc_strsim::measures::SetMeasure;
@@ -436,141 +479,166 @@ fn bound_with_credit(measure: SetMeasure, la: usize, p: usize, credit: usize) ->
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct Event {
-    bound: Score,
-    side: u8,
-    rec: TupleId,
+/// Empty-link sentinel of [`BucketQueue`]'s lists and "no owner" for the
+/// join's accumulator.
+const NIL: u64 = u64::MAX;
+
+/// An event's queue key, `(side << 32) | rec`. Ascending keys are the
+/// event order among equal bounds: side A first, then ascending record.
+#[inline]
+fn event_key(side: usize, rec: TupleId) -> u64 {
+    ((side as u64) << 32) | rec as u64
 }
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.bound
-            .cmp(&other.bound)
-            .then_with(|| other.side.cmp(&self.side))
-            .then_with(|| other.rec.cmp(&self.rec))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[derive(Default, Clone, Copy)]
-struct PairState {
-    common: u32,
-    scored: bool,
-}
-
-/// Largest `|A| × |B|` for which the pair-state table is stored densely
-/// (one generation-stamped slot per pair, ~64 MiB of `u64`s at the cap)
-/// instead of as a hash map. The dense table turns the per-incidence
-/// state probe — the hottest operation of the event loop — into a single
-/// indexed load with no hashing.
-const DENSE_STATES_MAX: usize = 1 << 23;
-
-/// Dense-slot layout: bits 63–32 hold the scratch generation (0 = never
-/// touched), bit 31 the scored flag, bits 30–0 the common-token count.
-const SCORED_BIT: u64 = 1 << 31;
-const COMMON_MASK: u64 = SCORED_BIT - 1;
 
 /// Scored flag of [`topk_semi_join`]'s per-probe-record pair states
 /// (low bits hold the pair's common-token count).
 const SEMI_SCORED: u32 = 1 << 31;
 
-/// What a per-incidence state advance tells the event loop to do.
-enum Step {
-    /// The pair has fewer than `q` common tokens so far.
-    Pending,
-    /// This incidence is the pair's `q`-th common token: score it now.
-    ReachedQ,
-    /// The pair was already scored (or seeded); nothing to do.
-    AlreadyScored,
+/// The event loop's exact priority queue: a monotone bucket queue with
+/// one bucket per distinct prefix-bound value.
+///
+/// An event's bound is `bound_with_credit(measure, len, p, credit)` of
+/// its record's length and next 1-indexed position, so
+/// [`BucketQueue::reset`] tabulates it for every (length, position) the
+/// instance can produce, numbers the distinct bit patterns by descending
+/// value and maps every (length, position) to its bucket. Buckets open
+/// in id order and each is sorted by event key once, when it opens; the
+/// module docs show why that gives the exact event order.
+/// Each record has at most one queued event, so a bucket is an intrusive
+/// list threaded through per-record links and a push never allocates.
+#[derive(Default)]
+struct BucketQueue {
+    /// `row[len]`: where length `len`'s row starts in `ids` (set only for
+    /// lengths some record has).
+    row: Vec<u32>,
+    /// `ids[row[len] + p − 1]`: the bucket of a length-`len` record's
+    /// bound at 1-indexed position `p`.
+    ids: Vec<u32>,
+    /// Bound bits of each bucket, strictly descending (id = index).
+    bits: Vec<u64>,
+    /// First event key of each bucket's list (`NIL` = empty).
+    heads: Vec<u64>,
+    /// Per-side, per-record link to the next event of the same bucket.
+    next: [Vec<u64>; 2],
+    /// The open bucket's events in ascending key order; `open[at..]` are
+    /// still queued.
+    open: Vec<u64>,
+    at: usize,
+    /// The open bucket: the highest one holding events.
+    cur: usize,
+    /// Queued events: the unopened buckets plus `open[at..]`.
+    live: u64,
 }
 
-/// The pair-state table behind the event loop: dense when the join's
-/// `|A| × |B|` fits the scratch's dense budget (default
-/// [`DENSE_STATES_MAX`]), a hash map otherwise. Generation stamps make
-/// dense reuse across joins O(1) — `prepare` bumps the generation
-/// instead of clearing millions of slots.
-enum StateTable<'s> {
-    Dense {
-        slots: &'s mut [u64],
-        gen: u64,
-        nb: usize,
-    },
-    Sparse {
-        map: &'s mut FxHashMap<u64, PairState>,
-    },
-}
-
-impl StateTable<'_> {
-    /// Records one more common token for `(a, b)`; `discovered` is
-    /// bumped on the pair's first incidence.
-    #[inline]
-    fn advance(&mut self, a: TupleId, b: TupleId, q: usize, discovered: &mut u64) -> Step {
-        match self {
-            StateTable::Dense { slots, gen, nb } => {
-                let slot = &mut slots[a as usize * *nb + b as usize];
-                if (*slot >> 32) != *gen {
-                    *discovered += 1;
-                    *slot = *gen << 32;
-                }
-                if *slot & SCORED_BIT != 0 {
-                    return Step::AlreadyScored;
-                }
-                let common = (*slot & COMMON_MASK) + 1;
-                if common as usize >= q {
-                    *slot = (*gen << 32) | SCORED_BIT | common;
-                    Step::ReachedQ
-                } else {
-                    *slot = (*gen << 32) | common;
-                    Step::Pending
-                }
+impl BucketQueue {
+    /// Empties the queue and tabulates the buckets of one join.
+    fn reset(&mut self, measure: SetMeasure, credit: usize, arenas: [&RecordArena; 2]) {
+        const ABSENT: u32 = u32::MAX;
+        // Every buffer is sized before it fills, so a join allocates at
+        // most once per buffer and a reused queue not at all.
+        let max_len = arenas
+            .iter()
+            .flat_map(|arena| arena.iter().map(<[u32]>::len))
+            .max()
+            .unwrap_or(0);
+        self.row.clear();
+        self.row.resize(max_len + 1, ABSENT);
+        for arena in arenas {
+            for rec in arena.iter() {
+                self.row[rec.len()] = 0;
             }
-            StateTable::Sparse { map } => {
-                let st = match map.entry(pair_key(a, b)) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        *discovered += 1;
-                        v.insert(PairState::default())
-                    }
-                };
-                if st.scored {
-                    return Step::AlreadyScored;
-                }
-                st.common += 1;
-                if st.common as usize >= q {
-                    st.scored = true;
-                    Step::ReachedQ
-                } else {
-                    Step::Pending
+        }
+        let mut total = 0u32;
+        for (len, row) in self.row.iter_mut().enumerate().skip(1) {
+            if *row != ABSENT {
+                *row = total;
+                total += len as u32;
+            }
+        }
+        let bound = |len: usize, p: usize| bound_with_credit(measure, len, p, credit).to_bits();
+        self.bits.clear();
+        self.bits.reserve(total as usize);
+        for len in 1..self.row.len() {
+            if self.row[len] != ABSENT {
+                self.bits.extend((1..=len).map(|p| bound(len, p)));
+            }
+        }
+        // Bounds are positive, so bit order is value order.
+        self.bits.sort_unstable_by(|x, y| y.cmp(x));
+        self.bits.dedup();
+        self.ids.clear();
+        self.ids.reserve(total as usize);
+        for len in 1..self.row.len() {
+            if self.row[len] != ABSENT {
+                for p in 1..=len {
+                    let b = bound(len, p);
+                    self.ids.push(self.bits.partition_point(|&x| x > b) as u32);
                 }
             }
         }
+        self.heads.clear();
+        self.heads.resize(self.bits.len(), NIL);
+        for (next, arena) in self.next.iter_mut().zip(arenas) {
+            if next.len() < arena.len() {
+                next.resize(arena.len(), NIL);
+            }
+        }
+        // A bucket never holds more than one event per record.
+        self.open.clear();
+        self.open.reserve(arenas[0].len() + arenas[1].len());
+        self.at = 0;
+        self.cur = 0;
+        self.live = 0;
     }
 
-    /// Marks a seeded pair as already scored so the loop never rescores
-    /// it.
+    /// The bucket of a length-`len` record's event at 1-indexed `p`.
     #[inline]
-    fn seed(&mut self, key: u64) {
-        match self {
-            StateTable::Dense { slots, gen, nb } => {
-                let (a, b) = split_pair_key(key);
-                slots[a as usize * *nb + b as usize] = (*gen << 32) | SCORED_BIT;
+    fn bucket(&self, len: usize, p: usize) -> usize {
+        self.ids[self.row[len] as usize + p - 1] as usize
+    }
+
+    /// The bound every event of `bucket` carries.
+    #[inline]
+    fn bound(&self, bucket: usize) -> f64 {
+        f64::from_bits(self.bits[bucket])
+    }
+
+    /// Queues record `rec`'s next event. Only buckets below the open one
+    /// take pushes; the caller handles a push at the open bucket's bound.
+    #[inline]
+    fn push(&mut self, side: usize, rec: TupleId, bucket: usize) {
+        debug_assert!(bucket > self.cur || self.open.is_empty());
+        self.next[side][rec as usize] = self.heads[bucket];
+        self.heads[bucket] = event_key(side, rec);
+        self.live += 1;
+    }
+
+    /// Pops the next event key: highest bound first, ascending key among
+    /// equal bounds. Its bound is `self.bound(self.cur)`.
+    #[inline]
+    fn pop(&mut self) -> Option<u64> {
+        if self.at == self.open.len() {
+            while self.cur < self.heads.len() && self.heads[self.cur] == NIL {
+                self.cur += 1;
             }
-            StateTable::Sparse { map } => {
-                map.insert(
-                    key,
-                    PairState {
-                        common: 0,
-                        scored: true,
-                    },
-                );
+            if self.cur == self.heads.len() {
+                return None;
             }
+            // No push can reach this bucket any more (bounds never rise
+            // along a prefix), so its contents are final.
+            self.open.clear();
+            let mut key = std::mem::replace(&mut self.heads[self.cur], NIL);
+            while key != NIL {
+                self.open.push(key);
+                key = self.next[(key >> 32) as usize][key as u32 as usize];
+            }
+            self.open.sort_unstable();
+            self.at = 0;
         }
+        let key = self.open[self.at];
+        self.at += 1;
+        self.live -= 1;
+        Some(key)
     }
 }
 
@@ -597,11 +665,12 @@ impl DensePostings {
     }
 }
 
-/// Reusable per-worker state of [`topk_join_with_scratch`]: prefix
-/// positions, run counters, postings, the pair-state table, and the
-/// event heap. A worker that keeps one scratch across consecutive joins
-/// (as the joint executor does per thread) allocates nothing in steady
-/// state.
+/// Reusable per-worker state of [`topk_join_with_scratch`] and
+/// [`topk_semi_join`]: prefix positions, run counters, postings, the
+/// event queue, the per-partner accumulator and the live seeds. Every
+/// buffer is `O(|A| + |B| + postings)`, and a worker that keeps one
+/// scratch across consecutive joins (as the joint executor does per
+/// thread) allocates nothing in steady state.
 #[derive(Default)]
 pub struct JoinScratch {
     /// Per-side prefix positions (next 0-indexed token to process).
@@ -616,18 +685,20 @@ pub struct JoinScratch {
     slot: [Vec<u32>; 2],
     /// Per-side dense inverted indexes.
     postings: [DensePostings; 2],
-    /// Discovered pair states (hash fallback for huge `|A| × |B|`).
-    states: FxHashMap<u64, PairState>,
-    /// Dense pair-state slots (see [`StateTable`]), generation-stamped
-    /// so reuse across joins never clears them.
-    dense_states: Vec<u64>,
-    /// Current dense generation; bumped by every `prepare`.
-    dense_gen: u32,
-    /// Whether the most recent `prepare` chose the dense table.
-    dense: bool,
-    /// The event max-heap.
-    heap: BinaryHeap<Event>,
-    /// Heap events processed by the most recent join on this scratch.
+    /// The event loop's bucket queue.
+    queue: BucketQueue,
+    /// Per-partner accumulator, indexed by the other side's record id.
+    /// The event loop keeps there the prober's common-token count with
+    /// each partner over its completed token runs; [`topk_semi_join`]
+    /// keeps the probe record's pair states (high bit = scored). An
+    /// entry is live only while its stamp is the current `acc_gen`.
+    acc: Vec<AccSlot>,
+    /// Current accumulator generation (bumped per rebuild; wrapping
+    /// clears the stamps).
+    acc_gen: u32,
+    /// The event loop's live (not killed) seeded pair keys, sorted.
+    seeds: Vec<u64>,
+    /// Queue events processed by the most recent join on this scratch.
     events: u64,
     /// Total tokens fed to the scorer by the most recent join (the sum
     /// of `|ra| + |rb|` over scoring *attempts*, whether or not the
@@ -638,36 +709,21 @@ pub struct JoinScratch {
     /// Pairs the most recent join actually scored (completed merges that
     /// produced a fresh score, cache hits and aborts excluded).
     scored: u64,
-    /// [`topk_semi_join`] pair state, indexed by post-side record id:
-    /// the probe generation that last touched the pair and its
-    /// common-token count (high bit = scored). Valid only while one
-    /// probe record's scan is live — one-directional processing means a
-    /// pair's incidences never span two probe records — so two flat
-    /// arrays replace the event loop's whole state table.
-    semi_stamp: Vec<u32>,
-    semi_common: Vec<u32>,
-    /// Current probe generation (bumped per probe record; wrapping
-    /// clears the stamps).
-    semi_gen: u32,
-    /// Dense pair-state slot budget override; `0` means
-    /// [`DENSE_STATES_MAX`]. Exposed via [`JoinScratch::set_dense_cap`]
-    /// so tests can force the sparse fallback on small inputs.
-    dense_cap: usize,
 }
 
 impl JoinScratch {
     /// An empty scratch; buffers grow to fit the first join and are
     /// reused afterwards.
     pub fn new() -> Self {
-        JoinScratch {
-            states: fx_map(),
-            ..Default::default()
-        }
+        JoinScratch::default()
     }
 
-    /// Clears all state and sizes the buffers for one join.
-    fn prepare(&mut self, na: usize, nb: usize, rank_bound: usize) {
-        for (side, n) in [(0, na), (1, nb)] {
+    /// Clears all state and sizes the buffers for one event-loop join.
+    fn prepare(&mut self, inst: SsjInstance<'_>, measure: SetMeasure, credit: usize) {
+        let arenas = [inst.records_a, inst.records_b];
+        let rank_bound = inst.records_a.rank_bound().max(inst.records_b.rank_bound()) as usize;
+        for (side, arena) in arenas.into_iter().enumerate() {
+            let n = arena.len();
             self.pos[side].clear();
             self.pos[side].resize(n, 0);
             self.run[side].clear();
@@ -678,56 +734,34 @@ impl JoinScratch {
             self.slot[side].resize(n, 0);
             self.postings[side].reset(rank_bound);
         }
-        let cap = if self.dense_cap == 0 {
-            DENSE_STATES_MAX
-        } else {
-            self.dense_cap
-        };
-        let cells = na.checked_mul(nb);
-        self.dense = cells.is_some_and(|c| c > 0 && c <= cap);
-        if !self.dense && cells != Some(0) {
-            // The pair-state table exceeds its slot budget: this join
-            // takes the hash-map path (correct but slower per probe).
-            mc_obs::counter!("mc.core.ssj.dense_fallback").inc();
-        }
-        if self.dense {
-            if self.dense_gen == u32::MAX {
-                // Generation wrap (once per 2³² joins): restart cleanly.
-                self.dense_states.clear();
-                self.dense_gen = 0;
-            }
-            self.dense_gen += 1;
-            if self.dense_states.len() < na * nb {
-                self.dense_states.resize(na * nb, 0);
-            }
-        } else {
-            self.states.clear();
-        }
-        self.heap.clear();
-        // At most one outstanding event per record.
-        self.heap.reserve(na + nb);
+        self.size_acc(inst.records_a.len().max(inst.records_b.len()));
+        self.queue.reset(measure, credit, arenas);
         self.events = 0;
         self.scored_tokens = 0;
         self.scored = 0;
     }
 
     /// Clears the subset of the scratch [`topk_semi_join`] uses: the
-    /// post side's postings, the semi pair-state arrays (generation
-    /// bump), and the work counters. The event loop's per-record arrays,
-    /// state table and heap stay untouched — the semi-join never reads
-    /// them, so delta joins skip megabytes of memsets per call.
+    /// post side's postings, the accumulator (by generation bump, per
+    /// probe record) and the work counters. The event loop's per-record
+    /// arrays and queue stay untouched — the semi-join never reads them,
+    /// so delta joins skip megabytes of memsets per call.
     fn prepare_semi(&mut self, post: usize, n_post: usize, rank_bound: usize) {
         self.postings[post].reset(rank_bound);
-        if self.semi_stamp.len() < n_post {
-            self.semi_stamp.resize(n_post, 0);
-            self.semi_common.resize(n_post, 0);
-        }
+        self.size_acc(n_post);
         self.events = 0;
         self.scored_tokens = 0;
         self.scored = 0;
     }
 
-    /// Heap events the most recent join on this scratch processed — a
+    /// Grows the accumulator to index `n` partners.
+    fn size_acc(&mut self, n: usize) {
+        if self.acc.len() < n {
+            self.acc.resize(n, AccSlot::default());
+        }
+    }
+
+    /// Queue events the most recent join on this scratch processed — a
     /// deterministic, machine-independent cost measure (used by
     /// [`select_q`]).
     pub fn last_events(&self) -> u64 {
@@ -746,19 +780,26 @@ impl JoinScratch {
     pub fn last_scored(&self) -> u64 {
         self.scored
     }
+}
 
-    /// Whether the most recent join on this scratch used the dense
-    /// pair-state table (false = hash-map fallback).
-    pub fn last_used_dense(&self) -> bool {
-        self.dense
-    }
+/// One accumulator entry: a count, live while `stamp` is the current
+/// generation (stamp and count share a cache line).
+#[derive(Clone, Copy, Default)]
+struct AccSlot {
+    stamp: u32,
+    count: u32,
+}
 
-    /// Overrides the dense pair-state slot budget (`0` restores the
-    /// default [`DENSE_STATES_MAX`]). Primarily a test hook for driving
-    /// the sparse fallback path on small inputs.
-    pub fn set_dense_cap(&mut self, cap: usize) {
-        self.dense_cap = cap;
+/// Opens a fresh accumulator generation: every entry reads as stale
+/// until stamped again.
+#[inline]
+fn next_acc_gen(gen: &mut u32, acc: &mut [AccSlot]) -> u32 {
+    *gen = gen.wrapping_add(1);
+    if *gen == 0 {
+        acc.fill(AccSlot::default());
+        *gen = 1;
     }
+    *gen
 }
 
 /// Slack for comparisons between a *prefix bound* and the list
@@ -802,59 +843,40 @@ pub fn topk_join_with_scratch(
     scratch: &mut JoinScratch,
 ) -> TopKList {
     assert!(params.q >= 1, "q must be at least 1");
-    let credit = params.q - 1;
-    let rank_bound = inst.records_a.rank_bound().max(inst.records_b.rank_bound()) as usize;
-    let na = inst.records_a.len();
-    let nb = inst.records_b.len();
-    scratch.prepare(na, nb, rank_bound);
+    let q = params.q;
+    let credit = q - 1;
+    scratch.prepare(inst, params.measure, credit);
     let JoinScratch {
         pos,
         run,
         last_posted,
         slot,
         postings,
-        states,
-        dense_states,
-        dense_gen,
-        dense,
-        heap,
+        queue,
+        acc,
+        acc_gen,
+        seeds,
         events: scratch_events,
         scored_tokens: scratch_scored_tokens,
         scored: scratch_scored,
-        ..
     } = scratch;
 
-    let mut table = if *dense {
-        StateTable::Dense {
-            slots: &mut dense_states[..],
-            gen: *dense_gen as u64,
-            nb,
-        }
-    } else {
-        StateTable::Sparse { map: states }
-    };
-
     let mut k_list = TopKList::with_capacity_hint(params.k, seed.len());
+    seeds.clear();
+    seeds.reserve(seed.len());
     for &(score, pair) in seed {
         if !inst.killed.contains_key(pair) {
             k_list.insert(score, pair);
-            // A seed outside the arenas can never be rediscovered, and
-            // its dense slot index would alias another pair's.
-            let (a, b) = split_pair_key(pair);
-            if (a as usize) < na && (b as usize) < nb {
-                table.seed(pair);
-            }
+            seeds.push(pair);
         }
     }
+    seeds.sort_unstable();
+    let has_seeds = !seeds.is_empty();
 
-    for (side, arena) in [(0u8, inst.records_a), (1, inst.records_b)] {
+    for (side, arena) in [inst.records_a, inst.records_b].into_iter().enumerate() {
         for (r, rec) in arena.iter().enumerate() {
             if !rec.is_empty() {
-                heap.push(Event {
-                    bound: Score(bound_with_credit(params.measure, rec.len(), 1, credit)),
-                    side,
-                    rec: r as TupleId,
-                });
+                queue.push(side, r as TupleId, queue.bucket(rec.len(), 1));
             }
         }
     }
@@ -873,16 +895,30 @@ pub fn topk_join_with_scratch(
     // time), and not at all when it is empty.
     let no_killed = inst.killed.is_empty();
 
+    // The accumulator holds, for the record `acc_owner`, each partner's
+    // common count over the owner's token runs before `acc_upto`. It
+    // stays valid only while the owner's events run back to back.
+    let mut acc_owner = NIL;
+    let mut acc_upto = 0usize;
+    // An event re-queued at the open bucket's bound: it is next.
+    let mut reentry = NIL;
     let mut since_cancel_check = 0u32;
-    while let Some(ev) = heap.pop() {
+    loop {
+        let key = if reentry != NIL {
+            std::mem::replace(&mut reentry, NIL)
+        } else if let Some(key) = queue.pop() {
+            key
+        } else {
+            break;
+        };
         let threshold = k_list.threshold();
-        if threshold > 0.0 && ev.bound.0 < threshold - BOUND_SLACK {
-            // Everything still on the heap is pruned by the prefix
-            // bound. Strictly below the threshold only: an event whose
-            // bound *equals* the threshold can still yield a tie that
-            // displaces a larger pair key under the canonical order, so
-            // it must be processed for the list to stay canonical.
-            n_bound_pruned += heap.len() as u64 + 1;
+        if threshold > 0.0 && queue.bound(queue.cur) < threshold - BOUND_SLACK {
+            // Everything still queued is pruned by the prefix bound.
+            // Strictly below the threshold only: an event whose bound
+            // *equals* the threshold can still yield a tie that displaces
+            // a larger pair key under the canonical order, so it must be
+            // processed for the list to stay canonical.
+            n_bound_pruned += queue.live + 1;
             break;
         }
         n_events += 1;
@@ -895,15 +931,15 @@ pub fn topk_join_with_scratch(
                 }
             }
         }
-        let side = ev.side as usize;
+        let side = (key >> 32) as usize;
         let other = 1 - side;
-        let arena = if side == 0 {
-            inst.records_a
+        let r = key as TupleId;
+        let idx = r as usize;
+        let rec = if side == 0 {
+            inst.records_a.record(r)
         } else {
-            inst.records_b
+            inst.records_b.record(r)
         };
-        let rec = arena.record(ev.rec);
-        let idx = ev.rec as usize;
         let p = pos[side][idx] as usize; // 0-indexed token to process
         let tok = rec[p];
 
@@ -917,49 +953,97 @@ pub fn topk_join_with_scratch(
         };
         run[side][idx] = occ;
 
+        if acc_owner != key {
+            acc_owner = NIL;
+        }
         let partners = &postings[other].lists[tok as usize];
-        if !partners.is_empty() {
+        // A partner holding ≥ `occ` copies of `tok` shares this
+        // incidence, and the pair's prefixes then share `acc + occ`
+        // tokens: the partner's prefix holds `tok`, hence every one of
+        // its smaller tokens, so their overlap over those is exactly the
+        // accumulator's sum. The count is at least `occ`, so beyond `q`
+        // no pair can be discovered or reach `q`.
+        if !partners.is_empty() && occ as usize <= q {
+            if acc_owner == NIL {
+                next_acc_gen(acc_gen, acc);
+                acc_owner = key;
+                acc_upto = 0;
+            }
+            let gen = *acc_gen;
+            // Extend over our completed runs before `tok`'s. Records are
+            // ordered rarest token first, so these are the shortest
+            // postings lists.
+            let run_start = p + 1 - occ as usize;
+            while acc_upto < run_start {
+                let u = rec[acc_upto];
+                let mut end = acc_upto + 1;
+                while rec[end] == u {
+                    end += 1;
+                }
+                let copies = (end - acc_upto) as u32;
+                for &(o, o_copies) in &postings[other].lists[u as usize] {
+                    let slot = &mut acc[o as usize];
+                    if slot.stamp != gen {
+                        *slot = AccSlot {
+                            stamp: gen,
+                            count: 0,
+                        };
+                    }
+                    slot.count += o_copies.min(copies);
+                }
+                acc_upto = end;
+            }
             for &(o, o_count) in partners {
                 // The pair's prefix multiset overlap grows by one exactly
                 // when the partner's prefix already holds ≥ occ copies of
-                // this token (its posting counts them); this keeps
-                // `common` equal to the true multiset overlap of the two
-                // prefixes.
+                // this token (its posting counts them).
                 if o_count < occ {
                     continue;
                 }
-                let (a, b) = if side == 0 { (ev.rec, o) } else { (o, ev.rec) };
-                if let Step::ReachedQ = table.advance(a, b, params.q, &mut n_discovered) {
-                    // Membership in the blocker output `C` is checked
-                    // once per pair, here — not per incidence. A killed
-                    // pair costs one pair-state slot but saves a hash
-                    // probe on `C` for every later shared token.
-                    let key = pair_key(a, b);
-                    if !no_killed && inst.killed.contains_key(key) {
-                        n_killed_skipped += 1;
-                        continue;
+                let slot = acc[o as usize];
+                let before = if slot.stamp == gen { slot.count } else { 0 };
+                let common = (before + occ) as usize;
+                if common != 1 && common != q {
+                    continue;
+                }
+                let (a, b) = if side == 0 { (r, o) } else { (o, r) };
+                let pair = pair_key(a, b);
+                // A seeded pair is never discovered and never rescored.
+                if has_seeds && seeds.binary_search(&pair).is_ok() {
+                    continue;
+                }
+                if common == 1 {
+                    n_discovered += 1;
+                }
+                if common != q {
+                    continue;
+                }
+                // Membership in the blocker output `C` is checked once
+                // per pair, here — not per incidence.
+                if !no_killed && inst.killed.contains_key(pair) {
+                    n_killed_skipped += 1;
+                    continue;
+                }
+                let ra = inst.records_a.record(a);
+                let rb = inst.records_b.record(b);
+                n_scored_tokens += (ra.len() + rb.len()) as u64;
+                // Gate one ulp below the current k-th score (see
+                // `TopKList::gate`): a refuted attempt has
+                // `score < threshold` and could never enter the list,
+                // while exact threshold ties come through for the
+                // canonical key tie-break — the outcome split never
+                // changes the resulting list.
+                match scorer.score_above(a, b, ra, rb, k_list.gate()) {
+                    ScoreOutcome::Scored(s) => {
+                        n_scored += 1;
+                        k_list.insert(s, pair);
                     }
-                    let ra = inst.records_a.record(a);
-                    let rb = inst.records_b.record(b);
-                    n_scored_tokens += (ra.len() + rb.len()) as u64;
-                    // Gate one ulp below the current k-th score (see
-                    // `TopKList::gate`): a refuted attempt has
-                    // `score < threshold` and could never enter the
-                    // list, while exact threshold ties come through for
-                    // the canonical key tie-break — the outcome split
-                    // never changes the resulting list.
-                    match scorer.score_above(a, b, ra, rb, k_list.gate()) {
-                        ScoreOutcome::Scored(s) => {
-                            n_scored += 1;
-                            k_list.insert(s, key);
-                        }
-                        ScoreOutcome::Cached(s) => {
-                            n_cached += 1;
-                            k_list.insert(s, key);
-                        }
-                        ScoreOutcome::Refuted => {
-                            n_aborted += 1;
-                        }
+                    ScoreOutcome::Cached(s) => {
+                        n_cached += 1;
+                        k_list.insert(s, pair);
+                    }
+                    ScoreOutcome::Refuted => {
+                        n_aborted += 1;
                     }
                 }
             }
@@ -974,7 +1058,7 @@ pub fn topk_join_with_scratch(
                 postings[side].touched.push(tok);
             }
             slot[side][idx] = list.len() as u32;
-            list.push((ev.rec, 1));
+            list.push((r, 1));
         } else {
             let s = slot[side][idx] as usize;
             postings[side].lists[tok as usize][s].1 += 1;
@@ -983,16 +1067,18 @@ pub fn topk_join_with_scratch(
         pos[side][idx] += 1;
         let next_p = p + 1;
         if next_p < rec.len() {
-            let b = bound_with_credit(params.measure, rec.len(), next_p + 1, credit);
+            let bucket = queue.bucket(rec.len(), next_p + 1);
             // Mirror the pop-side prune: re-enqueue while the bound can
             // still reach the threshold, ties included.
             let threshold = k_list.threshold();
-            if threshold == 0.0 || b >= threshold - BOUND_SLACK {
-                heap.push(Event {
-                    bound: Score(b),
-                    side: ev.side,
-                    rec: ev.rec,
-                });
+            if threshold == 0.0 || queue.bound(bucket) >= threshold - BOUND_SLACK {
+                if bucket == queue.cur {
+                    // Every other queued event at this bound has a
+                    // larger key, so this one pops next.
+                    reentry = key;
+                } else {
+                    queue.push(side, r, bucket);
+                }
             } else {
                 n_bound_pruned += 1;
             }
@@ -1011,17 +1097,17 @@ pub fn topk_join_with_scratch(
     k_list
 }
 
-/// Heap-free one-directional variant of the top-k join for asymmetric
+/// Queue-free one-directional variant of the top-k join for asymmetric
 /// instances: one side is tiny (the incremental debugger's changed set),
 /// the other is a full table.
 ///
-/// The event heap exists to interleave both sides' prefix tokens in
+/// The event queue exists to interleave both sides' prefix tokens in
 /// global bound order so the list threshold rises as early as possible.
 /// A delta join starts with a threshold that is already near-final — its
 /// seed list is the surviving top-K of the previous run — so the global
-/// ordering buys almost nothing while charging a `log(|A| + |B|)` heap
-/// operation per token. This variant drops the heap entirely and runs
-/// two flat passes:
+/// ordering buys almost nothing while charging a queue operation per
+/// token. This variant drops the queue entirely and runs two flat
+/// passes:
 ///
 /// 1. the **post** side (the small changed set) streams each record's
 ///    prefix into the postings index, probing nothing;
@@ -1036,7 +1122,7 @@ pub fn topk_join_with_scratch(
 /// stop each record once its credit-adjusted prefix bound falls below
 /// `threshold − BOUND_SLACK`; the threshold only rises, so any pair
 /// skipped by a stopped prefix provably cannot beat the final threshold
-/// (the same soundness argument as the heap loop's prune, applied
+/// (the same soundness argument as the event loop's prune, applied
 /// per-record instead of globally). Seeds, killed-pair handling and
 /// threshold gating are identical to [`topk_join_with_scratch`], so the
 /// returned `sorted_entries()` is **bit-identical** to it: both produce
@@ -1071,19 +1157,17 @@ pub fn topk_semi_join(
     scratch.prepare_semi(post, post_arena.len(), rank_bound);
     let JoinScratch {
         postings,
-        semi_stamp,
-        semi_common,
-        semi_gen,
+        acc,
+        acc_gen,
         events: scratch_events,
         scored_tokens: scratch_scored_tokens,
         scored: scratch_scored,
         ..
     } = scratch;
 
-    // Seeds are never rescored. The event loop marks them in its state
-    // table; here the per-record pair state is rebuilt per probe record,
-    // so the live seeds are indexed by their probe-side endpoint and
-    // pre-stamped as scored when that record's scan opens.
+    // Seeds are never rescored. The per-record pair state is rebuilt per
+    // probe record, so the live seeds are indexed by their probe-side
+    // endpoint and pre-stamped as scored when that record's scan opens.
     let mut k_list = TopKList::with_capacity_hint(params.k, seed.len());
     let mut seed_pairs: Vec<(TupleId, TupleId)> = Vec::with_capacity(seed.len());
     for &(score, pair) in seed {
@@ -1153,16 +1237,13 @@ pub fn topk_semi_join(
     'probe: for r in 0..probe_arena.len() as TupleId {
         // Open this record's pair-state generation and pre-stamp its
         // seeds as scored.
-        *semi_gen = semi_gen.wrapping_add(1);
-        if *semi_gen == 0 {
-            semi_stamp.fill(0);
-            *semi_gen = 1;
-        }
-        let gen = *semi_gen;
+        let gen = next_acc_gen(acc_gen, acc);
         while seed_cursor < seed_pairs.len() && seed_pairs[seed_cursor].0 == r {
             let o = seed_pairs[seed_cursor].1 as usize;
-            semi_stamp[o] = gen;
-            semi_common[o] = SEMI_SCORED;
+            acc[o] = AccSlot {
+                stamp: gen,
+                count: SEMI_SCORED,
+            };
             seed_cursor += 1;
         }
         let rec = probe_arena.record(r);
@@ -1209,8 +1290,8 @@ pub fn topk_semi_join(
                     continue;
                 }
                 let oi = o as usize;
-                if semi_stamp[oi] != gen {
-                    semi_stamp[oi] = gen;
+                if acc[oi].stamp != gen {
+                    acc[oi].stamp = gen;
                     n_discovered += 1;
                     // Length pre-gate, applied once at the pair's first
                     // incidence: `from_overlap` is monotone in `o`
@@ -1223,21 +1304,21 @@ pub fn topk_semi_join(
                     // containment score is always 1.)
                     let plen = post_arena.record(o).len();
                     if measure.from_overlap(len.min(plen), len, plen) <= len_gate {
-                        semi_common[oi] = SEMI_SCORED;
+                        acc[oi].count = SEMI_SCORED;
                         continue;
                     }
-                    semi_common[oi] = 0;
+                    acc[oi].count = 0;
                 }
-                let c = semi_common[oi];
+                let c = acc[oi].count;
                 if c & SEMI_SCORED != 0 {
                     continue;
                 }
                 let c = c + 1;
                 if (c as usize) < params.q {
-                    semi_common[oi] = c;
+                    acc[oi].count = c;
                     continue;
                 }
-                semi_common[oi] = c | SEMI_SCORED;
+                acc[oi].count = c | SEMI_SCORED;
                 let (a, b) = if post == 0 { (o, r) } else { (r, o) };
                 let key = pair_key(a, b);
                 if !no_killed && inst.killed.contains_key(key) {
@@ -1305,7 +1386,7 @@ pub fn brute_force_topk(inst: SsjInstance<'_>, k: usize, measure: SetMeasure) ->
 /// small prelude join (`prelude_k`, the paper uses 50) **to
 /// completion**, still one thread each, and the winner is the `q` whose
 /// prelude was cheapest under a machine-independent cost model:
-/// heap events processed plus tokens fed to the scorer (ties go to the
+/// queue events processed plus tokens fed to the scorer (ties go to the
 /// smaller `q`). Repeated runs at any thread count therefore pick the
 /// same `q`. Deterministic inputs can also fix `q` via [`SsjParams`].
 ///
@@ -1758,54 +1839,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sparse_state_tables_agree_and_fallback_is_counted() {
-        // An isolated metrics context so concurrent tests can't bump the
-        // counter under us.
-        let ctx = mc_obs::ObsContext::session();
-        let _guard = ctx.attach();
-        let a = random_arena(5, 40, 24, 7);
-        let b = random_arena(6, 35, 24, 7);
-        let killed = PairSet::new();
-        let inst = SsjInstance {
-            records_a: &a,
-            records_b: &b,
-            killed: &killed,
-        };
-        let params = SsjParams {
-            k: 12,
-            q: 1,
-            measure: SetMeasure::Jaccard,
-        };
-        let scorer = ExactScorer(SetMeasure::Jaccard);
-
-        let base = mc_obs::MetricsSnapshot::capture();
-        let mut dense_scratch = JoinScratch::new();
-        let dense_list =
-            topk_join_with_scratch(inst, params, &scorer, &[], None, &mut dense_scratch);
-        assert!(
-            dense_scratch.last_used_dense(),
-            "40×35 fits the default cap"
-        );
-        let after_dense = mc_obs::MetricsSnapshot::capture().since(&base);
-        assert_eq!(after_dense.counter("mc.core.ssj.dense_fallback"), 0);
-
-        let mut sparse_scratch = JoinScratch::new();
-        sparse_scratch.set_dense_cap(8); // 40×35 ≫ 8: force the hash path
-        let sparse_list =
-            topk_join_with_scratch(inst, params, &scorer, &[], None, &mut sparse_scratch);
-        assert!(!sparse_scratch.last_used_dense());
-        let after_sparse = mc_obs::MetricsSnapshot::capture().since(&base);
-        assert_eq!(after_sparse.counter("mc.core.ssj.dense_fallback"), 1);
-
-        assert_eq!(dense_list.sorted_entries(), sparse_list.sorted_entries());
-        assert_eq!(
-            dense_scratch.last_events(),
-            sparse_scratch.last_events(),
-            "state representation must not change the event schedule"
-        );
-    }
-
-    #[test]
     fn semi_join_is_bit_identical_to_event_loop() {
         let a = random_arena(31, 110, 36, 9);
         let b = random_arena(47, 85, 36, 9);
@@ -1829,25 +1862,21 @@ mod tests {
                     let params = SsjParams { k, q, measure: m };
                     let baseline = topk_join(inst, params, &ExactScorer(m), seeds, None);
                     for post_side in [0u8, 1] {
-                        // Cover the dense and the sparse state table.
-                        for cap in [0usize, 8] {
-                            let mut scratch = JoinScratch::new();
-                            scratch.set_dense_cap(cap);
-                            let semi = topk_semi_join(
-                                inst,
-                                params,
-                                &ExactScorer(m),
-                                seeds,
-                                None,
-                                &mut scratch,
-                                post_side,
-                            );
-                            assert_eq!(
-                                baseline.sorted_entries(),
-                                semi.sorted_entries(),
-                                "{m:?} k={k} q={q} post_side={post_side} cap={cap}"
-                            );
-                        }
+                        let mut scratch = JoinScratch::new();
+                        let semi = topk_semi_join(
+                            inst,
+                            params,
+                            &ExactScorer(m),
+                            seeds,
+                            None,
+                            &mut scratch,
+                            post_side,
+                        );
+                        assert_eq!(
+                            baseline.sorted_entries(),
+                            semi.sorted_entries(),
+                            "{m:?} k={k} q={q} post_side={post_side}"
+                        );
                     }
                 }
             }

@@ -41,7 +41,7 @@ use mc_strsim::dict::{TokenOrder, TokenizedTable};
 use mc_strsim::measures::SetMeasure;
 use mc_strsim::tokenize::Tokenizer;
 use mc_table::digest::digest_u64_set;
-use mc_table::{pair_key, AttrId, PairSet};
+use mc_table::{pair_key, AttrId, PairSet, Table};
 
 /// Stable tag per measure (keys must not depend on enum declaration
 /// order surviving refactors).
@@ -60,6 +60,17 @@ fn tokenizer_tag(t: Tokenizer) -> (u8, u8) {
         Tokenizer::Word => (0, 0),
         Tokenizer::QGram(q) => (1, q),
     }
+}
+
+/// Both tables' content digests, hashed on two scoped threads. On a
+/// cold prepare neither digest is memoized yet and each is a full pass
+/// over its table's values; a memoized digest returns at once.
+pub(crate) fn content_digests(a: &Table, b: &Table) -> (Digest, Digest) {
+    std::thread::scope(|scope| {
+        let digest_b = scope.spawn(|| b.content_digest());
+        let digest_a = a.content_digest();
+        (digest_a, digest_b.join().expect("digest thread panicked"))
+    })
 }
 
 /// Key of the tokenization artifact: input bytes (via the tables'

@@ -137,15 +137,6 @@ pub fn digest_bytes(bytes: &[u8]) -> Digest {
     w.finish()
 }
 
-/// 64-bit FNV-1a of a byte slice — the store's payload checksum.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Order-independent digest of a set of `u64` keys (e.g. a
 /// [`crate::PairSet`], whose iteration order is unspecified): per-key
 /// digests are combined with commutative operators, so any iteration
@@ -214,13 +205,5 @@ mod tests {
             digest_u64_set(std::iter::empty()),
             digest_u64_set([0u64].into_iter())
         );
-    }
-
-    #[test]
-    fn fnv64_matches_reference_vector() {
-        // FNV-1a 64 reference: fnv64("") = offset basis.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        // "a" → (offset ^ 0x61) * prime.
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -228,6 +228,198 @@ mod reference {
     }
 }
 
+/// The arena event loop as it stood before the bucket queue and the
+/// per-prober accumulator: a max-heap of bound events and a table of
+/// per-pair states (its hash-map form; the dense form behaved
+/// identically). It returns its list together with its work counters,
+/// so the production join can be held to the same lists *and* the same
+/// work, event for event.
+mod heap_loop {
+    use matchcatcher::ssj::{PairScorer, ScoreOutcome, SsjInstance, SsjParams, TopKList};
+    use mc_strsim::measures::SetMeasure;
+    use mc_table::hash::{fx_map, FxHashMap};
+    use mc_table::{pair_key, split_pair_key, TupleId};
+    use std::collections::BinaryHeap;
+
+    /// The join's work counters, as `mc.core.ssj.*` reports them.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    pub struct Work {
+        pub events: u64,
+        pub candidates: u64,
+        pub scored: u64,
+        pub merge_aborts: u64,
+        pub killed_skipped: u64,
+        pub bound_pruned: u64,
+    }
+
+    fn bound_with_credit(measure: SetMeasure, la: usize, p: usize, credit: usize) -> f64 {
+        if credit == 0 {
+            return measure.prefix_ubound(la, p, 1);
+        }
+        let rem = (la - p + 1 + credit).min(la) as f64;
+        let la_f = la as f64;
+        match measure {
+            SetMeasure::Jaccard => rem / la_f,
+            SetMeasure::Cosine => (rem / la_f).sqrt(),
+            SetMeasure::Dice => 2.0 * rem / (la_f + rem),
+            SetMeasure::Overlap => 1.0,
+        }
+    }
+
+    #[derive(Clone, Copy, PartialEq)]
+    struct Event {
+        bound: f64,
+        side: u8,
+        rec: TupleId,
+    }
+
+    impl Eq for Event {}
+
+    impl Ord for Event {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.bound
+                .total_cmp(&other.bound)
+                .then_with(|| other.side.cmp(&self.side))
+                .then_with(|| other.rec.cmp(&self.rec))
+        }
+    }
+
+    impl PartialOrd for Event {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    #[derive(Default)]
+    struct PairState {
+        common: u32,
+        scored: bool,
+    }
+
+    const BOUND_SLACK: f64 = 1e-12;
+
+    pub fn topk_join(
+        inst: SsjInstance<'_>,
+        params: SsjParams,
+        scorer: &dyn PairScorer,
+        seed: &[(f64, u64)],
+    ) -> (TopKList, Work) {
+        let credit = params.q - 1;
+        let arenas = [inst.records_a, inst.records_b];
+        let (na, nb) = (arenas[0].len(), arenas[1].len());
+        let mut work = Work::default();
+        let mut states: FxHashMap<u64, PairState> = fx_map();
+        let mut k_list = TopKList::new(params.k);
+        for &(score, pair) in seed {
+            if !inst.killed.contains_key(pair) {
+                k_list.insert(score, pair);
+                let (a, b) = split_pair_key(pair);
+                if (a as usize) < na && (b as usize) < nb {
+                    states.insert(
+                        pair,
+                        PairState {
+                            common: 0,
+                            scored: true,
+                        },
+                    );
+                }
+            }
+        }
+        let mut pos = [vec![0usize; na], vec![0usize; nb]];
+        let mut run = [vec![0u32; na], vec![0u32; nb]];
+        let mut last_posted = [vec![u32::MAX; na], vec![u32::MAX; nb]];
+        let mut slot = [vec![0usize; na], vec![0usize; nb]];
+        let mut postings: [FxHashMap<u32, Vec<(TupleId, u32)>>; 2] = [fx_map(), fx_map()];
+        let mut heap = BinaryHeap::new();
+        for (side, arena) in arenas.iter().enumerate() {
+            for (r, rec) in arena.iter().enumerate() {
+                if !rec.is_empty() {
+                    heap.push(Event {
+                        bound: bound_with_credit(params.measure, rec.len(), 1, credit),
+                        side: side as u8,
+                        rec: r as TupleId,
+                    });
+                }
+            }
+        }
+        while let Some(ev) = heap.pop() {
+            let threshold = k_list.threshold();
+            if threshold > 0.0 && ev.bound < threshold - BOUND_SLACK {
+                work.bound_pruned += heap.len() as u64 + 1;
+                break;
+            }
+            work.events += 1;
+            let side = ev.side as usize;
+            let other = 1 - side;
+            let idx = ev.rec as usize;
+            let rec = arenas[side].record(ev.rec);
+            let p = pos[side][idx];
+            let tok = rec[p];
+            let occ = if p > 0 && rec[p - 1] == tok {
+                run[side][idx] + 1
+            } else {
+                1
+            };
+            run[side][idx] = occ;
+            for &(o, o_count) in postings[other].get(&tok).map_or(&[][..], Vec::as_slice) {
+                if o_count < occ {
+                    continue;
+                }
+                let (a, b) = if side == 0 { (ev.rec, o) } else { (o, ev.rec) };
+                let key = pair_key(a, b);
+                let st = states.entry(key).or_insert_with(|| {
+                    work.candidates += 1;
+                    PairState::default()
+                });
+                if st.scored {
+                    continue;
+                }
+                st.common += 1;
+                if (st.common as usize) < params.q {
+                    continue;
+                }
+                st.scored = true;
+                if inst.killed.contains_key(key) {
+                    work.killed_skipped += 1;
+                    continue;
+                }
+                let (ra, rb) = (inst.records_a.record(a), inst.records_b.record(b));
+                match scorer.score_above(a, b, ra, rb, k_list.gate()) {
+                    ScoreOutcome::Scored(s) => {
+                        work.scored += 1;
+                        k_list.insert(s, key);
+                    }
+                    ScoreOutcome::Cached(s) => k_list.insert(s, key),
+                    ScoreOutcome::Refuted => work.merge_aborts += 1,
+                }
+            }
+            let list = postings[side].entry(tok).or_default();
+            if last_posted[side][idx] != tok {
+                last_posted[side][idx] = tok;
+                slot[side][idx] = list.len();
+                list.push((ev.rec, 1));
+            } else {
+                list[slot[side][idx]].1 += 1;
+            }
+            pos[side][idx] += 1;
+            if p + 1 < rec.len() {
+                let b = bound_with_credit(params.measure, rec.len(), p + 2, credit);
+                let threshold = k_list.threshold();
+                if threshold == 0.0 || b >= threshold - BOUND_SLACK {
+                    heap.push(Event {
+                        bound: b,
+                        side: ev.side,
+                        rec: ev.rec,
+                    });
+                } else {
+                    work.bound_pruned += 1;
+                }
+            }
+        }
+        (k_list, work)
+    }
+}
+
 #[test]
 fn topkjoin_matches_brute_force() {
     let mut rng = StdRng::seed_from_u64(0x55A1);
@@ -336,6 +528,99 @@ fn topkjoin_bit_identical_to_reference_loop() {
                     old.sorted_entries(),
                     "case {case} {m:?} k={k} q={q}"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn topkjoin_lists_and_work_equal_the_heap_loop() {
+    // The bucket queue must pop exactly the heap's event sequence and the
+    // accumulator must reach exactly the state table's per-incidence
+    // decisions: bit-identical lists AND identical work counters, for
+    // every measure, q and k, with killed sets, empty records, duplicate
+    // tokens and seeds inside the arenas, outside them and killed. One
+    // scratch serves every instance size and both kernels.
+    use matchcatcher::ssj::topk_semi_join;
+    let ctx = mc_obs::ObsContext::session();
+    let _guard = ctx.attach();
+    let mut rng = StdRng::seed_from_u64(0x0B0C_4E75);
+    let mut scratch = JoinScratch::new();
+    for case in 0..40 {
+        // Alternate small and larger instances so reuse crosses sizes.
+        let (n, len, universe): (usize, usize, u32) = if case % 2 == 0 {
+            (14, 8, 24)
+        } else {
+            (48, 14, 40)
+        };
+        let gen = |rng: &mut StdRng| -> Vec<Vec<u32>> {
+            (0..rng.random_range(1..n))
+                .map(|_| {
+                    let l = rng.random_range(0..len);
+                    let mut v: Vec<u32> = (0..l).map(|_| rng.random_range(0..universe)).collect();
+                    v.sort_unstable();
+                    v
+                })
+                .collect()
+        };
+        let (ra, rb) = (gen(&mut rng), gen(&mut rng));
+        let killed = random_killed(&mut rng, ra.len(), rb.len());
+        let a = RecordArena::from_records(&ra);
+        let b = RecordArena::from_records(&rb);
+        let inst = SsjInstance {
+            records_a: &a,
+            records_b: &b,
+            killed: &killed,
+        };
+        for m in SetMeasure::ALL {
+            // Seeds as a session passes them: true pairs with their exact
+            // scores, a pair beyond both arenas and a killed pair.
+            let truth = brute_force_topk(inst, 4, m).sorted_entries();
+            let mut seeds: Vec<(f64, u64)> = truth.into_iter().take(3).collect();
+            seeds.push((0.5, mc_table::pair_key(ra.len() as u32 + 2, 0)));
+            if let Some(k) = killed.iter().map(|(x, y)| mc_table::pair_key(x, y)).min() {
+                seeds.push((0.75, k));
+            }
+            for q in 1..=3usize {
+                for k in [1usize, 10, 100] {
+                    for seed in [&[][..], &seeds[..]] {
+                        let params = SsjParams { k, q, measure: m };
+                        let (old, want) = heap_loop::topk_join(inst, params, &ExactScorer(m), seed);
+                        let base = mc_obs::MetricsSnapshot::capture();
+                        let new = topk_join_with_scratch(
+                            inst,
+                            params,
+                            &ExactScorer(m),
+                            seed,
+                            None,
+                            &mut scratch,
+                        );
+                        let d = mc_obs::MetricsSnapshot::capture().since(&base);
+                        let got = heap_loop::Work {
+                            events: d.counter("mc.core.ssj.events"),
+                            candidates: d.counter("mc.core.ssj.candidates"),
+                            scored: d.counter("mc.core.ssj.scored"),
+                            merge_aborts: d.counter("mc.core.ssj.merge_aborts"),
+                            killed_skipped: d.counter("mc.core.ssj.killed_skipped"),
+                            bound_pruned: d.counter("mc.core.ssj.bound_pruned"),
+                        };
+                        let what = format!("case {case} {m:?} q={q} k={k} seeds={}", seed.len());
+                        assert_eq!(new.sorted_entries(), old.sorted_entries(), "{what}");
+                        assert_eq!(got, want, "{what}");
+                        assert_eq!(scratch.last_events(), want.events, "{what}");
+                        // Interleave the semi-join on the same scratch.
+                        let semi = topk_semi_join(
+                            inst,
+                            params,
+                            &ExactScorer(m),
+                            seed,
+                            None,
+                            &mut scratch,
+                            (case % 2) as u8,
+                        );
+                        assert_eq!(semi.sorted_entries(), old.sorted_entries(), "{what}");
+                    }
+                }
             }
         }
     }

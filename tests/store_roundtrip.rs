@@ -281,13 +281,13 @@ fn zero_copy_arenas_mmap_warm_and_fall_back_on_corruption() {
     );
 
     // Corrupt the zero-copy *payload* while keeping the store header
-    // valid (recompute the FNV): the store hits, `map_arena` refuses,
+    // valid (recompute the checksum): the store hits, `map_arena` refuses,
     // and with no byte-codec fallback artifact the arenas rebuild —
     // with identical results.
     for path in &post_files {
         let mut bytes = std::fs::read(path).expect("read post artifact");
         bytes[32] ^= 0xff; // first payload byte: breaks the sub-magic
-        let sum = mc_table::digest::fnv64(&bytes[32..]);
+        let sum = mc_store::payload_checksum(&bytes[32..]);
         bytes[24..32].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(path, bytes).expect("write mangled");
     }
