@@ -535,9 +535,11 @@ impl MatchCatcher {
         if let Err(e) = self.params.validate() {
             panic!("invalid DebuggerParams: {e}");
         }
-        // Everything below — including worker threads, which re-attach
-        // at their spawn sites — records into this run's context.
+        // Everything below — including fan-out helpers, which re-attach
+        // it — records into this run's context, and the thread holds one
+        // slot of the CPU budget for the whole call.
         let _obs = self.params.obs.attach();
+        let _cpu = mc_obs::par::hold();
         let store = self.params.open_store();
         let baseline = MetricsSnapshot::capture();
         let (prepared, tok) = observed(observer, Stage::Prepare, || {
@@ -612,11 +614,6 @@ pub(crate) fn assemble_arenas_cached(
     store: Option<&Store>,
     tok: Option<Digest>,
 ) -> Vec<(RecordArena, RecordArena)> {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(4, |p| p.get())
-    } else {
-        threads
-    };
     let (s, tok) = match (store, tok) {
         (Some(s), Some(tok)) => (s, tok),
         _ => return build_arenas(tok_a, tok_b, configs, threads),

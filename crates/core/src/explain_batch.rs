@@ -20,10 +20,10 @@
 //!    union) cost one lookup. The diagnosis function is pure, so a
 //!    racing duplicate computation is harmless — both writers insert the
 //!    same value and the output is scheduling-independent.
-//! 3. **Scoped-thread pair sharding** — batch entry points split the
-//!    pair list into contiguous chunks across scoped workers, each with
-//!    its own scratch, writing disjoint output slots; results are
-//!    re-assembled in input order.
+//! 3. **Pair sharding** — batch entry points split the pair list into
+//!    one contiguous share per allowed worker, claimed by the workers of
+//!    the CPU budget ([`mc_obs::par`]), each with its own scratch,
+//!    writing disjoint output slots; results come back in input order.
 //!
 //! The kernel is **bit-identical** to the per-pair path by construction
 //! (the prepared cascade mirrors `diagnose_values` branch for branch,
@@ -45,7 +45,7 @@ use std::sync::Mutex;
 
 std::thread_local! {
     /// Per-thread edit-distance buffers (two char operands + DP rows):
-    /// the diagnosis hot loop runs under scoped workers, so a
+    /// the diagnosis hot loop runs on fan-out workers, so a
     /// thread-local keeps every worker allocation-free without
     /// threading scratch through the cache.
     static EDIT_SCRATCH: RefCell<(Vec<char>, Vec<char>, EditScratch)> =
@@ -689,36 +689,23 @@ pub struct DiagnosisKernel {
 
 impl DiagnosisKernel {
     /// Interns and prepares every attribute column of `a` and `b`
-    /// (attributes split across `threads` scoped workers; `0` = all
-    /// cores).
+    /// (attributes split across up to `threads` workers of the CPU
+    /// budget; `0` = all cores). Later sweeps use the same bound.
     pub fn build(a: &Table, b: &Table, threads: usize) -> DiagnosisKernel {
         let _span = mc_obs::span!("mc.core.explain.build");
         let attrs: Vec<AttrId> = a.schema().attr_ids().collect();
-        let threads = resolve_threads(threads);
-        let mut slots: Vec<Option<AttrColumn>> = attrs.iter().map(|_| None).collect();
-        let workers = threads.min(attrs.len().max(1));
-        if workers <= 1 {
-            for (slot, &attr) in slots.iter_mut().zip(&attrs) {
-                *slot = Some(AttrColumn::build(a, b, attr));
-            }
-        } else {
-            let mut jobs: Vec<(AttrId, &mut Option<AttrColumn>)> =
-                attrs.iter().copied().zip(slots.iter_mut()).collect();
-            let per = jobs.len().div_ceil(workers);
-            let obs = mc_obs::ObsContext::current();
-            std::thread::scope(|s| {
-                for group in jobs.chunks_mut(per) {
-                    let obs = &obs;
-                    s.spawn(move || {
-                        let _obs = obs.attach();
-                        for (attr, slot) in group.iter_mut() {
-                            **slot = Some(AttrColumn::build(a, b, *attr));
-                        }
-                    });
-                }
-            });
-        }
-        let cols: Vec<AttrColumn> = slots.into_iter().map(|c| c.unwrap()).collect();
+        let shares: Vec<&[AttrId]> = attrs
+            .chunks(mc_obs::par::share_len(attrs.len(), threads))
+            .collect();
+        let cols: Vec<AttrColumn> = mc_obs::par::map(&shares, threads, |share| {
+            share
+                .iter()
+                .map(|&attr| AttrColumn::build(a, b, attr))
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         let distinct: u64 = cols.iter().map(|c| c.values.len() as u64).sum();
         mc_obs::counter!("mc.core.explain.values_interned").add(distinct);
         DiagnosisKernel {
@@ -756,7 +743,7 @@ impl DiagnosisKernel {
     }
 
     /// Explains every pair (one [`MatchExplanation`] each, in input
-    /// order), sharding the list across scoped workers.
+    /// order), sharding the list across fan-out workers.
     pub fn explain_pairs(&self, pairs: &[(TupleId, TupleId)]) -> Vec<MatchExplanation> {
         self.par_map(pairs, |(x, y)| MatchExplanation {
             pair: (x, y),
@@ -817,7 +804,6 @@ impl DiagnosisKernel {
     /// attribute's interleaved. Lookup counts are batched per chunk.
     /// Only valid when [`Self::can_pack`].
     fn packed_signatures(&self, pairs: &[(TupleId, TupleId)]) -> Vec<u64> {
-        let workers = self.threads.min(pairs.len().max(1));
         let sweep = |chunk: &[(TupleId, TupleId)], out: &mut [u64]| -> u64 {
             let mut lookups = 0u64;
             for (i, col) in self.cols.iter().enumerate() {
@@ -841,23 +827,11 @@ impl DiagnosisKernel {
             lookups
         };
         let mut out = vec![0u64; pairs.len()];
-        if workers <= 1 {
-            let lookups = sweep(pairs, &mut out);
+        let per = mc_obs::par::share_len(pairs.len(), self.threads);
+        let mut jobs: Vec<_> = pairs.chunks(per).zip(out.chunks_mut(per)).collect();
+        mc_obs::par::for_each(&mut jobs, self.threads, |(chunk_in, chunk_out)| {
+            let lookups = sweep(chunk_in, chunk_out);
             self.lookups.fetch_add(lookups, Ordering::Relaxed);
-            return out;
-        }
-        let per = pairs.len().div_ceil(workers);
-        let obs = mc_obs::ObsContext::current();
-        std::thread::scope(|s| {
-            for (chunk_in, chunk_out) in pairs.chunks(per).zip(out.chunks_mut(per)) {
-                let obs = &obs;
-                let sweep = &sweep;
-                s.spawn(move || {
-                    let _obs = obs.attach();
-                    let lookups = sweep(chunk_in, chunk_out);
-                    self.lookups.fetch_add(lookups, Ordering::Relaxed);
-                });
-            }
         });
         out
     }
@@ -1007,42 +981,24 @@ impl DiagnosisKernel {
         mc_obs::counter!("mc.core.explain.cache_hits").add(stats.cache_hits());
     }
 
-    /// Maps `f` over `pairs` preserving order, splitting contiguous
-    /// chunks across scoped workers (the `FeatureMatrix::ensure_upto`
-    /// pattern, with the observability context re-attached per worker).
+    /// Maps `f` over `pairs` preserving order, one contiguous share per
+    /// allowed worker, claimed by the workers of the CPU budget.
     fn par_map<T, F>(&self, pairs: &[(TupleId, TupleId)], f: F) -> Vec<T>
     where
         T: Send,
         F: Fn((TupleId, TupleId)) -> T + Sync,
     {
-        let workers = self.threads.min(pairs.len().max(1));
-        if workers <= 1 {
-            return pairs.iter().map(|&p| f(p)).collect();
-        }
         let mut out: Vec<Option<T>> = (0..pairs.len()).map(|_| None).collect();
-        let per = pairs.len().div_ceil(workers);
-        let obs = mc_obs::ObsContext::current();
-        std::thread::scope(|s| {
-            for (chunk_in, chunk_out) in pairs.chunks(per).zip(out.chunks_mut(per)) {
-                let obs = &obs;
-                let f = &f;
-                s.spawn(move || {
-                    let _obs = obs.attach();
-                    for (&p, slot) in chunk_in.iter().zip(chunk_out.iter_mut()) {
-                        *slot = Some(f(p));
-                    }
-                });
+        let per = mc_obs::par::share_len(pairs.len(), self.threads);
+        let mut jobs: Vec<_> = pairs.chunks(per).zip(out.chunks_mut(per)).collect();
+        mc_obs::par::for_each(&mut jobs, self.threads, |(chunk_in, chunk_out)| {
+            for (&p, slot) in chunk_in.iter().zip(chunk_out.iter_mut()) {
+                *slot = Some(f(p));
             }
         });
-        out.into_iter().map(|x| x.unwrap()).collect()
-    }
-}
-
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        threads
+        out.into_iter()
+            .map(|x| x.expect("every chunk was mapped"))
+            .collect()
     }
 }
 

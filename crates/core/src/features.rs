@@ -196,10 +196,10 @@ impl FeatureMatrix {
     }
 
     /// Materializes every not-yet-built chunk overlapping rows
-    /// `0..rows`, splitting the missing chunks across `threads` scoped
-    /// workers (`0` = all cores). `pairs` must be the matrix's full pair
-    /// list; already-built chunks are skipped, so repeated calls only pay
-    /// for new rows.
+    /// `0..rows`, splitting the missing chunks across up to `threads`
+    /// workers of the CPU budget (`0` = all cores). `pairs` must be the
+    /// matrix's full pair list; already-built chunks are skipped, so
+    /// repeated calls only pay for new rows.
     pub fn ensure_upto(
         &mut self,
         rows: usize,
@@ -230,31 +230,13 @@ impl FeatureMatrix {
                 fx.features_into(a, b, slot);
             }
         };
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        }
-        .min(jobs.len());
-        if threads <= 1 {
-            for (c, chunk) in jobs.iter_mut() {
+        let per = mc_obs::par::share_len(jobs.len(), threads);
+        let mut shares: Vec<_> = jobs.chunks_mut(per).collect();
+        mc_obs::par::for_each(&mut shares, threads, |share| {
+            for (c, chunk) in share.iter_mut() {
                 fill(*c, chunk);
             }
-        } else {
-            let per_worker = jobs.len().div_ceil(threads);
-            let obs = mc_obs::ObsContext::current();
-            std::thread::scope(|s| {
-                for group in jobs.chunks_mut(per_worker) {
-                    let obs = &obs;
-                    s.spawn(move || {
-                        let _obs = obs.attach();
-                        for (c, chunk) in group.iter_mut() {
-                            fill(*c, chunk);
-                        }
-                    });
-                }
-            });
-        }
+        });
         let mut rows_built = 0usize;
         for (c, chunk) in &jobs {
             built[*c] = true;

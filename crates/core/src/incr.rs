@@ -191,6 +191,7 @@ impl MatchCatcher {
         params.joint.q = QStrategy::Fixed(q);
 
         let _obs = params.obs.attach();
+        let _cpu = mc_obs::par::hold();
         let baseline = MetricsSnapshot::capture();
         let (stats_a, stats_b, promising, tree) = {
             let _span = mc_obs::Span::enter(Stage::Prepare.span_name());
@@ -316,7 +317,6 @@ impl DebugSession {
     /// session that only edits the killed set never pays the copy.
     fn cold_joint(&mut self) {
         let _span = mc_obs::Span::enter(Stage::TopK.span_name());
-        let threads = self.params.joint.threads.max(1);
         let store = self.params.open_store();
         let tok_key = store.as_ref().map(|_| {
             let (digest_a, digest_b) = store_io::content_digests(&self.a, &self.b);
@@ -326,7 +326,7 @@ impl DebugSession {
             &self.tok_a,
             &self.tok_b,
             &self.configs,
-            threads,
+            self.params.joint.threads,
             store.as_ref(),
             tok_key,
         );
@@ -363,6 +363,7 @@ impl DebugSession {
         oracle: &mut dyn Oracle,
     ) -> Result<DebugReport, mc_table::DeltaError> {
         let _obs = self.params.obs.attach();
+        let _cpu = mc_obs::par::hold();
         let baseline = MetricsSnapshot::capture();
         let _span = mc_obs::span!("mc.core.incr.rerun");
         mc_obs::counter!("mc.core.incr.reruns").inc();

@@ -2,7 +2,9 @@
 //!
 //! Every config of the tree gets one exact top-k join over its own
 //! record arenas, and the joins run **one config per core**: a pool of
-//! workers claims configs in tree order from one atomic counter.
+//! workers claims configs in tree order from one atomic counter. The
+//! pool is the caller plus one helper per free slot of the CPU budget
+//! ([`mc_obs::par`]), at most `threads` workers in all.
 //! Splitting a single config across cores suffers from skew (§4.2), so
 //! parallelism is across configs.
 //!
@@ -158,8 +160,10 @@ pub struct JointParams {
     pub measure: SetMeasure,
     /// QJoin q selection.
     pub q: QStrategy,
-    /// Worker threads. `Default` resolves to the machine's available
-    /// parallelism; [`run_joint`] still tolerates an explicit 0 as "all
+    /// Upper bound on the workers of each joint-stage and explain-stage
+    /// fan-out; the CPU budget ([`mc_obs::par`]) grants fewer while
+    /// other pipeline calls hold the cores. `Default` is the machine's
+    /// core count; [`run_joint`] still tolerates an explicit 0 as "all
     /// cores", but `DebuggerParams::validate` rejects it.
     pub threads: usize,
     /// No effect; defaults to `false`. The overlap database `H` it used
@@ -178,7 +182,7 @@ impl Default for JointParams {
             k: 1000,
             measure: SetMeasure::Jaccard,
             q: QStrategy::Fixed(1),
-            threads: std::thread::available_parallelism().map_or(4, |p| p.get()),
+            threads: mc_obs::par::cores(),
             reuse_overlaps: false,
             reuse_topk: false,
         }
@@ -200,20 +204,10 @@ pub struct JointOutput {
     pub q_used: usize,
 }
 
-/// Resolves the requested worker-thread count against the machine and
-/// the number of configs.
-fn resolve_threads(requested: usize, n_configs: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(4, |p| p.get())
-    } else {
-        requested
-    }
-    .min(n_configs)
-    .max(1)
-}
-
-/// Materializes both sides' flat record arenas for every config, in
-/// parallel, so workers share them by reference (no per-worker clones).
+/// Materializes both sides' flat record arenas for every config, on up
+/// to `threads` workers (`0` = all cores) of the CPU budget
+/// ([`mc_obs::par`]), so workers share them by reference (no per-worker
+/// clones).
 ///
 /// Public so warm-start callers (`mc-store`) can build — or restore —
 /// arenas themselves and hand them to [`run_joint_with_arenas`].
@@ -224,33 +218,13 @@ pub fn build_arenas(
     threads: usize,
 ) -> Vec<(RecordArena, RecordArena)> {
     let _span = mc_obs::span!("mc.core.joint.build_arenas");
-    let slots: Vec<OnceLock<(RecordArena, RecordArena)>> =
-        (0..configs.len()).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let obs = mc_obs::ObsContext::current();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(configs.len()).max(1) {
-            scope.spawn(|| {
-                let _obs = obs.attach();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= configs.len() {
-                        break;
-                    }
-                    let idx = configs[i].positions();
-                    let pair = (
-                        RecordArena::from_tokenized(tok_a, &idx),
-                        RecordArena::from_tokenized(tok_b, &idx),
-                    );
-                    slots[i].set(pair).expect("each slot filled once");
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("all arenas built"))
-        .collect()
+    mc_obs::par::map(configs, threads, |config| {
+        let idx = config.positions();
+        (
+            RecordArena::from_tokenized(tok_a, &idx),
+            RecordArena::from_tokenized(tok_b, &idx),
+        )
+    })
 }
 
 /// Runs one top-k join per config of the tree, jointly.
@@ -267,8 +241,7 @@ pub fn run_joint(
     params: JointParams,
 ) -> JointOutput {
     let configs = tree.configs();
-    let threads = resolve_threads(params.threads, configs.len());
-    let arenas = build_arenas(tok_a, tok_b, &configs, threads);
+    let arenas = build_arenas(tok_a, tok_b, &configs, params.threads);
     run_joint_with_arenas(tok_a, tok_b, killed, tree, params, &arenas)
 }
 
@@ -297,7 +270,6 @@ pub fn run_joint_with_arenas(
             .all(|(a, b)| a.len() == tok_a.rows() && b.len() == tok_b.rows()),
         "every arena covers its tokenized table's rows"
     );
-    let threads = resolve_threads(params.threads, n);
 
     // q selection on the root config. With `Auto`, every prelude join
     // populates a pair → score cache over the root arenas; the root
@@ -325,57 +297,51 @@ pub fn run_joint_with_arenas(
 
     let lists: Vec<OnceLock<TopKList>> = (0..n).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
-    mc_obs::gauge!("mc.core.joint.workers").set(threads as i64);
     mc_obs::gauge!("mc.core.joint.q_used").set(q_used as i64);
-    let obs = mc_obs::ObsContext::current();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let _obs = obs.attach();
-                // The join scratch is reused across every config this
-                // worker processes, so steady state allocates nothing.
-                let mut my_configs = 0u64;
-                let mut scratch = JoinScratch::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let _config_span = mc_obs::span!("mc.core.joint.config", i as u64);
-                    my_configs += 1;
-                    let (records_a, records_b) = &arenas[i];
-                    let scorer = ConfigScorer {
-                        measure: params.measure,
-                        // The prelude cache holds root-config scores, so
-                        // only the root config may consume it.
-                        score_cache: if i == 0 { score_cache.as_ref() } else { None },
-                        bound_memo: RefCell::default(),
-                    };
-                    let list = topk_join_with_scratch(
-                        SsjInstance {
-                            records_a,
-                            records_b,
-                            killed,
-                        },
-                        SsjParams {
-                            k: params.k,
-                            q: q_used,
-                            measure: params.measure,
-                        },
-                        &scorer,
-                        &[],
-                        None,
-                        &mut scratch,
-                    );
-                    lists[i]
-                        .set(list)
-                        .expect("each config is claimed exactly once");
-                }
-                mc_obs::counter!("mc.core.joint.configs_executed").add(my_configs);
-                mc_obs::histogram!("mc.core.joint.configs_per_thread").record(my_configs);
-            });
+    let workers = mc_obs::par::fan_out(params.threads, n, || {
+        // The join scratch is reused across every config this worker
+        // processes, so steady state allocates nothing.
+        let mut my_configs = 0u64;
+        let mut scratch = JoinScratch::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let _config_span = mc_obs::span!("mc.core.joint.config", i as u64);
+            my_configs += 1;
+            let (records_a, records_b) = &arenas[i];
+            let scorer = ConfigScorer {
+                measure: params.measure,
+                // The prelude cache holds root-config scores, so only the
+                // root config may consume it.
+                score_cache: if i == 0 { score_cache.as_ref() } else { None },
+                bound_memo: RefCell::default(),
+            };
+            let list = topk_join_with_scratch(
+                SsjInstance {
+                    records_a,
+                    records_b,
+                    killed,
+                },
+                SsjParams {
+                    k: params.k,
+                    q: q_used,
+                    measure: params.measure,
+                },
+                &scorer,
+                &[],
+                None,
+                &mut scratch,
+            );
+            lists[i]
+                .set(list)
+                .expect("each config is claimed exactly once");
         }
+        mc_obs::counter!("mc.core.joint.configs_executed").add(my_configs);
+        mc_obs::histogram!("mc.core.joint.configs_per_thread").record(my_configs);
     });
+    mc_obs::gauge!("mc.core.joint.workers").set(workers as i64);
 
     JointOutput {
         configs,

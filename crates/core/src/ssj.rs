@@ -1384,7 +1384,8 @@ pub fn brute_force_topk(inst: SsjInstance<'_>, k: usize, measure: SetMeasure) ->
 /// wall-clock race made the chosen `q` — and everything downstream —
 /// depend on OS scheduling. Here every candidate `q` instead runs a
 /// small prelude join (`prelude_k`, the paper uses 50) **to
-/// completion**, still one thread each, and the winner is the `q` whose
+/// completion**, each on one worker and as many at once as the CPU
+/// budget grants ([`mc_obs::par`]), and the winner is the `q` whose
 /// prelude was cheapest under a machine-independent cost model:
 /// queue events processed plus tokens fed to the scorer (ties go to the
 /// smaller `q`). Repeated runs at any thread count therefore pick the
@@ -1409,39 +1410,20 @@ pub fn select_q(
         return 1;
     }
     let _span = mc_obs::span!("mc.core.ssj.select_q");
-    let obs = mc_obs::ObsContext::current();
-    let costs: Vec<(u64, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..=max_q)
-            .map(|q| {
-                let obs = &obs;
-                scope.spawn(move || {
-                    let _obs = obs.attach();
-                    let scorer: Box<dyn PairScorer> = match cache {
-                        Some(cache) => Box::new(CachedExactScorer { measure, cache }),
-                        None => Box::new(ExactScorer(measure)),
-                    };
-                    let params = SsjParams {
-                        k: prelude_k,
-                        q,
-                        measure,
-                    };
-                    let mut scratch = JoinScratch::new();
-                    let _ = topk_join_with_scratch(
-                        inst,
-                        params,
-                        scorer.as_ref(),
-                        &[],
-                        None,
-                        &mut scratch,
-                    );
-                    (scratch.last_events() + scratch.last_scored_tokens(), q)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("select_q prelude thread panicked"))
-            .collect()
+    let qs: Vec<usize> = (1..=max_q).collect();
+    let costs = mc_obs::par::map(&qs, 0, |&q| {
+        let scorer: Box<dyn PairScorer> = match cache {
+            Some(cache) => Box::new(CachedExactScorer { measure, cache }),
+            None => Box::new(ExactScorer(measure)),
+        };
+        let params = SsjParams {
+            k: prelude_k,
+            q,
+            measure,
+        };
+        let mut scratch = JoinScratch::new();
+        let _ = topk_join_with_scratch(inst, params, scorer.as_ref(), &[], None, &mut scratch);
+        (scratch.last_events() + scratch.last_scored_tokens(), q)
     });
     costs.into_iter().min().map_or(1, |(_, q)| q)
 }

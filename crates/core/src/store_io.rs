@@ -62,15 +62,13 @@ fn tokenizer_tag(t: Tokenizer) -> (u8, u8) {
     }
 }
 
-/// Both tables' content digests, hashed on two scoped threads. On a
-/// cold prepare neither digest is memoized yet and each is a full pass
-/// over its table's values; a memoized digest returns at once.
+/// Both tables' content digests, hashed on two workers when the CPU
+/// budget has a free slot. On a cold prepare neither digest is memoized
+/// yet and each is a full pass over its table's values; a memoized
+/// digest returns at once.
 pub(crate) fn content_digests(a: &Table, b: &Table) -> (Digest, Digest) {
-    std::thread::scope(|scope| {
-        let digest_b = scope.spawn(|| b.content_digest());
-        let digest_a = a.content_digest();
-        (digest_a, digest_b.join().expect("digest thread panicked"))
-    })
+    let d = mc_obs::par::map(&[a, b], 2, |t| t.content_digest());
+    (d[0], d[1])
 }
 
 /// Key of the tokenization artifact: input bytes (via the tables'

@@ -5,7 +5,8 @@
 //! prediction confidence (§5, "the fraction of decision trees in F that
 //! predict the item as a match").
 //!
-//! Fitting and batch scoring run on scoped worker threads and are
+//! Fitting and batch scoring fan out over the CPU budget
+//! ([`mc_obs::par`]) and are
 //! **bit-identical at any thread count**: tree `t` is grown from its own
 //! `StdRng` seeded by a per-tree derivation of the base seed, so no tree's
 //! randomness depends on how work was scheduled, and batch scores are
@@ -42,8 +43,9 @@ pub struct ForestParams {
     /// deterministic given this seed and the training data, regardless
     /// of `threads`).
     pub seed: u64,
-    /// Worker threads for fitting and batch scoring; `0` = all cores.
-    /// Never affects results, only wall-clock.
+    /// Upper bound on the workers of fitting and batch scoring; `0` =
+    /// all cores. The CPU budget may grant fewer. Never affects results,
+    /// only wall-clock.
     pub threads: usize,
 }
 
@@ -66,14 +68,6 @@ impl Default for ForestParams {
 /// adjacent derived seeds yield unrelated streams.
 fn tree_seed(base: u64, t: usize) -> u64 {
     base ^ (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
-fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        requested
-    }
 }
 
 /// A trained random forest for binary classification.
@@ -131,34 +125,19 @@ impl RandomForest {
             DecisionTree::fit_samples(samples, picks, &tree_params, &mut rng, scratch)
         };
 
-        let threads = resolve_threads(params.threads).min(params.n_trees.max(1));
-        if threads <= 1 {
-            let mut scratch = TreeScratch::default();
-            let trees = (0..params.n_trees)
-                .map(|t| fit_one(t, &mut scratch))
-                .collect();
-            return RandomForest { trees };
-        }
-
         // Deterministic parallel fit: slot t only ever receives tree t,
         // so the assembled forest is independent of scheduling.
         let slots: Vec<OnceLock<DecisionTree>> =
             (0..params.n_trees).map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
-        let obs = mc_obs::ObsContext::current();
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                s.spawn(|| {
-                    let _obs = obs.attach();
-                    let mut scratch = TreeScratch::default();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= params.n_trees {
-                            break;
-                        }
-                        let _ = slots[t].set(fit_one(t, &mut scratch));
-                    }
-                });
+        mc_obs::par::fan_out(params.threads, params.n_trees, || {
+            let mut scratch = TreeScratch::default();
+            loop {
+                let t = next.fetch_add(1, Ordering::Relaxed);
+                if t >= params.n_trees {
+                    break;
+                }
+                let _ = slots[t].set(fit_one(t, &mut scratch));
             }
         });
         let trees = slots
@@ -187,7 +166,7 @@ impl RandomForest {
 
     /// `(confidence, mean_proba)` for each row of `rows` selected by
     /// `idx`, scored in parallel chunks of [`PREDICT_CHUNK`] rows across
-    /// `threads` workers (`0` = all cores). Row order is preserved and
+    /// up to `threads` workers (`0` = all cores). Row order is preserved and
     /// results are identical at any thread count.
     pub fn score_batch(
         &self,
@@ -227,24 +206,11 @@ impl RandomForest {
             .chunks(PREDICT_CHUNK)
             .zip(out.chunks_mut(PREDICT_CHUNK))
             .collect();
-        let threads = resolve_threads(threads).min(jobs.len());
-        if threads <= 1 {
-            for (ids, outs) in jobs.iter_mut() {
+        let per = mc_obs::par::share_len(jobs.len(), threads);
+        let mut shares: Vec<_> = jobs.chunks_mut(per).collect();
+        mc_obs::par::for_each(&mut shares, threads, |share| {
+            for (ids, outs) in share.iter_mut() {
                 score_chunk(ids, outs);
-            }
-            return;
-        }
-        let per_worker = jobs.len().div_ceil(threads);
-        let obs = mc_obs::ObsContext::current();
-        std::thread::scope(|s| {
-            for group in jobs.chunks_mut(per_worker) {
-                let obs = &obs;
-                s.spawn(move || {
-                    let _obs = obs.attach();
-                    for (ids, outs) in group.iter_mut() {
-                        score_chunk(ids, outs);
-                    }
-                });
             }
         });
     }

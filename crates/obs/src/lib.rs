@@ -1,7 +1,7 @@
 //! `mc-obs` — pipeline-wide observability for the MatchCatcher
 //! workspace.
 //!
-//! Four layers, all cheap enough to stay on in production:
+//! Five layers, all cheap enough to stay on in production:
 //!
 //! * **Contexts** ([`context`]) — an [`ObsContext`] is a clonable handle
 //!   bundling a [`Registry`] and a [`FlightRecorder`]. One global
@@ -9,7 +9,7 @@
 //!   contexts (`ObsContext::session()`) give each `MatchCatcher::run` an
 //!   isolated, fully attributed view while chaining metric updates into
 //!   the global registry. `ctx.attach()` scopes a context to the
-//!   current thread; spawned workers re-attach `ObsContext::current()`.
+//!   current thread; fan-out helpers ([`par`]) re-attach the caller's.
 //! * **Metrics** ([`metrics`]) — lock-free atomic [`Counter`]s,
 //!   [`Gauge`]s and log-linear quantile [`Histogram`]s. Hot paths pay a
 //!   few relaxed atomic ops; the [`counter!`]/[`gauge!`]/[`histogram!`]
@@ -27,6 +27,11 @@
 //!   `DebugReport`, the `mc` CLI, and the bench harness;
 //!   `to_prometheus()` and `to_chrome_trace()` feed external tooling.
 //!
+//! * **CPU budget** ([`par`]) — one process-wide set of
+//!   `available_parallelism()` slots shared by every fan-out: pipeline
+//!   calls and helper threads hold slots, and a fan-out starts a helper
+//!   only for a slot that is free at that moment.
+//!
 //! Metric names follow `mc.<crate>.<stage>.<name>` — see DESIGN.md
 //! §Observability for the catalog and the rules for adding one.
 
@@ -34,6 +39,7 @@ pub mod context;
 pub mod export;
 pub mod json;
 pub mod metrics;
+pub mod par;
 pub mod snapshot;
 pub mod span;
 

@@ -97,7 +97,7 @@ impl Default for ServeParams {
     fn default() -> Self {
         ServeParams {
             addr: "127.0.0.1:0".into(),
-            workers: std::thread::available_parallelism().map_or(4, |p| p.get().min(8)),
+            workers: mc_obs::par::cores().min(8),
             queue_depth: 64,
             max_frame_bytes: 8 << 20,
             max_sessions: 64,

@@ -15,6 +15,13 @@
 //!   the daemon never buffers unboundedly); a job whose deadline passed
 //!   while queued answers `timeout` without executing.
 //!
+//! Every request's round trip is split in the daemon's own metrics
+//! scope ([`DaemonHandle::metrics`], chained into the global registry)
+//! into three per-verb histograms: `mc.serve.<verb>.queue_wait_us` (from
+//! enqueue to dequeue), `mc.serve.<verb>.service_us` (the time spent in
+//! [`SessionManager::execute`]) and `mc.serve.<verb>.encode_us` (response
+//! encoding plus the frame write).
+//!
 //! Shutdown (`shutdown` verb or [`DaemonHandle::shutdown`]) is a
 //! **graceful drain**: the flag flips, the listener is woken by a
 //! self-connection and stops accepting, readers answer `shutting_down`
@@ -27,7 +34,7 @@ use crate::frame::{read_frame, write_frame, FrameError};
 use crate::proto::{error_response, ok_response, parse_request, ErrorCode, Request};
 use crate::session::SessionManager;
 use crate::ServeParams;
-use mc_obs::JsonValue;
+use mc_obs::{JsonValue, MetricsSnapshot, ObsContext};
 use std::collections::VecDeque;
 use std::io::BufWriter;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -46,8 +53,32 @@ struct Job {
     request: Request,
     /// Response goes back to the owning connection's reader.
     reply: mpsc::Sender<JsonValue>,
+    /// When the job entered the queue.
+    enqueued: Instant,
     /// Queued-past-this → `timeout` without executing.
     deadline: Instant,
+}
+
+/// `mc.serve.<verb>.{queue_wait,service,encode}_us`: the three in-daemon
+/// parts of one verb's round trip.
+fn split_names(verb: &str) -> [&'static str; 3] {
+    macro_rules! names {
+        ($($verb:literal),*) => {
+            match verb {
+                $($verb => [
+                    concat!("mc.serve.", $verb, ".queue_wait_us"),
+                    concat!("mc.serve.", $verb, ".service_us"),
+                    concat!("mc.serve.", $verb, ".encode_us"),
+                ],)*
+                _ => [
+                    "mc.serve.other.queue_wait_us",
+                    "mc.serve.other.service_us",
+                    "mc.serve.other.encode_us",
+                ],
+            }
+        };
+    }
+    names!("open", "rerun", "page", "label", "explain", "pervade", "gc", "metrics", "close")
 }
 
 /// State shared by every daemon thread.
@@ -65,9 +96,19 @@ struct Shared {
     /// request parse failures) — the load bench asserts this stays 0.
     protocol_errors: AtomicU64,
     requests: AtomicU64,
+    /// The daemon's own metrics scope: the round-trip split histograms.
+    obs: ObsContext,
 }
 
 impl Shared {
+    /// Records `since.elapsed()` in microseconds under `name`.
+    fn record_since(&self, name: &'static str, since: Instant) {
+        self.obs
+            .registry()
+            .histogram(name)
+            .record(since.elapsed().as_micros() as u64);
+    }
+
     /// Enqueues a job, applying backpressure at `queue_depth`.
     fn enqueue(&self, job: Job) -> Result<(), ErrorCode> {
         if self.shutdown.load(Ordering::SeqCst) {
@@ -137,6 +178,7 @@ impl Daemon {
             shutdown: AtomicBool::new(false),
             protocol_errors: AtomicU64::new(0),
             requests: AtomicU64::new(0),
+            obs: ObsContext::session(),
         });
 
         let workers = (0..shared.params.workers)
@@ -255,6 +297,12 @@ impl DaemonHandle {
     pub fn resident_bytes(&self) -> usize {
         self.shared.sessions.resident_bytes()
     }
+
+    /// Everything the daemon recorded in its own scope so far: the
+    /// per-verb round-trip split histograms (see the module docs).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.shared.obs.snapshot()
+    }
 }
 
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
@@ -362,10 +410,12 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
 
         let verb = request.verb();
         let (tx, rx) = mpsc::channel();
+        let enqueued = Instant::now();
         let job = Job {
             request,
             reply: tx,
-            deadline: Instant::now() + Duration::from_millis(shared.params.request_timeout_ms),
+            enqueued,
+            deadline: enqueued + Duration::from_millis(shared.params.request_timeout_ms),
         };
         let response = match shared.enqueue(job) {
             Ok(()) => match rx.recv() {
@@ -384,7 +434,10 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 error_response(verb, code, msg)
             }
         };
-        if write_frame(&mut writer, &response).is_err() {
+        let encode = Instant::now();
+        let written = write_frame(&mut writer, &response);
+        shared.record_since(split_names(verb)[2], encode);
+        if written.is_err() {
             return;
         }
     }
@@ -393,6 +446,8 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.dequeue() {
         let verb = job.request.verb();
+        let [queue_wait, service, _] = split_names(verb);
+        shared.record_since(queue_wait, job.enqueued);
         let response = if Instant::now() > job.deadline {
             mc_obs::counter!("mc.serve.timeouts").inc();
             error_response(
@@ -406,12 +461,15 @@ fn worker_loop(shared: &Arc<Shared>) {
             // worker must survive *any* panic: a dead worker would
             // strand queued jobs (their reply senders live in the
             // queue) and hang every waiting connection.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let start = Instant::now();
+            let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 shared.sessions.execute(&job.request)
             }))
             .unwrap_or_else(|_| {
                 error_response(verb, ErrorCode::Internal, "request handler panicked")
-            })
+            });
+            shared.record_since(service, start);
+            response
         };
         // A reader that gave up (connection dropped) is fine to ignore.
         let _ = job.reply.send(response);

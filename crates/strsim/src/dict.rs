@@ -13,8 +13,9 @@
 //! joins operate on.
 //!
 //! [`TokenizedTable::build_pair`] splits both tables into chunks of a
-//! fixed number of rows and tokenizes each chunk in one pass on scoped
-//! workers, against a chunk-local dictionary and straight into flat
+//! fixed number of rows and tokenizes each chunk in one pass on the
+//! workers of the CPU budget ([`mc_obs::par`]), against a chunk-local
+//! dictionary and straight into flat
 //! columns. Merging the chunk dictionaries in row order (A's chunks, then
 //! B's) reproduces the ids and document frequencies of one sequential
 //! pass exactly, so the ranks do not depend on the worker count.
@@ -25,7 +26,6 @@ use mc_table::hash::{FxHashMap, FxHasher};
 use mc_table::{AttrId, Table, TupleId};
 use std::hash::Hasher;
 use std::ops::Range;
-use std::sync::Mutex;
 
 /// Rows per tokenization chunk. A constant, so the split into chunks —
 /// and with it the build's allocation count — is the same on every
@@ -229,8 +229,7 @@ impl TokenizedTable {
         tokenizer: Tokenizer,
     ) -> (TokenizedTable, TokenizedTable, TokenOrder, TokenDict) {
         let _span = mc_obs::span!("mc.strsim.dict.build");
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let built = build_chunked(a, b, attrs, tokenizer, CHUNK_ROWS, workers);
+        let built = build_chunked(a, b, attrs, tokenizer, CHUNK_ROWS, 0);
         let dict = &built.3;
         mc_obs::counter!("mc.strsim.dict.builds").inc();
         mc_obs::gauge!("mc.strsim.dict.distinct_tokens").set(dict.len() as i64);
@@ -436,7 +435,7 @@ impl<'t> Chunk<'t> {
 }
 
 /// The build behind [`TokenizedTable::build_pair_retained`], with the
-/// chunk size and worker count as parameters.
+/// chunk size and the bound on workers (`0` = all cores) as parameters.
 fn build_chunked(
     a: &Table,
     b: &Table,
@@ -451,7 +450,7 @@ fn build_chunked(
             .map(move |lo| Chunk::new(t, lo..(lo + chunk_rows).min(t.len())))
     };
     let mut chunks: Vec<Chunk<'_>> = split(a).chain(split(b)).collect();
-    for_each_parallel(&mut chunks, workers, |c| c.scan(attrs, tokenizer));
+    mc_obs::par::for_each(&mut chunks, workers, |c| c.scan(attrs, tokenizer));
     // Row order — A's chunks, then B's — gives every token the id and
     // document frequency one sequential pass would.
     let mut dict = TokenDict::new();
@@ -463,7 +462,7 @@ fn build_chunked(
         }
         chunk.ranks = ranks;
     }
-    for_each_parallel(&mut chunks, workers, Chunk::remap);
+    mc_obs::par::for_each(&mut chunks, workers, Chunk::remap);
     let (chunks_a, chunks_b) = chunks.split_at(a.len().div_ceil(chunk_rows));
     (
         concat_chunks(chunks_a, attrs.len(), a.len()),
@@ -495,33 +494,6 @@ fn concat_chunks(chunks: &[Chunk<'_>], attr_count: usize, rows: usize) -> Tokeni
         })
         .collect();
     TokenizedTable { cols, rows }
-}
-
-/// Runs `f` on every item, on up to `workers` scoped threads that take
-/// the next unclaimed item until none is left (inline when one worker
-/// suffices).
-fn for_each_parallel<T: Send>(items: &mut [T], workers: usize, f: impl Fn(&mut T) + Sync) {
-    let workers = workers.min(items.len());
-    if workers <= 1 {
-        items.iter_mut().for_each(f);
-        return;
-    }
-    let queue = Mutex::new(items.iter_mut());
-    let next = || {
-        queue
-            .lock()
-            .expect("no worker panics holding the queue")
-            .next()
-    };
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                while let Some(item) = next() {
-                    f(item);
-                }
-            });
-        }
-    });
 }
 
 /// Session-owned tokenizer state for incremental re-tokenization.

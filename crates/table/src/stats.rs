@@ -367,30 +367,20 @@ fn scan_attr(table: &Table, attr: AttrId) -> AttrStats {
 }
 
 /// Runs [`scan_attr`] for every `(table, attribute)` job, in job order,
-/// on up to `available_parallelism()` scoped workers that each take a
-/// contiguous run of jobs.
+/// one contiguous share of jobs per core, on the workers of the CPU
+/// budget ([`mc_obs::par`]).
 fn scan_jobs(jobs: &[(&Table, AttrId)]) -> Vec<AttrStats> {
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .min(jobs.len());
-    if workers <= 1 {
-        return jobs.iter().map(|&(t, f)| scan_attr(t, f)).collect();
-    }
-    let mut slots: Vec<Option<AttrStats>> = jobs.iter().map(|_| None).collect();
-    let per = jobs.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        for (group, out) in jobs.chunks(per).zip(slots.chunks_mut(per)) {
-            s.spawn(move || {
-                for (&(t, f), slot) in group.iter().zip(out) {
-                    *slot = Some(scan_attr(t, f));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|st| st.expect("every stats job ran"))
-        .collect()
+    let shares: Vec<&[(&Table, AttrId)]> =
+        jobs.chunks(mc_obs::par::share_len(jobs.len(), 0)).collect();
+    mc_obs::par::map(&shares, 0, |share| {
+        share
+            .iter()
+            .map(|&(t, f)| scan_attr(t, f))
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// `v.to_ascii_lowercase()`, built in `buf`.

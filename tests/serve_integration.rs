@@ -221,6 +221,46 @@ fn warm_rerun_is_byte_identical_to_cold_run_on_patched_tables() {
 }
 
 #[test]
+fn rerun_round_trip_splits_into_queue_wait_service_and_encode() {
+    let daemon = Daemon::spawn(ServeParams::default()).expect("spawn");
+    let mut client = connect(&daemon);
+    let resp = client.call_ok(&open_profile_request()).expect("open");
+    let session = resp.get("session").unwrap().as_u64().expect("session id");
+
+    let start = std::time::Instant::now();
+    client
+        .call_ok(&obj(vec![
+            ("verb", "rerun".into()),
+            ("session", session.into()),
+        ]))
+        .expect("rerun");
+    let rtt_us = start.elapsed().as_micros() as u64;
+    // One connection is served in request order, so once this reply
+    // arrives the rerun's reply frame has been written and timed.
+    client
+        .call_ok(&obj(vec![
+            ("verb", "page".into()),
+            ("session", session.into()),
+        ]))
+        .expect("page");
+
+    let snap = daemon.handle().metrics();
+    let parts = ["queue_wait_us", "service_us", "encode_us"].map(|part| {
+        let h = snap.histogram(&format!("mc.serve.rerun.{part}"));
+        assert_eq!(h.count, 1, "one rerun fills mc.serve.rerun.{part} once");
+        h.sum
+    });
+    assert!(parts[1] > 0, "a rerun runs the pipeline: {parts:?}");
+    assert!(
+        parts.iter().sum::<u64>() <= rtt_us,
+        "split {parts:?} exceeds the client's {rtt_us} us round trip"
+    );
+    assert_eq!(snap.histogram("mc.serve.open.service_us").count, 1);
+    client.shutdown().expect("shutdown frame");
+    daemon.shutdown();
+}
+
+#[test]
 fn concurrent_sessions_do_not_bleed() {
     let daemon = Daemon::spawn(ServeParams::default()).expect("spawn");
     let addr = daemon.addr();
