@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use matchcatcher::config::ConfigGenerator;
 use matchcatcher::joint::{run_joint, JointParams};
-use matchcatcher::ssj::{topk_join, ExactScorer, SsjInstance, SsjParams};
+use matchcatcher::ssj::{topk_join, SsjInstance, SsjParams};
 use mc_datagen::profiles::DatasetProfile;
 use mc_strsim::arena::RecordArena;
 use mc_strsim::dict::TokenizedTable;
@@ -49,7 +49,6 @@ fn bench_qjoin_vs_topkjoin(c: &mut Criterion) {
         records_b: &rb,
         killed: &killed,
     };
-    let scorer = ExactScorer(SetMeasure::Jaccard);
     let mut group = c.benchmark_group("topk_ssj");
     group.sample_size(10);
     for q in [1usize, 2, 3] {
@@ -62,7 +61,6 @@ fn bench_qjoin_vs_topkjoin(c: &mut Criterion) {
                         q,
                         measure: SetMeasure::Jaccard,
                     },
-                    &scorer,
                     &[],
                     None,
                 );

@@ -13,7 +13,8 @@
 //!
 //! The main numbers run with a fixed `q = 1` so the candidate sets stay
 //! comparable across versions; a separate `auto_q` section per profile
-//! demonstrates empirical q selection with the prelude score cache.
+//! runs empirical q selection and reports its work (`events` and
+//! `scored` include the preludes), which `ci/bench_budgets.json` gates.
 //!
 //! With `--budget PATH`, the run additionally gates on the checked-in
 //! per-profile `scored` budgets (see `ci/ssj_scored_budgets.json`): the
@@ -56,21 +57,19 @@ struct ProfileReport {
     events: u64,
     scored: u64,
     merge_aborts: u64,
-    cache_hits: u64,
-    scored_saved: u64,
     allocs: AllocStats,
     tokenize_allocs: AllocStats,
     auto_q: AutoQReport,
 }
 
-/// One demonstration run with `QStrategy::Auto`: all preludes execute to
-/// completion (deterministic q selection) while populating the pair →
-/// score cache the winning q's main run then consumes.
+/// One run with `QStrategy::Auto`: all preludes execute to completion
+/// (deterministic q selection), then the winning q's main run.
 struct AutoQReport {
     q_used: usize,
     select_q_us: u64,
     joint_us: u64,
-    cache_hits: u64,
+    events: u64,
+    scored: u64,
 }
 
 fn run_profile(
@@ -129,7 +128,7 @@ fn run_profile(
         eprintln!("--- {} best-run metrics ---\n{}", ds.name, delta.render());
     }
 
-    // Auto-q demonstration (measured separately so the main numbers stay
+    // Auto-q run (measured separately so the main numbers stay
     // on the fixed-q configuration with version-comparable candidates).
     let auto_base = MetricsSnapshot::capture();
     let auto_out = run_joint(
@@ -151,7 +150,8 @@ fn run_profile(
         q_used: auto_out.q_used,
         select_q_us: auto_delta.span("mc.core.ssj.select_q").total_us,
         joint_us: auto_delta.span("mc.core.joint.run").total_us,
-        cache_hits: auto_delta.counter("mc.core.ssj.cache_hits"),
+        events: auto_delta.counter("mc.core.ssj.events"),
+        scored: auto_delta.counter("mc.core.ssj.scored"),
     };
 
     ProfileReport {
@@ -166,8 +166,6 @@ fn run_profile(
         events: delta.counter("mc.core.ssj.events"),
         scored: delta.counter("mc.core.ssj.scored"),
         merge_aborts: delta.counter("mc.core.ssj.merge_aborts"),
-        cache_hits: delta.counter("mc.core.ssj.cache_hits"),
-        scored_saved: delta.counter("mc.core.ssj.scored_saved"),
         allocs,
         tokenize_allocs,
         auto_q,
@@ -229,7 +227,7 @@ fn main() {
     ];
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"mc-bench-ssj/v2\",\n  \"profiles\": [");
+    json.push_str("{\n  \"schema\": \"mc-bench-ssj/v3\",\n  \"profiles\": [");
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {
             json.push(',');
@@ -239,10 +237,10 @@ fn main() {
             "\n    {{\"name\": \"{}\", \"scale\": {}, \"k\": {}, \"configs\": {}, \
              \"candidates\": {}, \"stages\": {{\"tokenize_us\": {}, \"joint_us\": {}, \
              \"config_us\": {}}}, \"counters\": {{\"events\": {}, \"scored\": {}, \
-             \"merge_aborts\": {}, \"cache_hits\": {}, \"scored_saved\": {}}}, \
+             \"merge_aborts\": {}}}, \
              \"allocs\": {{\"count\": {}, \"bytes\": {}, \"tokenize_count\": {}}}, \
              \"auto_q\": {{\"q_used\": {}, \"select_q_us\": {}, \"joint_us\": {}, \
-             \"cache_hits\": {}}}}}",
+             \"events\": {}, \"scored\": {}}}}}",
             r.name,
             r.scale,
             r.k,
@@ -254,42 +252,41 @@ fn main() {
             r.events,
             r.scored,
             r.merge_aborts,
-            r.cache_hits,
-            r.scored_saved,
             r.allocs.allocations,
             r.allocs.bytes,
             r.tokenize_allocs.allocations,
             r.auto_q.q_used,
             r.auto_q.select_q_us,
             r.auto_q.joint_us,
-            r.auto_q.cache_hits
+            r.auto_q.events,
+            r.auto_q.scored
         );
     }
     json.push_str("\n  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_ssj.json");
 
     println!(
-        "{:<16} {:>8} {:>6} {:>12} {:>12} {:>10} {:>10} {:>8}",
-        "dataset", "scale", "cfgs", "joint", "scored", "aborts", "saved", "|E|"
+        "{:<16} {:>8} {:>6} {:>12} {:>12} {:>10} {:>8}",
+        "dataset", "scale", "cfgs", "joint", "scored", "aborts", "|E|"
     );
     for r in &reports {
         println!(
-            "{:<16} {:>8.2} {:>6} {:>10.2}ms {:>12} {:>10} {:>10} {:>8}",
+            "{:<16} {:>8.2} {:>6} {:>10.2}ms {:>12} {:>10} {:>8}",
             r.name,
             r.scale,
             r.configs,
             r.joint_us as f64 / 1e3,
             r.scored,
             r.merge_aborts,
-            r.scored_saved,
             r.candidates
         );
         println!(
-            "  auto-q: q={} select_q {:.2}ms, joint {:.2}ms, cache hits {}",
+            "  auto-q: q={} select_q {:.2}ms, joint {:.2}ms, events {}, scored {}",
             r.auto_q.q_used,
             r.auto_q.select_q_us as f64 / 1e3,
             r.auto_q.joint_us as f64 / 1e3,
-            r.auto_q.cache_hits
+            r.auto_q.events,
+            r.auto_q.scored
         );
     }
     println!("wrote {out_path}");

@@ -15,6 +15,7 @@ use crate::explain::MatchExplanation;
 use crate::features::FeatureExtractor;
 use crate::joint::{
     build_arenas, run_joint, run_joint_with_arenas, CandidateUnion, JointOutput, JointParams,
+    QStrategy,
 };
 use crate::oracle::Oracle;
 use crate::ssj::TopKList;
@@ -95,6 +96,18 @@ impl DebuggerParams {
             return Err("joint.k = 0: every top-k list would be empty, so the \
                         debugger could never surface a killed match (the paper \
                         uses k = 1000)"
+                .into());
+        }
+        if matches!(
+            self.joint.q,
+            QStrategy::Auto {
+                max_q: 2..,
+                prelude_k: 0
+            }
+        ) {
+            return Err("joint.q = Auto with prelude_k = 0: every q-selection \
+                        prelude would keep an empty top-k list, so no q could \
+                        be chosen (the paper uses prelude_k = 50)"
                 .into());
         }
         if self.joint.threads == 0 {
@@ -210,9 +223,18 @@ fn decoded<T>(out: Option<T>) -> Option<T> {
     out
 }
 
-/// Runs `f` inside the stage's span, notifying the observer with the
-/// metrics delta the stage accrued.
-fn observed<T>(observer: &mut dyn RunObserver, stage: Stage, f: impl FnOnce() -> T) -> T {
+/// Runs `f` inside the stage's span. An observer is notified around it
+/// with the metrics delta the stage accrued; without one, no snapshot is
+/// taken.
+fn observed<T>(
+    observer: Option<&mut (dyn RunObserver + '_)>,
+    stage: Stage,
+    f: impl FnOnce() -> T,
+) -> T {
+    let Some(observer) = observer else {
+        let _span = mc_obs::Span::enter(stage.span_name());
+        return f();
+    };
     observer.stage_started(stage);
     let before = MetricsSnapshot::capture();
     let out = {
@@ -306,13 +328,7 @@ impl MatchCatcher {
     /// Stage 1: attribute selection, config-tree generation,
     /// tokenization. Blocker-independent (does not need `C`).
     pub fn prepare(&self, a: &Table, b: &Table) -> Prepared {
-        let generator = ConfigGenerator::new(self.params.config);
-        let promising = generator.promising(a, b);
-        assert!(
-            !promising.attrs.is_empty(),
-            "no promising attributes — tables have no usable string/categorical columns"
-        );
-        self.prepare_from_promising(a, b, promising)
+        self.prepare_cached(a, b, None, None).0
     }
 
     /// Like [`MatchCatcher::prepare`] but with a **manually curated**
@@ -321,50 +337,43 @@ impl MatchCatcher {
     /// `FindLongAttr` are still computed from the data.
     pub fn prepare_with_attrs(&self, a: &Table, b: &Table, attrs: &[AttrId]) -> Prepared {
         assert!(!attrs.is_empty(), "curated attribute set must be non-empty");
-        let (stats_a, stats_b) = mc_table::stats::TableStats::compute_pair(a, b);
-        let promising = crate::config::PromisingAttrs {
-            attrs: attrs.to_vec(),
-            e_scores: attrs
-                .iter()
-                .map(|&f| stats_a.attr(f).e_component() * stats_b.attr(f).e_component())
-                .collect(),
-            avg_tokens_a: attrs.iter().map(|&f| stats_a.attr(f).avg_tokens).collect(),
-            avg_tokens_b: attrs.iter().map(|&f| stats_b.attr(f).avg_tokens).collect(),
-        };
-        self.prepare_from_promising(a, b, promising)
+        self.prepare_cached(a, b, Some(attrs), None).0
     }
 
-    fn prepare_from_promising(&self, a: &Table, b: &Table, promising: PromisingAttrs) -> Prepared {
-        self.prepare_from_promising_cached(a, b, promising, None).0
-    }
-
-    /// Store-aware [`MatchCatcher::prepare`]: on a tokenization-artifact
-    /// hit the `mc.strsim.dict.build` pass is skipped entirely. Returns
-    /// the tokenization cache key when a store is active, so later
-    /// stages can derive their own keys from it.
+    /// The one body of [`MatchCatcher::prepare`],
+    /// [`MatchCatcher::prepare_with_attrs`] and [`MatchCatcher::run`]:
+    /// selects the promising attributes (or scores the `curated` ones),
+    /// builds the tree and tokenizes. With a store, a tokenization-artifact
+    /// hit skips the `mc.strsim.dict.build` pass entirely, and the
+    /// tokenization cache key is returned so later stages can derive
+    /// their own keys from it.
     fn prepare_cached(
         &self,
         a: &Table,
         b: &Table,
+        curated: Option<&[AttrId]>,
         store: Option<&Store>,
     ) -> (Prepared, Option<Digest>) {
         let generator = ConfigGenerator::new(self.params.config);
-        let promising = generator.promising(a, b);
+        let promising = match curated {
+            None => generator.promising(a, b),
+            Some(attrs) => {
+                let (stats_a, stats_b) = mc_table::stats::TableStats::compute_pair(a, b);
+                PromisingAttrs {
+                    attrs: attrs.to_vec(),
+                    e_scores: attrs
+                        .iter()
+                        .map(|&f| stats_a.attr(f).e_component() * stats_b.attr(f).e_component())
+                        .collect(),
+                    avg_tokens_a: attrs.iter().map(|&f| stats_a.attr(f).avg_tokens).collect(),
+                    avg_tokens_b: attrs.iter().map(|&f| stats_b.attr(f).avg_tokens).collect(),
+                }
+            }
+        };
         assert!(
             !promising.attrs.is_empty(),
             "no promising attributes — tables have no usable string/categorical columns"
         );
-        self.prepare_from_promising_cached(a, b, promising, store)
-    }
-
-    fn prepare_from_promising_cached(
-        &self,
-        a: &Table,
-        b: &Table,
-        promising: PromisingAttrs,
-        store: Option<&Store>,
-    ) -> (Prepared, Option<Digest>) {
-        let generator = ConfigGenerator::new(self.params.config);
         let tree = generator.build_tree(&promising);
         let key = store.map(|_| {
             let (digest_a, digest_b) = store_io::content_digests(a, b);
@@ -418,24 +427,17 @@ impl MatchCatcher {
         c: &PairSet,
         store: Option<&Store>,
         tok: Option<Digest>,
-    ) -> (Vec<Config>, usize, CandidateUnion) {
-        let ukey = match (store, tok) {
-            (Some(_), Some(t)) => Some(store_io::union_key(
-                t,
-                &prepared.tree,
-                &self.params.joint,
-                c,
-            )),
-            _ => None,
-        };
+    ) -> (usize, CandidateUnion) {
+        let ukey = store
+            .and(tok)
+            .map(|t| store_io::union_key(t, &prepared.tree, &self.params.joint, c));
         if let (Some(s), Some(k)) = (store, ukey) {
             if let Some((configs, q_used, union)) = s
                 .load(ArtifactKind::CandidateUnion, k)
                 .and_then(|bytes| decoded(store_io::decode_union(&bytes)))
             {
-                let expected = prepared.tree.configs();
-                if configs == expected {
-                    return (configs, q_used, union);
+                if configs == prepared.tree.configs() {
+                    return (q_used, union);
                 }
                 mc_obs::counter!("mc.store.decode_failed").inc();
             }
@@ -464,7 +466,7 @@ impl MatchCatcher {
                 &store_io::encode_union(&out.configs, out.q_used, &union),
             );
         }
-        (out.configs, out.q_used, union)
+        (out.q_used, union)
     }
 
     /// Stage 2: joint top-k joins over all configs, excluding pairs in
@@ -542,63 +544,80 @@ impl MatchCatcher {
         let _cpu = mc_obs::par::hold();
         let store = self.params.open_store();
         let baseline = MetricsSnapshot::capture();
-        let (prepared, tok) = observed(observer, Stage::Prepare, || {
-            self.prepare_cached(a, b, store.as_ref())
+        let (prepared, tok) = observed(Some(&mut *observer), Stage::Prepare, || {
+            self.prepare_cached(a, b, None, store.as_ref())
         });
-        let (configs, q_used, union) = observed(observer, Stage::TopK, || {
+        let (q_used, union) = observed(Some(&mut *observer), Stage::TopK, || {
             self.topk_cached(&prepared, c, store.as_ref(), tok)
         });
-        let outcome = observed(observer, Stage::Verify, || {
-            self.verify_union(a, b, &prepared, &union, oracle)
-        });
-
-        let ex = observed(observer, Stage::Explain, || {
-            crate::explain_batch::explain_stage(
-                a,
-                b,
-                &union,
-                &outcome.matches,
-                self.params.joint.threads,
-            )
-        });
-        let metrics = MetricsSnapshot::capture().since(&baseline);
-
-        DebugReport {
-            promising: prepared.promising.attrs.clone(),
-            configs,
-            e_size: union.len(),
-            confirmed_matches: ex.confirmed,
-            iterations: outcome.iterations,
-            labeled: outcome.labeled,
-            explanations: ex.explanations,
-            problems: ex.problems,
-            pervasive: ex.pervasive,
-            explanation_scores: ex.explanation_scores,
-            config_floors: ex.config_floors,
+        report(
+            &self.params,
+            a,
+            b,
+            &prepared,
             q_used,
-            metrics,
-        }
+            &union,
+            oracle,
+            Some(observer),
+            &baseline,
+        )
     }
 }
 
-/// Restores one arena from the store, zero-copy first: a mapped
+/// The pipeline's tail, one body for [`MatchCatcher::run_observed`] and
+/// every [`crate::incr::DebugSession`] report: verifies the candidate
+/// union, explains the confirmed matches and assembles the report with
+/// the metrics accrued since `baseline`. Only a run with an `observer`
+/// snapshots metrics per stage; a session's stages record their spans.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn report(
+    params: &DebuggerParams,
+    a: &Table,
+    b: &Table,
+    prepared: &Prepared,
+    q_used: usize,
+    union: &CandidateUnion,
+    oracle: &mut dyn Oracle,
+    mut observer: Option<&mut dyn RunObserver>,
+    baseline: &MetricsSnapshot,
+) -> DebugReport {
+    let outcome = observed(observer.as_deref_mut(), Stage::Verify, || {
+        let p = prepared;
+        let fx = FeatureExtractor::new(a, b, &p.promising.attrs, &p.tok_a, &p.tok_b);
+        run_verifier(union, &fx, oracle, &params.verifier)
+    });
+    let ex = observed(observer, Stage::Explain, || {
+        crate::explain_batch::explain_stage(a, b, union, &outcome.matches, params.joint.threads)
+    });
+    DebugReport {
+        promising: prepared.promising.attrs.clone(),
+        configs: prepared.tree.configs(),
+        e_size: union.len(),
+        confirmed_matches: ex.confirmed,
+        iterations: outcome.iterations,
+        labeled: outcome.labeled,
+        explanations: ex.explanations,
+        problems: ex.problems,
+        pervasive: ex.pervasive,
+        explanation_scores: ex.explanation_scores,
+        config_floors: ex.config_floors,
+        q_used,
+        metrics: MetricsSnapshot::capture().since(baseline),
+    }
+}
+
+/// Restores one arena from the store: a mapped
 /// [`ArtifactKind::Postings`] payload is validated and borrowed in
-/// place (no decode, no copy); on miss or validation failure
-/// (counted under `mc.store.decode_failed`) the byte-codec
-/// [`ArtifactKind::Arena`] artifact — written by older builds — is
-/// tried before giving up.
+/// place (no decode, no copy). A payload that fails validation is
+/// counted under `mc.store.decode_failed` and treated as a miss.
 fn restore_arena(s: &Store, key: Digest) -> Option<RecordArena> {
-    if let Some(mapped) = s.load_mapped(ArtifactKind::Postings, key) {
-        if let Some(arena) = decoded(store_io::map_arena(mapped)) {
-            return Some(arena);
-        }
-    }
-    s.load(ArtifactKind::Arena, key)
-        .and_then(|b| decoded(store_io::decode_arena(&b)))
+    decoded(store_io::map_arena(
+        s.load_mapped(ArtifactKind::Postings, key)?,
+    ))
 }
 
-/// Per-config record arenas, preferring store artifacts (mmapped
-/// zero-copy payloads first, then the byte codec). With no hits the
+/// Per-config record arenas, preferring mmapped zero-copy store
+/// artifacts. With no hits the
 /// whole set is built in parallel (the cold
 /// `mc.core.joint.build_arenas` path) and published in the zero-copy
 /// layout; partial hits — possible after a gc evicted some files —
@@ -797,6 +816,25 @@ mod tests {
         let (a, b, gold) = figure1();
         let mut params = DebuggerParams::small();
         params.joint.k = 0;
+        let mut oracle = GoldOracle::exact(&gold);
+        let _ = MatchCatcher::new(params).run(&a, &b, &PairSet::new(), &mut oracle);
+    }
+
+    #[test]
+    #[should_panic(expected = "prelude_k = 0")]
+    fn zero_prelude_k_is_rejected() {
+        let (a, b, gold) = figure1();
+        let mut params = DebuggerParams::small();
+        // With a single candidate q no prelude runs, so the size is moot.
+        params.joint.q = QStrategy::Auto {
+            max_q: 1,
+            prelude_k: 0,
+        };
+        assert!(params.validate().is_ok());
+        params.joint.q = QStrategy::Auto {
+            max_q: 2,
+            prelude_k: 0,
+        };
         let mut oracle = GoldOracle::exact(&gold);
         let _ = MatchCatcher::new(params).run(&a, &b, &PairSet::new(), &mut oracle);
     }

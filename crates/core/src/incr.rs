@@ -74,17 +74,14 @@
 //! Everything the session computes is instrumented under
 //! `mc.core.incr.*` (see the metrics catalog in `DESIGN.md`).
 
-use crate::config::{ConfigGenerator, ConfigTree, PromisingAttrs};
-use crate::debugger::{DebugReport, DebuggerParams, MatchCatcher, Stage};
-use crate::features::FeatureExtractor;
+use crate::config::ConfigGenerator;
+use crate::debugger::{report, DebugReport, DebuggerParams, MatchCatcher, Prepared, Stage};
 use crate::joint::{run_joint_with_arenas, CandidateUnion, QStrategy};
 use crate::oracle::Oracle;
 use crate::ssj::{
-    topk_join_with_scratch, topk_semi_join, ExactScorer, JoinScratch, SsjInstance, SsjParams,
-    TopKList,
+    topk_join_with_scratch, topk_semi_join, JoinScratch, SsjInstance, SsjParams, TopKList,
 };
 use crate::store_io;
-use crate::verify::run_verifier;
 use mc_obs::MetricsSnapshot;
 use mc_store::{ArtifactKind, Digest};
 use mc_strsim::arena::RecordArena;
@@ -126,11 +123,9 @@ pub struct DebugSession {
     a: Table,
     b: Table,
     killed: PairSet,
-    promising: PromisingAttrs,
-    tree: ConfigTree,
+    /// Promising attributes, config tree and both tokenized tables.
+    prepared: Prepared,
     configs: Vec<crate::config::Config>,
-    tok_a: TokenizedTable,
-    tok_b: TokenizedTable,
     dict: IncrementalDict,
     arenas: Vec<(RecordArena, RecordArena)>,
     /// Per-config maintained entries, canonically sorted (score
@@ -219,11 +214,13 @@ impl MatchCatcher {
             a,
             b,
             killed,
-            promising,
-            tree,
+            prepared: Prepared {
+                promising,
+                tree,
+                tok_a,
+                tok_b,
+            },
             configs,
-            tok_a,
-            tok_b,
             dict,
             arenas: Vec::new(),
             lists: Vec::new(),
@@ -292,7 +289,7 @@ impl DebugSession {
         // refuse; garbage spans pending compaction are deliberately not
         // billed.
         let arena_bytes = |arena: &RecordArena| arena.total_tokens() * 4 + (arena.len() + 1) * 8;
-        for tok in [&self.tok_a, &self.tok_b] {
+        for tok in [&self.prepared.tok_a, &self.prepared.tok_b] {
             total += tok.columns().iter().map(arena_bytes).sum::<usize>();
         }
         for (arena_a, arena_b) in &self.arenas {
@@ -320,11 +317,16 @@ impl DebugSession {
         let store = self.params.open_store();
         let tok_key = store.as_ref().map(|_| {
             let (digest_a, digest_b) = store_io::content_digests(&self.a, &self.b);
-            store_io::tok_key(digest_a, digest_b, &self.promising.attrs, Tokenizer::Word)
+            store_io::tok_key(
+                digest_a,
+                digest_b,
+                &self.prepared.promising.attrs,
+                Tokenizer::Word,
+            )
         });
         self.arenas = crate::debugger::assemble_arenas_cached(
-            &self.tok_a,
-            &self.tok_b,
+            &self.prepared.tok_a,
+            &self.prepared.tok_b,
             &self.configs,
             self.params.joint.threads,
             store.as_ref(),
@@ -333,10 +335,10 @@ impl DebugSession {
         let mut jp = self.params.joint;
         jp.k = self.cap();
         let out = run_joint_with_arenas(
-            &self.tok_a,
-            &self.tok_b,
+            &self.prepared.tok_a,
+            &self.prepared.tok_b,
             &self.killed,
-            &self.tree,
+            &self.prepared.tree,
             jp,
             &self.arenas,
         );
@@ -376,20 +378,17 @@ impl DebugSession {
         let (newly_killed, unkilled) = match &new_killed {
             Some(nk) => {
                 let _span = mc_obs::span!("mc.core.incr.killed_diff");
-                let mut newly: Vec<u64> = nk
-                    .iter()
-                    .filter(|&(x, y)| !self.killed.contains(x, y))
-                    .map(|(x, y)| mc_table::pair_key(x, y))
-                    .collect();
-                let mut unk: Vec<u64> = self
-                    .killed
-                    .iter()
-                    .filter(|&(x, y)| !nk.contains(x, y))
-                    .map(|(x, y)| mc_table::pair_key(x, y))
-                    .collect();
-                newly.sort_unstable();
-                unk.sort_unstable();
-                (newly, unk)
+                // The keys of `x ∖ y`, sorted.
+                let minus = |x: &PairSet, y: &PairSet| {
+                    let mut keys: Vec<u64> = x
+                        .iter()
+                        .filter(|&(a, b)| !y.contains(a, b))
+                        .map(|(a, b)| mc_table::pair_key(a, b))
+                        .collect();
+                    keys.sort_unstable();
+                    keys
+                };
+                (minus(nk, &self.killed), minus(&self.killed, nk))
             }
             None => (Vec::new(), Vec::new()),
         };
@@ -435,22 +434,25 @@ impl DebugSession {
                 "no promising attributes left after patching"
             );
             let tree = generator.build_tree(&promising);
-            let same_shape = promising.attrs == self.promising.attrs
+            let old_tree = &self.prepared.tree;
+            let same_shape = promising.attrs == self.prepared.promising.attrs
                 && tree.configs() == self.configs
-                && (0..tree.len()).all(|i| tree.parent(i) == self.tree.parent(i));
+                && (0..tree.len()).all(|i| tree.parent(i) == old_tree.parent(i));
             if !same_shape {
                 mc_obs::counter!("mc.core.incr.full_rebuilds").inc();
-                self.promising = promising;
-                self.tree = tree;
-                self.configs = self.tree.configs();
                 let (tok_a, tok_b, order, dict) = TokenizedTable::build_pair_retained(
                     &self.a,
                     &self.b,
-                    &self.promising.attrs,
+                    &promising.attrs,
                     Tokenizer::Word,
                 );
-                self.tok_a = tok_a;
-                self.tok_b = tok_b;
+                self.configs = tree.configs();
+                self.prepared = Prepared {
+                    promising,
+                    tree,
+                    tok_a,
+                    tok_b,
+                };
                 self.dict = IncrementalDict::new(dict, &order);
                 self.cold_joint();
                 return Ok(self.finish(oracle, baseline));
@@ -458,7 +460,7 @@ impl DebugSession {
             // Stats (e-scores, average token counts) may still have
             // drifted; adopt the recomputed set so the session's view
             // matches what a cold run would report.
-            self.promising = promising;
+            self.prepared.promising = promising;
             self.patch_tokenized(&changed_a, &changed_b);
         }
 
@@ -473,39 +475,31 @@ impl DebugSession {
     /// garbage ratio passed the threshold.
     fn patch_tokenized(&mut self, changed_a: &[TupleId], changed_b: &[TupleId]) {
         let _span = mc_obs::span!("mc.core.incr.patch");
-        let attrs = self.promising.attrs.clone();
-        // `apply` reports updates/deletes first, then inserts in
-        // ascending id order, so `push_row` ids line up.
-        for &id in changed_a {
-            let per_attr = self
-                .dict
-                .retokenize_row(&self.a, id, &attrs, Tokenizer::Word);
-            if (id as usize) < self.tok_a.rows() {
-                self.tok_a.set_row(id, &per_attr);
-            } else {
-                let nid = self.tok_a.push_row(&per_attr);
-                debug_assert_eq!(nid, id, "insert ids must be dense");
-            }
-        }
-        for &id in changed_b {
-            let per_attr = self
-                .dict
-                .retokenize_row(&self.b, id, &attrs, Tokenizer::Word);
-            if (id as usize) < self.tok_b.rows() {
-                self.tok_b.set_row(id, &per_attr);
-            } else {
-                let nid = self.tok_b.push_row(&per_attr);
-                debug_assert_eq!(nid, id, "insert ids must be dense");
-            }
-        }
+        let attrs = &self.prepared.promising.attrs;
         let threshold = self.params.incr.compact_threshold;
-        self.tok_a.compact(threshold);
-        self.tok_b.compact(threshold);
+        // `apply` reports updates/deletes first, then inserts in
+        // ascending id order, so `push_row` ids line up. Side A interns
+        // its new tokens first, as a cold build would.
+        for (table, tok, changed) in [
+            (&self.a, &mut self.prepared.tok_a, changed_a),
+            (&self.b, &mut self.prepared.tok_b, changed_b),
+        ] {
+            for &id in changed {
+                let per_attr = self.dict.retokenize_row(table, id, attrs, Tokenizer::Word);
+                if (id as usize) < tok.rows() {
+                    tok.set_row(id, &per_attr);
+                } else {
+                    let nid = tok.push_row(&per_attr);
+                    debug_assert_eq!(nid, id, "insert ids must be dense");
+                }
+            }
+            tok.compact(threshold);
+        }
         for (ci, (arena_a, arena_b)) in self.arenas.iter_mut().enumerate() {
             let pos = self.configs[ci].positions();
             for (arena, tok, changed) in [
-                (&mut *arena_a, &self.tok_a, changed_a),
-                (&mut *arena_b, &self.tok_b, changed_b),
+                (&mut *arena_a, &self.prepared.tok_a, changed_a),
+                (&mut *arena_b, &self.prepared.tok_b, changed_b),
             ] {
                 for &id in changed {
                     let merged = tok.merged(&pos, id);
@@ -571,14 +565,7 @@ impl DebugSession {
                     records_b: arena_b,
                     killed: &self.killed,
                 };
-                let list = topk_join_with_scratch(
-                    inst,
-                    ssj,
-                    &ExactScorer(measure),
-                    &survivors,
-                    None,
-                    &mut self.scratch,
-                );
+                let list = topk_join_with_scratch(inst, ssj, &survivors, None, &mut self.scratch);
                 rescored += self.scratch.last_scored();
                 self.lists[i] = list.sorted_entries();
                 self.valid[i] = self.lists[i].len();
@@ -608,15 +595,7 @@ impl DebugSession {
                     killed: &self.killed,
                 };
                 let _s = mc_obs::span!("mc.core.incr.j1");
-                let j1 = topk_semi_join(
-                    inst,
-                    ssj,
-                    &ExactScorer(measure),
-                    &survivors,
-                    None,
-                    scratch,
-                    0,
-                );
+                let j1 = topk_semi_join(inst, ssj, &survivors, None, scratch, 0);
                 rescored += scratch.last_scored();
                 contributions.extend(j1.sorted_entries());
             }
@@ -639,7 +618,7 @@ impl DebugSession {
                     &contributions
                 };
                 let _s = mc_obs::span!("mc.core.incr.j2");
-                let j2 = topk_semi_join(inst, ssj, &ExactScorer(measure), seed, None, scratch, 1);
+                let j2 = topk_semi_join(inst, ssj, seed, None, scratch, 1);
                 rescored += scratch.last_scored();
                 contributions.extend(j2.sorted_entries());
             }
@@ -692,64 +671,35 @@ impl DebugSession {
     }
 
     /// Builds the report from the maintained lists: truncate each
-    /// config's valid prefix to `k`, build the union, verify, explain,
-    /// publish. Identical to what [`MatchCatcher::run`]'s tail does with
-    /// a cold joint output.
+    /// config's valid prefix to `k`, build and publish the union, then
+    /// run [`MatchCatcher::run`]'s own verify → explain tail.
     fn finish(&mut self, oracle: &mut dyn Oracle, baseline: MetricsSnapshot) -> DebugReport {
         let k = self.params.joint.k;
-        let union = {
-            let k_lists: Vec<TopKList> = self
-                .lists
-                .iter()
-                .zip(&self.valid)
-                .map(|(entries, &valid)| {
-                    let mut l = TopKList::new(k);
-                    for &(s, p) in &entries[..valid] {
-                        l.insert(s, p);
-                    }
-                    l
-                })
-                .collect();
-            CandidateUnion::build(&k_lists)
-        };
-        let outcome = {
-            let _span = mc_obs::Span::enter(Stage::Verify.span_name());
-            let fx = FeatureExtractor::new(
-                &self.a,
-                &self.b,
-                &self.promising.attrs,
-                &self.tok_a,
-                &self.tok_b,
-            );
-            run_verifier(&union, &fx, oracle, &self.params.verifier)
-        };
-        let ex = {
-            let _span = mc_obs::Span::enter(Stage::Explain.span_name());
-            crate::explain_batch::explain_stage(
-                &self.a,
-                &self.b,
-                &union,
-                &outcome.matches,
-                self.params.joint.threads,
-            )
-        };
+        let k_lists: Vec<TopKList> = self
+            .lists
+            .iter()
+            .zip(&self.valid)
+            .map(|(entries, &valid)| {
+                let mut l = TopKList::new(k);
+                for &(s, p) in &entries[..valid] {
+                    l.insert(s, p);
+                }
+                l
+            })
+            .collect();
+        let union = CandidateUnion::build(&k_lists);
         self.publish_union(&union);
-        let metrics = MetricsSnapshot::capture().since(&baseline);
-        DebugReport {
-            promising: self.promising.attrs.clone(),
-            configs: self.configs.clone(),
-            e_size: union.len(),
-            confirmed_matches: ex.confirmed,
-            iterations: outcome.iterations,
-            labeled: outcome.labeled,
-            explanations: ex.explanations,
-            problems: ex.problems,
-            pervasive: ex.pervasive,
-            explanation_scores: ex.explanation_scores,
-            config_floors: ex.config_floors,
-            q_used: self.q,
-            metrics,
-        }
+        report(
+            &self.params,
+            &self.a,
+            &self.b,
+            &self.prepared,
+            self.q,
+            &union,
+            oracle,
+            None,
+            &baseline,
+        )
     }
 
     /// Publishes the candidate union under the *patched* tables' content
@@ -762,12 +712,17 @@ impl DebugSession {
             return;
         };
         let (digest_a, digest_b) = store_io::content_digests(&self.a, &self.b);
-        let tok = store_io::tok_key(digest_a, digest_b, &self.promising.attrs, Tokenizer::Word);
+        let tok = store_io::tok_key(
+            digest_a,
+            digest_b,
+            &self.prepared.promising.attrs,
+            Tokenizer::Word,
+        );
         // Keyed at the *report* k with the session's params: the
         // published bytes are exactly what a cold run with these params
         // would produce, so the key is the one that cold run derives —
         // and a later `MatchCatcher::run` over these tables loads it.
-        let ukey = store_io::union_key(tok, &self.tree, &self.params.joint, &self.killed);
+        let ukey = store_io::union_key(tok, &self.prepared.tree, &self.params.joint, &self.killed);
         store.publish(
             ArtifactKind::CandidateUnion,
             ukey,

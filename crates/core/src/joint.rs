@@ -28,113 +28,21 @@
 //!   deterministic `q` selection of [`select_q`], `run_joint` produces a
 //!   **bit-identical** [`JointOutput`] at every thread count.
 //!
-//! The one piece of cross-config sharing left is Auto-q's prelude
-//! [`ScoreCache`], which only the root config (whose arenas the preludes
-//! scored) consumes.
+//! Configs share nothing but the arenas they read. Each worker keeps one
+//! [`JoinScratch`] for every config it claims, and every join scores
+//! through that scratch's bound memo, the one scoring path of
+//! [`crate::ssj`]; Auto-q's preludes score the same way and keep no
+//! scores for the main run.
 
 use crate::config::{Config, ConfigTree};
-use crate::ssj::{
-    select_q, topk_join_with_scratch, JoinScratch, PairScorer, ScoreCache, ScoreOutcome,
-    SsjInstance, SsjParams, TopKList,
-};
+use crate::ssj::{select_q, topk_join_with_scratch, JoinScratch, SsjInstance, SsjParams, TopKList};
 use mc_strsim::arena::RecordArena;
 use mc_strsim::dict::TokenizedTable;
-use mc_strsim::measures::{
-    overlap_bound_key, overlap_with_bound, required_overlap_keyed, SetMeasure,
-};
+use mc_strsim::measures::SetMeasure;
 use mc_table::hash::FxHashMap;
-use mc_table::{PairSet, TupleId};
-use std::cell::RefCell;
+use mc_table::PairSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Per-gate memo of [`required_overlap_keyed`]: the bound collapses to a
-/// function of one small scalar per measure (see [`overlap_bound_key`]),
-/// and the gate — the config's top-k threshold — changes only when the
-/// list improves, orders of magnitude more rarely than pairs are scored.
-struct BoundMemo {
-    gate: f64,
-    by_key: Vec<u32>,
-}
-
-/// Keys above this fall back to the direct computation (the table would
-/// stop being "tiny"); record-length sums and products in practice sit
-/// far below it.
-const BOUND_MEMO_MAX: usize = 1 << 12;
-
-impl Default for BoundMemo {
-    fn default() -> Self {
-        BoundMemo {
-            gate: f64::NEG_INFINITY,
-            by_key: Vec::new(),
-        }
-    }
-}
-
-impl BoundMemo {
-    #[inline]
-    fn required(&mut self, measure: SetMeasure, gate: f64, la: usize, lb: usize) -> usize {
-        let key = overlap_bound_key(measure, la, lb);
-        if key >= BOUND_MEMO_MAX {
-            return required_overlap_keyed(measure, gate, key);
-        }
-        if self.gate != gate {
-            self.gate = gate;
-            self.by_key.clear();
-        }
-        if self.by_key.len() <= key {
-            self.by_key.resize(key + 1, u32::MAX);
-        }
-        let slot = &mut self.by_key[key];
-        if *slot == u32::MAX {
-            *slot = required_overlap_keyed(measure, gate, key) as u32;
-        }
-        *slot as usize
-    }
-}
-
-/// The per-config scorer: the exact kernel with the required overlap
-/// served from a per-gate [`BoundMemo`], plus — on the root config under
-/// Auto-q — the prelude [`ScoreCache`].
-struct ConfigScorer<'a> {
-    measure: SetMeasure,
-    /// The prelude-populated score cache (root config only; see
-    /// [`run_joint_with_arenas`]).
-    score_cache: Option<&'a ScoreCache>,
-    bound_memo: RefCell<BoundMemo>,
-}
-
-impl PairScorer for ConfigScorer<'_> {
-    fn score(&self, _a: TupleId, _b: TupleId, ra: &[u32], rb: &[u32]) -> f64 {
-        self.measure.score(ra, rb)
-    }
-
-    fn score_above(
-        &self,
-        a: TupleId,
-        b: TupleId,
-        ra: &[u32],
-        rb: &[u32],
-        gate: f64,
-    ) -> ScoreOutcome {
-        if let Some(cache) = self.score_cache {
-            if let Some(s) = cache.get(mc_table::pair_key(a, b)) {
-                return ScoreOutcome::Cached(s);
-            }
-        }
-        // Same kernel as `SetMeasure::score_above`, with the required
-        // overlap served from the per-gate memo (bit-identical boundary;
-        // see `required_overlap_keyed`).
-        let o_min = self
-            .bound_memo
-            .borrow_mut()
-            .required(self.measure, gate, ra.len(), rb.len());
-        match overlap_with_bound(ra, rb, o_min) {
-            Some(o) => ScoreOutcome::Scored(self.measure.from_overlap(o, ra.len(), rb.len())),
-            None => ScoreOutcome::Refuted,
-        }
-    }
-}
 
 /// How QJoin's `q` is chosen.
 #[derive(Debug, Clone, Copy)]
@@ -271,27 +179,17 @@ pub fn run_joint_with_arenas(
         "every arena covers its tokenized table's rows"
     );
 
-    // q selection on the root config. With `Auto`, every prelude join
-    // populates a pair → score cache over the root arenas; the root
-    // config's main run consumes it (the preludes already paid for those
-    // merges, and their scores are q-independent).
-    let (root_a, root_b) = &arenas[0];
-    let (q_used, score_cache) = match params.q {
-        QStrategy::Fixed(q) => (q.max(1), None),
+    // q selection on the root config.
+    let q_used = match params.q {
+        QStrategy::Fixed(q) => q.max(1),
         QStrategy::Auto { max_q, prelude_k } => {
-            let cache = ScoreCache::new();
-            let q = select_q(
-                SsjInstance {
-                    records_a: root_a,
-                    records_b: root_b,
-                    killed,
-                },
-                params.measure,
-                max_q,
-                prelude_k,
-                Some(&cache),
-            );
-            (q, Some(cache))
+            let (records_a, records_b) = &arenas[0];
+            let inst = SsjInstance {
+                records_a,
+                records_b,
+                killed,
+            };
+            select_q(inst, params.measure, max_q, prelude_k)
         }
     };
 
@@ -311,13 +209,6 @@ pub fn run_joint_with_arenas(
             let _config_span = mc_obs::span!("mc.core.joint.config", i as u64);
             my_configs += 1;
             let (records_a, records_b) = &arenas[i];
-            let scorer = ConfigScorer {
-                measure: params.measure,
-                // The prelude cache holds root-config scores, so only the
-                // root config may consume it.
-                score_cache: if i == 0 { score_cache.as_ref() } else { None },
-                bound_memo: RefCell::default(),
-            };
             let list = topk_join_with_scratch(
                 SsjInstance {
                     records_a,
@@ -329,7 +220,6 @@ pub fn run_joint_with_arenas(
                     q: q_used,
                     measure: params.measure,
                 },
-                &scorer,
                 &[],
                 None,
                 &mut scratch,
@@ -524,8 +414,7 @@ mod tests {
     fn results_are_thread_count_invariant() {
         // No config waits on another and q is selected deterministically,
         // so the output is *bit-identical* across worker counts: same q,
-        // same pairs, same f64 score bits — with q chosen empirically and
-        // the root consuming the prelude score cache.
+        // same pairs, same f64 score bits — with q chosen empirically.
         let (a, b) = fixture();
         let (ta, tb, tree) = tree_for(&a, &b);
         let killed = PairSet::new();

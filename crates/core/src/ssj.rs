@@ -35,8 +35,8 @@
 //! searches the occurrence check used to need: a record's own occurrence
 //! count is maintained incrementally as its prefix extends, and a
 //! partner's count is read straight off its posting. All per-join state
-//! (positions, run counters, postings, the event queue, the accumulator)
-//! lives in a reusable [`JoinScratch`] so that consecutive joins on one
+//! (positions, run counters, postings, the event queue, the accumulator,
+//! the bound memo) lives in a reusable [`JoinScratch`] so that consecutive joins on one
 //! worker allocate nothing in steady state. Every buffer is
 //! `O(|A| + |B| + postings)`: nothing is kept per discovered pair.
 //!
@@ -81,15 +81,24 @@
 //! count was handled at an earlier incidence. Seeded pairs sit in a
 //! small sorted set consulted only at those two counts, so they are
 //! never discovered and never rescored.
+//!
+//! ## One scoring path
+//!
+//! Both kernels, and so the joint stage, [`select_q`]'s preludes and a
+//! session's semi-joins and seeded rejoins, score a pair the same way:
+//! the threshold-aware merge [`overlap_with_bound`] against the overlap
+//! the list's gate requires, which the scratch's memo serves per gate
+//! and length key ([`required_overlap_keyed`]). A completed merge counts
+//! as `mc.core.ssj.scored`, a refuted one as `mc.core.ssj.merge_aborts`.
 
 use mc_strsim::arena::RecordArena;
-use mc_strsim::measures::SetMeasure;
-use mc_table::hash::{fx_map, hash_u64, FxHashMap};
+use mc_strsim::measures::{
+    overlap_bound_key, overlap_with_bound, required_overlap_keyed, SetMeasure,
+};
 use mc_table::{pair_key, split_pair_key, PairSet, TupleId};
-use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A totally ordered f64 wrapper (scores are never NaN).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,7 +186,7 @@ impl TopKList {
         }
     }
 
-    /// The scorer gate: an offer can enter the list **iff** its score is
+    /// The scoring gate: an offer can enter the list **iff** its score is
     /// strictly above this value. One ulp below [`TopKList::threshold`]
     /// once full, because a score exactly equal to the k-th best can
     /// still displace a larger pair key under the canonical tie-break —
@@ -262,202 +271,138 @@ pub struct SsjInstance<'a> {
     pub killed: &'a PairSet,
 }
 
-/// How a threshold-gated scoring attempt resolved (see
-/// [`PairScorer::score_above`]).
-///
-/// The split matters for the work counters: `Scored` is a completed full
-/// merge (`mc.core.ssj.scored`), `Cached` reused a previously computed
-/// value without a fresh merge, `Refuted` aborted the merge once the
-/// score provably could not beat the gate (`mc.core.ssj.merge_aborts`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScoreOutcome {
-    /// A full merge completed; the score is exact.
-    Scored(f64),
-    /// The exact score was obtained without a fresh merge (a score-cache
-    /// hit).
-    Cached(f64),
-    /// The merge aborted: the score is provably `≤` the gate. A refuted
-    /// pair can never enter the top-k list, so no score is produced.
-    Refuted,
+/// Per-gate memo of [`required_overlap_keyed`]: the bound collapses to a
+/// function of one small scalar per measure (see [`overlap_bound_key`]),
+/// and the gate — the list's top-k threshold — changes only when the
+/// list improves, orders of magnitude more rarely than pairs are scored.
+/// An empty table is valid at any gate, so preparing a join for another
+/// measure only clears it.
+#[derive(Default)]
+struct BoundMemo {
+    /// The gate `by_key` holds bounds for.
+    gate: f64,
+    /// `by_key[key]`: the required overlap at `gate` (`u32::MAX` = not
+    /// yet computed).
+    by_key: Vec<u32>,
 }
 
-impl ScoreOutcome {
-    /// The score, if one was produced.
-    #[inline]
-    pub fn value(self) -> Option<f64> {
-        match self {
-            ScoreOutcome::Scored(s) | ScoreOutcome::Cached(s) => Some(s),
-            ScoreOutcome::Refuted => None,
-        }
-    }
-}
+/// Keys above this fall back to the direct computation (the table would
+/// stop being "tiny"); record-length sums and products in practice sit
+/// far below it.
+const BOUND_MEMO_MAX: usize = 1 << 12;
 
-/// Scores a pair given both records; the joint executor substitutes a
-/// scorer that consults Auto-q's prelude [`ScoreCache`] here.
-///
-/// Deliberately **not** `Sync`: every scorer is created and consumed on
-/// a single worker thread, which lets implementations keep cheap
-/// `Cell`-based statistics and `RefCell` scratch buffers instead of
-/// atomics.
-pub trait PairScorer {
-    /// Similarity score of `(a, b)`.
-    fn score(&self, a: TupleId, b: TupleId, ra: &[u32], rb: &[u32]) -> f64;
-
-    /// Threshold-gated scoring: produces the exact score only when it is
-    /// strictly above `gate` (the caller's top-k threshold), and may
-    /// abort early — returning [`ScoreOutcome::Refuted`] — as soon as the
-    /// score provably cannot beat it. Any score returned must be
-    /// **bit-identical** to what [`PairScorer::score`] would produce, so
-    /// gating never changes the resulting top-k list.
-    ///
-    /// The default falls back to ungated scoring.
+impl BoundMemo {
+    /// Threshold-gated score: `Some(s)` **iff** `measure.score(ra, rb)`
+    /// is strictly above `gate`, with `s` bit-identical to it. This is
+    /// [`SetMeasure::score_above`] with the required overlap served from
+    /// the memo (outcome-equivalent; see [`required_overlap_keyed`]).
     #[inline]
     fn score_above(
-        &self,
-        a: TupleId,
-        b: TupleId,
+        &mut self,
+        measure: SetMeasure,
         ra: &[u32],
         rb: &[u32],
         gate: f64,
-    ) -> ScoreOutcome {
-        let _ = gate;
-        ScoreOutcome::Scored(self.score(a, b, ra, rb))
-    }
-}
-
-/// The default scorer: exact multiset similarity of the merged records.
-pub struct ExactScorer(pub SetMeasure);
-
-impl PairScorer for ExactScorer {
-    #[inline]
-    fn score(&self, _a: TupleId, _b: TupleId, ra: &[u32], rb: &[u32]) -> f64 {
-        self.0.score(ra, rb)
-    }
-
-    #[inline]
-    fn score_above(
-        &self,
-        _a: TupleId,
-        _b: TupleId,
-        ra: &[u32],
-        rb: &[u32],
-        gate: f64,
-    ) -> ScoreOutcome {
-        match self.0.score_above(ra, rb, gate) {
-            Some(s) => ScoreOutcome::Scored(s),
-            None => ScoreOutcome::Refuted,
-        }
-    }
-}
-
-const CACHE_SHARDS: usize = 16;
-
-/// A concurrent, insert-only pair → score cache shared by the `q`
-/// preludes of [`select_q`] and the winning `q`'s main run.
-///
-/// Set-measure scores are q-independent, so every pair a prelude scores
-/// is a pair the main run would otherwise score again from scratch. The
-/// preludes **insert only** — they never read the cache — so each
-/// prelude's own work counters stay deterministic regardless of how the
-/// prelude threads interleave; because scores are pure functions of the
-/// pair, the cache's final contents after all preludes join are the
-/// deterministic union of every prelude's scored pairs.
-pub struct ScoreCache {
-    shards: Vec<RwLock<FxHashMap<u64, f64>>>,
-    hits: AtomicU64,
-}
-
-impl Default for ScoreCache {
-    fn default() -> Self {
-        ScoreCache::new()
-    }
-}
-
-impl ScoreCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        ScoreCache {
-            shards: (0..CACHE_SHARDS).map(|_| RwLock::new(fx_map())).collect(),
-            hits: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn shard(&self, key: u64) -> &RwLock<FxHashMap<u64, f64>> {
-        &self.shards[(hash_u64(key) >> 60) as usize % CACHE_SHARDS]
-    }
-
-    /// The cached score of a pair, if present. Hits are counted here
-    /// (per instance and as `mc.core.ssj.cache_hits`).
-    pub fn get(&self, key: u64) -> Option<f64> {
-        let out = self.shard(key).read().get(&key).copied();
-        if out.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            mc_obs::counter!("mc.core.ssj.cache_hits").inc();
-        }
-        out
-    }
-
-    /// Records a pair's score (first writer wins; idempotent — scores
-    /// are pure, so every writer holds the same value).
-    pub fn insert(&self, key: u64, score: f64) {
-        self.shard(key).write().entry(key).or_insert(score);
-    }
-
-    /// Cache hits served so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Total cached pairs.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// True if nothing was cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// The prelude scorer of [`select_q`]: exact scoring that
-/// **populates** a [`ScoreCache`] as a side effect.
-///
-/// Deliberately write-only (see [`ScoreCache`]): consulting the cache
-/// from racing preludes would make each prelude's `scored` counter
-/// depend on thread interleaving, and the q-selection cost model must
-/// stay machine-independent.
-pub struct CachedExactScorer<'a> {
-    /// The similarity measure.
-    pub measure: SetMeasure,
-    /// The cache to populate.
-    pub cache: &'a ScoreCache,
-}
-
-impl PairScorer for CachedExactScorer<'_> {
-    #[inline]
-    fn score(&self, a: TupleId, b: TupleId, ra: &[u32], rb: &[u32]) -> f64 {
-        let s = self.measure.score(ra, rb);
-        self.cache.insert(pair_key(a, b), s);
-        s
-    }
-
-    #[inline]
-    fn score_above(
-        &self,
-        a: TupleId,
-        b: TupleId,
-        ra: &[u32],
-        rb: &[u32],
-        gate: f64,
-    ) -> ScoreOutcome {
-        match self.measure.score_above(ra, rb, gate) {
-            Some(s) => {
-                self.cache.insert(pair_key(a, b), s);
-                ScoreOutcome::Scored(s)
+    ) -> Option<f64> {
+        let key = overlap_bound_key(measure, ra.len(), rb.len());
+        let o_min = if key >= BOUND_MEMO_MAX {
+            required_overlap_keyed(measure, gate, key)
+        } else {
+            if self.gate != gate {
+                self.gate = gate;
+                self.by_key.clear();
             }
-            None => ScoreOutcome::Refuted,
+            if self.by_key.len() <= key {
+                self.by_key.resize(key + 1, u32::MAX);
+            }
+            let slot = &mut self.by_key[key];
+            if *slot == u32::MAX {
+                *slot = required_overlap_keyed(measure, gate, key) as u32;
+            }
+            *slot as usize
+        };
+        let o = merge(ra, rb, o_min)?;
+        Some(measure.from_overlap(o, ra.len(), rb.len()))
+    }
+}
+
+/// [`overlap_with_bound`], kept out of line. With the merge inlined into
+/// an out-of-line `offer`, the fixed-q joint stage on amazon-google ×0.25
+/// (records of up to 57 tokens) ran about 8% slower than with this call
+/// (2 vCPUs, 1 worker, 16 alternating runs).
+#[inline(never)]
+fn merge(ra: &[u32], rb: &[u32], o_min: usize) -> Option<usize> {
+    overlap_with_bound(ra, rb, o_min)
+}
+
+/// One join's work counters. The kernels count in a local and flush it
+/// to the `mc.core.ssj.*` registry once per join, so their loops pay no
+/// atomic ops.
+#[derive(Default)]
+struct Work {
+    /// Queue events (the event loop) or prefix tokens (the semi-join).
+    events: u64,
+    /// Pairs discovered at their first common prefix token.
+    candidates: u64,
+    /// Completed merges.
+    scored: u64,
+    /// Merges refuted by the gate before completion.
+    merge_aborts: u64,
+    /// `Σ |ra| + |rb|` over scoring attempts, aborted merges included: a
+    /// machine-independent proxy for scoring cost that gating does not
+    /// change, so [`select_q`]'s cost model is stable across kernels.
+    scored_tokens: u64,
+    /// Pairs that reached `q` common tokens but are in the blocker
+    /// output.
+    killed_skipped: u64,
+    /// Events (or prefix tokens) the prefix bound pruned.
+    bound_pruned: u64,
+}
+
+impl Work {
+    /// Adds this join's work to the registry.
+    fn flush(&self) {
+        mc_obs::counter!("mc.core.ssj.events").add(self.events);
+        mc_obs::counter!("mc.core.ssj.candidates").add(self.candidates);
+        mc_obs::counter!("mc.core.ssj.scored").add(self.scored);
+        mc_obs::counter!("mc.core.ssj.merge_aborts").add(self.merge_aborts);
+        mc_obs::counter!("mc.core.ssj.killed_skipped").add(self.killed_skipped);
+        mc_obs::counter!("mc.core.ssj.bound_pruned").add(self.bound_pruned);
+    }
+}
+
+/// The one scoring path of both kernels: offers a pair that reached `q`
+/// common prefix tokens to the list. A pair in the blocker output is
+/// skipped (checked here, once per pair, not per incidence); any other
+/// is merged against the list's gate, one ulp below its k-th score (see
+/// [`TopKList::gate`]). A refuted merge has `score < threshold` and
+/// could never enter the list, while exact threshold ties come through
+/// for the canonical key tie-break, so gating never changes the list.
+///
+/// Always inlined, so the kernels keep their work counters in registers
+/// and pay one call per attempt, into [`merge`].
+#[inline(always)]
+fn offer(
+    inst: SsjInstance<'_>,
+    measure: SetMeasure,
+    pair: u64,
+    list: &mut TopKList,
+    memo: &mut BoundMemo,
+    work: &mut Work,
+) {
+    if !inst.killed.is_empty() && inst.killed.contains_key(pair) {
+        work.killed_skipped += 1;
+        return;
+    }
+    let (a, b) = split_pair_key(pair);
+    let (ra, rb) = (inst.records_a.record(a), inst.records_b.record(b));
+    work.scored_tokens += (ra.len() + rb.len()) as u64;
+    match memo.score_above(measure, ra, rb, list.gate()) {
+        Some(s) => {
+            work.scored += 1;
+            list.insert(s, pair);
         }
+        None => work.merge_aborts += 1,
     }
 }
 
@@ -667,10 +612,10 @@ impl DensePostings {
 
 /// Reusable per-worker state of [`topk_join_with_scratch`] and
 /// [`topk_semi_join`]: prefix positions, run counters, postings, the
-/// event queue, the per-partner accumulator and the live seeds. Every
-/// buffer is `O(|A| + |B| + postings)`, and a worker that keeps one
-/// scratch across consecutive joins (as the joint executor does per
-/// thread) allocates nothing in steady state.
+/// event queue, the per-partner accumulator, the live seeds and the
+/// bound memo. Every buffer is `O(|A| + |B| + postings)`, and a worker
+/// that keeps one scratch across consecutive joins (as the joint
+/// executor does per thread) allocates nothing in steady state.
 #[derive(Default)]
 pub struct JoinScratch {
     /// Per-side prefix positions (next 0-indexed token to process).
@@ -698,17 +643,11 @@ pub struct JoinScratch {
     acc_gen: u32,
     /// The event loop's live (not killed) seeded pair keys, sorted.
     seeds: Vec<u64>,
-    /// Queue events processed by the most recent join on this scratch.
-    events: u64,
-    /// Total tokens fed to the scorer by the most recent join (the sum
-    /// of `|ra| + |rb|` over scoring *attempts*, whether or not the
-    /// merge completed — a machine-independent proxy for scoring cost
-    /// that is unaffected by threshold gating, so [`select_q`]'s cost
-    /// model is stable across kernel changes).
-    scored_tokens: u64,
-    /// Pairs the most recent join actually scored (completed merges that
-    /// produced a fresh score, cache hits and aborts excluded).
-    scored: u64,
+    /// Required overlaps per gate, shared by every pair both kernels
+    /// score.
+    memo: BoundMemo,
+    /// The most recent join's work.
+    work: Work,
 }
 
 impl JoinScratch {
@@ -736,22 +675,18 @@ impl JoinScratch {
         }
         self.size_acc(inst.records_a.len().max(inst.records_b.len()));
         self.queue.reset(measure, credit, arenas);
-        self.events = 0;
-        self.scored_tokens = 0;
-        self.scored = 0;
+        self.memo.by_key.clear();
     }
 
     /// Clears the subset of the scratch [`topk_semi_join`] uses: the
     /// post side's postings, the accumulator (by generation bump, per
-    /// probe record) and the work counters. The event loop's per-record
+    /// probe record) and the bound memo. The event loop's per-record
     /// arrays and queue stay untouched — the semi-join never reads them,
     /// so delta joins skip megabytes of memsets per call.
     fn prepare_semi(&mut self, post: usize, n_post: usize, rank_bound: usize) {
         self.postings[post].reset(rank_bound);
         self.size_acc(n_post);
-        self.events = 0;
-        self.scored_tokens = 0;
-        self.scored = 0;
+        self.memo.by_key.clear();
     }
 
     /// Grows the accumulator to index `n` partners.
@@ -765,20 +700,20 @@ impl JoinScratch {
     /// deterministic, machine-independent cost measure (used by
     /// [`select_q`]).
     pub fn last_events(&self) -> u64 {
-        self.events
+        self.work.events
     }
 
     /// Tokens fed to the scorer by the most recent join (`Σ |ra| + |rb|`
     /// over scoring attempts, aborted merges included).
     pub fn last_scored_tokens(&self) -> u64 {
-        self.scored_tokens
+        self.work.scored_tokens
     }
 
-    /// Pairs the most recent join scored with a completed merge (fresh
-    /// scores only — cache hits and refuted merges excluded). The
-    /// incremental debugger reads this to account re-scoring work.
+    /// Pairs the most recent join scored with a completed merge (refuted
+    /// merges excluded). The incremental debugger reads this to account
+    /// re-scoring work.
     pub fn last_scored(&self) -> u64 {
-        self.scored
+        self.work.scored
     }
 }
 
@@ -824,12 +759,11 @@ const BOUND_SLACK: f64 = 1e-12;
 pub fn topk_join(
     inst: SsjInstance<'_>,
     params: SsjParams,
-    scorer: &dyn PairScorer,
     seed: &[(f64, u64)],
     cancel: Option<&AtomicBool>,
 ) -> TopKList {
     let mut scratch = JoinScratch::new();
-    topk_join_with_scratch(inst, params, scorer, seed, cancel, &mut scratch)
+    topk_join_with_scratch(inst, params, seed, cancel, &mut scratch)
 }
 
 /// Runs the top-k join, reusing `scratch` buffers from previous joins.
@@ -837,7 +771,6 @@ pub fn topk_join(
 pub fn topk_join_with_scratch(
     inst: SsjInstance<'_>,
     params: SsjParams,
-    scorer: &dyn PairScorer,
     seed: &[(f64, u64)],
     cancel: Option<&AtomicBool>,
     scratch: &mut JoinScratch,
@@ -856,9 +789,8 @@ pub fn topk_join_with_scratch(
         acc,
         acc_gen,
         seeds,
-        events: scratch_events,
-        scored_tokens: scratch_scored_tokens,
-        scored: scratch_scored,
+        memo,
+        work: last_work,
     } = scratch;
 
     let mut k_list = TopKList::with_capacity_hint(params.k, seed.len());
@@ -881,20 +813,7 @@ pub fn topk_join_with_scratch(
         }
     }
 
-    // Hot-loop statistics accumulate in locals and flush to the global
-    // registry once per join, so the event loop pays no atomic ops.
-    let mut n_events = 0u64;
-    let mut n_discovered = 0u64;
-    let mut n_scored = 0u64;
-    let mut n_cached = 0u64;
-    let mut n_aborted = 0u64;
-    let mut n_scored_tokens = 0u64;
-    let mut n_killed_skipped = 0u64;
-    let mut n_bound_pruned = 0u64;
-    // Hoisted: the blocker output is checked once per pair (at scoring
-    // time), and not at all when it is empty.
-    let no_killed = inst.killed.is_empty();
-
+    let mut work = Work::default();
     // The accumulator holds, for the record `acc_owner`, each partner's
     // common count over the owner's token runs before `acc_upto`. It
     // stays valid only while the owner's events run back to back.
@@ -918,10 +837,10 @@ pub fn topk_join_with_scratch(
             // *equals* the threshold can still yield a tie that displaces
             // a larger pair key under the canonical order, so it must be
             // processed for the list to stay canonical.
-            n_bound_pruned += queue.live + 1;
+            work.bound_pruned += queue.live + 1;
             break;
         }
-        n_events += 1;
+        work.events += 1;
         if let Some(flag) = cancel {
             since_cancel_check += 1;
             if since_cancel_check >= 256 {
@@ -1006,45 +925,20 @@ pub fn topk_join_with_scratch(
                 if common != 1 && common != q {
                     continue;
                 }
-                let (a, b) = if side == 0 { (r, o) } else { (o, r) };
-                let pair = pair_key(a, b);
+                let pair = if side == 0 {
+                    pair_key(r, o)
+                } else {
+                    pair_key(o, r)
+                };
                 // A seeded pair is never discovered and never rescored.
                 if has_seeds && seeds.binary_search(&pair).is_ok() {
                     continue;
                 }
                 if common == 1 {
-                    n_discovered += 1;
+                    work.candidates += 1;
                 }
-                if common != q {
-                    continue;
-                }
-                // Membership in the blocker output `C` is checked once
-                // per pair, here — not per incidence.
-                if !no_killed && inst.killed.contains_key(pair) {
-                    n_killed_skipped += 1;
-                    continue;
-                }
-                let ra = inst.records_a.record(a);
-                let rb = inst.records_b.record(b);
-                n_scored_tokens += (ra.len() + rb.len()) as u64;
-                // Gate one ulp below the current k-th score (see
-                // `TopKList::gate`): a refuted attempt has
-                // `score < threshold` and could never enter the list,
-                // while exact threshold ties come through for the
-                // canonical key tie-break — the outcome split never
-                // changes the resulting list.
-                match scorer.score_above(a, b, ra, rb, k_list.gate()) {
-                    ScoreOutcome::Scored(s) => {
-                        n_scored += 1;
-                        k_list.insert(s, pair);
-                    }
-                    ScoreOutcome::Cached(s) => {
-                        n_cached += 1;
-                        k_list.insert(s, pair);
-                    }
-                    ScoreOutcome::Refuted => {
-                        n_aborted += 1;
-                    }
+                if common == q {
+                    offer(inst, params.measure, pair, &mut k_list, memo, &mut work);
                 }
             }
         }
@@ -1080,20 +974,12 @@ pub fn topk_join_with_scratch(
                     queue.push(side, r, bucket);
                 }
             } else {
-                n_bound_pruned += 1;
+                work.bound_pruned += 1;
             }
         }
     }
-    *scratch_events = n_events;
-    *scratch_scored_tokens = n_scored_tokens;
-    *scratch_scored = n_scored;
-    mc_obs::counter!("mc.core.ssj.events").add(n_events);
-    mc_obs::counter!("mc.core.ssj.candidates").add(n_discovered);
-    mc_obs::counter!("mc.core.ssj.scored").add(n_scored);
-    mc_obs::counter!("mc.core.ssj.merge_aborts").add(n_aborted);
-    mc_obs::counter!("mc.core.ssj.scored_saved").add(n_aborted + n_cached);
-    mc_obs::counter!("mc.core.ssj.killed_skipped").add(n_killed_skipped);
-    mc_obs::counter!("mc.core.ssj.bound_pruned").add(n_bound_pruned);
+    work.flush();
+    *last_work = work;
     k_list
 }
 
@@ -1133,11 +1019,9 @@ pub fn topk_join_with_scratch(
 /// side — partner lists stay short and the probe pass degenerates to a
 /// streaming scan with almost-always-empty postings lookups. The scratch
 /// counters record probed + posted prefix tokens as this join's events.
-#[allow(clippy::too_many_arguments)]
 pub fn topk_semi_join(
     inst: SsjInstance<'_>,
     params: SsjParams,
-    scorer: &dyn PairScorer,
     seed: &[(f64, u64)],
     cancel: Option<&AtomicBool>,
     scratch: &mut JoinScratch,
@@ -1159,9 +1043,8 @@ pub fn topk_semi_join(
         postings,
         acc,
         acc_gen,
-        events: scratch_events,
-        scored_tokens: scratch_scored_tokens,
-        scored: scratch_scored,
+        memo,
+        work: last_work,
         ..
     } = scratch;
 
@@ -1182,16 +1065,7 @@ pub fn topk_semi_join(
     }
     seed_pairs.sort_unstable();
 
-    let mut n_tokens = 0u64;
-    let mut n_discovered = 0u64;
-    let mut n_scored = 0u64;
-    let mut n_cached = 0u64;
-    let mut n_aborted = 0u64;
-    let mut n_scored_tokens = 0u64;
-    let mut n_killed_skipped = 0u64;
-    let mut n_bound_pruned = 0u64;
-    let no_killed = inst.killed.is_empty();
-
+    let mut work = Work::default();
     // Pass 1: index the post side's prefixes. No insert happens here, so
     // the threshold is fixed for the whole pass; each record posts until
     // its bound falls below it. Records are processed contiguously, so
@@ -1206,10 +1080,10 @@ pub fn topk_semi_join(
             if threshold > 0.0
                 && bound_with_credit(measure, len, p + 1, credit) < threshold - BOUND_SLACK
             {
-                n_bound_pruned += (len - p) as u64;
+                work.bound_pruned += (len - p) as u64;
                 break;
             }
-            n_tokens += 1;
+            work.events += 1;
             if last_tok != tok {
                 last_tok = tok;
                 let list = &mut postings[post].lists[tok as usize];
@@ -1254,10 +1128,10 @@ pub fn topk_semi_join(
             if threshold > 0.0
                 && bound_with_credit(measure, len, p + 1, credit) < threshold - BOUND_SLACK
             {
-                n_bound_pruned += (len - p) as u64;
+                work.bound_pruned += (len - p) as u64;
                 break;
             }
-            n_tokens += 1;
+            work.events += 1;
             if let Some(flag) = cancel {
                 since_cancel_check += 1;
                 if since_cancel_check >= 1024 {
@@ -1292,7 +1166,7 @@ pub fn topk_semi_join(
                 let oi = o as usize;
                 if acc[oi].stamp != gen {
                     acc[oi].stamp = gen;
-                    n_discovered += 1;
+                    work.candidates += 1;
                     // Length pre-gate, applied once at the pair's first
                     // incidence: `from_overlap` is monotone in `o`
                     // (also under f64 rounding), so the score at full
@@ -1319,41 +1193,17 @@ pub fn topk_semi_join(
                     continue;
                 }
                 acc[oi].count = c | SEMI_SCORED;
-                let (a, b) = if post == 0 { (o, r) } else { (r, o) };
-                let key = pair_key(a, b);
-                if !no_killed && inst.killed.contains_key(key) {
-                    n_killed_skipped += 1;
-                    continue;
-                }
-                let ra = inst.records_a.record(a);
-                let rb = inst.records_b.record(b);
-                n_scored_tokens += (ra.len() + rb.len()) as u64;
-                match scorer.score_above(a, b, ra, rb, k_list.gate()) {
-                    ScoreOutcome::Scored(s) => {
-                        n_scored += 1;
-                        k_list.insert(s, key);
-                    }
-                    ScoreOutcome::Cached(s) => {
-                        n_cached += 1;
-                        k_list.insert(s, key);
-                    }
-                    ScoreOutcome::Refuted => {
-                        n_aborted += 1;
-                    }
-                }
+                let pair = if post == 0 {
+                    pair_key(o, r)
+                } else {
+                    pair_key(r, o)
+                };
+                offer(inst, measure, pair, &mut k_list, memo, &mut work);
             }
         }
     }
-    *scratch_events = n_tokens;
-    *scratch_scored_tokens = n_scored_tokens;
-    *scratch_scored = n_scored;
-    mc_obs::counter!("mc.core.ssj.events").add(n_tokens);
-    mc_obs::counter!("mc.core.ssj.candidates").add(n_discovered);
-    mc_obs::counter!("mc.core.ssj.scored").add(n_scored);
-    mc_obs::counter!("mc.core.ssj.merge_aborts").add(n_aborted);
-    mc_obs::counter!("mc.core.ssj.scored_saved").add(n_aborted + n_cached);
-    mc_obs::counter!("mc.core.ssj.killed_skipped").add(n_killed_skipped);
-    mc_obs::counter!("mc.core.ssj.bound_pruned").add(n_bound_pruned);
+    work.flush();
+    *last_work = work;
     k_list
 }
 
@@ -1391,19 +1241,17 @@ pub fn brute_force_topk(inst: SsjInstance<'_>, k: usize, measure: SetMeasure) ->
 /// smaller `q`). Repeated runs at any thread count therefore pick the
 /// same `q`. Deterministic inputs can also fix `q` via [`SsjParams`].
 ///
-/// With a [`ScoreCache`], the preludes populate it as they score
-/// (write-only; see [`CachedExactScorer`]). The winning `q`'s main run
-/// can then consume the cache and skip re-scoring every pair a prelude
-/// already scored — the cost of determinism (running all preludes to
-/// completion) is recycled instead of wasted. The chosen `q` does not
-/// depend on the cache: the cost model reads events and *attempt-time*
-/// scored tokens, both unaffected by it.
+/// A prelude is an ordinary [`topk_join_with_scratch`] and scores through
+/// the same memoized path as every other join. Its scores are not kept:
+/// the winning `q`'s main run scores the root config afresh, which costs
+/// it under 1% more scoring attempts (DESIGN.md, "Scoring kernel &
+/// pruning"). The cost model reads events and *attempt-time* scored
+/// tokens, which threshold gating does not change.
 pub fn select_q(
     inst: SsjInstance<'_>,
     measure: SetMeasure,
     max_q: usize,
     prelude_k: usize,
-    cache: Option<&ScoreCache>,
 ) -> usize {
     let max_q = max_q.max(1);
     if max_q == 1 {
@@ -1412,17 +1260,13 @@ pub fn select_q(
     let _span = mc_obs::span!("mc.core.ssj.select_q");
     let qs: Vec<usize> = (1..=max_q).collect();
     let costs = mc_obs::par::map(&qs, 0, |&q| {
-        let scorer: Box<dyn PairScorer> = match cache {
-            Some(cache) => Box::new(CachedExactScorer { measure, cache }),
-            None => Box::new(ExactScorer(measure)),
-        };
         let params = SsjParams {
             k: prelude_k,
             q,
             measure,
         };
         let mut scratch = JoinScratch::new();
-        let _ = topk_join_with_scratch(inst, params, scorer.as_ref(), &[], None, &mut scratch);
+        topk_join_with_scratch(inst, params, &[], None, &mut scratch);
         (scratch.last_events() + scratch.last_scored_tokens(), q)
     });
     costs.into_iter().min().map_or(1, |(_, q)| q)
@@ -1476,7 +1320,6 @@ mod tests {
                     q: 1,
                     measure: SetMeasure::Jaccard,
                 },
-                &ExactScorer(SetMeasure::Jaccard),
                 &[],
                 None,
             );
@@ -1503,7 +1346,6 @@ mod tests {
                     q: 1,
                     measure: m,
                 },
-                &ExactScorer(m),
                 &[],
                 None,
             );
@@ -1539,9 +1381,8 @@ mod tests {
                 q: 1,
                 measure: SetMeasure::Jaccard,
             };
-            let scorer = ExactScorer(SetMeasure::Jaccard);
-            let reused = topk_join_with_scratch(inst, params, &scorer, &[], None, &mut scratch);
-            let fresh = topk_join(inst, params, &scorer, &[], None);
+            let reused = topk_join_with_scratch(inst, params, &[], None, &mut scratch);
+            let fresh = topk_join(inst, params, &[], None);
             assert_eq!(reused.sorted_entries(), fresh.sorted_entries());
         }
     }
@@ -1564,7 +1405,6 @@ mod tests {
                 q: 1,
                 measure: SetMeasure::Jaccard,
             },
-            &ExactScorer(SetMeasure::Jaccard),
             &[],
             None,
         );
@@ -1591,7 +1431,6 @@ mod tests {
                 q: 2,
                 measure: SetMeasure::Jaccard,
             },
-            &ExactScorer(SetMeasure::Jaccard),
             &[],
             None,
         );
@@ -1628,7 +1467,6 @@ mod tests {
                 q: 1,
                 measure: SetMeasure::Jaccard,
             },
-            &ExactScorer(SetMeasure::Jaccard),
             &[],
             None,
         );
@@ -1639,7 +1477,6 @@ mod tests {
                 q: 2,
                 measure: SetMeasure::Jaccard,
             },
-            &ExactScorer(SetMeasure::Jaccard),
             &[],
             None,
         );
@@ -1663,7 +1500,6 @@ mod tests {
                 q: 1,
                 measure: SetMeasure::Jaccard,
             },
-            &ExactScorer(SetMeasure::Jaccard),
             &[],
             None,
         );
@@ -1676,7 +1512,6 @@ mod tests {
                 q: 1,
                 measure: SetMeasure::Jaccard,
             },
-            &ExactScorer(SetMeasure::Jaccard),
             &seed,
             None,
         );
@@ -1701,7 +1536,6 @@ mod tests {
                 q: 1,
                 measure: SetMeasure::Jaccard,
             },
-            &ExactScorer(SetMeasure::Jaccard),
             &[(1.0, pair_key(0, 0))],
             None,
         );
@@ -1718,13 +1552,7 @@ mod tests {
             records_b: &b,
             killed: &killed,
         };
-        let l = topk_join(
-            inst,
-            SsjParams::default(),
-            &ExactScorer(SetMeasure::Jaccard),
-            &[],
-            None,
-        );
+        let l = topk_join(inst, SsjParams::default(), &[], None);
         assert!(l.is_empty());
     }
 
@@ -1740,7 +1568,7 @@ mod tests {
             records_b: &b,
             killed: &killed,
         };
-        let q = select_q(inst, SetMeasure::Jaccard, 4, 10, None);
+        let q = select_q(inst, SetMeasure::Jaccard, 4, 10);
         assert!((1..=4).contains(&q));
     }
 
@@ -1764,7 +1592,6 @@ mod tests {
                 q: 1,
                 measure: SetMeasure::Jaccard,
             },
-            &ExactScorer(SetMeasure::Jaccard),
             &[],
             Some(&cancel),
         );
@@ -1842,18 +1669,11 @@ mod tests {
             for (k, q) in [(10, 1), (60, 1), (10, 2), (25, 3)] {
                 for seeds in [&seed[..], &[]] {
                     let params = SsjParams { k, q, measure: m };
-                    let baseline = topk_join(inst, params, &ExactScorer(m), seeds, None);
+                    let baseline = topk_join(inst, params, seeds, None);
                     for post_side in [0u8, 1] {
                         let mut scratch = JoinScratch::new();
-                        let semi = topk_semi_join(
-                            inst,
-                            params,
-                            &ExactScorer(m),
-                            seeds,
-                            None,
-                            &mut scratch,
-                            post_side,
-                        );
+                        let semi =
+                            topk_semi_join(inst, params, seeds, None, &mut scratch, post_side);
                         assert_eq!(
                             baseline.sorted_entries(),
                             semi.sorted_entries(),
@@ -1882,18 +1702,10 @@ mod tests {
             q: 1,
             measure: SetMeasure::Jaccard,
         };
-        let baseline = topk_join(inst, params, &ExactScorer(SetMeasure::Jaccard), &[], None);
+        let baseline = topk_join(inst, params, &[], None);
         for post_side in [0u8, 1] {
             let mut scratch = JoinScratch::new();
-            let semi = topk_semi_join(
-                inst,
-                params,
-                &ExactScorer(SetMeasure::Jaccard),
-                &[],
-                None,
-                &mut scratch,
-                post_side,
-            );
+            let semi = topk_semi_join(inst, params, &[], None, &mut scratch, post_side);
             assert_eq!(baseline.sorted_entries(), semi.sorted_entries());
         }
     }

@@ -1,23 +1,24 @@
 //! Cache-key derivation and artifact codecs for the persistent store.
 //!
 //! This module is the bridge between the pipeline's in-memory state and
-//! `mc-store`'s content-addressed blobs. Four artifact kinds are
-//! persisted (see [`mc_store::ArtifactKind`]):
+//! `mc-store`'s content-addressed blobs. Three artifact kinds are
+//! persisted by the pipeline (see [`mc_store::ArtifactKind`]):
 //!
 //! * **Tokenization** — the shared token order (`id → rank` table) plus
 //!   both tables' per-attribute sorted rank columns, keyed by the two
 //!   input tables' content digests, the promising attribute list and the
 //!   tokenizer. Loading it skips the `mc.strsim.dict.build` pass
 //!   entirely.
-//! * **Arena** — one side's flat CSR record arena for one config, keyed
-//!   by the tokenization key plus side and config positions.
-//! * **Postings** — the same arena/postings data in the alignment-padded
-//!   zero-copy layout ([`encode_arena_zc`]), under the same key: warm
-//!   starts memory-map the file and point the join at its pages in place
-//!   ([`map_arena`]) instead of decoding. New runs publish this kind;
-//!   the byte-codec **Arena** kind stays readable for stores written by
-//!   older builds and as the fallback when a mapped payload fails
-//!   validation.
+//! * **Postings** — one side's flat CSR record arena for one config in
+//!   the alignment-padded zero-copy layout ([`encode_arena_zc`]), keyed
+//!   by the tokenization key plus side and config positions: warm starts
+//!   memory-map the file and point the join at its pages in place
+//!   ([`map_arena`]) instead of decoding. A mapped payload that fails
+//!   validation is a miss, and the arena is rebuilt. The pipeline no
+//!   longer reads or writes the byte-codec **Arena** kind
+//!   ([`encode_arena`]/[`decode_arena`]); store format v2 reads every
+//!   artifact older builds wrote as a miss anyway. The codec stays for
+//!   tools that replay or test the store.
 //! * **CandidateUnion** — the joint stage's entire output (config masks,
 //!   `q_used`, the deduplicated pair list and per-config score matrix),
 //!   keyed by the tokenization key, the config-tree shape, every

@@ -96,7 +96,11 @@ const EXT: &str = "mcs";
 pub enum ArtifactKind {
     /// Per-table-pair tokenizations + token order (`mc-strsim` dicts).
     Tokenization,
-    /// One config's flat record arena (CSR token buffer + offsets).
+    /// One config's flat record arena (CSR token buffer + offsets) in
+    /// the byte codec. The pipeline publishes arenas as [`Postings`]
+    /// instead; this kind remains for tools that replay or test a store.
+    ///
+    /// [`Postings`]: ArtifactKind::Postings
     Arena,
     /// The joint stage's candidate union (pairs + per-config scores).
     CandidateUnion,

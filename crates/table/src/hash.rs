@@ -100,9 +100,8 @@ pub fn fx_set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
     FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
 }
 
-/// Hashes a single `u64` with the Fx scheme; used to shard keys across
-/// concurrent maps (the joint stage's score cache) without constructing
-/// a hasher.
+/// Hashes a single `u64` with the Fx scheme, without constructing a
+/// hasher (the explain kernel's pair cache probes with it).
 #[inline]
 pub fn hash_u64(x: u64) -> u64 {
     x.rotate_left(5).wrapping_mul(SEED64)

@@ -3,7 +3,7 @@
 //! empirical `q` selection, `run_joint` must produce a bit-identical
 //! candidate union — same `q_used`, same pairs, same `f64` score bit
 //! patterns — at every worker-thread count, on a realistic datagen
-//! profile with the root config consuming the Auto-q score cache.
+//! profile with `q` chosen by Auto-q's preludes.
 
 use matchcatcher::debugger::{DebuggerParams, MatchCatcher};
 use matchcatcher::joint::{run_joint, CandidateUnion, JointParams, QStrategy};

@@ -2,8 +2,8 @@
 //! substrate, using seeded random records (deterministic across runs).
 
 use matchcatcher::ssj::{
-    brute_force_topk, topk_join, topk_join_with_scratch, ExactScorer, JoinScratch, SsjInstance,
-    SsjParams, TopKList,
+    brute_force_topk, topk_join, topk_join_with_scratch, JoinScratch, SsjInstance, SsjParams,
+    TopKList,
 };
 use mc_strsim::arena::RecordArena;
 use mc_strsim::join::{nested_loop_join, sim_join};
@@ -56,9 +56,10 @@ fn random_string(rng: &mut StdRng, alphabet: &[u8], max_len: usize) -> String {
 /// two per-event `partition_point` occurrence scans. The production join
 /// (flat arena + dense counted postings + run counters) must produce
 /// **bit-identical** `sorted_entries()` — same pairs, same scores, same
-/// tie-breaks — on every input.
+/// tie-breaks — on every input. It scores with the unmemoized, ungated
+/// `SetMeasure::score`.
 mod reference {
-    use matchcatcher::ssj::{PairScorer, SsjParams, TopKList};
+    use matchcatcher::ssj::{SsjParams, TopKList};
     use mc_strsim::measures::SetMeasure;
     use mc_table::hash::{fx_map, FxHashMap};
     use mc_table::{pair_key, PairSet, TupleId};
@@ -128,7 +129,6 @@ mod reference {
         records_b: &[Vec<u32>],
         killed: &PairSet,
         params: SsjParams,
-        scorer: &dyn PairScorer,
         seed: &[(f64, u64)],
     ) -> TopKList {
         let credit = params.q - 1;
@@ -202,7 +202,9 @@ mod reference {
                     st.common += 1;
                     if st.common as usize >= params.q {
                         st.scored = true;
-                        let s = scorer.score(a, b, &records_a[a as usize], &records_b[b as usize]);
+                        let s = params
+                            .measure
+                            .score(&records_a[a as usize], &records_b[b as usize]);
                         k_list.insert(s, key);
                     }
                 }
@@ -233,9 +235,11 @@ mod reference {
 /// per-pair states (its hash-map form; the dense form behaved
 /// identically). It returns its list together with its work counters,
 /// so the production join can be held to the same lists *and* the same
-/// work, event for event.
+/// work, event for event. It scores with the unmemoized
+/// `SetMeasure::score_above`, so the production join's memoized bounds
+/// are held to the direct computation as well.
 mod heap_loop {
-    use matchcatcher::ssj::{PairScorer, ScoreOutcome, SsjInstance, SsjParams, TopKList};
+    use matchcatcher::ssj::{SsjInstance, SsjParams, TopKList};
     use mc_strsim::measures::SetMeasure;
     use mc_table::hash::{fx_map, FxHashMap};
     use mc_table::{pair_key, split_pair_key, TupleId};
@@ -301,7 +305,6 @@ mod heap_loop {
     pub fn topk_join(
         inst: SsjInstance<'_>,
         params: SsjParams,
-        scorer: &dyn PairScorer,
         seed: &[(f64, u64)],
     ) -> (TopKList, Work) {
         let credit = params.q - 1;
@@ -384,13 +387,12 @@ mod heap_loop {
                     continue;
                 }
                 let (ra, rb) = (inst.records_a.record(a), inst.records_b.record(b));
-                match scorer.score_above(a, b, ra, rb, k_list.gate()) {
-                    ScoreOutcome::Scored(s) => {
+                match params.measure.score_above(ra, rb, k_list.gate()) {
+                    Some(s) => {
                         work.scored += 1;
                         k_list.insert(s, key);
                     }
-                    ScoreOutcome::Cached(s) => k_list.insert(s, key),
-                    ScoreOutcome::Refuted => work.merge_aborts += 1,
+                    None => work.merge_aborts += 1,
                 }
             }
             let list = postings[side].entry(tok).or_default();
@@ -441,7 +443,6 @@ fn topkjoin_matches_brute_force() {
                     q: 1,
                     measure: m,
                 },
-                &ExactScorer(m),
                 &[],
                 None,
             );
@@ -481,8 +482,7 @@ fn topkjoin_matches_brute_force_with_killed_sets() {
                     q: 1,
                     measure: m,
                 };
-                let fast =
-                    topk_join_with_scratch(inst, params, &ExactScorer(m), &[], None, &mut scratch);
+                let fast = topk_join_with_scratch(inst, params, &[], None, &mut scratch);
                 let slow = brute_force_topk(inst, k, m);
                 let fs = fast.sorted_scores();
                 let ss = slow.sorted_scores();
@@ -521,8 +521,8 @@ fn topkjoin_bit_identical_to_reference_loop() {
         for m in SetMeasure::ALL {
             for (k, q) in [(1usize, 1usize), (10, 1), (100, 1), (10, 2), (10, 3)] {
                 let params = SsjParams { k, q, measure: m };
-                let new = topk_join(inst, params, &ExactScorer(m), &[], None);
-                let old = reference::topk_join(&ra, &rb, &killed, params, &ExactScorer(m), &[]);
+                let new = topk_join(inst, params, &[], None);
+                let old = reference::topk_join(&ra, &rb, &killed, params, &[]);
                 assert_eq!(
                     new.sorted_entries(),
                     old.sorted_entries(),
@@ -540,23 +540,27 @@ fn topkjoin_lists_and_work_equal_the_heap_loop() {
     // decisions: bit-identical lists AND identical work counters, for
     // every measure, q and k, with killed sets, empty records, duplicate
     // tokens and seeds inside the arenas, outside them and killed. One
-    // scratch serves every instance size and both kernels.
+    // scratch serves every instance size, every measure and both
+    // kernels, and the oracle's unmemoized `score_above` holds the
+    // scratch's bound memo to the direct computation.
     use matchcatcher::ssj::topk_semi_join;
     let ctx = mc_obs::ObsContext::session();
     let _guard = ctx.attach();
     let mut rng = StdRng::seed_from_u64(0x0B0C_4E75);
     let mut scratch = JoinScratch::new();
-    for case in 0..40 {
+    for case in 0..41 {
         // Alternate small and larger instances so reuse crosses sizes.
-        let (n, len, universe): (usize, usize, u32) = if case % 2 == 0 {
-            (14, 8, 24)
-        } else {
-            (48, 14, 40)
+        // The last has records of 65+ tokens: their cosine keys
+        // (`la · lb`) exceed the memo's table, so it computes directly.
+        let (n, lens, universe): (usize, std::ops::Range<usize>, u32) = match case {
+            40 => (10, 65..90, 160),
+            _ if case % 2 == 0 => (14, 0..8, 24),
+            _ => (48, 0..14, 40),
         };
         let gen = |rng: &mut StdRng| -> Vec<Vec<u32>> {
             (0..rng.random_range(1..n))
                 .map(|_| {
-                    let l = rng.random_range(0..len);
+                    let l = rng.random_range(lens.clone());
                     let mut v: Vec<u32> = (0..l).map(|_| rng.random_range(0..universe)).collect();
                     v.sort_unstable();
                     v
@@ -585,16 +589,9 @@ fn topkjoin_lists_and_work_equal_the_heap_loop() {
                 for k in [1usize, 10, 100] {
                     for seed in [&[][..], &seeds[..]] {
                         let params = SsjParams { k, q, measure: m };
-                        let (old, want) = heap_loop::topk_join(inst, params, &ExactScorer(m), seed);
+                        let (old, want) = heap_loop::topk_join(inst, params, seed);
                         let base = mc_obs::MetricsSnapshot::capture();
-                        let new = topk_join_with_scratch(
-                            inst,
-                            params,
-                            &ExactScorer(m),
-                            seed,
-                            None,
-                            &mut scratch,
-                        );
+                        let new = topk_join_with_scratch(inst, params, seed, None, &mut scratch);
                         let d = mc_obs::MetricsSnapshot::capture().since(&base);
                         let got = heap_loop::Work {
                             events: d.counter("mc.core.ssj.events"),
@@ -612,7 +609,6 @@ fn topkjoin_lists_and_work_equal_the_heap_loop() {
                         let semi = topk_semi_join(
                             inst,
                             params,
-                            &ExactScorer(m),
                             seed,
                             None,
                             &mut scratch,
@@ -715,7 +711,6 @@ fn killed_pairs_never_surface() {
                 q: 1,
                 measure: SetMeasure::Jaccard,
             },
-            &ExactScorer(SetMeasure::Jaccard),
             &[],
             None,
         );
@@ -748,7 +743,6 @@ fn qjoin_is_subset_with_correct_scores() {
                 q,
                 measure: SetMeasure::Jaccard,
             },
-            &ExactScorer(SetMeasure::Jaccard),
             &[],
             None,
         );
@@ -856,11 +850,10 @@ fn overlap_with_bound_agrees_with_naive_overlap() {
 }
 
 #[test]
-fn auto_q_score_cache_matches_cache_off_join() {
-    // Cache-on / cache-off identity: a joint run whose main pass consumes
-    // the prelude-populated pair → score cache must produce bit-identical
-    // per-config lists (pairs, scores, tie-breaks) to a cache-free run at
-    // the same fixed q.
+fn auto_q_lists_equal_fixed_q_used_lists() {
+    // Auto-q only chooses q: its preludes keep nothing for the main run,
+    // so a joint run under `Auto` must produce bit-identical per-config
+    // lists (pairs, scores, tie-breaks) to a run at `Fixed(q_used)`.
     use matchcatcher::config::ConfigGenerator;
     use matchcatcher::joint::{run_joint, JointParams, QStrategy};
     use mc_datagen::profiles::DatasetProfile;
@@ -873,52 +866,29 @@ fn auto_q_score_cache_matches_cache_off_join() {
     let tree = generator.build_tree(&promising);
     let (ta, tb, _) = TokenizedTable::build_pair(&ds.a, &ds.b, &promising.attrs, Tokenizer::Word);
     let killed = PairSet::new();
-
-    let before = mc_obs::MetricsSnapshot::capture();
-    let auto = run_joint(
-        &ta,
-        &tb,
-        &killed,
-        &tree,
-        JointParams {
+    let run = |q| {
+        let params = JointParams {
             k: 60,
-            q: QStrategy::Auto {
-                max_q: 4,
-                prelude_k: 50,
-            },
+            q,
             ..Default::default()
-        },
-    );
-    let delta = mc_obs::MetricsSnapshot::capture().since(&before);
-    assert!(
-        delta.counter("mc.core.ssj.cache_hits") > 0,
-        "the prelude score cache must actually serve the main run"
-    );
-
-    let fixed = run_joint(
-        &ta,
-        &tb,
-        &killed,
-        &tree,
-        JointParams {
-            k: 60,
-            q: QStrategy::Fixed(auto.q_used),
-            ..Default::default()
-        },
-    );
+        };
+        run_joint(&ta, &tb, &killed, &tree, params)
+    };
+    let auto = run(QStrategy::Auto {
+        max_q: 4,
+        prelude_k: 50,
+    });
+    let fixed = run(QStrategy::Fixed(auto.q_used));
     assert_eq!(auto.q_used, fixed.q_used);
     assert_eq!(auto.lists.len(), fixed.lists.len());
     for (i, (la, lb)) in auto.lists.iter().zip(&fixed.lists).enumerate() {
-        let ea = la.sorted_entries();
-        let eb = lb.sorted_entries();
-        assert_eq!(ea.len(), eb.len(), "config {i}");
-        for ((sa, pa), (sb, pb)) in ea.iter().zip(&eb) {
-            assert_eq!(
-                (sa.to_bits(), pa),
-                (sb.to_bits(), pb),
-                "config {i}: cached score diverged from fresh computation"
-            );
-        }
+        let bits = |l: &TopKList| -> Vec<(u64, u64)> {
+            l.sorted_entries()
+                .into_iter()
+                .map(|(s, p)| (s.to_bits(), p))
+                .collect()
+        };
+        assert_eq!(bits(la), bits(lb), "config {i}");
     }
 }
 

@@ -134,12 +134,10 @@ fn warm_run_is_byte_identical_and_skips_tokenization_and_arenas() {
 }
 
 #[test]
-fn warm_start_round_trips_the_threshold_kernel_and_score_cache() {
-    // Audit for the scoring-kernel change: the candidate-union cache key
-    // needs no bump because the threshold-aware merge, the keyed-bound
-    // memo, and the prelude score cache all leave published scores
-    // bit-identical. A cold Auto-q run — whose preludes populate the
-    // cross-q pair → score cache and whose main run consumes it — must
+fn warm_start_round_trips_the_threshold_kernel_and_auto_q() {
+    // Audit for the scoring kernel: the candidate-union cache key needs
+    // no bump because the threshold-aware merge and the keyed-bound memo
+    // leave published scores bit-identical. A cold Auto-q run must
     // warm-start byte for byte and skip the joint stage entirely
     // (`q_used` is part of the summarized report, so the empirically
     // selected q round-trips through the artifact too).
@@ -150,11 +148,7 @@ fn warm_start_round_trips_the_threshold_kernel_and_score_cache() {
         prelude_k: 30,
     };
 
-    let (cold, cold_delta) = run_once_with(&dir, 2, q);
-    assert!(
-        cold_delta.counter("mc.core.ssj.cache_hits") > 0,
-        "cold Auto-q run must exercise the prelude score cache"
-    );
+    let (cold, _) = run_once_with(&dir, 2, q);
 
     let (warm, delta) = run_once_with(&dir, 2, q);
     assert_eq!(
