@@ -49,7 +49,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Cumulative allocation totals since process start. Capture one before
 /// and one after a measured region and diff with [`AllocStats::since`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
     /// Heap allocations (`alloc` + `alloc_zeroed` + grow-`realloc` calls).
     pub allocations: u64,

@@ -1,7 +1,7 @@
 //! Incremental-debugging baseline: cold pipeline refresh vs.
 //! delta-patched reruns, writing `BENCH_incr.json`.
 //!
-//! Three scenarios per dataset, all through [`MatchCatcher::start_session`]:
+//! Four scenarios per dataset, all through [`MatchCatcher::start_session`]:
 //!
 //! * `cold` — a fresh session on the current tables: full tokenization,
 //!   arena build, and one joint top-K execution. Its *refresh* time is
@@ -13,6 +13,14 @@
 //!   time is the rerun span minus the verify/explain stages.
 //! * `killed_only` — unchanged tables, killed-set diff only: the fast
 //!   path that reuses every join verbatim.
+//! * `aged` — one fresh session through 50 consecutive 1% table deltas
+//!   (20 in smoke mode), as a long debugging session sees them; it runs
+//!   after every other scenario. `first_refresh_us` is the refresh at
+//!   delta 1, `refresh_us` the one at the last delta; `pairs_rescored`,
+//!   `records_patched`, `full_rejoins`, `compactions` and the allocation
+//!   stats sum over every delta, and `pairs_reused` is the last delta's.
+//!   A session that ages shows as a last refresh far above the first,
+//!   or as full rejoins.
 //!
 //! Verification and explanation run identically in every scenario, so
 //! they are excluded from the refresh times — the comparison isolates
@@ -40,7 +48,7 @@ use mc_blocking::{Blocker, KeyFunc};
 use mc_datagen::delta::{perturb_killed, random_delta, DeltaSpec};
 use mc_datagen::profiles::DatasetProfile;
 use mc_obs::MetricsSnapshot;
-use mc_table::{AttrId, GoldMatches, Table, TableDelta};
+use mc_table::{AttrId, GoldMatches, PairSet, Table, TableDelta};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -64,9 +72,12 @@ fn summarize(r: &DebugReport) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
+#[derive(Default)]
 struct ScenarioReport {
     name: &'static str,
     refresh_us: u64,
+    /// The `aged` scenario's refresh at its first delta.
+    first_refresh_us: Option<u64>,
     records_patched: u64,
     pairs_rescored: u64,
     pairs_reused: u64,
@@ -99,6 +110,7 @@ fn scenario_counters(
     ScenarioReport {
         name,
         refresh_us,
+        first_refresh_us: None,
         records_patched: delta.counter("mc.core.incr.records_patched"),
         pairs_rescored: delta.counter("mc.core.incr.pairs_rescored"),
         pairs_reused: delta.counter("mc.core.incr.pairs_reused"),
@@ -118,30 +130,43 @@ struct DatasetRun {
     speedup_killed: f64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn bench_dataset(
-    name: String,
-    a: Table,
-    b: Table,
-    gold: GoldMatches,
-    k: usize,
-    runs: usize,
-    delta_frac: f64,
-    seed: u64,
-    threads: usize,
-) -> DatasetRun {
-    let killed = Blocker::Hash(KeyFunc::Attr(AttrId(0))).apply(&a, &b);
+/// The debugger every scenario runs: the paper's defaults at `k`, with
+/// a fixed `q` of 1 as sessions require.
+fn debugger(k: usize, threads: usize) -> MatchCatcher {
     let mut params = DebuggerParams::default();
     params.joint.k = k;
     params.joint.q = QStrategy::Fixed(1);
     if threads != 0 {
         params.joint.threads = threads;
     }
-    let mc = MatchCatcher::new(params);
+    MatchCatcher::new(params)
+}
+
+/// One dataset's inputs.
+struct Dataset {
+    name: String,
+    a: Table,
+    b: Table,
+    killed: PairSet,
+    gold: GoldMatches,
+    /// Seed of the dataset's random deltas.
+    seed: u64,
+}
+
+/// The `cold`, `delta` and `killed_only` scenarios.
+fn bench_dataset(mc: &MatchCatcher, d: &Dataset, runs: usize, delta_frac: f64) -> DatasetRun {
+    let Dataset {
+        name,
+        a,
+        b,
+        killed,
+        gold,
+        seed,
+    } = d;
 
     // Cold session: refresh cost is best-of-N fresh starts (the first
     // also becomes the live session for the incremental scenarios).
-    let mut oracle = GoldOracle::exact(&gold);
+    let mut oracle = GoldOracle::exact(gold);
     let mut best_cold: Option<u64> = None;
     let mut cold_allocs = AllocStats::capture();
     let mut live = None;
@@ -164,7 +189,7 @@ fn bench_dataset(
     let configs = start_report.configs.len();
 
     // 1% table delta + small killed diff.
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(*seed);
     let da = random_delta(
         session.table_a(),
         DeltaSpec::fraction_of(a.len(), delta_frac),
@@ -204,7 +229,7 @@ fn bench_dataset(
         session.table_a().clone(),
         session.table_b().clone(),
         session.killed().clone(),
-        &mut GoldOracle::exact(&gold),
+        &mut GoldOracle::exact(gold),
     );
     assert!(
         summarize(&cold_check) == summarize(&incr_report),
@@ -238,7 +263,7 @@ fn bench_dataset(
         session.table_a().clone(),
         session.table_b().clone(),
         session.killed().clone(),
-        &mut GoldOracle::exact(&gold),
+        &mut GoldOracle::exact(gold),
     );
     assert!(
         summarize(&cold_check2) == summarize(&killed_report),
@@ -248,7 +273,7 @@ fn bench_dataset(
     let rows_a = session.table_a().len();
     let rows_b = session.table_b().len();
     DatasetRun {
-        name,
+        name: name.clone(),
         rows_a,
         rows_b,
         configs,
@@ -258,17 +283,81 @@ fn bench_dataset(
             ScenarioReport {
                 name: "cold",
                 refresh_us: cold_us,
-                records_patched: 0,
-                pairs_rescored: 0,
-                pairs_reused: 0,
-                full_rejoins: 0,
-                compactions: 0,
                 allocs: cold_allocs,
+                ..ScenarioReport::default()
             },
             scenario_counters("delta", &delta_metrics, delta_us, delta_allocs),
             scenario_counters("killed_only", &killed_metrics, killed_us, killed_allocs),
         ],
     }
+}
+
+/// The `aged` scenario: `deltas` consecutive `delta_frac` table deltas
+/// through one fresh session, every rerun checked against a cold
+/// session on the patched tables.
+fn aged_scenario(mc: &MatchCatcher, d: &Dataset, deltas: usize, delta_frac: f64) -> ScenarioReport {
+    let Dataset {
+        name,
+        a,
+        b,
+        killed,
+        gold,
+        seed,
+    } = d;
+    let mut oracle = GoldOracle::exact(gold);
+    let (mut session, _) = mc.start_session(a.clone(), b.clone(), killed.clone(), &mut oracle);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xa9ed);
+    let mut report = ScenarioReport {
+        name: "aged",
+        ..ScenarioReport::default()
+    };
+    for i in 1..=deltas {
+        let mut delta =
+            |t: &Table| random_delta(t, DeltaSpec::fraction_of(t.len(), delta_frac), &mut rng);
+        let (da, db) = (delta(session.table_a()), delta(session.table_b()));
+        // The allocation window holds only the rerun, not the metric
+        // snapshots, which copy the process-wide flight recorder.
+        let base = MetricsSnapshot::capture();
+        let alloc_base = AllocStats::capture();
+        let rerun = session
+            .rerun(&da, &db, None, &mut oracle)
+            .expect("generated delta is valid");
+        let allocs = AllocStats::capture().since(&alloc_base);
+        let metrics = MetricsSnapshot::capture().since(&base);
+        let step = scenario_counters("aged", &metrics, rerun_refresh_us(&metrics), allocs);
+        if std::env::var("MC_BENCH_DUMP").is_ok_and(|v| v == "1") {
+            eprintln!(
+                "{name} aged delta {i}: refresh {:.2}ms rescored {} reused {} rejoins {} \
+                 valid_min {}",
+                step.refresh_us as f64 / 1e3,
+                step.pairs_rescored,
+                step.pairs_reused,
+                step.full_rejoins,
+                metrics.gauge("mc.core.incr.valid_min")
+            );
+        }
+        report.first_refresh_us.get_or_insert(step.refresh_us);
+        report.refresh_us = step.refresh_us;
+        report.records_patched += step.records_patched;
+        report.pairs_rescored += step.pairs_rescored;
+        report.pairs_reused = step.pairs_reused;
+        report.full_rejoins += step.full_rejoins;
+        report.compactions += step.compactions;
+        report.allocs.allocations += allocs.allocations;
+        report.allocs.bytes += allocs.bytes;
+
+        let (_, cold_check) = mc.start_session(
+            session.table_a().clone(),
+            session.table_b().clone(),
+            session.killed().clone(),
+            &mut GoldOracle::exact(gold),
+        );
+        assert!(
+            summarize(&cold_check) == summarize(&rerun),
+            "{name}: aged rerun {i} diverged from the cold run on the patched tables"
+        );
+    }
+    report
 }
 
 fn main() {
@@ -279,40 +368,40 @@ fn main() {
     let min_delta: f64 = env.value_or("--min-speedup-delta", 0.0);
     let min_killed: f64 = env.value_or("--min-speedup-killed", 0.0);
     let threads = env.threads();
+    let aged_deltas = if env.smoke { 20 } else { 50 };
 
     // Full mode: 60K×60K zipf + amazon-google ×0.25 (the paper's
     // software-products workload). Smoke shrinks both.
     let zipf_scale = env.scale(1.0, 0.01);
     let ag_scale = if env.smoke { 0.05 } else { 0.25 };
 
-    let mut datasets = Vec::new();
-    {
-        let ds = DatasetProfile::ZipfScale.generate_scaled(7, zipf_scale);
-        datasets.push(bench_dataset(
-            format!("{}-{}", ds.name, scale_tag(zipf_scale)),
-            ds.a,
-            ds.b,
-            ds.gold,
-            k,
-            runs,
-            0.01,
-            41,
-            threads,
-        ));
-    }
-    {
-        let ds = DatasetProfile::AmazonGoogle.generate_scaled(7, ag_scale);
-        datasets.push(bench_dataset(
-            format!("{}-{}", ds.name, scale_tag(ag_scale)),
-            ds.a,
-            ds.b,
-            ds.gold,
-            k,
-            runs,
-            0.01,
-            43,
-            threads,
-        ));
+    let inputs: Vec<Dataset> = [
+        (DatasetProfile::ZipfScale, zipf_scale, 41),
+        (DatasetProfile::AmazonGoogle, ag_scale, 43),
+    ]
+    .into_iter()
+    .map(|(profile, scale, seed)| {
+        let ds = profile.generate_scaled(7, scale);
+        Dataset {
+            name: format!("{}-{}", ds.name, scale_tag(scale)),
+            killed: Blocker::Hash(KeyFunc::Attr(AttrId(0))).apply(&ds.a, &ds.b),
+            a: ds.a,
+            b: ds.b,
+            gold: ds.gold,
+            seed,
+        }
+    })
+    .collect();
+    let mc = debugger(k, threads);
+    let mut datasets: Vec<DatasetRun> = inputs
+        .iter()
+        .map(|d| bench_dataset(&mc, d, runs, 0.01))
+        .collect();
+    // The aged scenarios run last: their many sessions fill the
+    // process-wide flight recorder, which the other scenarios'
+    // allocation windows copy.
+    for (run, d) in datasets.iter_mut().zip(&inputs) {
+        run.scenarios.push(aged_scenario(&mc, d, aged_deltas, 0.01));
     }
 
     let mut json = String::new();
@@ -331,9 +420,12 @@ fn main() {
             if j > 0 {
                 json.push(',');
             }
+            let first = s
+                .first_refresh_us
+                .map_or(String::new(), |us| format!("\"first_refresh_us\": {us}, "));
             let _ = write!(
                 json,
-                "\n      {{\"name\": \"{}\", \"refresh_us\": {}, \
+                "\n      {{\"name\": \"{}\", {first}\"refresh_us\": {}, \
                  \"counters\": {{\"records_patched\": {}, \"pairs_rescored\": {}, \
                  \"pairs_reused\": {}, \"full_rejoins\": {}, \"compactions\": {}}}, \
                  \"allocs\": {{\"count\": {}, \"bytes\": {}}}}}",
@@ -378,6 +470,16 @@ fn main() {
             "{:<22} identity ok; speedup {:.1}x (1% delta), {:.1}x (killed-only)",
             d.name, d.speedup_delta, d.speedup_killed
         );
+        if let Some(aged) = d.scenarios.iter().find(|s| s.name == "aged") {
+            println!(
+                "{:<22} aged over {aged_deltas} deltas: refresh {:.2}ms -> {:.2}ms, \
+                 {} full rejoins",
+                d.name,
+                aged.first_refresh_us.unwrap_or(0) as f64 / 1e3,
+                aged.refresh_us as f64 / 1e3,
+                aged.full_rejoins
+            );
+        }
     }
     println!("wrote {out_path}");
 

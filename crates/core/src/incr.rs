@@ -26,13 +26,14 @@
 //! * **Top-k lists** are maintained, not recomputed. Each config keeps
 //!   `K = k + margin` entries; a rerun drops the entries that touch
 //!   changed records (or were newly killed), re-joins only the changed
-//!   slices of the cross product via *masked arena views*, re-scores
-//!   un-killed pairs directly, and merges — the scoring kernel runs only
-//!   for pairs touching the delta. When the surviving prefix falls below
-//!   the report size `k`, that config falls back to one full join
-//!   *seeded* with the survivors (still much cheaper than cold: seeds
-//!   raise the pruning threshold immediately). Delta joins and rejoins
-//!   share the session's one [`JoinScratch`], whose buffers are
+//!   slices of the cross product via *masked arena views*, seeded with
+//!   every surviving entry, re-scores un-killed pairs directly, and
+//!   merges — the scoring kernel runs only for pairs touching the delta.
+//!   When fewer than the report size `k` survive from the list's exact
+//!   prefix, that config falls back to one full join *seeded* with the
+//!   survivors (still much cheaper than cold: seeds raise the pruning
+//!   threshold immediately). Delta joins and rejoins share the
+//!   session's one [`JoinScratch`], whose buffers are
 //!   `O(|A| + |B| + postings)`: no join keeps state per discovered pair,
 //!   so a rejoin at any table size needs no memory cap.
 //! * **Killed-set-only diffs** are the fast path: every join is reused
@@ -43,24 +44,39 @@
 //!
 //! [`DebugSession::rerun`] returns a [`DebugReport`] **byte-identical**
 //! (metrics aside) to a cold run on the patched tables with the same
-//! parameters, at any thread count. The argument,
-//! config by config, with `v` valid entries before the rerun and `v′`
-//! survivors after dropping the `d` entries that touch the delta:
+//! parameters, at any thread count. Each config's first `v` entries are
+//! its *exact prefix*: they equal the top `v` of the config's candidate
+//! universe, so every candidate canonically at or above the prefix's
+//! last entry `b` (the *boundary*) is among them. A rerun drops the
+//! entries that touch a changed record or a newly killed pair; the rest
+//! are *survivors*, `v′` of them from the exact prefix. The argument,
+//! config by config:
 //!
-//! * Survivors' scores are unchanged (their records are untouched), and
-//!   every survivor canonically outranks every untouched pair *missing*
-//!   from the kept list — missing pairs were already outranked by the
-//!   old list's last valid entry.
+//! * Every survivor, the unproven tail's as well as the prefix's, is a
+//!   current candidate with its exact score: its records are untouched
+//!   and it is not killed. All of them seed the delta joins. A seed
+//!   only raises a join's threshold, and a pair the join prunes is
+//!   outranked by `K` of the join's outputs, all current candidates
+//!   that enter the merge.
 //! * The delta joins cover exactly the pairs whose scores may have
 //!   changed: `changed_A × B` and `(A ∖ changed_A) × changed_B`; direct
-//!   re-scoring covers un-killed untouched pairs. Entries these produce
-//!   beyond their own `K` capacity are outranked by ≥ `K ≥ v′` merged
-//!   entries, so they cannot enter the merged top-`v′`.
-//! * Therefore the canonical top-`v′` of (survivors ∪ delta joins ∪
-//!   re-scored un-killed pairs) equals the cold K-run's top-`v′`, and
-//!   since `v′ ≥ k` whenever this path is taken, the report's top-`k`
-//!   prefix is exact. Otherwise the config re-joins fully (seeded), which
-//!   is exact by construction.
+//!   re-scoring covers un-killed untouched pairs.
+//! * Take a current candidate `p` missing from the merged top `K`. If
+//!   `p` is untouched and was not un-killed, its score and candidacy
+//!   are as before, so if it ranks at or above `b` it was in the exact
+//!   prefix and survived. Otherwise a delta join or the re-scoring
+//!   produced it, or a join pruned it. So either `p` ranks below `b`,
+//!   or `K` merged entries outrank it and the truncated merge holds
+//!   only entries above it. Either way every merged entry at or above
+//!   `b` outranks `p`: those entries are the exact top of the universe,
+//!   and the exact prefix extends to the last of them
+//!   (`mc.core.incr.valid_extended` counts what this adds beyond `v′`).
+//! * The `v′` exact survivors lie at or above `b`, so the new prefix
+//!   holds at least `v′` entries, refilled with every join find above
+//!   `b`: the margin only has to absorb one rerun's drops. When
+//!   `v′ ≥ k` the report's top-`k` prefix is exact. Otherwise the
+//!   config re-joins fully, seeded with every survivor, which is exact
+//!   by construction.
 //!
 //! Sessions **require** a fixed QJoin `q` ([`QStrategy::Fixed`]): `Auto`
 //! re-selects `q` from prelude-join costs, which the patched state
@@ -95,9 +111,12 @@ use mc_table::{split_pair_key, IncrTableStats, PairSet, Table, TableDelta, Tuple
 #[derive(Debug, Clone, Copy)]
 pub struct IncrParams {
     /// Extra top-k slack per config: sessions maintain `K = k + margin`
-    /// entries so that dropping delta-touched entries usually leaves at
-    /// least `k` survivors (no full re-join). Larger margins make
-    /// re-joins rarer but cost memory and cold-start work.
+    /// entries. A rerun drops the entries its delta touches and refills
+    /// the exact prefix with every join find above the old boundary (see
+    /// the module docs), so the margin only has to absorb one rerun's
+    /// drops: a rerun that drops at most `margin` entries of a full
+    /// exact prefix leaves at least `k` (no full re-join). Larger
+    /// margins make re-joins rarer but cost memory and cold-start work.
     pub margin: usize,
     /// Arena compaction trigger: when a patched arena's dead-token
     /// fraction ([`RecordArena::garbage_ratio`]) exceeds this, the arena
@@ -131,9 +150,10 @@ pub struct DebugSession {
     /// Per-config maintained entries, canonically sorted (score
     /// descending, pair key ascending), at most `K = k + margin` long.
     lists: Vec<Vec<(f64, u64)>>,
-    /// Per-config count of *valid* leading entries: the prefix proven
-    /// equal to a cold K-run's. Entries beyond it may be incomplete
-    /// after incremental rounds and are never reported.
+    /// Per-config count of *valid* leading entries: the exact prefix,
+    /// proven equal to a cold K-run's. Entries beyond it may be
+    /// incomplete after incremental rounds; they seed the next rerun's
+    /// joins but are never reported.
     valid: Vec<usize>,
     q: usize,
     /// Per-table statistics counters, maintained under deltas so a rerun
@@ -150,9 +170,9 @@ pub struct DebugSession {
 }
 
 /// Canonical entry order: score descending, pair key ascending — the
-/// same total order [`TopKList`] keeps.
-fn canonical_sort(entries: &mut [(f64, u64)]) {
-    entries.sort_unstable_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
+/// same total order [`TopKList`] keeps. `Less` ranks higher.
+fn canonical_cmp(x: &(f64, u64), y: &(f64, u64)) -> std::cmp::Ordering {
+    y.0.total_cmp(&x.0).then(x.1.cmp(&y.1))
 }
 
 impl MatchCatcher {
@@ -266,11 +286,12 @@ impl DebugSession {
     /// Estimated resident heap footprint of the session's pipeline
     /// state, in bytes: raw tables, tokenized rank columns, per-config
     /// arenas (mapped pages count like owned bytes — eviction cares
-    /// about address-space pressure either way), and maintained top-K
-    /// lists. An *estimate* for eviction budgeting (`mc-serve`'s
-    /// max-resident-bytes policy), not an allocator-exact accounting:
-    /// per-allocation headers and `Vec` slack are approximated by a
-    /// flat per-row constant.
+    /// about address-space pressure either way), maintained top-K
+    /// lists and the warm join scratch, whose buffers are
+    /// `O(|A| + |B| + postings)`. An *estimate* for eviction budgeting
+    /// (`mc-serve`'s max-resident-bytes policy), not an allocator-exact
+    /// accounting: per-allocation headers and `Vec` slack are
+    /// approximated by a flat per-row constant.
     pub fn resident_bytes(&self) -> usize {
         const PER_VEC: usize = 24; // Vec header (ptr, len, cap)
         let mut total = 0usize;
@@ -299,7 +320,7 @@ impl DebugSession {
             total += PER_VEC + list.len() * 16;
         }
         total += self.dict.len() * 32; // interned token strings + rank table
-        total
+        total + self.scratch.resident_bytes()
     }
 
     /// Builds arenas and runs the joint stage cold at capacity `K`,
@@ -541,10 +562,14 @@ impl DebugSession {
         let mut rescored = 0u64;
         let mut reused = 0u64;
         let mut rejoins = 0u64;
+        let mut extended = 0u64;
 
         for i in 0..self.configs.len() {
             let (arena_a, arena_b) = &self.arenas[i];
-            let survivors: Vec<(f64, u64)> = self.lists[i][..self.valid[i]]
+            // Every kept entry the rerun leaves untouched is still a
+            // candidate with its exact score, the unproven tail's as
+            // well as the exact prefix's, so all of them seed the joins.
+            let survivors: Vec<(f64, u64)> = self.lists[i]
                 .iter()
                 .copied()
                 .filter(|&(_, p)| {
@@ -552,12 +577,21 @@ impl DebugSession {
                     !changed_a.contains(&x) && !changed_b.contains(&y) && !newly_killed.contains(&p)
                 })
                 .collect();
-            reused += survivors.len() as u64;
+            // Entries at or above the exact prefix's last one: `v′` of
+            // the survivors, and the new exact prefix of the merge.
+            let boundary = self.valid[i].checked_sub(1).map(|j| self.lists[i][j]);
+            let exact_prefix = |entries: &[(f64, u64)]| {
+                boundary.map_or(0, |b| {
+                    entries.partition_point(|e| canonical_cmp(e, &b).is_le())
+                })
+            };
+            let v2 = exact_prefix(&survivors);
+            reused += v2 as u64;
 
-            if survivors.len() < k {
-                // Too few survivors to guarantee an exact top-k prefix
-                // from merging: one full join, seeded with the
-                // survivors (their scores are still valid, so the
+            if v2 < k {
+                // Too few exact survivors to guarantee an exact top-k
+                // prefix from merging: one full join, seeded with every
+                // survivor (their scores are still valid, so the
                 // threshold starts high).
                 rejoins += 1;
                 let inst = SsjInstance {
@@ -649,25 +683,29 @@ impl DebugSession {
 
             // Merge, dedup by pair key (duplicate keys always carry the
             // same score — every path computes the one exact kernel),
-            // and keep the canonical top K. Only the top `v′` prefix is
-            // proven exact; the tail stays as future merge fodder but is
+            // and keep the canonical top K. The exact prefix extends to
+            // every merged entry at or above the old boundary (module
+            // docs); the tail stays as seeds and merge fodder but is
             // never reported.
-            let v2 = survivors.len();
             let mut seen: FxHashSet<u64> = fx_set();
-            let mut merged: Vec<(f64, u64)> = Vec::with_capacity(v2 + contributions.len());
+            let mut merged: Vec<(f64, u64)> =
+                Vec::with_capacity(survivors.len() + contributions.len());
             for (s, p) in survivors.into_iter().chain(contributions) {
                 if seen.insert(p) {
                     merged.push((s, p));
                 }
             }
-            canonical_sort(&mut merged);
+            merged.sort_unstable_by(canonical_cmp);
             merged.truncate(cap);
+            let valid = exact_prefix(&merged);
+            extended += (valid - v2) as u64;
             self.lists[i] = merged;
-            self.valid[i] = v2.min(self.lists[i].len());
+            self.valid[i] = valid;
         }
         mc_obs::counter!("mc.core.incr.pairs_rescored").add(rescored);
         mc_obs::counter!("mc.core.incr.pairs_reused").add(reused);
         mc_obs::counter!("mc.core.incr.full_rejoins").add(rejoins);
+        mc_obs::counter!("mc.core.incr.valid_extended").add(extended);
     }
 
     /// Builds the report from the maintained lists: truncate each
@@ -675,6 +713,10 @@ impl DebugSession {
     /// run [`MatchCatcher::run`]'s own verify → explain tail.
     fn finish(&mut self, oracle: &mut dyn Oracle, baseline: MetricsSnapshot) -> DebugReport {
         let k = self.params.joint.k;
+        // How far the session is from a full rejoin: a config rejoins
+        // once fewer than `k` of its exact entries survive a rerun.
+        let valid_min = self.valid.iter().min().copied().unwrap_or(0);
+        mc_obs::gauge!("mc.core.incr.valid_min").set(valid_min as i64);
         let k_lists: Vec<TopKList> = self
             .lists
             .iter()
@@ -976,6 +1018,30 @@ mod tests {
         // arenas — serve polls it after every rerun for eviction.
         assert!(warm_session.resident_bytes() > 0);
         std::fs::remove_dir_all(root).ok();
+    }
+
+    #[test]
+    fn resident_bytes_counts_the_warm_join_scratch() {
+        let (a, b, killed, gold) = fixture();
+        let mut oracle = GoldOracle::exact(&gold);
+        let (mut session, _) = MatchCatcher::new(params()).start_session(a, b, killed, &mut oracle);
+        let donor = session.table_a().tuple(1).clone();
+        let delta_a = TableDelta {
+            updates: vec![RowEdit {
+                id: 0,
+                tuple: donor,
+            }],
+            deletes: Vec::new(),
+            inserts: Vec::new(),
+        };
+        session
+            .rerun(&delta_a, &TableDelta::new(), None, &mut oracle)
+            .unwrap();
+        let scratch = session.scratch.resident_bytes();
+        assert!(scratch > 0, "a delta rerun warms the session's scratch");
+        let warm = session.resident_bytes();
+        session.scratch = JoinScratch::new();
+        assert_eq!(warm - session.resident_bytes(), scratch);
     }
 
     #[test]

@@ -715,6 +715,35 @@ impl JoinScratch {
     pub fn last_scored(&self) -> u64 {
         self.work.scored
     }
+
+    /// Heap bytes the scratch's buffers hold (their capacities), for a
+    /// session's footprint estimate.
+    pub fn resident_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let q = &self.queue;
+        let mut total = bytes(&self.acc)
+            + bytes(&self.seeds)
+            + bytes(&self.memo.by_key)
+            + bytes(&q.row)
+            + bytes(&q.ids)
+            + bytes(&q.bits)
+            + bytes(&q.heads)
+            + bytes(&q.open);
+        for side in 0..2 {
+            let postings = &self.postings[side];
+            total += bytes(&self.pos[side])
+                + bytes(&self.run[side])
+                + bytes(&self.last_posted[side])
+                + bytes(&self.slot[side])
+                + bytes(&q.next[side])
+                + bytes(&postings.lists)
+                + postings.lists.iter().map(bytes).sum::<usize>()
+                + bytes(&postings.touched);
+        }
+        total
+    }
 }
 
 /// One accumulator entry: a count, live while `stamp` is the current

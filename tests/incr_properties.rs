@@ -19,7 +19,9 @@ use mc_datagen::delta::{perturb_killed, random_delta, DeltaSpec};
 use mc_datagen::profiles::DatasetProfile;
 use mc_obs::MetricsSnapshot;
 use mc_strsim::measures::SetMeasure;
-use mc_table::{AttrId, GoldMatches, PairSet, RowEdit, Table, TableDelta, TupleId};
+use mc_table::{
+    split_pair_key, AttrId, GoldMatches, PairSet, RowEdit, Table, TableDelta, Tuple, TupleId,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -279,4 +281,189 @@ fn compaction_preserves_exactness() {
         .rerun(&TableDelta::new(), &TableDelta::new(), None, &mut oracle)
         .unwrap();
     assert_eq!(summarize(&cold), summarize(&replay));
+}
+
+/// A session must not age. Over many rounds of small random deltas, each
+/// dropping the list entries it touches, the exact prefixes stay full:
+/// no config falls back to a full rejoin, and the last round re-scores
+/// about as many pairs as the same delta costs a session that has just
+/// started — the cost of a first round, measured on the same delta
+/// because one delta's cost alone varies several-fold with which rows
+/// it edits.
+#[test]
+fn aged_session_stays_exact_and_cheap() {
+    const ROUNDS: usize = 32;
+    let (a, b, killed, gold) = fixture(14);
+    let mut params = session_params(SetMeasure::Jaccard, 1);
+    params.incr.margin = 48;
+    params.obs = mc_obs::ObsContext::session();
+    let k = params.joint.k as i64;
+    let mc = MatchCatcher::new(params);
+    let mut oracle = GoldOracle::exact(&gold);
+    let (mut session, _) = mc.start_session(a, b, killed, &mut oracle);
+
+    let mut rng = StdRng::seed_from_u64(14 ^ 0xa9ed);
+    let mut young = None;
+    let mut extended = 0;
+    for round in 0..ROUNDS {
+        let spec_a = DeltaSpec::fraction_of(session.table_a().len(), 0.015);
+        let spec_b = DeltaSpec::fraction_of(session.table_b().len(), 0.015);
+        let delta_a = random_delta(session.table_a(), spec_a, &mut rng);
+        let delta_b = random_delta(session.table_b(), spec_b, &mut rng);
+        let incr = session
+            .rerun(&delta_a, &delta_b, None, &mut oracle)
+            .expect("generated deltas are valid");
+        let m = &incr.metrics;
+        assert_eq!(
+            m.counter("mc.core.incr.full_rebuilds"),
+            0,
+            "round {round}: the deltas must keep the config tree, or the session restarts young"
+        );
+        assert_eq!(
+            m.counter("mc.core.incr.full_rejoins"),
+            0,
+            "round {round}: an aged session fell back to a full rejoin"
+        );
+        assert!(
+            m.gauge("mc.core.incr.valid_min") >= k,
+            "round {round}: an exact prefix fell below k"
+        );
+        extended += m.counter("mc.core.incr.valid_extended");
+        if round + 1 == ROUNDS {
+            let mut first: matchcatcher::DebugSession = young.take().expect("earlier round");
+            let first = first
+                .rerun(&delta_a, &delta_b, None, &mut GoldOracle::exact(&gold))
+                .unwrap();
+            let aged_cost = m.counter("mc.core.incr.pairs_rescored");
+            let first_cost = first.metrics.counter("mc.core.incr.pairs_rescored");
+            assert!(
+                aged_cost * 2 <= first_cost * 3,
+                "round {round} re-scored {aged_cost} pairs, a first round {first_cost}"
+            );
+        }
+
+        let (fresh, cold) = mc.start_session(
+            session.table_a().clone(),
+            session.table_b().clone(),
+            session.killed().clone(),
+            &mut GoldOracle::exact(&gold),
+        );
+        assert_eq!(
+            summarize(&cold),
+            summarize(&incr),
+            "aged session diverged from a cold run at round {round}"
+        );
+        young = Some(fresh);
+    }
+    assert!(extended > 0, "refills must extend the exact prefixes");
+}
+
+/// Applies one delta to a fresh session and checks the rerun against a
+/// cold session on the patched tables; returns the rerun's report.
+fn rerun_matches_cold(
+    mc: &MatchCatcher,
+    (a, b, killed, gold): (Table, Table, PairSet, GoldMatches),
+    delta_a: &TableDelta,
+    delta_b: &TableDelta,
+) -> DebugReport {
+    let mut oracle = GoldOracle::exact(&gold);
+    let (mut session, _) = mc.start_session(a, b, killed, &mut oracle);
+    let incr = session.rerun(delta_a, delta_b, None, &mut oracle).unwrap();
+    let (_, cold) = mc.start_session(
+        session.table_a().clone(),
+        session.table_b().clone(),
+        session.killed().clone(),
+        &mut GoldOracle::exact(&gold),
+    );
+    assert_eq!(summarize(&cold), summarize(&incr));
+    incr
+}
+
+/// The pairs of each config's cold top-k list, best first.
+fn listed_pairs(mc: &MatchCatcher, a: &Table, b: &Table, killed: &PairSet) -> Vec<Vec<u64>> {
+    let out = mc.topk(&mc.prepare(a, b), killed);
+    out.lists
+        .iter()
+        .map(|l| l.sorted_entries().iter().map(|&(_, p)| p).collect())
+        .collect()
+}
+
+/// Deleting every A row behind one config's list leaves that config no
+/// exact survivor: it rejoins, seeded with whatever its unproven tail
+/// kept, and the rerun still equals a cold session.
+#[test]
+fn deleting_every_row_behind_a_list_matches_cold() {
+    let (a, b, killed, gold) = fixture(14);
+    let mut params = session_params(SetMeasure::Jaccard, 1);
+    params.obs = mc_obs::ObsContext::session();
+    let mc = MatchCatcher::new(params);
+    let mut rows: Vec<TupleId> = listed_pairs(&mc, &a, &b, &killed)[0]
+        .iter()
+        .map(|&p| split_pair_key(p).0)
+        .collect();
+    rows.sort_unstable();
+    rows.dedup();
+    let delta_a = TableDelta {
+        updates: Vec::new(),
+        deletes: rows,
+        inserts: Vec::new(),
+    };
+    let incr = rerun_matches_cold(&mc, (a, b, killed, gold), &delta_a, &TableDelta::new());
+    assert_eq!(
+        incr.metrics.counter("mc.core.incr.full_rebuilds"),
+        0,
+        "the deletes must keep the config tree, or no list is maintained"
+    );
+    assert!(
+        incr.metrics.counter("mc.core.incr.full_rejoins") > 0,
+        "a list whose every row is gone must rejoin"
+    );
+}
+
+/// An insert-only delta drops no list entry; copies of the rows behind
+/// a config's best pair tie that pair's score and rank right below it
+/// (higher ids), pushing the exact prefix's last entries out of a full
+/// list.
+#[test]
+fn insert_only_delta_matches_cold() {
+    let (a, b, killed, gold) = fixture(15);
+    let mut params = session_params(SetMeasure::Jaccard, 1);
+    params.obs = mc_obs::ObsContext::session();
+    let mc = MatchCatcher::new(params);
+    let (x, y) = split_pair_key(listed_pairs(&mc, &a, &b, &killed)[0][0]);
+    let delta_a = TableDelta {
+        updates: Vec::new(),
+        deletes: Vec::new(),
+        inserts: vec![a.tuple(x).clone(), a.tuple(x).clone()],
+    };
+    let delta_b = TableDelta {
+        updates: Vec::new(),
+        deletes: Vec::new(),
+        inserts: vec![b.tuple(y).clone()],
+    };
+    let incr = rerun_matches_cold(&mc, (a, b, killed, gold), &delta_a, &delta_b);
+    assert_eq!(incr.metrics.counter("mc.core.incr.full_rebuilds"), 0);
+    assert_eq!(incr.metrics.counter("mc.core.incr.full_rejoins"), 0);
+}
+
+/// Blanking a listed row to all-`None` empties its records in every
+/// arena: its pairs leave the lists and nothing can replace them from
+/// that row.
+#[test]
+fn blanking_a_listed_row_matches_cold() {
+    let (a, b, killed, gold) = fixture(16);
+    let mut params = session_params(SetMeasure::Jaccard, 1);
+    params.obs = mc_obs::ObsContext::session();
+    let mc = MatchCatcher::new(params);
+    let (_, y) = split_pair_key(listed_pairs(&mc, &a, &b, &killed)[0][0]);
+    let delta_b = TableDelta {
+        updates: vec![RowEdit {
+            id: y,
+            tuple: Tuple::new(vec![None; b.schema().len()]),
+        }],
+        deletes: Vec::new(),
+        inserts: Vec::new(),
+    };
+    let incr = rerun_matches_cold(&mc, (a, b, killed, gold), &TableDelta::new(), &delta_b);
+    assert_eq!(incr.metrics.counter("mc.core.incr.records_patched"), 1);
 }
