@@ -166,17 +166,21 @@ fn bench_dataset(mc: &MatchCatcher, d: &Dataset, runs: usize, delta_frac: f64) -
 
     // Cold session: refresh cost is best-of-N fresh starts (the first
     // also becomes the live session for the incremental scenarios).
+    // Every allocation window holds only the call it measures, not the
+    // metric snapshots around it, which copy the process-wide flight
+    // recorder.
     let mut oracle = GoldOracle::exact(gold);
     let mut best_cold: Option<u64> = None;
-    let mut cold_allocs = AllocStats::capture();
+    let mut cold_allocs = AllocStats::default();
     let mut live = None;
     for rep in 0..runs.max(1) {
-        let alloc_base = AllocStats::capture();
         let base = MetricsSnapshot::capture();
+        let alloc_base = AllocStats::capture();
         let started = mc.start_session(a.clone(), b.clone(), killed.clone(), &mut oracle);
+        let allocs = AllocStats::capture().since(&alloc_base);
         let delta = MetricsSnapshot::capture().since(&base);
         if rep == 0 {
-            cold_allocs = AllocStats::capture().since(&alloc_base);
+            cold_allocs = allocs;
             live = Some(started);
         }
         let us = cold_refresh_us(&delta);
@@ -208,13 +212,13 @@ fn bench_dataset(mc: &MatchCatcher, d: &Dataset, runs: usize, delta_frac: f64) -
         killed.len() / 100 + 1,
         &mut rng,
     );
-    let alloc_base = AllocStats::capture();
     let base = MetricsSnapshot::capture();
+    let alloc_base = AllocStats::capture();
     let incr_report = session
         .rerun(&da, &db, Some(nk), &mut oracle)
         .expect("generated delta is valid");
-    let delta_metrics = MetricsSnapshot::capture().since(&base);
     let delta_allocs = AllocStats::capture().since(&alloc_base);
+    let delta_metrics = MetricsSnapshot::capture().since(&base);
     let delta_us = rerun_refresh_us(&delta_metrics);
     if std::env::var("MC_BENCH_DUMP").is_ok_and(|v| v == "1") {
         eprintln!(
@@ -245,8 +249,8 @@ fn bench_dataset(mc: &MatchCatcher, d: &Dataset, runs: usize, delta_frac: f64) -
         killed.len() / 50 + 1,
         &mut rng,
     );
-    let alloc_base = AllocStats::capture();
     let base = MetricsSnapshot::capture();
+    let alloc_base = AllocStats::capture();
     let killed_report = session
         .rerun(
             &TableDelta::new(),
@@ -255,8 +259,8 @@ fn bench_dataset(mc: &MatchCatcher, d: &Dataset, runs: usize, delta_frac: f64) -
             &mut oracle,
         )
         .expect("killed-only rerun");
-    let killed_metrics = MetricsSnapshot::capture().since(&base);
     let killed_allocs = AllocStats::capture().since(&alloc_base);
+    let killed_metrics = MetricsSnapshot::capture().since(&base);
     let killed_us = rerun_refresh_us(&killed_metrics);
 
     let (_, cold_check2) = mc.start_session(
@@ -398,8 +402,8 @@ fn main() {
         .map(|d| bench_dataset(&mc, d, runs, 0.01))
         .collect();
     // The aged scenarios run last: their many sessions fill the
-    // process-wide flight recorder, which the other scenarios'
-    // allocation windows copy.
+    // process-wide flight recorder, which every session call copies
+    // into its report's metrics.
     for (run, d) in datasets.iter_mut().zip(&inputs) {
         run.scenarios.push(aged_scenario(&mc, d, aged_deltas, 0.01));
     }

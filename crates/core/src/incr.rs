@@ -32,10 +32,12 @@
 //!   When fewer than the report size `k` survive from the list's exact
 //!   prefix, that config falls back to one full join *seeded* with the
 //!   survivors (still much cheaper than cold: seeds raise the pruning
-//!   threshold immediately). Delta joins and rejoins share the
-//!   session's one [`JoinScratch`], whose buffers are
-//!   `O(|A| + |B| + postings)`: no join keeps state per discovered pair,
-//!   so a rejoin at any table size needs no memory cap.
+//!   threshold immediately). Each config's maintenance is one job, and
+//!   the jobs fan out over the CPU budget ([`mc_obs::par`]) at most
+//!   `joint.threads` wide, as the cold joint stage does. Each worker
+//!   borrows a warm [`JoinScratch`] from the session's pool, whose
+//!   buffers are `O(|A| + |B| + postings)`: no join keeps state per
+//!   discovered pair, so a rejoin at any table size needs no memory cap.
 //! * **Killed-set-only diffs** are the fast path: every join is reused
 //!   verbatim; newly-killed pairs are dropped from the lists and
 //!   un-killed pairs are re-scored directly against the cached arenas.
@@ -77,6 +79,21 @@
 //!   `v′ ≥ k` the report's top-`k` prefix is exact. Otherwise the
 //!   config re-joins fully, seeded with every survivor, which is exact
 //!   by construction.
+//! * A list is *complete* when it holds the config's whole candidate
+//!   universe: a full join (cold or rejoin) returned fewer than `K`
+//!   entries, so nothing was pruned. A complete config never rejoins.
+//!   Every current candidate of it is a survivor (untouched and not
+//!   un-killed, so it was listed), a delta-join find, a pair a delta
+//!   join pruned, or a re-scored un-killed pair. So if the merge holds
+//!   fewer than `K` entries, no join pruned anything (a join that
+//!   returns fewer than `K` entries never fills its list), the merge is
+//!   the whole new universe, and it stays complete. Otherwise a missing
+//!   candidate is outranked by `K` merged entries, so the truncated
+//!   merge is the exact top `K`. Either way every merged entry is
+//!   exact, whatever `v′` is.
+//! * Jobs read only their own config's arenas and list and the shared
+//!   rerun inputs, and scratch contents never reach a result, so lists,
+//!   prefixes and work counts are the same at any worker count.
 //!
 //! Sessions **require** a fixed QJoin `q` ([`QStrategy::Fixed`]): `Auto`
 //! re-selects `q` from prelude-join costs, which the patched state
@@ -106,6 +123,7 @@ use mc_strsim::measures::multiset_overlap;
 use mc_strsim::tokenize::Tokenizer;
 use mc_table::hash::{fx_set, FxHashSet};
 use mc_table::{split_pair_key, IncrTableStats, PairSet, Table, TableDelta, TupleId};
+use std::sync::Mutex;
 
 /// Tuning knobs of the incremental update path.
 #[derive(Debug, Clone, Copy)]
@@ -147,14 +165,8 @@ pub struct DebugSession {
     configs: Vec<crate::config::Config>,
     dict: IncrementalDict,
     arenas: Vec<(RecordArena, RecordArena)>,
-    /// Per-config maintained entries, canonically sorted (score
-    /// descending, pair key ascending), at most `K = k + margin` long.
-    lists: Vec<Vec<(f64, u64)>>,
-    /// Per-config count of *valid* leading entries: the exact prefix,
-    /// proven equal to a cold K-run's. Entries beyond it may be
-    /// incomplete after incremental rounds; they seed the next rerun's
-    /// joins but are never reported.
-    valid: Vec<usize>,
+    /// Per-config maintained lists, in tree order.
+    lists: Vec<ConfigList>,
     q: usize,
     /// Per-table statistics counters, maintained under deltas so a rerun
     /// reproduces the cold run's promising-attribute selection without
@@ -162,11 +174,64 @@ pub struct DebugSession {
     /// fresh [`mc_table::TableStats::compute`] exactly).
     stats_a: IncrTableStats,
     stats_b: IncrTableStats,
-    /// Warm join scratch for the maintenance joins.
-    scratch: JoinScratch,
+    /// Warm join scratches for the maintenance jobs: at most one per
+    /// worker that ever ran, each lent to one job at a time.
+    scratch_pool: Vec<JoinScratch>,
     /// Union key of the most recently published candidate union, the
     /// `derived_from` provenance of the next one.
     base_union: Option<Digest>,
+}
+
+/// One config's maintained top-K entries.
+struct ConfigList {
+    /// Canonically sorted (score descending, pair key ascending), at
+    /// most `K = k + margin` long.
+    entries: Vec<(f64, u64)>,
+    /// Count of *valid* leading entries: the exact prefix, proven equal
+    /// to a cold K-run's. Entries beyond it may be incomplete after
+    /// incremental rounds; they seed the next rerun's joins but are
+    /// never reported.
+    valid: usize,
+    /// The entries are the config's whole candidate universe (module
+    /// docs), so all of them are valid.
+    complete: bool,
+}
+
+impl ConfigList {
+    /// The result of a full join at list size `cap`: exact throughout,
+    /// and complete when the join returned fewer than `cap` entries.
+    fn joined(list: &TopKList, cap: usize) -> Self {
+        let entries = list.sorted_entries();
+        ConfigList {
+            valid: entries.len(),
+            complete: entries.len() < cap,
+            entries,
+        }
+    }
+}
+
+/// What a rerun changed, read by every config's maintenance job.
+struct RerunInputs<'a> {
+    changed_a: &'a FxHashSet<TupleId>,
+    changed_b: &'a FxHashSet<TupleId>,
+    newly_killed: &'a FxHashSet<u64>,
+    unkilled: &'a [u64],
+    /// The new killed set.
+    killed: &'a PairSet,
+    /// The report size `k`.
+    k: usize,
+    /// Join parameters at list size `K`.
+    ssj: SsjParams,
+}
+
+/// One config's maintenance work, summed into the `mc.core.incr.*`
+/// counters once every job has run.
+#[derive(Default)]
+struct Upkeep {
+    rescored: u64,
+    reused: u64,
+    rejoins: u64,
+    extended: u64,
 }
 
 /// Canonical entry order: score descending, pair key ascending — the
@@ -244,11 +309,10 @@ impl MatchCatcher {
             dict,
             arenas: Vec::new(),
             lists: Vec::new(),
-            valid: Vec::new(),
             q,
             stats_a,
             stats_b,
-            scratch: JoinScratch::new(),
+            scratch_pool: Vec::new(),
             base_union: None,
         };
         session.cold_joint();
@@ -287,7 +351,7 @@ impl DebugSession {
     /// state, in bytes: raw tables, tokenized rank columns, per-config
     /// arenas (mapped pages count like owned bytes — eviction cares
     /// about address-space pressure either way), maintained top-K
-    /// lists and the warm join scratch, whose buffers are
+    /// lists and every pooled join scratch, whose buffers are
     /// `O(|A| + |B| + postings)`. An *estimate* for eviction budgeting
     /// (`mc-serve`'s max-resident-bytes policy), not an allocator-exact
     /// accounting: per-allocation headers and `Vec` slack are
@@ -317,10 +381,15 @@ impl DebugSession {
             total += arena_bytes(arena_a) + arena_bytes(arena_b);
         }
         for list in &self.lists {
-            total += PER_VEC + list.len() * 16;
+            total += PER_VEC + list.entries.len() * 16;
         }
         total += self.dict.len() * 32; // interned token strings + rank table
-        total + self.scratch.resident_bytes()
+        total
+            + self
+                .scratch_pool
+                .iter()
+                .map(JoinScratch::resident_bytes)
+                .sum::<usize>()
     }
 
     /// Builds arenas and runs the joint stage cold at capacity `K`,
@@ -364,8 +433,11 @@ impl DebugSession {
             &self.arenas,
         );
         self.q = out.q_used;
-        self.lists = out.lists.iter().map(TopKList::sorted_entries).collect();
-        self.valid = self.lists.iter().map(Vec::len).collect();
+        self.lists = out
+            .lists
+            .iter()
+            .map(|l| ConfigList::joined(l, jp.k))
+            .collect();
     }
 
     /// Re-runs the debugger against patched state.
@@ -540,8 +612,8 @@ impl DebugSession {
     }
 
     /// Incrementally maintains every config's top-K entries after a
-    /// patch and/or killed-set diff. See the module docs for the
-    /// exactness argument.
+    /// patch and/or killed-set diff: one job per config, fanned out over
+    /// the CPU budget. See the module docs for the exactness argument.
     fn maintain_lists(
         &mut self,
         changed_a: &FxHashSet<TupleId>,
@@ -550,162 +622,44 @@ impl DebugSession {
         unkilled: &[u64],
     ) {
         let _span = mc_obs::Span::enter(Stage::TopK.span_name());
-        let cap = self.cap();
-        let k = self.params.joint.k;
-        let ssj = SsjParams {
-            k: cap,
-            q: self.q,
-            measure: self.params.joint.measure,
-        };
-        let measure = self.params.joint.measure;
         let newly_killed: FxHashSet<u64> = newly_killed.iter().copied().collect();
-        let mut rescored = 0u64;
-        let mut reused = 0u64;
-        let mut rejoins = 0u64;
-        let mut extended = 0u64;
+        let inputs = RerunInputs {
+            changed_a,
+            changed_b,
+            newly_killed: &newly_killed,
+            unkilled,
+            killed: &self.killed,
+            k: self.params.joint.k,
+            ssj: SsjParams {
+                k: self.cap(),
+                q: self.q,
+                measure: self.params.joint.measure,
+            },
+        };
+        let mut jobs: Vec<(&mut ConfigList, &(RecordArena, RecordArena), Upkeep)> = self
+            .lists
+            .iter_mut()
+            .zip(&self.arenas)
+            .map(|(list, arenas)| (list, arenas, Upkeep::default()))
+            .collect();
+        let pool = Mutex::new(std::mem::take(&mut self.scratch_pool));
+        let lend = || pool.lock().expect("no job panics holding the pool");
+        mc_obs::par::for_each(
+            &mut jobs,
+            self.params.joint.threads,
+            |(list, arenas, work)| {
+                let mut scratch = lend().pop().unwrap_or_default();
+                *work = maintain_config(&inputs, arenas, list, &mut scratch);
+                lend().push(scratch);
+            },
+        );
+        self.scratch_pool = pool.into_inner().expect("every job returned its scratch");
 
-        for i in 0..self.configs.len() {
-            let (arena_a, arena_b) = &self.arenas[i];
-            // Every kept entry the rerun leaves untouched is still a
-            // candidate with its exact score, the unproven tail's as
-            // well as the exact prefix's, so all of them seed the joins.
-            let survivors: Vec<(f64, u64)> = self.lists[i]
-                .iter()
-                .copied()
-                .filter(|&(_, p)| {
-                    let (x, y) = split_pair_key(p);
-                    !changed_a.contains(&x) && !changed_b.contains(&y) && !newly_killed.contains(&p)
-                })
-                .collect();
-            // Entries at or above the exact prefix's last one: `v′` of
-            // the survivors, and the new exact prefix of the merge.
-            let boundary = self.valid[i].checked_sub(1).map(|j| self.lists[i][j]);
-            let exact_prefix = |entries: &[(f64, u64)]| {
-                boundary.map_or(0, |b| {
-                    entries.partition_point(|e| canonical_cmp(e, &b).is_le())
-                })
-            };
-            let v2 = exact_prefix(&survivors);
-            reused += v2 as u64;
-
-            if v2 < k {
-                // Too few exact survivors to guarantee an exact top-k
-                // prefix from merging: one full join, seeded with every
-                // survivor (their scores are still valid, so the
-                // threshold starts high).
-                rejoins += 1;
-                let inst = SsjInstance {
-                    records_a: arena_a,
-                    records_b: arena_b,
-                    killed: &self.killed,
-                };
-                let list = topk_join_with_scratch(inst, ssj, &survivors, None, &mut self.scratch);
-                rescored += self.scratch.last_scored();
-                self.lists[i] = list.sorted_entries();
-                self.valid[i] = self.lists[i].len();
-                continue;
-            }
-
-            // Delta joins over masked views: every pair whose score may
-            // have changed has an endpoint in a changed set, and the two
-            // views partition those pairs (changed_A × B, then
-            // unchanged_A × changed_B). Each join is seeded with the
-            // best entries known so far — exactness does not need the
-            // seeds, only the thresholds they raise. Both run the
-            // queue-free semi-join with the changed set as the posted
-            // side: the full table streams past a tiny postings index,
-            // which beats the event kernel's per-token queue and
-            // accumulator work and is bit-identical to it.
-            let mut contributions: Vec<(f64, u64)> = Vec::new();
-            let scratch = &mut self.scratch;
-            if !changed_a.is_empty() {
-                let masked = {
-                    let _s = mc_obs::span!("mc.core.incr.mask");
-                    arena_a.masked_view(|t| changed_a.contains(&t))
-                };
-                let inst = SsjInstance {
-                    records_a: &masked,
-                    records_b: arena_b,
-                    killed: &self.killed,
-                };
-                let _s = mc_obs::span!("mc.core.incr.j1");
-                let j1 = topk_semi_join(inst, ssj, &survivors, None, scratch, 0);
-                rescored += scratch.last_scored();
-                contributions.extend(j1.sorted_entries());
-            }
-            if !changed_b.is_empty() {
-                let (masked_a, masked_b) = {
-                    let _s = mc_obs::span!("mc.core.incr.mask");
-                    (
-                        arena_a.masked_view(|t| !changed_a.contains(&t)),
-                        arena_b.masked_view(|t| changed_b.contains(&t)),
-                    )
-                };
-                let inst = SsjInstance {
-                    records_a: &masked_a,
-                    records_b: &masked_b,
-                    killed: &self.killed,
-                };
-                let seed = if contributions.is_empty() {
-                    &survivors
-                } else {
-                    &contributions
-                };
-                let _s = mc_obs::span!("mc.core.incr.j2");
-                let j2 = topk_semi_join(inst, ssj, seed, None, scratch, 1);
-                rescored += scratch.last_scored();
-                contributions.extend(j2.sorted_entries());
-            }
-            // Un-killed untouched pairs re-enter the candidate universe;
-            // delta joins already cover un-killed pairs with a changed
-            // endpoint. Membership mirrors QJoin: at least `q` common
-            // tokens (any pair beating the final threshold with ≥ q
-            // common tokens is guaranteed discovered by a cold join, so
-            // over-covering below the threshold is harmless — such pairs
-            // cannot enter the valid prefix).
-            for &p in unkilled {
-                let (x, y) = split_pair_key(p);
-                if (x as usize) >= arena_a.len()
-                    || (y as usize) >= arena_b.len()
-                    || changed_a.contains(&x)
-                    || changed_b.contains(&y)
-                    || self.killed.contains_key(p)
-                {
-                    continue;
-                }
-                let (ra, rb) = (arena_a.record(x), arena_b.record(y));
-                let o = multiset_overlap(ra, rb);
-                if o >= self.q {
-                    rescored += 1;
-                    contributions.push((measure.from_overlap(o, ra.len(), rb.len()), p));
-                }
-            }
-
-            // Merge, dedup by pair key (duplicate keys always carry the
-            // same score — every path computes the one exact kernel),
-            // and keep the canonical top K. The exact prefix extends to
-            // every merged entry at or above the old boundary (module
-            // docs); the tail stays as seeds and merge fodder but is
-            // never reported.
-            let mut seen: FxHashSet<u64> = fx_set();
-            let mut merged: Vec<(f64, u64)> =
-                Vec::with_capacity(survivors.len() + contributions.len());
-            for (s, p) in survivors.into_iter().chain(contributions) {
-                if seen.insert(p) {
-                    merged.push((s, p));
-                }
-            }
-            merged.sort_unstable_by(canonical_cmp);
-            merged.truncate(cap);
-            let valid = exact_prefix(&merged);
-            extended += (valid - v2) as u64;
-            self.lists[i] = merged;
-            self.valid[i] = valid;
-        }
-        mc_obs::counter!("mc.core.incr.pairs_rescored").add(rescored);
-        mc_obs::counter!("mc.core.incr.pairs_reused").add(reused);
-        mc_obs::counter!("mc.core.incr.full_rejoins").add(rejoins);
-        mc_obs::counter!("mc.core.incr.valid_extended").add(extended);
+        let sum = |count: fn(&Upkeep) -> u64| jobs.iter().map(|(_, _, w)| count(w)).sum::<u64>();
+        mc_obs::counter!("mc.core.incr.pairs_rescored").add(sum(|w| w.rescored));
+        mc_obs::counter!("mc.core.incr.pairs_reused").add(sum(|w| w.reused));
+        mc_obs::counter!("mc.core.incr.full_rejoins").add(sum(|w| w.rejoins));
+        mc_obs::counter!("mc.core.incr.valid_extended").add(sum(|w| w.extended));
     }
 
     /// Builds the report from the maintained lists: truncate each
@@ -714,16 +668,16 @@ impl DebugSession {
     fn finish(&mut self, oracle: &mut dyn Oracle, baseline: MetricsSnapshot) -> DebugReport {
         let k = self.params.joint.k;
         // How far the session is from a full rejoin: a config rejoins
-        // once fewer than `k` of its exact entries survive a rerun.
-        let valid_min = self.valid.iter().min().copied().unwrap_or(0);
+        // once fewer than `k` of its exact entries survive a rerun,
+        // unless its list is complete.
+        let valid_min = self.lists.iter().map(|l| l.valid).min().unwrap_or(0);
         mc_obs::gauge!("mc.core.incr.valid_min").set(valid_min as i64);
         let k_lists: Vec<TopKList> = self
             .lists
             .iter()
-            .zip(&self.valid)
-            .map(|(entries, &valid)| {
+            .map(|list| {
                 let mut l = TopKList::new(k);
-                for &(s, p) in &entries[..valid] {
+                for &(s, p) in &list.entries[..list.valid] {
                     l.insert(s, p);
                 }
                 l
@@ -772,6 +726,166 @@ impl DebugSession {
         );
         self.base_union = Some(ukey);
     }
+}
+
+/// One config's maintenance job: filters the survivors, then either
+/// rejoins fully or runs the delta joins, re-scores un-killed pairs and
+/// merges. Rewrites `list` in place and returns the job's work.
+fn maintain_config(
+    inputs: &RerunInputs<'_>,
+    (arena_a, arena_b): &(RecordArena, RecordArena),
+    list: &mut ConfigList,
+    scratch: &mut JoinScratch,
+) -> Upkeep {
+    let RerunInputs {
+        changed_a,
+        changed_b,
+        newly_killed,
+        unkilled,
+        killed,
+        k,
+        ssj,
+    } = *inputs;
+    let mut work = Upkeep::default();
+    // Every kept entry the rerun leaves untouched is still a candidate
+    // with its exact score, the unproven tail's as well as the exact
+    // prefix's, so all of them seed the joins.
+    let survivors: Vec<(f64, u64)> = list
+        .entries
+        .iter()
+        .copied()
+        .filter(|&(_, p)| {
+            let (x, y) = split_pair_key(p);
+            !changed_a.contains(&x) && !changed_b.contains(&y) && !newly_killed.contains(&p)
+        })
+        .collect();
+    // Entries at or above the exact prefix's last one: `v′` of the
+    // survivors, and the new exact prefix of the merge.
+    let boundary = list.valid.checked_sub(1).map(|j| list.entries[j]);
+    let exact_prefix = |entries: &[(f64, u64)]| {
+        boundary.map_or(0, |b| {
+            entries.partition_point(|e| canonical_cmp(e, &b).is_le())
+        })
+    };
+    let v2 = exact_prefix(&survivors);
+    work.reused = v2 as u64;
+
+    if v2 < k && !list.complete {
+        // Too few exact survivors to guarantee an exact top-k prefix
+        // from merging: one full join, seeded with every survivor (their
+        // scores are still valid, so the threshold starts high).
+        work.rejoins = 1;
+        let inst = SsjInstance {
+            records_a: arena_a,
+            records_b: arena_b,
+            killed,
+        };
+        let joined = topk_join_with_scratch(inst, ssj, &survivors, None, scratch);
+        work.rescored = scratch.last_scored();
+        *list = ConfigList::joined(&joined, ssj.k);
+        return work;
+    }
+
+    // Delta joins over masked views: every pair whose score may have
+    // changed has an endpoint in a changed set, and the two views
+    // partition those pairs (changed_A × B, then unchanged_A ×
+    // changed_B). Each join is seeded with the best entries known so
+    // far — exactness does not need the seeds, only the thresholds they
+    // raise. Both run the queue-free semi-join with the changed set as
+    // the posted side: the full table streams past a tiny postings
+    // index, which beats the event kernel's per-token queue and
+    // accumulator work and is bit-identical to it.
+    let mut contributions: Vec<(f64, u64)> = Vec::new();
+    if !changed_a.is_empty() {
+        let masked = {
+            let _s = mc_obs::span!("mc.core.incr.mask");
+            arena_a.masked_view(|t| changed_a.contains(&t))
+        };
+        let inst = SsjInstance {
+            records_a: &masked,
+            records_b: arena_b,
+            killed,
+        };
+        let _s = mc_obs::span!("mc.core.incr.j1");
+        let j1 = topk_semi_join(inst, ssj, &survivors, None, scratch, 0);
+        work.rescored += scratch.last_scored();
+        contributions.extend(j1.sorted_entries());
+    }
+    if !changed_b.is_empty() {
+        let (masked_a, masked_b) = {
+            let _s = mc_obs::span!("mc.core.incr.mask");
+            (
+                arena_a.masked_view(|t| !changed_a.contains(&t)),
+                arena_b.masked_view(|t| changed_b.contains(&t)),
+            )
+        };
+        let inst = SsjInstance {
+            records_a: &masked_a,
+            records_b: &masked_b,
+            killed,
+        };
+        let seed = if contributions.is_empty() {
+            &survivors
+        } else {
+            &contributions
+        };
+        let _s = mc_obs::span!("mc.core.incr.j2");
+        let j2 = topk_semi_join(inst, ssj, seed, None, scratch, 1);
+        work.rescored += scratch.last_scored();
+        contributions.extend(j2.sorted_entries());
+    }
+    // Un-killed untouched pairs re-enter the candidate universe; delta
+    // joins already cover un-killed pairs with a changed endpoint.
+    // Membership mirrors QJoin: at least `q` common tokens (any pair
+    // beating the final threshold with ≥ q common tokens is guaranteed
+    // discovered by a cold join, so over-covering below the threshold is
+    // harmless — such pairs cannot enter the valid prefix).
+    for &p in unkilled {
+        let (x, y) = split_pair_key(p);
+        if (x as usize) >= arena_a.len()
+            || (y as usize) >= arena_b.len()
+            || changed_a.contains(&x)
+            || changed_b.contains(&y)
+            || killed.contains_key(p)
+        {
+            continue;
+        }
+        let (ra, rb) = (arena_a.record(x), arena_b.record(y));
+        let o = multiset_overlap(ra, rb);
+        if o >= ssj.q {
+            work.rescored += 1;
+            contributions.push((ssj.measure.from_overlap(o, ra.len(), rb.len()), p));
+        }
+    }
+
+    // Merge, dedup by pair key (duplicate keys always carry the same
+    // score — every path computes the one exact kernel), and keep the
+    // canonical top K. The exact prefix extends to every merged entry at
+    // or above the old boundary, or to the whole merge of a complete
+    // list (module docs); the tail stays as seeds and merge fodder but
+    // is never reported.
+    let mut seen: FxHashSet<u64> = fx_set();
+    let mut merged: Vec<(f64, u64)> = Vec::with_capacity(survivors.len() + contributions.len());
+    for (s, p) in survivors.into_iter().chain(contributions) {
+        if seen.insert(p) {
+            merged.push((s, p));
+        }
+    }
+    merged.sort_unstable_by(canonical_cmp);
+    let complete = list.complete && merged.len() < ssj.k;
+    merged.truncate(ssj.k);
+    let valid = if list.complete {
+        merged.len()
+    } else {
+        exact_prefix(&merged)
+    };
+    work.extended = (valid - v2) as u64;
+    *list = ConfigList {
+        entries: merged,
+        valid,
+        complete,
+    };
+    work
 }
 
 #[cfg(test)]
@@ -1037,11 +1151,127 @@ mod tests {
         session
             .rerun(&delta_a, &TableDelta::new(), None, &mut oracle)
             .unwrap();
-        let scratch = session.scratch.resident_bytes();
-        assert!(scratch > 0, "a delta rerun warms the session's scratch");
+        let pooled = |s: &DebugSession| {
+            s.scratch_pool
+                .iter()
+                .map(JoinScratch::resident_bytes)
+                .sum::<usize>()
+        };
+        let warmed = pooled(&session);
+        assert!(warmed > 0, "a delta rerun warms the session's scratch");
+        // Every pooled scratch counts, however many workers ran: pool
+        // one more, warmed by a join of its own.
+        let mut helper = JoinScratch::new();
+        let (records_a, records_b) = &session.arenas[0];
+        let ssj = SsjParams {
+            k: session.cap(),
+            q: session.q,
+            measure: session.params.joint.measure,
+        };
+        let inst = SsjInstance {
+            records_a,
+            records_b,
+            killed: &session.killed,
+        };
+        topk_join_with_scratch(inst, ssj, &[], None, &mut helper);
+        let helper_bytes = helper.resident_bytes();
+        assert!(helper_bytes > 0);
+        let before = session.resident_bytes();
+        session.scratch_pool.push(helper);
+        assert_eq!(session.resident_bytes() - before, helper_bytes);
+        assert_eq!(pooled(&session), warmed + helper_bytes);
         let warm = session.resident_bytes();
-        session.scratch = JoinScratch::new();
-        assert_eq!(warm - session.resident_bytes(), scratch);
+        session.scratch_pool.clear();
+        assert_eq!(warm - session.resident_bytes(), warmed + helper_bytes);
+    }
+
+    /// Each config's maintenance is one job, fanned out at most
+    /// `joint.threads` wide: after every rerun the lists, their exact
+    /// prefixes and completeness, and the incremental work counters are
+    /// the same at 1, 2 and 4 threads.
+    #[test]
+    fn maintained_lists_are_the_same_at_any_thread_count() {
+        use mc_datagen::delta::{perturb_killed, random_delta, DeltaSpec};
+        use rand::SeedableRng;
+        let (a, b, killed, gold) = fixture();
+        let mut sessions = [1, 2, 4].map(|threads| {
+            let mut p = params();
+            p.joint.threads = threads;
+            p.obs = mc_obs::ObsContext::session();
+            let mc = MatchCatcher::new(p);
+            let start = mc.start_session(
+                a.clone(),
+                b.clone(),
+                killed.clone(),
+                &mut GoldOracle::exact(&gold),
+            );
+            start.0
+        });
+        let lists = |s: &DebugSession| {
+            s.lists
+                .iter()
+                .map(|l| (l.entries.clone(), l.valid, l.complete))
+                .collect::<Vec<_>>()
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        for round in 0..4 {
+            let s = &sessions[0];
+            let delta_a = random_delta(
+                s.table_a(),
+                DeltaSpec::fraction_of(s.table_a().len(), 0.03),
+                &mut rng,
+            );
+            let delta_b = random_delta(
+                s.table_b(),
+                DeltaSpec::fraction_of(s.table_b().len(), 0.03),
+                &mut rng,
+            );
+            let nk = perturb_killed(
+                s.killed(),
+                (s.table_a().len() + delta_a.inserts.len()) as u32,
+                (s.table_b().len() + delta_b.inserts.len()) as u32,
+                0.05,
+                8,
+                &mut rng,
+            );
+            let reports: Vec<DebugReport> = sessions
+                .iter_mut()
+                .map(|s| {
+                    s.rerun(
+                        &delta_a,
+                        &delta_b,
+                        Some(nk.clone()),
+                        &mut GoldOracle::exact(&gold),
+                    )
+                    .unwrap()
+                })
+                .collect();
+            assert_eq!(
+                reports[0].metrics.counter("mc.core.incr.full_rebuilds"),
+                0,
+                "round {round}: the deltas must keep the config tree, or no list is maintained"
+            );
+            for (s, r) in sessions[1..].iter().zip(&reports[1..]) {
+                let threads = s.params.joint.threads;
+                assert!(
+                    lists(s) == lists(&sessions[0]),
+                    "round {round}: lists at {threads} threads"
+                );
+                assert_eq!(summarize(r), summarize(&reports[0]));
+                for counter in [
+                    "mc.core.incr.pairs_rescored",
+                    "mc.core.incr.pairs_reused",
+                    "mc.core.incr.full_rejoins",
+                    "mc.core.incr.valid_extended",
+                ] {
+                    assert_eq!(
+                        r.metrics.counter(counter),
+                        reports[0].metrics.counter(counter),
+                        "round {round}: {counter} at {threads} threads"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,8 +62,13 @@ fn session_params(measure: SetMeasure, q: usize) -> DebuggerParams {
 }
 
 /// Runs `rounds` random deltas through one live session, checking each
-/// report against a cold session on the patched state.
-fn check_incremental_exactness(params: DebuggerParams, seed: u64, rounds: usize) {
+/// report against a cold session on the patched state; returns the
+/// reruns' reports.
+fn check_incremental_exactness(
+    params: DebuggerParams,
+    seed: u64,
+    rounds: usize,
+) -> Vec<DebugReport> {
     let (a, b, killed, gold) = fixture(seed);
     let mc = MatchCatcher::new(params);
     let mut oracle = GoldOracle::exact(&gold);
@@ -71,6 +76,7 @@ fn check_incremental_exactness(params: DebuggerParams, seed: u64, rounds: usize)
     assert!(start.e_size > 0, "fixture produces candidates");
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let mut reports = Vec::with_capacity(rounds);
     for round in 0..rounds {
         let spec_a = DeltaSpec::fraction_of(session.table_a().len(), 0.03);
         let spec_b = DeltaSpec::fraction_of(session.table_b().len(), 0.03);
@@ -99,7 +105,9 @@ fn check_incremental_exactness(params: DebuggerParams, seed: u64, rounds: usize)
             summarize(&incr),
             "incremental report diverged from cold run at round {round}"
         );
+        reports.push(incr);
     }
+    reports
 }
 
 #[test]
@@ -125,6 +133,73 @@ fn incremental_matches_cold_overlap() {
 #[test]
 fn incremental_matches_cold_q2() {
     check_incremental_exactness(session_params(SetMeasure::Jaccard, 2), 8, 3);
+}
+
+/// The per-config maintenance jobs fan out at most `joint.threads`
+/// wide. One worker and four give the same reports and the same
+/// incremental work, rerun by rerun.
+#[test]
+fn incremental_matches_cold_at_one_and_four_threads() {
+    let runs = [1, 4].map(|threads| {
+        let mut params = session_params(SetMeasure::Jaccard, 1);
+        params.joint.threads = threads;
+        // Session-scoped metrics, so the counters compared below are
+        // this session's alone.
+        params.obs = mc_obs::ObsContext::session();
+        check_incremental_exactness(params, 17, 3)
+    });
+    for (round, (one, four)) in runs[0].iter().zip(&runs[1]).enumerate() {
+        assert_eq!(summarize(one), summarize(four), "round {round}");
+        for counter in [
+            "mc.core.incr.pairs_rescored",
+            "mc.core.incr.pairs_reused",
+            "mc.core.incr.full_rejoins",
+            "mc.core.incr.valid_extended",
+        ] {
+            assert_eq!(
+                one.metrics.counter(counter),
+                four.metrics.counter(counter),
+                "round {round}: {counter} differs between 1 and 4 threads"
+            );
+        }
+    }
+}
+
+/// A list that holds its config's whole candidate universe (its full
+/// join returned fewer than `K` entries) is *complete*: every merged
+/// entry is exact, so the config never rejoins, even when fewer than
+/// `k` entries survive a rerun. At Cosine q 3 the fixture has configs
+/// whose whole universe is smaller than `k`; every rerun must equal a
+/// cold session without a single rejoin.
+#[test]
+fn complete_lists_never_rejoin() {
+    let mut params = session_params(SetMeasure::Cosine, 3);
+    params.obs = mc_obs::ObsContext::session();
+    let k = params.joint.k;
+    let (a, b, killed, _) = fixture(21);
+    let short = listed_pairs(&MatchCatcher::new(params.clone()), &a, &b, &killed)
+        .iter()
+        .filter(|list| list.len() < k)
+        .count();
+    assert!(
+        short > 0,
+        "the fixture has a config with fewer than k candidates"
+    );
+    for (round, incr) in check_incremental_exactness(params, 21, 6)
+        .iter()
+        .enumerate()
+    {
+        assert_eq!(
+            incr.metrics.counter("mc.core.incr.full_rebuilds"),
+            0,
+            "round {round}: the deltas must keep the config tree, or no list is maintained"
+        );
+        assert_eq!(
+            incr.metrics.counter("mc.core.incr.full_rejoins"),
+            0,
+            "round {round}: a config rejoined"
+        );
+    }
 }
 
 /// With no margin, editing the row behind a reported candidate leaves
