@@ -1,13 +1,21 @@
 //! Warm-start bench: measures the end-to-end debugging pipeline cold
 //! (empty artifact store, everything computed and published) versus warm
 //! (same store, tokenization and the whole joint top-k stage loaded from
-//! disk), and writes `BENCH_store.json` (`mc-bench-store/v1`).
+//! disk), and writes `BENCH_store.json` (`mc-bench-store/v2`).
 //!
 //! Per profile the bin opens a store directory, runs the full pipeline
 //! once (the *cold* leg on a fresh directory), then runs it `--runs`
 //! more times and keeps the best repetition as the *warm* leg. Both legs
 //! must produce identical debug reports — the bin asserts the ranked
 //! confirmed-match list and recall numbers match bit for bit.
+//!
+//! The *arena* leg then runs `--runs` times on the same tables with a
+//! second killed set (the blocker output minus every tenth pair): the
+//! tokenization and every config arena hit, only the candidate union
+//! misses, and the bin asserts that no arena was rebuilt. Each
+//! repetition removes the union it published, so every repetition, and
+//! every later process over a shared `--store`, restores the arenas
+//! again.
 //!
 //! Flags:
 //!
@@ -19,8 +27,9 @@
 //!   store (only meaningful on the second run over a shared `--store`);
 //! * `--scale X`, `--seed N`, `--runs N`, `--threads N`, `--out PATH` —
 //!   as in the other bench bins. Set `MC_BENCH_SMOKE=1` for a shrunk CI
-//!   smoke run. Cold-leg and first-warm-leg allocation counts ride along
-//!   in the JSON for the `mc bench-compare` gate.
+//!   smoke run. Allocation counts of the cold leg and of the first warm
+//!   and arena repetitions ride along in the JSON for the
+//!   `mc bench-compare` gate.
 //!
 //! `cargo run --release -p mc-bench --bin store_warm [--scale X]
 //!  [--runs N] [--store DIR] [--assert-warm] [--out PATH]`
@@ -34,6 +43,8 @@ use mc_bench::harness::paper_params;
 use mc_datagen::profiles::DatasetProfile;
 use mc_obs::MetricsSnapshot;
 use mc_store::StoreConfig;
+use mc_table::PairSet;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -47,8 +58,12 @@ struct ProfileReport {
     cold_publishes: u64,
     warm_hits: u64,
     warm_misses: u64,
+    arena_us: u64,
+    arena_hits: u64,
+    arena_misses: u64,
     cold_allocs: AllocStats,
     warm_allocs: AllocStats,
+    arena_allocs: AllocStats,
 }
 
 /// The result-bearing fields both legs must agree on.
@@ -82,19 +97,19 @@ fn run_profile(
     }
     let mc = MatchCatcher::new(params);
 
-    let leg = || {
+    let leg = |c: &PairSet| {
         let mut oracle = GoldOracle::exact(&ds.gold);
         let alloc_base = AllocStats::capture();
         let base = MetricsSnapshot::capture();
         let start = Instant::now();
-        let report = mc.run(&ds.a, &ds.b, &c, &mut oracle);
+        let report = mc.run(&ds.a, &ds.b, c, &mut oracle);
         let us = start.elapsed().as_micros() as u64;
         let delta = MetricsSnapshot::capture().since(&base);
         let allocs = AllocStats::capture().since(&alloc_base);
         (us, report, delta, allocs)
     };
 
-    let (cold_us, cold_report, cold_delta, cold_allocs) = leg();
+    let (cold_us, cold_report, cold_delta, cold_allocs) = leg(&c);
     let cold_hits = cold_delta.counter("mc.store.hits");
     if assert_warm {
         assert!(
@@ -111,7 +126,7 @@ fn run_profile(
     let mut best: Option<(u64, MetricsSnapshot)> = None;
     let mut warm_allocs = AllocStats::capture();
     for rep in 0..runs.max(1) {
-        let (us, report, delta, allocs) = leg();
+        let (us, report, delta, allocs) = leg(&c);
         if rep == 0 {
             warm_allocs = allocs;
         }
@@ -132,6 +147,65 @@ fn run_profile(
     }
     let (warm_us, warm_delta) = best.expect("at least one warm run");
 
+    // The arena leg: a killed set no earlier leg used, so its union
+    // misses while the tokenization and the arenas hit.
+    let mut pairs: Vec<(u32, u32)> = c.iter().collect();
+    pairs.sort_unstable();
+    let mut c_arena = PairSet::new();
+    for (i, &(a, b)) in pairs.iter().enumerate() {
+        if i % 10 != 0 {
+            c_arena.insert(a, b);
+        }
+    }
+    let union_dir = store_dir.join("objects").join("union");
+    let unions = || -> BTreeSet<PathBuf> {
+        std::fs::read_dir(&union_dir)
+            .expect("union dir")
+            .map(|e| e.expect("union entry").path())
+            .collect()
+    };
+    let mut arena_best: Option<(u64, MetricsSnapshot)> = None;
+    let mut arena_allocs = AllocStats::capture();
+    let mut arena_report = None;
+    for rep in 0..runs.max(1) {
+        let before = unions();
+        let (us, report, delta, allocs) = leg(&c_arena);
+        for published in unions().difference(&before) {
+            std::fs::remove_file(published).expect("remove the arena leg's union");
+        }
+        assert_eq!(
+            delta.span("mc.strsim.dict.build").count,
+            0,
+            "{}: the arena leg must hit the tokenization",
+            ds.name
+        );
+        assert!(
+            delta.span("mc.core.joint.run").count > 0,
+            "{}: the arena leg must miss the union",
+            ds.name
+        );
+        assert_eq!(
+            delta.span("mc.strsim.arena.build").count,
+            0,
+            "{}: the arena leg rebuilt an arena",
+            ds.name
+        );
+        let fp = fingerprint(&report);
+        assert_eq!(
+            arena_report.get_or_insert_with(|| fp.clone()),
+            &fp,
+            "{}: arena repetitions diverged",
+            ds.name
+        );
+        if rep == 0 {
+            arena_allocs = allocs;
+        }
+        if arena_best.as_ref().is_none_or(|(b, _)| us < *b) {
+            arena_best = Some((us, delta));
+        }
+    }
+    let (arena_us, arena_delta) = arena_best.expect("at least one arena run");
+
     ProfileReport {
         name: ds.name.clone(),
         scale,
@@ -141,8 +215,14 @@ fn run_profile(
         cold_publishes: cold_delta.counter("mc.store.publishes"),
         warm_hits: warm_delta.counter("mc.store.hits"),
         warm_misses: warm_delta.counter("mc.store.misses"),
+        arena_us,
+        // Less the tokenization's hit and the union's miss, which the
+        // leg asserted.
+        arena_hits: arena_delta.counter("mc.store.hits") - 1,
+        arena_misses: arena_delta.counter("mc.store.misses") - 1,
         cold_allocs,
         warm_allocs,
+        arena_allocs,
     }
 }
 
@@ -189,7 +269,7 @@ fn main() {
     }
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"mc-bench-store/v1\",\n  \"profiles\": [");
+    json.push_str("{\n  \"schema\": \"mc-bench-store/v2\",\n  \"profiles\": [");
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {
             json.push(',');
@@ -197,39 +277,47 @@ fn main() {
         let _ = write!(
             json,
             "\n    {{\"name\": \"{}\", \"scale\": {}, \"cold_us\": {}, \"warm_us\": {}, \
-             \"speedup\": {:.2}, \"store\": {{\"cold_hits\": {}, \"cold_publishes\": {}, \
-             \"warm_hits\": {}, \"warm_misses\": {}}}, \
+             \"arena_us\": {}, \"speedup\": {:.2}, \"store\": {{\"cold_hits\": {}, \
+             \"cold_publishes\": {}, \"warm_hits\": {}, \"warm_misses\": {}, \
+             \"arena_hits\": {}, \"arena_misses\": {}}}, \
              \"allocs\": {{\"cold_count\": {}, \"cold_bytes\": {}, \
-             \"warm_count\": {}, \"warm_bytes\": {}}}}}",
+             \"warm_count\": {}, \"warm_bytes\": {}, \
+             \"arena_count\": {}, \"arena_bytes\": {}}}}}",
             r.name,
             r.scale,
             r.cold_us,
             r.warm_us,
+            r.arena_us,
             r.cold_us as f64 / r.warm_us.max(1) as f64,
             r.cold_hits,
             r.cold_publishes,
             r.warm_hits,
             r.warm_misses,
+            r.arena_hits,
+            r.arena_misses,
             r.cold_allocs.allocations,
             r.cold_allocs.bytes,
             r.warm_allocs.allocations,
-            r.warm_allocs.bytes
+            r.warm_allocs.bytes,
+            r.arena_allocs.allocations,
+            r.arena_allocs.bytes
         );
     }
     json.push_str("\n  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_store.json");
 
     println!(
-        "{:<16} {:>8} {:>12} {:>12} {:>8} {:>10} {:>10}",
-        "dataset", "scale", "cold", "warm", "speedup", "warm-hits", "publishes"
+        "{:<16} {:>8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10}",
+        "dataset", "scale", "cold", "warm", "arena", "speedup", "warm-hits", "publishes"
     );
     for r in &reports {
         println!(
-            "{:<16} {:>8.2} {:>10.2}ms {:>10.2}ms {:>7.2}x {:>10} {:>10}",
+            "{:<16} {:>8.2} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>7.2}x {:>10} {:>10}",
             r.name,
             r.scale,
             r.cold_us as f64 / 1e3,
             r.warm_us as f64 / 1e3,
+            r.arena_us as f64 / 1e3,
             r.cold_us as f64 / r.warm_us.max(1) as f64,
             r.warm_hits,
             r.cold_publishes

@@ -61,9 +61,9 @@ pub struct DebuggerParams {
     /// [`DebugReport::metrics`] becomes a fully isolated, per-run
     /// snapshot while the global view still accounts for every run.
     pub obs: ObsContext,
-    /// Incremental-session knobs ([`MatchCatcher::start_session`]):
-    /// top-k maintenance margin and arena compaction threshold. Ignored
-    /// by the one-shot [`MatchCatcher::run`] path.
+    /// Incremental-session knobs ([`MatchCatcher::start_session`]): the
+    /// top-k maintenance margin. Ignored by the one-shot
+    /// [`MatchCatcher::run`] path.
     pub incr: crate::incr::IncrParams,
 }
 
@@ -606,25 +606,22 @@ pub(crate) fn report(
     }
 }
 
-/// Restores one arena from the store: a mapped
-/// [`ArtifactKind::Postings`] payload is validated and borrowed in
-/// place (no decode, no copy). A payload that fails validation is
-/// counted under `mc.store.decode_failed` and treated as a miss.
-fn restore_arena(s: &Store, key: Digest) -> Option<RecordArena> {
-    decoded(store_io::map_arena(
-        s.load_mapped(ArtifactKind::Postings, key)?,
-    ))
+/// Restores one arena from its [`ArtifactKind::Postings`] payload. A
+/// payload that fails validation, or holds a rank at or past
+/// `rank_bound`, is counted under `mc.store.decode_failed` and treated
+/// as a miss.
+fn restore_arena(s: &Store, key: Digest, rank_bound: u32) -> Option<RecordArena> {
+    let arena = store_io::map_arena(s.load(ArtifactKind::Postings, key)?);
+    decoded(arena.filter(|arena| arena.rank_bound() <= rank_bound))
 }
 
-/// Per-config record arenas, preferring mmapped zero-copy store
-/// artifacts. With no hits the
-/// whole set is built in parallel (the cold
-/// `mc.core.joint.build_arenas` path) and published in the zero-copy
-/// layout; partial hits — possible after a gc evicted some files —
-/// fill only the gaps. Shared by the one-shot warm path
-/// ([`MatchCatcher::run`]) and incremental sessions
-/// ([`MatchCatcher::start_session`], whose patches copy a mapped arena
-/// out on first write).
+/// Per-config record arenas, preferring store artifacts. With no hits
+/// the whole set is built in parallel (the cold
+/// `mc.core.joint.build_arenas` path) and published as
+/// [`ArtifactKind::Postings`]; partial hits — possible after a gc
+/// evicted some files — fill only the gaps. Shared by the one-shot warm
+/// path ([`MatchCatcher::run`]) and incremental sessions
+/// ([`MatchCatcher::start_session`]).
 pub(crate) fn assemble_arenas_cached(
     tok_a: &TokenizedTable,
     tok_b: &TokenizedTable,
@@ -647,11 +644,21 @@ pub(crate) fn assemble_arenas_cached(
             )
         })
         .collect();
+    // A config's arena holds its tokenized columns' ranks, so a restored
+    // arena with a larger bound is corrupt: the join would size its
+    // postings by it.
+    let rank_bound = tok_a
+        .columns()
+        .iter()
+        .chain(tok_b.columns())
+        .map(RecordArena::rank_bound)
+        .max()
+        .unwrap_or(0);
     let mut out: Vec<Option<(RecordArena, RecordArena)>> = keys
         .iter()
         .map(|&(ka, kb)| {
-            let la = restore_arena(s, ka)?;
-            let lb = restore_arena(s, kb)?;
+            let la = restore_arena(s, ka, rank_bound)?;
+            let lb = restore_arena(s, kb, rank_bound)?;
             (la.len() == tok_a.rows() && lb.len() == tok_b.rows()).then_some((la, lb))
         })
         .collect();

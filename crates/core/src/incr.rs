@@ -22,7 +22,7 @@
 //!   every config's record arenas — are patched record-by-record
 //!   ([`RecordArena::patch_record`]): tombstone + append into a spill
 //!   region, compacted back into one contiguous buffer when the garbage
-//!   ratio passes [`IncrParams::compact_threshold`].
+//!   ratio passes 0.4.
 //! * **Top-k lists** are maintained, not recomputed. Each config keeps
 //!   `K = k + margin` entries; a rerun drops the entries that touch
 //!   changed records (or were newly killed), re-joins only the changed
@@ -116,7 +116,7 @@ use crate::ssj::{
 };
 use crate::store_io;
 use mc_obs::MetricsSnapshot;
-use mc_store::{ArtifactKind, Digest};
+use mc_store::ArtifactKind;
 use mc_strsim::arena::RecordArena;
 use mc_strsim::dict::{IncrementalDict, TokenizedTable};
 use mc_strsim::measures::multiset_overlap;
@@ -136,20 +136,18 @@ pub struct IncrParams {
     /// exact prefix leaves at least `k` (no full re-join). Larger
     /// margins make re-joins rarer but cost memory and cold-start work.
     pub margin: usize,
-    /// Arena compaction trigger: when a patched arena's dead-token
-    /// fraction ([`RecordArena::garbage_ratio`]) exceeds this, the arena
-    /// is compacted back into one contiguous buffer.
-    pub compact_threshold: f64,
 }
 
 impl Default for IncrParams {
     fn default() -> Self {
-        IncrParams {
-            margin: 256,
-            compact_threshold: 0.4,
-        }
+        IncrParams { margin: 256 }
     }
 }
+
+/// Arena compaction trigger: when a patched arena's dead-token fraction
+/// ([`RecordArena::garbage_ratio`]) exceeds this, the arena is compacted
+/// back into one contiguous buffer.
+const COMPACT_THRESHOLD: f64 = 0.4;
 
 /// A live incremental debugging session: the pipeline's state, kept
 /// between runs so that [`DebugSession::rerun`] can patch it instead of
@@ -177,9 +175,6 @@ pub struct DebugSession {
     /// Warm join scratches for the maintenance jobs: at most one per
     /// worker that ever ran, each lent to one job at a time.
     scratch_pool: Vec<JoinScratch>,
-    /// Union key of the most recently published candidate union, the
-    /// `derived_from` provenance of the next one.
-    base_union: Option<Digest>,
 }
 
 /// One config's maintained top-K entries.
@@ -313,7 +308,6 @@ impl MatchCatcher {
             stats_a,
             stats_b,
             scratch_pool: Vec::new(),
-            base_union: None,
         };
         session.cold_joint();
         let report = session.finish(oracle, baseline);
@@ -349,13 +343,11 @@ impl DebugSession {
 
     /// Estimated resident heap footprint of the session's pipeline
     /// state, in bytes: raw tables, tokenized rank columns, per-config
-    /// arenas (mapped pages count like owned bytes — eviction cares
-    /// about address-space pressure either way), maintained top-K
-    /// lists and every pooled join scratch, whose buffers are
-    /// `O(|A| + |B| + postings)`. An *estimate* for eviction budgeting
-    /// (`mc-serve`'s max-resident-bytes policy), not an allocator-exact
-    /// accounting: per-allocation headers and `Vec` slack are
-    /// approximated by a flat per-row constant.
+    /// arenas, maintained top-K lists and every pooled join scratch,
+    /// whose buffers are `O(|A| + |B| + postings)`. An *estimate* for
+    /// eviction budgeting (`mc-serve`'s max-resident-bytes policy), not
+    /// an allocator-exact accounting: per-allocation headers and `Vec`
+    /// slack are approximated by a flat per-row constant.
     pub fn resident_bytes(&self) -> usize {
         const PER_VEC: usize = 24; // Vec header (ptr, len, cap)
         let mut total = 0usize;
@@ -395,13 +387,9 @@ impl DebugSession {
     /// Builds arenas and runs the joint stage cold at capacity `K`,
     /// replacing the session's arenas and lists.
     ///
-    /// With a configured store the arenas come through the warm path
-    /// first — zero-copy mmapped `Postings` payloads, byte-codec
-    /// fallback — and misses are built cold and published, exactly like
-    /// the one-shot [`MatchCatcher::run`]. A warm-loaded arena stays
-    /// mapped until the first delta patches it
-    /// ([`RecordArena::make_patchable`] copies it out then), so a
-    /// session that only edits the killed set never pays the copy.
+    /// With a configured store the arenas are restored from their
+    /// `Postings` payloads first, and misses are built cold and
+    /// published, exactly like the one-shot [`MatchCatcher::run`].
     fn cold_joint(&mut self) {
         let _span = mc_obs::Span::enter(Stage::TopK.span_name());
         let store = self.params.open_store();
@@ -569,7 +557,6 @@ impl DebugSession {
     fn patch_tokenized(&mut self, changed_a: &[TupleId], changed_b: &[TupleId]) {
         let _span = mc_obs::span!("mc.core.incr.patch");
         let attrs = &self.prepared.promising.attrs;
-        let threshold = self.params.incr.compact_threshold;
         // `apply` reports updates/deletes first, then inserts in
         // ascending id order, so `push_row` ids line up. Side A interns
         // its new tokens first, as a cold build would.
@@ -586,7 +573,7 @@ impl DebugSession {
                     debug_assert_eq!(nid, id, "insert ids must be dense");
                 }
             }
-            tok.compact(threshold);
+            tok.compact(COMPACT_THRESHOLD);
         }
         for (ci, (arena_a, arena_b)) in self.arenas.iter_mut().enumerate() {
             let pos = self.configs[ci].positions();
@@ -603,7 +590,7 @@ impl DebugSession {
                         debug_assert_eq!(nid, id, "arena inserts must be dense");
                     }
                 }
-                if arena.garbage_ratio() > threshold {
+                if arena.garbage_ratio() > COMPACT_THRESHOLD {
                     arena.compact();
                     mc_obs::counter!("mc.core.incr.compactions").inc();
                 }
@@ -699,11 +686,10 @@ impl DebugSession {
     }
 
     /// Publishes the candidate union under the *patched* tables' content
-    /// keys, recording the previous union's key as its `derived_from`
-    /// provenance — store tooling can walk an incremental chain back to
-    /// its cold ancestor. No-op without a configured store; store
-    /// failures degrade silently (counted), exactly like the cold path.
-    fn publish_union(&mut self, union: &CandidateUnion) {
+    /// keys, as the bytes a cold run over them publishes. No-op without
+    /// a configured store; store failures degrade silently (counted),
+    /// exactly like the cold path.
+    fn publish_union(&self, union: &CandidateUnion) {
         let Some(store) = self.params.open_store() else {
             return;
         };
@@ -722,9 +708,8 @@ impl DebugSession {
         store.publish(
             ArtifactKind::CandidateUnion,
             ukey,
-            &store_io::encode_union_with_base(&self.configs, self.q, union, self.base_union),
+            &store_io::encode_union(&self.configs, self.q, union),
         );
-        self.base_union = Some(ukey);
     }
 }
 
@@ -988,6 +973,63 @@ mod tests {
         );
         assert!(run.metrics.counter("mc.store.hits") > 0);
         std::fs::remove_dir_all(root).ok();
+    }
+
+    #[test]
+    fn delta_rerun_publishes_the_union_bytes_a_cold_run_publishes() {
+        use mc_store::StoreConfig;
+        let with_store = |root: &std::path::Path| {
+            let mut p = params();
+            p.store = Some(StoreConfig::at(root));
+            MatchCatcher::new(p)
+        };
+        let unions = |root: &std::path::Path| {
+            let mut files: Vec<_> = std::fs::read_dir(root.join("objects").join("union"))
+                .expect("union dir")
+                .map(|e| {
+                    let path = e.expect("entry").path();
+                    (
+                        path.file_name().expect("name").to_owned(),
+                        std::fs::read(&path).expect("read"),
+                    )
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let (a, b, killed, gold) = fixture();
+        let session_root = temp_store("session_union");
+        let mut oracle = GoldOracle::exact(&gold);
+        let (mut session, _) = with_store(&session_root).start_session(a, b, killed, &mut oracle);
+        let delta_a = TableDelta {
+            updates: vec![RowEdit {
+                id: 0,
+                tuple: session.table_a().tuple(1).clone(),
+            }],
+            deletes: vec![3],
+            inserts: Vec::new(),
+        };
+        session
+            .rerun(&delta_a, &TableDelta::new(), None, &mut oracle)
+            .unwrap();
+
+        let cold_root = temp_store("cold_union");
+        with_store(&cold_root).run(
+            session.table_a(),
+            session.table_b(),
+            session.killed(),
+            &mut GoldOracle::exact(&gold),
+        );
+        let cold = unions(&cold_root);
+        assert_eq!(cold.len(), 1, "a cold run publishes one union");
+        let published = unions(&session_root);
+        let rerun = published
+            .iter()
+            .find(|(name, _)| *name == cold[0].0)
+            .expect("the rerun published the patched tables' union");
+        assert!(rerun.1 == cold[0].1, "union bytes differ from a cold run's");
+        std::fs::remove_dir_all(session_root).ok();
+        std::fs::remove_dir_all(cold_root).ok();
     }
 
     #[test]

@@ -10,15 +10,14 @@
 //!   tokenizer. Loading it skips the `mc.strsim.dict.build` pass
 //!   entirely.
 //! * **Postings** — one side's flat CSR record arena for one config in
-//!   the alignment-padded zero-copy layout ([`encode_arena_zc`]), keyed
-//!   by the tokenization key plus side and config positions: warm starts
-//!   memory-map the file and point the join at its pages in place
-//!   ([`map_arena`]) instead of decoding. A mapped payload that fails
-//!   validation is a miss, and the arena is rebuilt. The pipeline no
-//!   longer reads or writes the byte-codec **Arena** kind
-//!   ([`encode_arena`]/[`decode_arena`]); store format v2 reads every
-//!   artifact older builds wrote as a miss anyway. The codec stays for
-//!   tools that replay or test the store.
+//!   the 64-byte-aligned section layout ([`encode_arena_zc`]), keyed by
+//!   the tokenization key plus side and config positions. A warm start
+//!   copies the token and offset sections into an owned arena
+//!   ([`map_arena`]); a payload that fails validation is a miss, and the
+//!   arena is rebuilt. The pipeline no longer reads or writes the
+//!   byte-codec **Arena** kind ([`encode_arena`]/[`decode_arena`]);
+//!   store format v2 reads every artifact older builds wrote as a miss
+//!   anyway. The codec stays for tools that replay or test the store.
 //! * **CandidateUnion** — the joint stage's entire output (config masks,
 //!   `q_used`, the deduplicated pair list and per-config score matrix),
 //!   keyed by the tokenization key, the config-tree shape, every
@@ -29,15 +28,16 @@
 //!   module docs), so a union computed with 8 threads is byte-valid for
 //!   a 1-thread rerun.
 //!
-//! Every decoder returns `Option` and validates structural invariants
-//! (shapes, sortedness, offset monotonicity), so a corrupt artifact that
-//! somehow passed the store's checksum still degrades to a cache miss
-//! rather than a panic.
+//! Every decoder is a plain parser over an owned payload: it returns
+//! `Option` and validates structural invariants (shapes, sortedness,
+//! offset monotonicity, rank bounds the join can index), so a corrupt
+//! artifact that somehow passed the store's checksum still degrades to
+//! a cache miss rather than a panic.
 
 use crate::config::{Config, ConfigTree};
 use crate::joint::{CandidateUnion, JointParams, QStrategy};
-use mc_store::{ByteReader, ByteWriter, Digest, DigestWriter, MappedPayload};
-use mc_strsim::arena::{RecordArena, StableBytes};
+use mc_store::{ByteReader, ByteWriter, Digest, DigestWriter};
+use mc_strsim::arena::RecordArena;
 use mc_strsim::dict::{TokenOrder, TokenizedTable};
 use mc_strsim::measures::SetMeasure;
 use mc_strsim::tokenize::Tokenizer;
@@ -207,7 +207,8 @@ pub fn encode_tokenization(
     w.into_bytes()
 }
 
-/// Decodes a tokenization artifact. `None` on any structural violation.
+/// Decodes a tokenization artifact. `None` on any structural violation,
+/// including a rank past the end of the rank table.
 pub fn decode_tokenization(bytes: &[u8]) -> Option<(TokenOrder, TokenizedTable, TokenizedTable)> {
     let mut r = ByteReader::new(bytes);
     let rank_table = r.get_u32_vec()?;
@@ -220,6 +221,12 @@ pub fn decode_tokenization(bytes: &[u8]) -> Option<(TokenOrder, TokenizedTable, 
         let cols = (0..attr_count)
             .map(|_| get_csr(&mut r, rows))
             .collect::<Option<Vec<_>>>()?;
+        if cols
+            .iter()
+            .any(|col| col.rank_bound() as usize > rank_table.len())
+        {
+            return None;
+        }
         TokenizedTable::from_columns(cols, rows)
     };
     let tok_a = side()?;
@@ -250,24 +257,26 @@ pub fn decode_arena(bytes: &[u8]) -> Option<RecordArena> {
     RecordArena::from_parts(tokens, offsets)
 }
 
-/// Sub-magic of the zero-copy CSR payload ([`ArtifactKind::Postings`]
+/// Sub-magic of the CSR section payload ([`ArtifactKind::Postings`]
 /// files). Distinct from the store's file magic: the store header says
 /// "a valid artifact of kind Postings", this says "the payload is the
 /// alignment-padded CSR layout below".
+///
+/// [`ArtifactKind::Postings`]: mc_store::ArtifactKind::Postings
 const ZC_MAGIC: &[u8; 8] = b"MCZCSR01";
 
-/// Zero-copy header length; also the offset of the first section, so
-/// sections are 64-byte aligned relative to the payload (and the payload
-/// itself starts 8-aligned — page-aligned under a real mmap).
+/// Section header length; also the offset of the first section, so
+/// sections are 64-byte aligned relative to the payload.
 const ZC_HEADER: usize = 64;
 
-/// Encodes a record arena in the alignment-padded zero-copy layout
+/// Encodes a record arena in the alignment-padded section layout
 /// ([`ArtifactKind::Postings`]): a 64-byte sub-header, the token section,
-/// padding to the next 64-byte boundary, then the offsets section. A
-/// warm start can hand the mapped payload to [`map_arena`] and use the
-/// sections in place — no decode, no copy. Values are little-endian; a
-/// big-endian reader refuses the payload and falls back to the byte
-/// codec.
+/// padding to the next 64-byte boundary, then the offsets section.
+/// Values are little-endian. Nothing reads the sections in place any
+/// more; the padding stays because the layout is part of store format
+/// v2, and changing it would turn every stored arena into a miss.
+///
+/// [`ArtifactKind::Postings`]: mc_store::ArtifactKind::Postings
 ///
 /// ```text
 /// offset  size  field
@@ -307,76 +316,55 @@ fn put_u32_section(dst: &mut [u8], vals: &[u32]) {
     }
 }
 
-/// The bridge between [`MappedPayload`] and [`StableBytes`]: the payload
-/// view is stable because the mapping (kernel pages or the pinned heap
-/// fallback buffer) never moves while the value is alive.
-struct MappedBacking(MappedPayload);
-
-// SAFETY: `MappedPayload::payload` derives from a pointer fixed at map
-// time (an mmap region or a heap buffer that is never reallocated), so
-// it returns the same pointer and length on every call, and the mapping
-// is read-only for its whole lifetime.
-unsafe impl StableBytes for MappedBacking {
-    fn bytes(&self) -> &[u8] {
-        self.0.payload()
+/// Decodes an [`encode_arena_zc`] payload by copying its token and
+/// offset sections into an owned arena. `None` on a wrong sub-magic,
+/// lengths that disagree with the payload or with each other, section
+/// offsets off their 64-byte boundaries, out-of-bounds sections, or any
+/// violation [`RecordArena::from_parts`] finds. The name predates the
+/// copy; the benchmark's replay of the warm arena path calls it.
+pub fn map_arena(payload: Vec<u8>) -> Option<RecordArena> {
+    let b = payload.as_slice();
+    if b.len() < ZC_HEADER || &b[0..8] != ZC_MAGIC {
+        return None;
     }
+    let le64 = |at: usize| {
+        usize::try_from(u64::from_le_bytes(
+            b[at..at + 8].try_into().expect("8-byte header field"),
+        ))
+        .ok()
+    };
+    let n_records = le64(8)?;
+    let n_tokens = le64(16)?;
+    let rank_bound = u32::from_le_bytes(b[24..28].try_into().expect("4-byte header field"));
+    let tokens_off = le64(32)?;
+    let offsets_off = le64(40)?;
+    if le64(48)? != b.len() || tokens_off % 64 != 0 || offsets_off % 64 != 0 {
+        return None;
+    }
+    let tokens = u32_section(b, tokens_off, n_tokens)?;
+    let offsets = u32_section(b, offsets_off, n_records.checked_add(1)?)?;
+    let arena = RecordArena::from_parts(tokens, offsets)?;
+    // A header that disagrees with the bound validation recomputed is
+    // corrupt, not just stale.
+    (arena.rank_bound() == rank_bound).then_some(arena)
 }
 
-/// Validates a zero-copy arena payload ([`encode_arena_zc`]'s layout)
-/// and borrows the record arena straight out of the mapping. `None` on
-/// any structural, alignment, length, or endianness violation — the
-/// caller falls back to the byte codec and counts a miss.
-pub fn map_arena(payload: MappedPayload) -> Option<RecordArena> {
-    let ranges = {
-        let b = payload.payload();
-        if b.len() < ZC_HEADER || &b[0..8] != ZC_MAGIC {
-            return None;
-        }
-        let le64 = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
-        let n_records = usize::try_from(le64(8)).ok()?;
-        let n_tokens = usize::try_from(le64(16)).ok()?;
-        let rank_bound = u32::from_le_bytes(b[24..28].try_into().unwrap());
-        let tokens_off = usize::try_from(le64(32)).ok()?;
-        let offsets_off = usize::try_from(le64(40)).ok()?;
-        if le64(48) != b.len() as u64 {
-            return None;
-        }
-        let tokens_end = tokens_off.checked_add(n_tokens.checked_mul(4)?)?;
-        let offsets_end = offsets_off.checked_add(n_records.checked_add(1)?.checked_mul(4)?)?;
-        (
-            tokens_off..tokens_end,
-            offsets_off..offsets_end,
-            n_records,
-            rank_bound,
-        )
-    };
-    let (tokens_range, offsets_range, n_records, rank_bound) = ranges;
-    let backing: std::sync::Arc<dyn StableBytes> = std::sync::Arc::new(MappedBacking(payload));
-    let arena = RecordArena::from_stable_parts(backing, tokens_range, offsets_range)?;
-    // Cross-check the header against what validation recomputed: a
-    // payload that disagrees with itself is corrupt, not just stale.
-    (arena.len() == n_records && arena.rank_bound() == rank_bound).then_some(arena)
+/// Copies `count` little-endian `u32`s starting at byte `at` out of `b`;
+/// `None` when the section does not fit.
+fn u32_section(b: &[u8], at: usize, count: usize) -> Option<Vec<u32>> {
+    let bytes = b.get(at..at.checked_add(count.checked_mul(4)?)?)?;
+    Some(
+        bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect(),
+    )
 }
 
 /// Encodes the joint stage's output: `q_used`, config masks, the pair
 /// list, and per-config scores as a presence bitmap plus the present
 /// `f64` bit patterns (scores round-trip bit-exactly).
 pub fn encode_union(configs: &[Config], q_used: usize, union: &CandidateUnion) -> Vec<u8> {
-    encode_union_with_base(configs, q_used, union, None)
-}
-
-/// [`encode_union`] with optional provenance: `base` records the union
-/// key of the artifact this one was *derived from* by an incremental
-/// rerun (delta-patched tables or a killed-set diff), so store tooling
-/// can trace a chain of incremental results back to its cold-start
-/// ancestor. `None` encodes exactly like [`encode_union`] (the trailing
-/// presence byte makes old payloads, which lack it, decodable too).
-pub fn encode_union_with_base(
-    configs: &[Config],
-    q_used: usize,
-    union: &CandidateUnion,
-    base: Option<Digest>,
-) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(q_used as u64);
     let masks: Vec<u32> = configs.iter().map(|c| c.mask()).collect();
@@ -397,27 +385,12 @@ pub fn encode_union_with_base(
             w.put_f64(*s);
         }
     }
-    if let Some(d) = base {
-        w.put_u8(1);
-        w.put_u64(d.hi);
-        w.put_u64(d.lo);
-    }
     w.into_bytes()
 }
 
-/// Decodes a candidate-union artifact into `(configs, q_used, union)`,
-/// discarding any provenance digest. See [`decode_union_full`].
+/// Decodes a candidate-union artifact into `(configs, q_used, union)`.
+/// `None` on any structural violation, trailing bytes included.
 pub fn decode_union(bytes: &[u8]) -> Option<(Vec<Config>, usize, CandidateUnion)> {
-    decode_union_full(bytes).map(|(c, q, u, _)| (c, q, u))
-}
-
-/// Decodes a candidate-union artifact including the optional
-/// derived-from provenance digest written by
-/// [`encode_union_with_base`]. Artifacts written before provenance
-/// existed (no trailing bytes) decode with `None`.
-pub fn decode_union_full(
-    bytes: &[u8],
-) -> Option<(Vec<Config>, usize, CandidateUnion, Option<Digest>)> {
     let mut r = ByteReader::new(bytes);
     let q_used = usize::try_from(r.get_u64()?).ok()?;
     if q_used == 0 {
@@ -454,20 +427,10 @@ pub fn decode_union_full(
         }
         scores.push(row);
     }
-    let base = if r.is_exhausted() {
-        None
-    } else {
-        if r.get_u8()? != 1 {
-            return None;
-        }
-        let hi = r.get_u64()?;
-        let lo = r.get_u64()?;
-        Some(Digest { hi, lo })
-    };
     if !r.is_exhausted() {
         return None;
     }
-    Some((configs, q_used, CandidateUnion { pairs, scores }, base))
+    Some((configs, q_used, CandidateUnion { pairs, scores }))
 }
 
 #[cfg(test)]
@@ -523,6 +486,19 @@ mod tests {
             w.put_u32_slice(&[5, 3]); // tokens, descending
         }
         assert!(decode_tokenization(&w.into_bytes()).is_none());
+        // Sorted ranks, but rank 2 is past the two-entry rank table.
+        let mut w = ByteWriter::new();
+        w.put_u32_slice(&[0, 1]);
+        for _ in 0..2 {
+            w.put_u64(1);
+            w.put_u64(1);
+            w.put_u32_slice(&[0, 2]);
+            w.put_u32_slice(&[0, 2]);
+        }
+        assert!(
+            decode_tokenization(&w.into_bytes()).is_none(),
+            "rank past table"
+        );
     }
 
     #[test]
@@ -535,56 +511,142 @@ mod tests {
             assert_eq!(back.record(t), arena.record(t));
         }
         assert!(decode_arena(&[1, 2, 3]).is_none(), "garbage payload");
+        // `u32::MAX + 1` does not fit the rank bound: no join could
+        // index that rank.
+        let mut w = ByteWriter::new();
+        w.put_u32_slice(&[u32::MAX]);
+        w.put_u32_slice(&[0, 1]);
+        assert!(
+            decode_arena(&w.into_bytes()).is_none(),
+            "wrapping rank bound"
+        );
     }
 
     #[test]
-    fn zero_copy_arena_maps_in_place_and_rejects_corruption() {
-        use mc_store::{ArtifactKind, Store, StoreConfig};
-        use mc_table::digest::digest_bytes;
-        let root = std::env::temp_dir().join(format!(
-            "mc_store_io_zc_{}_{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::SystemTime::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let store = Store::open(&StoreConfig::at(&root)).unwrap();
+    fn postings_payload_roundtrips_and_rejects_malformed_headers() {
         let arena = RecordArena::from_records(&[vec![1u32, 4, 9], vec![], vec![2, 2, 7, 1000]]);
-        let key = digest_bytes(b"zc-arena");
         let payload = encode_arena_zc(&arena);
-        assert_eq!(payload.len() % 4, 0);
-        assert!(store.publish(ArtifactKind::Postings, key, &payload));
-
-        let mapped = store.load_mapped(ArtifactKind::Postings, key).expect("hit");
-        let back = map_arena(mapped).expect("valid zero-copy payload");
-        assert!(back.is_mapped(), "must borrow the mapping, not copy");
+        let back = map_arena(payload.clone()).expect("valid payload");
         assert_eq!(back.len(), arena.len());
         assert_eq!(back.rank_bound(), arena.rank_bound());
         for t in 0..arena.len() as TupleId {
             assert_eq!(back.record(t), arena.record(t));
         }
+        // A byte-codec payload fails the sub-magic check.
+        assert!(map_arena(encode_arena(&arena)).is_none(), "byte codec");
+        let with_field = |at: usize, value: u64| {
+            let mut bytes = payload.clone();
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            bytes
+        };
+        let tokens_off = ZC_HEADER as u64;
+        let offsets_off = u64::from_le_bytes(payload[40..48].try_into().unwrap());
+        for (what, bytes) in [
+            (
+                "token section off its boundary",
+                with_field(32, tokens_off + 4),
+            ),
+            (
+                "offsets section off its boundary",
+                with_field(40, offsets_off + 4),
+            ),
+            (
+                "token section out of bounds",
+                with_field(32, offsets_off + 64),
+            ),
+            (
+                "offsets section out of bounds",
+                with_field(40, offsets_off + 64),
+            ),
+            ("section offset overflows", with_field(40, !63)),
+            ("token count disagrees", with_field(16, 6)),
+            ("token count overflows", with_field(16, u64::MAX)),
+            ("record count disagrees", with_field(8, 2)),
+            ("record count overflows", with_field(8, u64::MAX)),
+            (
+                "total length disagrees",
+                with_field(48, payload.len() as u64 + 4),
+            ),
+            ("rank bound disagrees", with_field(24, 1000)),
+        ] {
+            assert!(map_arena(bytes).is_none(), "{what}");
+        }
+    }
 
-        // An old-codec payload under the Postings kind fails the
-        // sub-magic check and degrades to None (codec fallback path).
-        let legacy_key = digest_bytes(b"legacy");
-        store.publish(ArtifactKind::Postings, legacy_key, &encode_arena(&arena));
-        let legacy = store
-            .load_mapped(ArtifactKind::Postings, legacy_key)
-            .expect("store-level hit");
-        assert!(map_arena(legacy).is_none());
+    /// Asserts every record is sorted and below the arena's rank bound.
+    fn assert_indexable(arena: &RecordArena) {
+        for rec in arena.iter() {
+            assert!(rec.windows(2).all(|w| w[0] <= w[1]), "unsorted record");
+            assert!(
+                rec.iter().all(|&t| t < arena.rank_bound()),
+                "rank past bound"
+            );
+        }
+    }
 
-        // Flipping a section-offset byte breaks alignment/bounds checks
-        // (the store checksum is recomputed so the file still "verifies").
-        let mut broken = payload.clone();
-        broken[32] ^= 0x01; // tokens_off 64 -> 65: misaligned
-        let broken_key = digest_bytes(b"broken");
-        store.publish(ArtifactKind::Postings, broken_key, &broken);
-        let broken = store
-            .load_mapped(ArtifactKind::Postings, broken_key)
-            .expect("store-level hit");
-        assert!(map_arena(broken).is_none());
-        std::fs::remove_dir_all(root).ok();
+    /// Feeds `check` every truncation of `valid` and 300 copies of it
+    /// with one to three seeded byte flips each.
+    fn mutate(valid: &[u8], seed: u64, check: impl Fn(&[u8])) {
+        use rand::rngs::StdRng;
+        use rand::{RngExt as _, SeedableRng};
+        for cut in 0..=valid.len() {
+            check(&valid[..cut]);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..300 {
+            let mut bytes = valid.to_vec();
+            for _ in 0..rng.random_range(1..=3usize) {
+                let at = rng.random_range(0..bytes.len());
+                bytes[at] ^= rng.random_range(1..=255u8);
+            }
+            check(&bytes);
+        }
+    }
+
+    /// Per decoder: each mutated payload decodes to `None` or to a value
+    /// whose invariants hold, and none panics.
+    #[test]
+    fn decoders_survive_truncations_and_seeded_byte_flips() {
+        let (order, ta, tb) = tok_pair();
+        mutate(&encode_tokenization(&order, &ta, &tb), 1, |b| {
+            if let Some((order, ta, tb)) = decode_tokenization(b) {
+                for tok in [&ta, &tb] {
+                    for col in tok.columns() {
+                        assert_eq!(col.len(), tok.rows(), "declared rows");
+                        assert!(col.rank_bound() as usize <= order.len());
+                        assert_indexable(col);
+                    }
+                }
+            }
+        });
+        let arena = RecordArena::from_records(&[vec![1u32, 4, 9], vec![], vec![2, 2, 7, 1000]]);
+        mutate(&encode_arena(&arena), 2, |b| {
+            if let Some(a) = decode_arena(b) {
+                assert_indexable(&a);
+            }
+        });
+        mutate(&encode_arena_zc(&arena), 3, |b| {
+            if let Some(a) = map_arena(b.to_vec()) {
+                assert_indexable(&a);
+            }
+        });
+        let union = CandidateUnion {
+            pairs: vec![pair_key(0, 1), pair_key(1, 0), pair_key(2, 2)],
+            scores: vec![
+                vec![Some(0.5), None, Some(0.25)],
+                vec![None, Some(1.0), None],
+            ],
+        };
+        let configs = [Config::from_positions([0]), Config::from_positions([0, 1])];
+        mutate(&encode_union(&configs, 2, &union), 4, |b| {
+            if let Some((configs, q_used, union)) = decode_union(b) {
+                assert!(q_used >= 1);
+                assert_eq!(union.scores.len(), configs.len());
+                for row in &union.scores {
+                    assert_eq!(row.len(), union.pairs.len());
+                }
+            }
+        });
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! backpressure queue executing requests. Each client session wraps a
 //! [`matchcatcher::DebugSession`], so blocker-output / killed-set /
 //! label edits are **delta reruns** against resident state instead of
-//! cold runs; warm artifacts (tokenizations, zero-copy mmap arenas,
-//! candidate unions) load through `mc-store` when the daemon is given a
-//! store root; and every session attaches its own
+//! cold runs; when the daemon is given a store root, sessions restore
+//! their config arenas through `mc-store` and publish arenas and
+//! candidate unions there; and every session attaches its own
 //! [`mc_obs::ObsContext::session`], so the `metrics` verb returns
 //! exactly that session's activity.
 //!

@@ -452,7 +452,6 @@ impl SessionManager {
             ("removed_bytes".into(), report.removed_bytes.into()),
             ("removed_tmp".into(), report.removed_tmp.into()),
             ("kept_bytes".into(), report.kept_bytes.into()),
-            ("skipped_live".into(), report.skipped_live.into()),
         ])
     }
 

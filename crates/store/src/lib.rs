@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # mc-store
 //!
@@ -39,38 +40,29 @@
 //!   objects/
 //!     tok/<key-hex>.mcs     tokenization artifacts
 //!     arena/<key-hex>.mcs   per-config record arenas (byte codec)
-//!     post/<key-hex>.mcs    zero-copy arena/postings payloads (mmap-ready)
+//!     post/<key-hex>.mcs    per-config record arenas (64-byte-aligned CSR)
 //!     union/<key-hex>.mcs   joint-stage candidate unions
 //! ```
 //!
-//! [`Store::load_mapped`] is the zero-copy sibling of [`Store::load`]:
-//! instead of reading the file into a `Vec`, it memory-maps it (see
-//! [`mmap`]), verifies the same 32-byte header against the mapped bytes,
-//! and hands back a [`MappedPayload`] whose payload view borrows the
-//! mapping. `mc-core`'s `store_io` layers an alignment-padded CSR layout
-//! on top so warm starts point the join at the file's pages directly.
+//! Every read goes through [`Store::load`]: the file is read into an
+//! owned buffer and its header verified before any decoder sees it.
 //!
 //! ## Metrics
 //!
 //! `mc.store.{hits,misses,publishes,corrupt,errors}` counters,
-//! `mc.store.{mmap_maps,mmap_fallbacks}` for the mapping path,
-//! `mc.store.gc.{reclaimed_bytes,skipped_live}` for collection passes,
+//! `mc.store.gc.reclaimed_bytes` for collection passes,
 //! `mc.store.{load,save}` spans, `mc.store.{bytes_on_disk,artifacts}`
 //! gauges (refreshed by [`Store::stats`]).
 
 pub mod codec;
-pub mod mmap;
 
 pub use codec::{ByteReader, ByteWriter};
 pub use mc_table::digest::{Digest, DigestWriter};
-pub use mmap::Mapping;
 
-use std::collections::HashMap;
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 /// On-disk format version; bumping it invalidates every stored artifact.
 pub const FORMAT_VERSION: u32 = 2;
@@ -104,9 +96,10 @@ pub enum ArtifactKind {
     Arena,
     /// The joint stage's candidate union (pairs + per-config scores).
     CandidateUnion,
-    /// Zero-copy CSR arena/postings payload: alignment-padded sections
-    /// a warm start can memory-map and use in place (no decode pass).
-    /// See `mc-core`'s `store_io` for the layout.
+    /// One config's record arena as a CSR payload whose token and
+    /// offset sections start on 64-byte boundaries; the pipeline
+    /// publishes and restores arenas as this kind. See `mc-core`'s
+    /// `store_io` for the layout.
     Postings,
 }
 
@@ -230,77 +223,6 @@ pub struct GcReport {
     pub removed_tmp: u64,
     /// Bytes remaining after the pass.
     pub kept_bytes: u64,
-    /// Artifacts left in place because a live [`MappedPayload`] still
-    /// borrows their pages (see [`Store::gc`]).
-    pub skipped_live: u64,
-}
-
-/// Process-wide registry of artifact files with outstanding
-/// [`MappedPayload`] handles. [`Store::load_mapped`] registers the path;
-/// the payload's `Drop` releases it. [`Store::gc`] consults this table so
-/// it never unlinks a file some session is still reading through — the
-/// portable guarantee (on Linux an unlinked mapping stays valid, but
-/// skipping live objects also keeps warm artifacts resident for reuse
-/// instead of silently discarding them mid-session).
-fn live_mappings() -> &'static Mutex<HashMap<PathBuf, usize>> {
-    static LIVE: OnceLock<Mutex<HashMap<PathBuf, usize>>> = OnceLock::new();
-    LIVE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn live_acquire(path: &Path) {
-    let mut table = live_mappings().lock().unwrap();
-    *table.entry(path.to_path_buf()).or_insert(0) += 1;
-}
-
-fn live_release(path: &Path) {
-    let mut table = live_mappings().lock().unwrap();
-    if let Some(count) = table.get_mut(path) {
-        *count -= 1;
-        if *count == 0 {
-            table.remove(path);
-        }
-    }
-}
-
-fn live_contains(path: &Path) -> bool {
-    live_mappings().lock().unwrap().contains_key(path)
-}
-
-/// A verified artifact whose payload is a borrowed view of the backing
-/// file ([`Store::load_mapped`]) rather than an owned `Vec<u8>`.
-///
-/// The 32-byte header has already been checked (magic, version, kind
-/// tag, length, checksum); [`MappedPayload::payload`] exposes only the
-/// payload region. Because the header is exactly 32 bytes and the
-/// mapping base is at least 8-byte aligned (page-aligned when truly
-/// mmapped), the payload view always starts on an 8-byte boundary —
-/// the invariant zero-copy layouts build on.
-#[derive(Debug)]
-pub struct MappedPayload {
-    map: mmap::Mapping,
-    payload_at: usize,
-    /// Registered in [`live_mappings`] until drop so [`Store::gc`] skips
-    /// the backing file while this handle is alive.
-    path: PathBuf,
-}
-
-impl MappedPayload {
-    /// The verified payload bytes (header stripped).
-    #[inline]
-    pub fn payload(&self) -> &[u8] {
-        &self.map.bytes()[self.payload_at..]
-    }
-
-    /// True when backed by a kernel mapping (false on the heap fallback).
-    pub fn is_mmap(&self) -> bool {
-        self.map.is_mmap()
-    }
-}
-
-impl Drop for MappedPayload {
-    fn drop(&mut self) {
-        live_release(&self.path);
-    }
 }
 
 /// A handle on an opened artifact store.
@@ -374,63 +296,32 @@ impl Store {
     /// miss, so callers always have a working cold path.
     pub fn load(&self, kind: ArtifactKind, key: Digest) -> Option<Vec<u8>> {
         let _span = mc_obs::span!("mc.store.load", kind.tag() as u64);
-        let path = self.object_path(kind, key);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                mc_obs::counter!("mc.store.misses").inc();
-                return None;
-            }
+        let Ok(mut file) = fs::File::open(self.object_path(kind, key)) else {
+            mc_obs::counter!("mc.store.misses").inc();
+            return None;
         };
-        match verify_artifact(&bytes, kind) {
-            Some(payload_range) => {
-                mc_obs::counter!("mc.store.hits").inc();
-                mc_obs::counter!("mc.store.bytes_loaded").add(bytes.len() as u64);
-                let mut bytes = bytes;
-                bytes.drain(..payload_range);
-                Some(bytes)
-            }
-            None => {
-                mc_obs::counter!("mc.store.corrupt").inc();
-                mc_obs::counter!("mc.store.misses").inc();
-                None
-            }
+        // The header gets a buffer of its own, so the payload comes back
+        // as read, without shifting it down over the header.
+        let mut header = [0u8; HEADER_LEN];
+        let mut payload = Vec::new();
+        let read = file
+            .read_exact(&mut header)
+            .and_then(|()| file.read_to_end(&mut payload));
+        if read.is_ok() && verify_artifact(&header, &payload, kind) {
+            mc_obs::counter!("mc.store.hits").inc();
+            mc_obs::counter!("mc.store.bytes_loaded").add((HEADER_LEN + payload.len()) as u64);
+            Some(payload)
+        } else {
+            mc_obs::counter!("mc.store.corrupt").inc();
+            mc_obs::counter!("mc.store.misses").inc();
+            None
         }
     }
 
-    /// Zero-copy sibling of [`Store::load`]: memory-maps the artifact
-    /// file (heap-buffered on targets without mmap support) and runs the
-    /// same header verification against the mapped bytes. Counters
-    /// behave exactly like [`Store::load`]'s — a corrupt file counts
-    /// under `mc.store.corrupt` and degrades to a miss — so callers can
-    /// chain `load_mapped → load → rebuild` and every step is accounted.
-    pub fn load_mapped(&self, kind: ArtifactKind, key: Digest) -> Option<MappedPayload> {
-        let _span = mc_obs::span!("mc.store.load", kind.tag() as u64);
-        let path = self.object_path(kind, key);
-        let map = match mmap::Mapping::open(&path) {
-            Some(m) => m,
-            None => {
-                mc_obs::counter!("mc.store.misses").inc();
-                return None;
-            }
-        };
-        match verify_artifact(map.bytes(), kind) {
-            Some(payload_at) => {
-                mc_obs::counter!("mc.store.hits").inc();
-                mc_obs::counter!("mc.store.bytes_loaded").add(map.bytes().len() as u64);
-                live_acquire(&path);
-                Some(MappedPayload {
-                    map,
-                    payload_at,
-                    path,
-                })
-            }
-            None => {
-                mc_obs::counter!("mc.store.corrupt").inc();
-                mc_obs::counter!("mc.store.misses").inc();
-                None
-            }
-        }
+    /// [`Store::load`] under the name the benchmark's replay of the
+    /// warm arena path calls; kept so that replay keeps compiling.
+    pub fn load_mapped(&self, kind: ArtifactKind, key: Digest) -> Option<Vec<u8>> {
+        self.load(kind, key)
     }
 
     /// Atomically publishes an artifact under its key: the header +
@@ -498,12 +389,8 @@ impl Store {
     /// bytes: stray temp files always go, then whole artifacts are
     /// removed oldest-modification-first (path as a deterministic
     /// tie-break) until the budget is met. Artifacts are re-creatable by
-    /// construction, so eviction is always safe — **except** files some
-    /// concurrent reader still holds a [`MappedPayload`] over, which are
-    /// skipped (and counted under `mc.store.gc.skipped_live`) so a
-    /// long-running session never loses its warm pages mid-read. Skipped
-    /// files keep counting toward `kept_bytes`, so a store full of live
-    /// artifacts can legitimately end a pass above budget.
+    /// construction, and every reader holds its own copy of the bytes it
+    /// loaded, so eviction is always safe.
     pub fn gc(&self, max_bytes: u64) -> GcReport {
         let mut report = GcReport::default();
         let mut entries: Vec<StoreEntry> = Vec::new();
@@ -524,10 +411,6 @@ impl Store {
             if total <= max_bytes {
                 break;
             }
-            if live_contains(&entry.path) {
-                report.skipped_live += 1;
-                continue;
-            }
             if fs::remove_file(&entry.path).is_ok() {
                 report.removed_files += 1;
                 report.removed_bytes += entry.len;
@@ -537,7 +420,6 @@ impl Store {
         report.kept_bytes = total;
         mc_obs::counter!("mc.store.gc_removed").add(report.removed_files);
         mc_obs::counter!("mc.store.gc.reclaimed_bytes").add(report.removed_bytes);
-        mc_obs::counter!("mc.store.gc.skipped_live").add(report.skipped_live);
         mc_obs::gauge!("mc.store.bytes_on_disk").set(total as i64);
         report
     }
@@ -658,33 +540,15 @@ fn encode_header(kind: ArtifactKind, payload: &[u8]) -> [u8; HEADER_LEN] {
     h
 }
 
-/// Verifies a whole artifact file; returns the payload offset if every
+/// Verifies an artifact's header against its payload; true if every
 /// check passes.
-fn verify_artifact(bytes: &[u8], kind: ArtifactKind) -> Option<usize> {
-    if bytes.len() < HEADER_LEN {
-        return None;
-    }
-    let (header, payload) = bytes.split_at(HEADER_LEN);
-    if header[0..4] != MAGIC {
-        return None;
-    }
-    let version = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return None;
-    }
-    let tag = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    if tag != kind.tag() {
-        return None;
-    }
-    let len = u64::from_le_bytes(header[16..24].try_into().unwrap());
-    if len != payload.len() as u64 {
-        return None;
-    }
-    let hash = u64::from_le_bytes(header[24..32].try_into().unwrap());
-    if hash != payload_checksum(payload) {
-        return None;
-    }
-    Some(HEADER_LEN)
+fn verify_artifact(header: &[u8; HEADER_LEN], payload: &[u8], kind: ArtifactKind) -> bool {
+    let field = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    header[0..4] == MAGIC
+        && header[4..8] == FORMAT_VERSION.to_le_bytes()
+        && header[8..12] == kind.tag().to_le_bytes()
+        && field(16) == payload.len() as u64
+        && field(24) == payload_checksum(payload)
 }
 
 #[cfg(test)]
@@ -860,31 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn load_mapped_verifies_header_and_exposes_aligned_payload() {
-        let (store, root) = temp_store();
-        let key = digest_bytes(b"zc");
-        let payload: Vec<u8> = (0..200u8).collect();
-        assert!(store.load_mapped(ArtifactKind::Postings, key).is_none());
-        assert!(store.publish(ArtifactKind::Postings, key, &payload));
-        let mapped = store.load_mapped(ArtifactKind::Postings, key).expect("hit");
-        assert_eq!(mapped.payload(), &payload[..]);
-        assert_eq!(
-            mapped.payload().as_ptr() as usize % 8,
-            0,
-            "payload must start 8-aligned (header is 32 bytes)"
-        );
-        // Kind confusion is rejected just like Store::load.
-        assert!(store.load_mapped(ArtifactKind::Arena, key).is_none());
-        // A flipped payload byte fails the checksum.
-        let path = artifact_file(&store, ArtifactKind::Postings, key);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[HEADER_LEN + 3] ^= 0x10;
-        fs::write(&path, &bytes).unwrap();
-        assert!(store.load_mapped(ArtifactKind::Postings, key).is_none());
-        fs::remove_dir_all(root).ok();
-    }
-
-    #[test]
     fn postings_kind_is_accounted_by_stats_and_gc() {
         let (store, root) = temp_store();
         store.publish(ArtifactKind::Postings, digest_bytes(b"p"), &[7u8; 64]);
@@ -901,53 +740,6 @@ mod tests {
         // gc sees postings files too: budget 0 removes both.
         let report = store.gc(0);
         assert_eq!(report.removed_files, 2);
-        assert_eq!(report.kept_bytes, 0);
-        fs::remove_dir_all(root).ok();
-    }
-
-    #[test]
-    fn gc_skips_artifacts_with_live_mapped_handles() {
-        let (store, root) = temp_store();
-        let live_key = digest_bytes(b"live artifact");
-        let dead_key = digest_bytes(b"dead artifact");
-        store.publish(ArtifactKind::Postings, live_key, &[1u8; 128]);
-        store.publish(ArtifactKind::Postings, dead_key, &[2u8; 128]);
-        // Make the live artifact the *older* one so oldest-first eviction
-        // would pick it absent the live-handle guard.
-        for (key, secs) in [(live_key, 1_000u64), (dead_key, 2_000)] {
-            let path = artifact_file(&store, ArtifactKind::Postings, key);
-            let f = fs::File::options().append(true).open(&path).unwrap();
-            f.set_modified(
-                std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(secs),
-            )
-            .unwrap();
-        }
-        let ctx = mc_obs::ObsContext::session();
-        let mapped = {
-            let _g = ctx.attach();
-            store.load_mapped(ArtifactKind::Postings, live_key).unwrap()
-        };
-        let report = {
-            let _g = ctx.attach();
-            store.gc(0)
-        };
-        assert_eq!(report.skipped_live, 1);
-        assert_eq!(report.removed_files, 1, "only the unmapped artifact goes");
-        let artifact_len = 128 + HEADER_LEN as u64;
-        assert_eq!(report.removed_bytes, artifact_len);
-        assert_eq!(report.kept_bytes, artifact_len);
-        // The mapped payload is still fully readable after the pass.
-        assert_eq!(mapped.payload(), &[1u8; 128]);
-        assert!(store.load(ArtifactKind::Postings, live_key).is_some());
-        assert_eq!(store.load(ArtifactKind::Postings, dead_key), None);
-        let snap = ctx.snapshot();
-        assert_eq!(snap.counter("mc.store.gc.skipped_live"), 1);
-        assert_eq!(snap.counter("mc.store.gc.reclaimed_bytes"), artifact_len);
-        // Dropping the handle releases the guard; the next pass collects.
-        drop(mapped);
-        let report = store.gc(0);
-        assert_eq!(report.skipped_live, 0);
-        assert_eq!(report.removed_files, 1);
         assert_eq!(report.kept_bytes, 0);
         fs::remove_dir_all(root).ok();
     }

@@ -16,15 +16,11 @@
 //!
 //! Internally every record is addressed through two raw pointers,
 //! `starts` and `ends`: record `i` is `tokens[starts[i] .. ends[i]]`.
-//! Three backings provide those pointers:
+//! Two backings provide those pointers:
 //!
 //! * **Owned** — a compact CSR pair (`tokens` + `offsets`); `starts`
 //!   aliases `offsets[0..]` and `ends` aliases `offsets[1..]`, so the
 //!   classic layout costs nothing extra.
-//! * **Mapped** — the same CSR layout borrowed from a [`StableBytes`]
-//!   backing (a memory-mapped artifact file): warm starts point the
-//!   join straight at the file's pages with zero decode and zero copy
-//!   ([`RecordArena::from_stable_parts`]).
 //! * **Split** — independent `starts`/`ends` arrays over a shared
 //!   (`Arc`) token buffer. This is the **patchable** form used by
 //!   incremental debugging sessions: [`RecordArena::patch_record`]
@@ -44,32 +40,12 @@ use crate::dict::TokenizedTable;
 use mc_table::TupleId;
 use std::sync::Arc;
 
-/// A byte buffer whose address is stable for the value's whole lifetime.
-///
-/// Implemented by zero-copy artifact backings (memory-mapped files,
-/// pinned heap buffers) so a [`RecordArena`] can cache raw pointers into
-/// the bytes at construction and skip per-access indirection.
-///
-/// # Safety
-///
-/// Implementors must guarantee that `bytes()` returns the same pointer
-/// and length on every call for the lifetime of `self` (the buffer never
-/// moves, grows, or shrinks), and that the bytes are never mutated while
-/// `self` is alive.
-pub unsafe trait StableBytes: Send + Sync {
-    /// The backing bytes.
-    fn bytes(&self) -> &[u8];
-}
-
 /// What keeps a [`RecordArena`]'s buffers alive.
 enum Backing {
     /// The arena owns a compact CSR pair (the pointers point into these
     /// Vecs; a Vec's heap buffer does not move when the Vec itself
     /// moves).
     Owned { tokens: Vec<u32>, offsets: Vec<u32> },
-    /// The buffers live inside a stable byte backing (e.g. an mmapped
-    /// store artifact); the Arc keeps it alive.
-    Mapped(Arc<dyn StableBytes>),
     /// Patchable form: independent per-record bounds over a shared
     /// token buffer. Tombstoned/patched spans leave garbage in the
     /// buffer; `masked_view` clones the Arc instead of the tokens.
@@ -98,9 +74,9 @@ pub struct RecordArena {
 }
 
 // SAFETY: the buffers behind the raw pointers are immutable while shared
-// and owned/kept alive by `backing` (Vecs, or an Arc to a Send + Sync
-// StableBytes); every `&mut self` mutation re-derives the pointers
-// before returning. Sharing or moving the arena across threads is sound.
+// and owned/kept alive by `backing` (Vecs, or an Arc to a token Vec);
+// every `&mut self` mutation re-derives the pointers before returning.
+// Sharing or moving the arena across threads is sound.
 unsafe impl Send for RecordArena {}
 unsafe impl Sync for RecordArena {}
 
@@ -180,9 +156,6 @@ impl RecordArena {
                 self.ends = unsafe { offsets.as_ptr().add(1) };
                 self.n_records = offsets.len() - 1;
             }
-            // Mapped pointers target the stable mapping, not the Arc
-            // itself; they never move.
-            Backing::Mapped(_) => {}
             Backing::Split {
                 tokens,
                 starts,
@@ -285,12 +258,6 @@ impl RecordArena {
         self.live_tokens
     }
 
-    /// True when the buffers are borrowed from a [`StableBytes`] backing
-    /// rather than owned (diagnostics; behaviour is identical).
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.backing, Backing::Mapped(_))
-    }
-
     /// True when the arena is in compact CSR form (records laid out
     /// back-to-back, no patch garbage) — the only form the store codecs
     /// accept. Patched or masked arenas answer `false` until
@@ -333,43 +300,27 @@ impl RecordArena {
         unsafe { std::slice::from_raw_parts(self.starts, self.n_records + 1) }
     }
 
-    /// Converts the arena to the patchable Split backing in place. A
-    /// no-op when already patchable; mapped arenas copy their tokens out
-    /// of the mapping once. Call before a batch of
+    /// Converts the arena to the patchable Split backing in place,
+    /// reusing the owned token buffer; a no-op when already patchable.
+    /// Call before a batch of
     /// [`RecordArena::patch_record`]s to make [`RecordArena::masked_view`]
     /// share the buffer instead of copying it.
     pub fn make_patchable(&mut self) {
         if let Backing::Split { .. } = self.backing {
             return;
         }
-        // For both compact backings `starts` currently points at the
-        // offsets array (length n_records + 1).
-        // SAFETY: see `offsets()`.
-        let offsets = unsafe { std::slice::from_raw_parts(self.starts, self.n_records + 1) };
-        let starts = offsets[..self.n_records].to_vec();
-        let ends = offsets[1..].to_vec();
         let placeholder = Backing::Owned {
             tokens: Vec::new(),
             offsets: vec![0],
         };
-        let tokens = match std::mem::replace(&mut self.backing, placeholder) {
-            // Reuse the owned buffer without copying.
-            Backing::Owned { tokens, .. } => Arc::new(tokens),
-            mapped @ Backing::Mapped(_) => {
-                // Copy out of the mapping while the Arc (bound as
-                // `mapped`) still keeps the pages alive.
-                // SAFETY: see `tokens()`.
-                let buf =
-                    unsafe { std::slice::from_raw_parts(self.tokens, self.n_tokens) }.to_vec();
-                drop(mapped);
-                Arc::new(buf)
-            }
-            Backing::Split { .. } => unreachable!("handled above"),
+        let Backing::Owned { tokens, offsets } = std::mem::replace(&mut self.backing, placeholder)
+        else {
+            unreachable!("handled above");
         };
         self.backing = Backing::Split {
-            tokens,
-            starts,
-            ends,
+            tokens: Arc::new(tokens),
+            starts: offsets[..self.n_records].to_vec(),
+            ends: offsets[1..].to_vec(),
         };
         self.refresh_ptrs();
     }
@@ -546,60 +497,10 @@ impl RecordArena {
         let rank_bound = validate_csr(&tokens, &offsets)?;
         Some(RecordArena::from_owned(tokens, offsets, rank_bound))
     }
-
-    /// Zero-copy sibling of [`RecordArena::from_parts`]: borrows the
-    /// tokens and offsets arrays directly from `backing`'s bytes (given
-    /// as byte ranges into [`StableBytes::bytes`]) instead of copying
-    /// them out. Runs the full structural validation — plus alignment
-    /// and little-endian checks, since the bytes are reinterpreted in
-    /// place — and returns `None` on any violation, so corrupt or
-    /// foreign-endian artifacts degrade to cache misses.
-    pub fn from_stable_parts(
-        backing: Arc<dyn StableBytes>,
-        tokens_bytes: std::ops::Range<usize>,
-        offsets_bytes: std::ops::Range<usize>,
-    ) -> Option<RecordArena> {
-        if cfg!(target_endian = "big") {
-            return None; // in-place reinterpretation assumes LE files
-        }
-        let bytes = backing.bytes();
-        let tokens = u32_view(bytes, tokens_bytes)?;
-        let offsets = u32_view(bytes, offsets_bytes)?;
-        let rank_bound = validate_csr(tokens, offsets)?;
-        let arena = RecordArena {
-            tokens: tokens.as_ptr(),
-            n_tokens: tokens.len(),
-            starts: offsets.as_ptr(),
-            // SAFETY: `offsets` is non-empty (validate_csr checked its
-            // first element), so one element in is in bounds or
-            // one-past-the-end.
-            ends: unsafe { offsets.as_ptr().add(1) },
-            n_records: offsets.len() - 1,
-            live_tokens: tokens.len(),
-            rank_bound,
-            backing: Backing::Mapped(backing),
-        };
-        Some(arena)
-    }
 }
 
-/// Checks a byte range is in bounds, 4-aligned and a whole number of
-/// `u32`s, and reinterprets it. Little-endian targets only (checked by
-/// the caller).
-fn u32_view(bytes: &[u8], range: std::ops::Range<usize>) -> Option<&[u32]> {
-    let view = bytes.get(range)?;
-    if !(view.as_ptr() as usize).is_multiple_of(std::mem::align_of::<u32>())
-        || !view.len().is_multiple_of(4)
-    {
-        return None;
-    }
-    // SAFETY: in-bounds, aligned, correctly sized; u32 has no invalid
-    // bit patterns; the backing is immutable for its lifetime.
-    Some(unsafe { std::slice::from_raw_parts(view.as_ptr().cast(), view.len() / 4) })
-}
-
-/// Validates CSR invariants shared by owned and mapped arenas; returns
-/// the recomputed rank bound.
+/// Validates CSR invariants; returns the recomputed rank bound, or
+/// `None` when a token is `u32::MAX` and the bound does not fit.
 fn validate_csr(tokens: &[u32], offsets: &[u32]) -> Option<u32> {
     if offsets.first() != Some(&0) {
         return None;
@@ -619,7 +520,7 @@ fn validate_csr(tokens: &[u32], offsets: &[u32]) -> Option<u32> {
     }) {
         return None;
     }
-    Some(tokens.iter().max().map_or(0, |&m| m + 1))
+    tokens.iter().max().map_or(Some(0), |&m| m.checked_add(1))
 }
 
 impl Default for RecordArena {
@@ -643,7 +544,6 @@ impl Clone for RecordArena {
                     tokens: tokens.clone(),
                     offsets: offsets.clone(),
                 },
-                Backing::Mapped(arc) => Backing::Mapped(Arc::clone(arc)),
                 Backing::Split {
                     tokens,
                     starts,
@@ -655,8 +555,7 @@ impl Clone for RecordArena {
                 },
             },
         };
-        // Point at the clone's buffers (no-op for Mapped, whose
-        // pointers target the shared stable mapping).
+        // Point at the clone's buffers.
         clone.refresh_ptrs();
         clone
     }
@@ -668,7 +567,6 @@ impl std::fmt::Debug for RecordArena {
             .field("records", &self.len())
             .field("tokens", &self.total_tokens())
             .field("rank_bound", &self.rank_bound)
-            .field("mapped", &self.is_mapped())
             .field("compact", &self.is_compact())
             .finish()
     }
@@ -817,102 +715,5 @@ mod tests {
         let mut arena = RecordArena::from_records(&[vec![1u32]]);
         arena.tombstone(0);
         let _ = arena.offsets();
-    }
-
-    /// A stable backing over an 8-aligned heap buffer, as the store's
-    /// heap fallback produces.
-    struct PinnedWords(Vec<u64>, usize);
-
-    unsafe impl StableBytes for PinnedWords {
-        fn bytes(&self) -> &[u8] {
-            unsafe { std::slice::from_raw_parts(self.0.as_ptr().cast(), self.1) }
-        }
-    }
-
-    fn pinned(bytes: &[u8]) -> Arc<dyn StableBytes> {
-        let mut buf = vec![0u64; bytes.len().div_ceil(8)];
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), buf.as_mut_ptr().cast(), bytes.len())
-        };
-        Arc::new(PinnedWords(buf, bytes.len()))
-    }
-
-    fn le_bytes(vals: &[u32]) -> Vec<u8> {
-        vals.iter().flat_map(|v| v.to_le_bytes()).collect()
-    }
-
-    #[test]
-    fn from_stable_parts_borrows_and_matches_owned() {
-        let records: Vec<Vec<u32>> = vec![vec![3, 5, 5, 90], vec![], vec![0, 7]];
-        let owned = RecordArena::from_records(&records);
-        // Lay out [offsets | tokens] in one buffer, offsets first so the
-        // token range starts at a non-zero offset.
-        let mut raw = le_bytes(owned.offsets());
-        let tokens_at = raw.len();
-        raw.extend(le_bytes(owned.tokens()));
-        let backing = pinned(&raw);
-        let mapped = RecordArena::from_stable_parts(
-            Arc::clone(&backing),
-            tokens_at..raw.len(),
-            0..tokens_at,
-        )
-        .expect("valid layout maps");
-        assert!(mapped.is_mapped());
-        assert!(!owned.is_mapped());
-        assert_eq!(mapped.len(), owned.len());
-        assert_eq!(mapped.rank_bound(), owned.rank_bound());
-        assert_eq!(mapped.total_tokens(), owned.total_tokens());
-        for t in 0..owned.len() as TupleId {
-            assert_eq!(mapped.record(t), owned.record(t));
-        }
-        // Clones share the backing and keep working after the original
-        // and the local Arc are gone.
-        let clone = mapped.clone();
-        drop(mapped);
-        drop(backing);
-        assert_eq!(clone.record(0), &[3, 5, 5, 90]);
-        let sent = std::thread::spawn(move || clone.record(2).to_vec())
-            .join()
-            .expect("cross-thread use");
-        assert_eq!(sent, vec![0, 7]);
-    }
-
-    #[test]
-    fn mapped_arena_becomes_patchable_by_copying() {
-        let owned = RecordArena::from_records(&[vec![1u32, 2], vec![3]]);
-        let mut raw = le_bytes(owned.offsets());
-        let tokens_at = raw.len();
-        raw.extend(le_bytes(owned.tokens()));
-        let backing = pinned(&raw);
-        let mut mapped =
-            RecordArena::from_stable_parts(backing, tokens_at..raw.len(), 0..tokens_at)
-                .expect("valid layout maps");
-        mapped.patch_record(0, &[5, 6, 7]);
-        assert!(!mapped.is_mapped(), "patching detaches from the mapping");
-        assert_eq!(mapped.record(0), &[5, 6, 7]);
-        assert_eq!(mapped.record(1), &[3]);
-    }
-
-    #[test]
-    fn from_stable_parts_rejects_structural_and_alignment_violations() {
-        let tokens = le_bytes(&[1, 2, 3]);
-        let good_offsets = le_bytes(&[0, 2, 3]);
-        let mut raw = good_offsets.clone();
-        raw.extend(&tokens);
-        let backing = pinned(&raw);
-        let ok = |t: std::ops::Range<usize>, o: std::ops::Range<usize>| {
-            RecordArena::from_stable_parts(Arc::clone(&backing), t, o).is_some()
-        };
-        assert!(ok(12..24, 0..12), "baseline is valid");
-        assert!(!ok(12..24, 0..8), "offsets not ending at n_tokens");
-        assert!(!ok(12..25, 0..12), "token range out of bounds");
-        assert!(!ok(12..23, 0..12), "token bytes not a multiple of 4");
-        assert!(!ok(13..21, 0..12), "misaligned token range");
-        assert!(!ok(12..24, 0..0), "empty offsets");
-        // Unsorted record: tokens [2, 1] with offsets [0, 2].
-        let mut bad = le_bytes(&[0, 2]);
-        bad.extend(le_bytes(&[2, 1]));
-        let bad = pinned(&bad);
-        assert!(RecordArena::from_stable_parts(bad, 8..16, 0..8).is_none());
     }
 }

@@ -30,7 +30,7 @@ pub mod measures;
 pub mod prefix;
 pub mod tokenize;
 
-pub use arena::{RecordArena, StableBytes};
+pub use arena::RecordArena;
 pub use dict::{TokenDict, TokenizedTable};
 pub use jaro::{jaro, jaro_winkler, jaro_winkler_above};
 pub use measures::{

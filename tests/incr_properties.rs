@@ -316,14 +316,12 @@ fn killed_only_diff_reuses_joins() {
     assert_eq!(summarize(&cold), summarize(&incr));
 }
 
-/// Repeated deletes must eventually trip arena compaction, and the
-/// session must stay exact across it.
+/// Rewriting every row of A each round must trip arena compaction, and
+/// the session must stay exact across it.
 #[test]
 fn compaction_preserves_exactness() {
     let (a, b, killed, gold) = fixture(10);
-    let mut params = session_params(SetMeasure::Jaccard, 1);
-    params.incr.compact_threshold = 0.05;
-    let mc = MatchCatcher::new(params);
+    let mc = MatchCatcher::new(session_params(SetMeasure::Jaccard, 1));
     let mut oracle = GoldOracle::exact(&gold);
     let (mut session, _) = mc.start_session(a, b, killed, &mut oracle);
 
@@ -331,8 +329,8 @@ fn compaction_preserves_exactness() {
     let before = MetricsSnapshot::capture();
     for _ in 0..4 {
         let spec = DeltaSpec {
-            updates: session.table_a().len() / 10,
-            deletes: 2,
+            updates: session.table_a().len(),
+            deletes: 0,
             inserts: 2,
         };
         let delta_a = random_delta(session.table_a(), spec, &mut rng);
@@ -343,7 +341,7 @@ fn compaction_preserves_exactness() {
     let delta = MetricsSnapshot::capture().since(&before);
     assert!(
         delta.counter("mc.core.incr.compactions") > 0,
-        "aggressive threshold must trigger compaction"
+        "rewriting every row must trigger compaction"
     );
 
     let (_, cold) = mc.start_session(

@@ -6,7 +6,7 @@
 //!
 //! * both sessions produce **byte-identical** result-bearing reports,
 //!   whether their arenas came from a cold build or a concurrent
-//!   publisher's mmap artifact (first-to-publish wins is invisible in
+//!   publisher's arena artifact (first-to-publish wins is invisible in
 //!   results);
 //! * each session's `ObsContext` snapshot counts only its **own**
 //!   incremental work — `mc.core.incr.*` metrics must not bleed across

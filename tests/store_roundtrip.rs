@@ -239,72 +239,128 @@ fn stale_format_version_is_a_silent_miss() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn zero_copy_arenas_mmap_warm_and_fall_back_on_corruption() {
-    let _guard = SERIAL.lock().unwrap();
-    let dir = temp_store_dir("zc");
-    let (cold, _) = run_once(&dir, 2);
-
-    // The cold run published arenas in the zero-copy layout.
-    let post_dir = dir.join("objects").join("post");
-    let post_files: Vec<PathBuf> = std::fs::read_dir(&post_dir)
-        .expect("post dir exists")
+/// The `.mcs` artifact files of one kind, in path order.
+fn artifact_files(dir: &Path, kind: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join("objects").join(kind))
+        .expect("kind dir exists")
         .map(|e| e.expect("entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "mcs"))
         .collect();
-    assert!(!post_files.is_empty(), "zero-copy arenas must be published");
+    files.sort();
+    files
+}
 
-    // Drop the unions so the next run must reach the arena path, then
-    // warm-run: arenas come from the mapping, never from a rebuild.
-    let drop_unions = || {
-        for entry in std::fs::read_dir(dir.join("objects").join("union")).expect("union dir") {
-            std::fs::remove_file(entry.expect("entry").path()).expect("remove union");
-        }
-    };
-    drop_unions();
+/// Removes every candidate union, so the next run reaches the arenas.
+fn drop_unions(dir: &Path) {
+    for path in artifact_files(dir, "union") {
+        std::fs::remove_file(path).expect("remove union");
+    }
+}
+
+/// An artifact file's payload (the bytes after its 32-byte header).
+fn payload(path: &Path) -> Vec<u8> {
+    std::fs::read(path).expect("read artifact")[32..].to_vec()
+}
+
+/// Replaces an artifact's payload, rewriting the header's length and
+/// checksum so the store still verifies the file.
+fn rewrite_payload(path: &Path, payload: &[u8]) {
+    let mut bytes = std::fs::read(path).expect("read artifact");
+    bytes.truncate(32);
+    bytes[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes[24..32].copy_from_slice(&mc_store::payload_checksum(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    std::fs::write(path, bytes).expect("write artifact");
+}
+
+#[test]
+fn postings_arenas_restore_warm_and_rebuild_on_corruption() {
+    let _guard = SERIAL.lock().unwrap();
+    let dir = temp_store_dir("post");
+    let (cold, _) = run_once(&dir, 2);
+
+    let post_files = artifact_files(&dir, "post");
+    assert!(!post_files.is_empty(), "arenas must be published");
+
+    // Without the unions the warm run restores every arena and builds
+    // none.
+    drop_unions(&dir);
     let (warm, delta) = run_once(&dir, 2);
-    assert_eq!(summarize(&cold), summarize(&warm), "mapped warm diverged");
-    assert!(
-        delta.counter("mc.store.mmap_maps") > 0,
-        "warm arenas must come from a mapping"
-    );
+    assert_eq!(summarize(&cold), summarize(&warm), "restored warm diverged");
     assert_eq!(
         delta.span("mc.strsim.arena.build").count,
         0,
-        "no arena rebuild on the mapped path"
+        "no arena rebuild on the restore path"
     );
 
-    // Corrupt the zero-copy *payload* while keeping the store header
-    // valid (recompute the checksum): the store hits, `map_arena` refuses,
-    // and with no byte-codec fallback artifact the arenas rebuild —
-    // with identical results.
+    // Corrupt the arena *payload* while keeping the store header valid
+    // (recompute the checksum): the store hits, `map_arena` refuses, and
+    // with no byte-codec fallback artifact the arenas rebuild — with
+    // identical results.
     for path in &post_files {
-        let mut bytes = std::fs::read(path).expect("read post artifact");
-        bytes[32] ^= 0xff; // first payload byte: breaks the sub-magic
-        let sum = mc_store::payload_checksum(&bytes[32..]);
-        bytes[24..32].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(path, bytes).expect("write mangled");
+        let mut mangled = payload(path);
+        mangled[0] ^= 0xff; // breaks the sub-magic
+        rewrite_payload(path, &mangled);
     }
-    drop_unions();
+    drop_unions(&dir);
     let (rebuilt, delta2) = run_once(&dir, 2);
     assert_eq!(summarize(&cold), summarize(&rebuilt), "fallback diverged");
     assert!(
         delta2.counter("mc.store.decode_failed") > 0,
-        "refused zero-copy payloads must be counted"
+        "refused payloads must be counted"
     );
     assert!(
         delta2.span("mc.strsim.arena.build").count > 0,
-        "arenas must rebuild after the mapped payload is refused"
+        "arenas must rebuild after the payload is refused"
     );
 
-    // The rebuild republished; a third run maps cleanly again.
-    drop_unions();
+    // The rebuild republished; a third run restores cleanly again.
+    drop_unions(&dir);
     let (third, delta3) = run_once(&dir, 2);
     assert_eq!(summarize(&cold), summarize(&third));
     assert_eq!(
         delta3.span("mc.strsim.arena.build").count,
         0,
-        "mapped again"
+        "restored again"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn postings_rank_past_the_tokenization_rebuilds_that_arena() {
+    let _guard = SERIAL.lock().unwrap();
+    let dir = temp_store_dir("rank");
+    let (cold, _) = run_once(&dir, 2);
+
+    // A well-formed arena payload, checksummed, whose last record ends
+    // in a rank just past the tokenization's rank table.
+    let tok_files = artifact_files(&dir, "tok");
+    assert_eq!(tok_files.len(), 1, "one tokenization");
+    let (order, _, _) =
+        store_io::decode_tokenization(&payload(&tok_files[0])).expect("tokenization decodes");
+    let post = artifact_files(&dir, "post").remove(0);
+    let arena = store_io::map_arena(payload(&post)).expect("arena decodes");
+    let mut records: Vec<Vec<u32>> = arena.iter().map(<[u32]>::to_vec).collect();
+    records
+        .last_mut()
+        .expect("arena has records")
+        .push(order.len() as u32);
+    rewrite_payload(
+        &post,
+        &store_io::encode_arena_zc(&RecordArena::from_records(&records)),
+    );
+
+    drop_unions(&dir);
+    let (again, delta) = run_once(&dir, 2);
+    assert_eq!(summarize(&cold), summarize(&again), "forged rank leaked");
+    assert_eq!(
+        delta.counter("mc.store.decode_failed"),
+        1,
+        "exactly the forged arena is refused"
+    );
+    assert!(
+        delta.span("mc.strsim.arena.build").count > 0,
+        "the refused arena must be rebuilt"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
