@@ -14,13 +14,10 @@
 //! The main numbers run with a fixed `q = 1` so the candidate sets stay
 //! comparable across versions; a separate `auto_q` section per profile
 //! runs empirical q selection and reports its work (`events` and
-//! `scored` include the preludes), which `ci/bench_budgets.json` gates.
-//!
-//! With `--budget PATH`, the run additionally gates on the checked-in
-//! per-profile `scored` budgets (see `ci/ssj_scored_budgets.json`): the
-//! work counters are deterministic and machine-independent, so a budget
-//! overrun is a real algorithmic regression, not timing noise. Exits
-//! non-zero on overrun.
+//! `scored` include the preludes). `ci/bench_budgets.json` gates both
+//! sections' `events` and `scored`: the counters are deterministic and
+//! machine-independent, so an overrun is an algorithmic regression, not
+//! timing noise.
 //!
 //! `MC_BENCH_SMOKE=1` switches the defaults to a quick configuration
 //! (`--scale 0.1 --runs 1`) for CI; explicit flags still override. The
@@ -32,7 +29,7 @@
 //! tokenization worker thread costs.
 //!
 //! `cargo run --release -p mc-bench --bin ssj_baseline [--scale X]
-//!  [--runs N] [--threads N] [--out PATH] [--budget PATH]`
+//!  [--runs N] [--threads N] [--out PATH]`
 
 use matchcatcher::config::ConfigGenerator;
 use matchcatcher::joint::{run_joint, CandidateUnion, JointParams, QStrategy};
@@ -172,29 +169,6 @@ fn run_profile(
     }
 }
 
-/// Extracts `"name": <integer>` budget entries from the (tiny,
-/// hand-written) budget JSON without a JSON dependency. String-valued
-/// keys such as `"schema"` never parse as integers and are skipped.
-fn parse_budgets(text: &str) -> Vec<(String, u64)> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(open) = rest.find('"') {
-        rest = &rest[open + 1..];
-        let Some(close) = rest.find('"') else { break };
-        let key = &rest[..close];
-        rest = &rest[close + 1..];
-        let after = rest.trim_start();
-        if let Some(value) = after.strip_prefix(':') {
-            let value = value.trim_start();
-            let digits: String = value.chars().take_while(|c| c.is_ascii_digit()).collect();
-            if !digits.is_empty() {
-                out.push((key.to_string(), digits.parse().expect("integer budget")));
-            }
-        }
-    }
-    out
-}
-
 fn main() {
     let env = BenchEnv::parse();
     let scale = env.scale(1.0, 0.1);
@@ -203,7 +177,6 @@ fn main() {
     let runs = env.runs(3);
     let threads = env.threads();
     let out_path = env.out("BENCH_ssj.json");
-    let budget_path = env.flag("--budget");
 
     // Two contrasting profiles: long product records (reuse-friendly) and
     // short restaurant records (index-overhead-bound).
@@ -290,36 +263,4 @@ fn main() {
         );
     }
     println!("wrote {out_path}");
-
-    if let Some(path) = budget_path {
-        let text = std::fs::read_to_string(path).expect("read budget file");
-        let budgets = parse_budgets(&text);
-        let mut failed = false;
-        for r in &reports {
-            match budgets.iter().find(|(n, _)| *n == r.name) {
-                Some(&(_, budget)) if r.scored > budget => {
-                    eprintln!(
-                        "BUDGET EXCEEDED: {} scored {} > budget {} (deterministic work-counter \
-                         regression — inspect the scoring-kernel / pruning changes before \
-                         raising the budget in {path})",
-                        r.name, r.scored, budget
-                    );
-                    failed = true;
-                }
-                Some(&(_, budget)) => {
-                    println!("budget ok: {} scored {} <= {}", r.name, r.scored, budget);
-                }
-                None => {
-                    eprintln!(
-                        "BUDGET MISSING: no entry for profile '{}' in {path}",
-                        r.name
-                    );
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
 }

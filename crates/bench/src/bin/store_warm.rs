@@ -1,7 +1,7 @@
 //! Warm-start bench: measures the end-to-end debugging pipeline cold
 //! (empty artifact store, everything computed and published) versus warm
 //! (same store, tokenization and the whole joint top-k stage loaded from
-//! disk), and writes `BENCH_store.json` (`mc-bench-store/v2`).
+//! disk), and writes `BENCH_store.json` (`mc-bench-store/v3`).
 //!
 //! Per profile the bin opens a store directory, runs the full pipeline
 //! once (the *cold* leg on a fresh directory), then runs it `--runs`
@@ -17,6 +17,11 @@
 //! every later process over a shared `--store`, restores the arenas
 //! again.
 //!
+//! The arena leg's time is mostly the joint stage, verify and explain,
+//! so `restore_us` times the restore on its own: `Store::load` plus
+//! `map_arena` over both sides' `Postings` payloads of every config,
+//! best of `--runs`.
+//!
 //! Flags:
 //!
 //! * `--store DIR` — use (and keep) a shared store directory instead of
@@ -31,18 +36,24 @@
 //!   and arena repetitions ride along in the JSON for the
 //!   `mc bench-compare` gate.
 //!
+//! Every leg asserts that no stored artifact failed to decode
+//! (`mc.store.decode_failed`), so a store another build filled must
+//! restore in full.
+//!
 //! `cargo run --release -p mc-bench --bin store_warm [--scale X]
 //!  [--runs N] [--store DIR] [--assert-warm] [--out PATH]`
 
 use matchcatcher::debugger::{DebugReport, MatchCatcher};
 use matchcatcher::oracle::GoldOracle;
+use matchcatcher::store_io;
 use mc_bench::alloc::AllocStats;
 use mc_bench::blockers::best_hash_blocker;
 use mc_bench::env::BenchEnv;
 use mc_bench::harness::paper_params;
 use mc_datagen::profiles::DatasetProfile;
 use mc_obs::MetricsSnapshot;
-use mc_store::StoreConfig;
+use mc_store::{ArtifactKind, Store, StoreConfig};
+use mc_strsim::tokenize::Tokenizer;
 use mc_table::PairSet;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -59,6 +70,7 @@ struct ProfileReport {
     warm_hits: u64,
     warm_misses: u64,
     arena_us: u64,
+    restore_us: u64,
     arena_hits: u64,
     arena_misses: u64,
     cold_allocs: AllocStats,
@@ -106,6 +118,12 @@ fn run_profile(
         let us = start.elapsed().as_micros() as u64;
         let delta = MetricsSnapshot::capture().since(&base);
         let allocs = AllocStats::capture().since(&alloc_base);
+        assert_eq!(
+            delta.counter("mc.store.decode_failed"),
+            0,
+            "{}: a stored artifact failed to decode",
+            ds.name
+        );
         (us, report, delta, allocs)
     };
 
@@ -206,6 +224,35 @@ fn run_profile(
     }
     let (arena_us, arena_delta) = arena_best.expect("at least one arena run");
 
+    // The restore alone, over the payloads the legs above restored. The
+    // promising attributes and the config tree depend on the tables
+    // only, so the cold report's are the arena leg's.
+    let store = Store::open(&StoreConfig::at(store_dir)).expect("open the store");
+    let tok = store_io::tok_key(
+        ds.a.content_digest(),
+        ds.b.content_digest(),
+        &cold_report.promising,
+        Tokenizer::Word,
+    );
+    let keys: Vec<_> = cold_report
+        .configs
+        .iter()
+        .flat_map(|c| [0, 1].map(|side| store_io::arena_key(tok, side, &c.positions())))
+        .collect();
+    let restore_us = (0..runs.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            for &key in &keys {
+                let arena = store
+                    .load(ArtifactKind::Postings, key)
+                    .and_then(store_io::map_arena);
+                assert!(arena.is_some(), "{}: an arena did not restore", ds.name);
+            }
+            start.elapsed().as_micros() as u64
+        })
+        .min()
+        .expect("at least one restore");
+
     ProfileReport {
         name: ds.name.clone(),
         scale,
@@ -216,6 +263,7 @@ fn run_profile(
         warm_hits: warm_delta.counter("mc.store.hits"),
         warm_misses: warm_delta.counter("mc.store.misses"),
         arena_us,
+        restore_us,
         // Less the tokenization's hit and the union's miss, which the
         // leg asserted.
         arena_hits: arena_delta.counter("mc.store.hits") - 1,
@@ -269,7 +317,7 @@ fn main() {
     }
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"mc-bench-store/v2\",\n  \"profiles\": [");
+    json.push_str("{\n  \"schema\": \"mc-bench-store/v3\",\n  \"profiles\": [");
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {
             json.push(',');
@@ -277,7 +325,8 @@ fn main() {
         let _ = write!(
             json,
             "\n    {{\"name\": \"{}\", \"scale\": {}, \"cold_us\": {}, \"warm_us\": {}, \
-             \"arena_us\": {}, \"speedup\": {:.2}, \"store\": {{\"cold_hits\": {}, \
+             \"arena_us\": {}, \"restore_us\": {}, \"speedup\": {:.2}, \
+             \"store\": {{\"cold_hits\": {}, \
              \"cold_publishes\": {}, \"warm_hits\": {}, \"warm_misses\": {}, \
              \"arena_hits\": {}, \"arena_misses\": {}}}, \
              \"allocs\": {{\"cold_count\": {}, \"cold_bytes\": {}, \
@@ -288,6 +337,7 @@ fn main() {
             r.cold_us,
             r.warm_us,
             r.arena_us,
+            r.restore_us,
             r.cold_us as f64 / r.warm_us.max(1) as f64,
             r.cold_hits,
             r.cold_publishes,
@@ -307,17 +357,18 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_store.json");
 
     println!(
-        "{:<16} {:>8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10}",
-        "dataset", "scale", "cold", "warm", "arena", "speedup", "warm-hits", "publishes"
+        "{:<16} {:>8} {:>12} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10}",
+        "dataset", "scale", "cold", "warm", "arena", "restore", "speedup", "warm-hits", "publishes"
     );
     for r in &reports {
         println!(
-            "{:<16} {:>8.2} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>7.2}x {:>10} {:>10}",
+            "{:<16} {:>8.2} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>7.2}x {:>10} {:>10}",
             r.name,
             r.scale,
             r.cold_us as f64 / 1e3,
             r.warm_us as f64 / 1e3,
             r.arena_us as f64 / 1e3,
+            r.restore_us as f64 / 1e3,
             r.cold_us as f64 / r.warm_us.max(1) as f64,
             r.warm_hits,
             r.cold_publishes

@@ -361,11 +361,9 @@ impl DebugSession {
                 }
             }
         }
-        // `total_tokens` counts live tokens and is valid on patched
-        // (non-compact) arenas, where the raw buffer accessor would
-        // refuse; garbage spans pending compaction are deliberately not
-        // billed.
-        let arena_bytes = |arena: &RecordArena| arena.total_tokens() * 4 + (arena.len() + 1) * 8;
+        // Live tokens plus one `(start, end)` span per record; garbage
+        // spans pending compaction are deliberately not billed.
+        let arena_bytes = |arena: &RecordArena| arena.total_tokens() * 4 + arena.len() * 8;
         for tok in [&self.prepared.tok_a, &self.prepared.tok_b] {
             total += tok.columns().iter().map(arena_bytes).sum::<usize>();
         }
@@ -655,9 +653,16 @@ impl DebugSession {
     fn finish(&mut self, oracle: &mut dyn Oracle, baseline: MetricsSnapshot) -> DebugReport {
         let k = self.params.joint.k;
         // How far the session is from a full rejoin: a config rejoins
-        // once fewer than `k` of its exact entries survive a rerun,
-        // unless its list is complete.
-        let valid_min = self.lists.iter().map(|l| l.valid).min().unwrap_or(0);
+        // once fewer than `k` of its exact entries survive a rerun. A
+        // complete list never rejoins, so it does not count; with every
+        // list complete the gauge reads `K`.
+        let valid_min = self
+            .lists
+            .iter()
+            .filter(|l| !l.complete)
+            .map(|l| l.valid)
+            .min()
+            .unwrap_or(self.cap());
         mc_obs::gauge!("mc.core.incr.valid_min").set(valid_min as i64);
         let k_lists: Vec<TopKList> = self
             .lists
@@ -1151,7 +1156,7 @@ mod tests {
             "warm session hits store artifacts"
         );
         assert!(warm_session.resident_bytes() > 0);
-        // Mapped arenas stay fully patchable: a delta rerun on the warm
+        // Restored arenas stay fully patchable: a delta rerun on the warm
         // session matches a cold session over the patched tables.
         let donor = warm_session.table_b().tuple(0).clone();
         let delta_b = TableDelta {
@@ -1170,8 +1175,8 @@ mod tests {
             &mut GoldOracle::exact(&gold),
         );
         assert_eq!(summarize(&reference), summarize(&incr));
-        // Footprint estimation must survive patched (non-compact)
-        // arenas — serve polls it after every rerun for eviction.
+        // Footprint estimation must survive patched arenas — serve
+        // polls it after every rerun for eviction.
         assert!(warm_session.resident_bytes() > 0);
         std::fs::remove_dir_all(root).ok();
     }

@@ -27,7 +27,7 @@
 //! ## Data layout
 //!
 //! Records live in a flat [`RecordArena`] (one contiguous token buffer +
-//! offsets) and tokens are dense dictionary ranks, so the inverted index
+//! per-record bounds) and tokens are dense dictionary ranks, so the inverted index
 //! is a **`Vec`-indexed postings array** rather than a hash map, and
 //! each posting carries the number of copies of its token the posting
 //! record's prefix holds. Together with a per-record *current-token run

@@ -9,9 +9,9 @@
 //!   input tables' content digests, the promising attribute list and the
 //!   tokenizer. Loading it skips the `mc.strsim.dict.build` pass
 //!   entirely.
-//! * **Postings** — one side's flat CSR record arena for one config in
-//!   the 64-byte-aligned section layout ([`encode_arena_zc`]), keyed by
-//!   the tokenization key plus side and config positions. A warm start
+//! * **Postings** — one side's record arena for one config as CSR
+//!   sections in the 64-byte-aligned layout ([`encode_arena_zc`]), keyed
+//!   by the tokenization key plus side and config positions. A warm start
 //!   copies the token and offset sections into an owned arena
 //!   ([`map_arena`]); a payload that fails validation is a miss, and the
 //!   arena is rebuilt. The pipeline no longer reads or writes the
@@ -27,6 +27,10 @@
 //!   bit-deterministic across thread counts (see [`crate::joint`]'s
 //!   module docs), so a union computed with 8 threads is byte-valid for
 //!   a 1-thread rerun.
+//!
+//! Every encoder walks the arena's records, so a patched arena or a
+//! masked view encodes to the bytes of its compacted copy: offsets `0`
+//! then each record's end, and the records' tokens back to back.
 //!
 //! Every decoder is a plain parser over an owned payload: it returns
 //! `Option` and validates structural invariants (shapes, sortedness,
@@ -156,17 +160,41 @@ pub fn union_key(tok: Digest, tree: &ConfigTree, params: &JointParams, killed: &
     w.finish()
 }
 
+/// The CSR offsets of the arena's compacted copy: `0`, then each
+/// record's end.
+fn csr_offsets(arena: &RecordArena) -> impl Iterator<Item = u32> + '_ {
+    let ends = arena.iter().scan(0u32, |end, record| {
+        *end += record.len() as u32;
+        Some(*end)
+    });
+    std::iter::once(0).chain(ends)
+}
+
+/// Writes the CSR offsets of the arena's compacted copy in
+/// [`ByteWriter::put_u32_slice`]'s layout.
+fn put_offsets(w: &mut ByteWriter, arena: &RecordArena) {
+    w.put_u64(arena.len() as u64 + 1);
+    for end in csr_offsets(arena) {
+        w.put_u32(end);
+    }
+}
+
+/// Writes the CSR tokens of the arena's compacted copy, the records back
+/// to back, in [`ByteWriter::put_u32_slice`]'s layout.
+fn put_tokens(w: &mut ByteWriter, arena: &RecordArena) {
+    w.put_u64(arena.total_tokens() as u64);
+    for run in arena.token_runs() {
+        for &token in run {
+            w.put_u32(token);
+        }
+    }
+}
+
 /// Writes one rank column as CSR: `offsets` (length `rows + 1`), then
 /// the flattened tokens.
 fn put_csr(w: &mut ByteWriter, col: &RecordArena) {
-    if !col.is_compact() {
-        // A session-patched column: lay its live records back to back.
-        let mut compact = col.clone();
-        compact.compact();
-        return put_csr(w, &compact);
-    }
-    w.put_u32_slice(col.offsets());
-    w.put_u32_slice(col.tokens());
+    put_offsets(w, col);
+    put_tokens(w, col);
 }
 
 /// Reads one CSR column straight into a record arena, validating the
@@ -178,7 +206,7 @@ fn get_csr(r: &mut ByteReader<'_>, rows: usize) -> Option<RecordArena> {
     if offsets.len() != rows.checked_add(1)? {
         return None;
     }
-    RecordArena::from_parts(tokens, offsets)
+    RecordArena::from_parts(tokens, &offsets)
 }
 
 /// Encodes the tokenization artifact: rank table, then each side's
@@ -240,8 +268,8 @@ pub fn decode_tokenization(bytes: &[u8]) -> Option<(TokenOrder, TokenizedTable, 
 /// Encodes one record arena (tokens + offsets, both raw CSR parts).
 pub fn encode_arena(arena: &RecordArena) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u32_slice(arena.tokens());
-    w.put_u32_slice(arena.offsets());
+    put_tokens(&mut w, arena);
+    put_offsets(&mut w, arena);
     w.into_bytes()
 }
 
@@ -254,7 +282,7 @@ pub fn decode_arena(bytes: &[u8]) -> Option<RecordArena> {
     if !r.is_exhausted() {
         return None;
     }
-    RecordArena::from_parts(tokens, offsets)
+    RecordArena::from_parts(tokens, &offsets)
 }
 
 /// Sub-magic of the CSR section payload ([`ArtifactKind::Postings`]
@@ -272,9 +300,10 @@ const ZC_HEADER: usize = 64;
 /// Encodes a record arena in the alignment-padded section layout
 /// ([`ArtifactKind::Postings`]): a 64-byte sub-header, the token section,
 /// padding to the next 64-byte boundary, then the offsets section.
-/// Values are little-endian. Nothing reads the sections in place any
-/// more; the padding stays because the layout is part of store format
-/// v2, and changing it would turn every stored arena into a miss.
+/// Values are little-endian, and the rank bound is the compacted copy's.
+/// Nothing reads the sections in place any more; the padding stays
+/// because the layout is part of store format v2, and changing it would
+/// turn every stored arena into a miss.
 ///
 /// [`ArtifactKind::Postings`]: mc_store::ArtifactKind::Postings
 ///
@@ -291,26 +320,36 @@ const ZC_HEADER: usize = 64;
 ///     56     8  reserved (0)
 /// ```
 pub fn encode_arena_zc(arena: &RecordArena) -> Vec<u8> {
-    let tokens = arena.tokens();
-    let offsets = arena.offsets();
+    let n_tokens = arena.total_tokens();
+    // Records are sorted, so each one's last token is its largest. A
+    // patch or a view can leave `arena.rank_bound()` above this.
+    let rank_bound = arena
+        .iter()
+        .filter_map(|record| record.last())
+        .max()
+        .map_or(0, |&max| max + 1);
     let tokens_off = ZC_HEADER;
-    let offsets_off = (tokens_off + tokens.len() * 4).next_multiple_of(64);
-    let total = offsets_off + offsets.len() * 4;
+    let offsets_off = (tokens_off + n_tokens * 4).next_multiple_of(64);
+    let total = offsets_off + (arena.len() + 1) * 4;
     let mut out = vec![0u8; total];
     out[0..8].copy_from_slice(ZC_MAGIC);
     out[8..16].copy_from_slice(&(arena.len() as u64).to_le_bytes());
-    out[16..24].copy_from_slice(&(tokens.len() as u64).to_le_bytes());
-    out[24..28].copy_from_slice(&arena.rank_bound().to_le_bytes());
+    out[16..24].copy_from_slice(&(n_tokens as u64).to_le_bytes());
+    out[24..28].copy_from_slice(&rank_bound.to_le_bytes());
     out[32..40].copy_from_slice(&(tokens_off as u64).to_le_bytes());
     out[40..48].copy_from_slice(&(offsets_off as u64).to_le_bytes());
     out[48..56].copy_from_slice(&(total as u64).to_le_bytes());
-    put_u32_section(&mut out[tokens_off..], tokens);
-    put_u32_section(&mut out[offsets_off..], offsets);
+    let mut at = tokens_off;
+    for run in arena.token_runs() {
+        put_u32_section(&mut out[at..], run.iter().copied());
+        at += run.len() * 4;
+    }
+    put_u32_section(&mut out[offsets_off..], csr_offsets(arena));
     out
 }
 
 /// Writes `vals` as little-endian `u32`s at the start of `dst`.
-fn put_u32_section(dst: &mut [u8], vals: &[u32]) {
+fn put_u32_section(dst: &mut [u8], vals: impl Iterator<Item = u32>) {
     for (chunk, v) in dst.chunks_exact_mut(4).zip(vals) {
         chunk.copy_from_slice(&v.to_le_bytes());
     }
@@ -343,7 +382,7 @@ pub fn map_arena(payload: Vec<u8>) -> Option<RecordArena> {
     }
     let tokens = u32_section(b, tokens_off, n_tokens)?;
     let offsets = u32_section(b, offsets_off, n_records.checked_add(1)?)?;
-    let arena = RecordArena::from_parts(tokens, offsets)?;
+    let arena = RecordArena::from_parts(tokens, &offsets)?;
     // A header that disagrees with the bound validation recomputed is
     // corrupt, not just stale.
     (arena.rank_bound() == rank_bound).then_some(arena)

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! `mc-obs` — pipeline-wide observability for the MatchCatcher
 //! workspace.
 //!

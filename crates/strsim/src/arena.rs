@@ -1,172 +1,113 @@
-//! Flat CSR-style record storage for the join hot paths.
+//! Flat record storage for the join hot paths.
 //!
 //! The top-k SSJ engine touches every record's token slice millions of
 //! times per join. Storing records as `Vec<Vec<u32>>` scatters them
 //! across the heap (one allocation per record) and makes per-config
 //! materialization in the joint executor allocate `|A| + |B|` vectors
 //! per config. A [`RecordArena`] instead keeps **one contiguous token
-//! buffer plus per-record bounds** — records come out as `&[u32]`
-//! slices, the whole table is a handful of allocations, and sequential
-//! scans are prefetch-friendly.
+//! buffer plus per-record `(start, end)` bounds** — record `i` is
+//! `tokens[start_i .. end_i]`, a plain slice index, the whole table is a
+//! handful of allocations, and sequential scans are prefetch-friendly.
 //!
 //! The arena also tracks the exclusive upper bound of the token ranks it
 //! holds ([`RecordArena::rank_bound`]); ranks are dense dictionary
 //! indexes, so the bound lets the join engine use `Vec`-indexed postings
 //! arrays instead of hash maps.
 //!
-//! Internally every record is addressed through two raw pointers,
-//! `starts` and `ends`: record `i` is `tokens[starts[i] .. ends[i]]`.
-//! Two backings provide those pointers:
-//!
-//! * **Owned** — a compact CSR pair (`tokens` + `offsets`); `starts`
-//!   aliases `offsets[0..]` and `ends` aliases `offsets[1..]`, so the
-//!   classic layout costs nothing extra.
-//! * **Split** — independent `starts`/`ends` arrays over a shared
-//!   (`Arc`) token buffer. This is the **patchable** form used by
-//!   incremental debugging sessions: [`RecordArena::patch_record`]
-//!   tombstones the old span and appends the new tokens,
-//!   [`RecordArena::tombstone`] empties a record in O(1), and
-//!   [`RecordArena::masked_view`] derives a view sharing the token
-//!   buffer in which inactive records are empty — empty records never
-//!   enter the join's event heap, so a view restricts a join to a
-//!   record subset without the join engine knowing. Garbage from
-//!   patches accumulates until [`RecordArena::compact`] rebuilds the
-//!   compact CSR form (see [`RecordArena::garbage_ratio`]).
-//!
-//! Either way the hot accessors cost the same — two pointers and a
-//! length, resolved once at construction.
+//! Every arena has the same layout, fresh or patched. The token buffer
+//! sits behind an `Arc`, so clones and masked views share it, and the
+//! first mutation of a shared buffer copies it (`Arc::make_mut`).
+//! Incremental debugging sessions patch arenas in place:
+//! [`RecordArena::patch_record`] points a record at new tokens appended
+//! to the buffer and leaves the old span behind as garbage,
+//! [`RecordArena::tombstone`] empties a record in O(1), and
+//! [`RecordArena::masked_view`] derives a view in which inactive records
+//! are empty — empty records never enter the join's event heap, so a
+//! view restricts a join to a record subset without the join engine
+//! knowing. Garbage accumulates until [`RecordArena::compact`] lays the
+//! live records out back to back again (see
+//! [`RecordArena::garbage_ratio`]). The store codecs walk the records
+//! ([`RecordArena::token_runs`]), so they write any arena, patched or
+//! not, as the CSR bytes of its compacted copy.
 
 use crate::dict::TokenizedTable;
 use mc_table::TupleId;
 use std::sync::Arc;
 
-/// What keeps a [`RecordArena`]'s buffers alive.
-enum Backing {
-    /// The arena owns a compact CSR pair (the pointers point into these
-    /// Vecs; a Vec's heap buffer does not move when the Vec itself
-    /// moves).
-    Owned { tokens: Vec<u32>, offsets: Vec<u32> },
-    /// Patchable form: independent per-record bounds over a shared
-    /// token buffer. Tombstoned/patched spans leave garbage in the
-    /// buffer; `masked_view` clones the Arc instead of the tokens.
-    Split {
-        tokens: Arc<Vec<u32>>,
-        starts: Vec<u32>,
-        ends: Vec<u32>,
-    },
-}
-
-/// Records stored back-to-back in one token buffer.
+/// Records stored in one shared token buffer.
 ///
-/// Record `i` is `tokens[starts[i] .. ends[i]]`, a sorted rank multiset
-/// exactly as [`TokenizedTable::merged`] would produce it.
+/// Record `i` is `tokens[bounds[i].0 .. bounds[i].1]`, a sorted rank
+/// multiset exactly as [`TokenizedTable::merged`] would produce it.
+#[derive(Clone, Default)]
 pub struct RecordArena {
-    tokens: *const u32,
-    /// Physical buffer length, *including* garbage left by patches.
-    n_tokens: usize,
-    starts: *const u32,
-    ends: *const u32,
-    n_records: usize,
-    /// Tokens reachable through live records (excludes patch garbage).
+    /// Every record's tokens, plus garbage left behind by patches.
+    tokens: Arc<Vec<u32>>,
+    /// Per-record `(start, end)` span in `tokens`.
+    bounds: Vec<(u32, u32)>,
+    /// Tokens reachable through records (excludes patch garbage).
     live_tokens: usize,
     rank_bound: u32,
-    backing: Backing,
 }
 
-// SAFETY: the buffers behind the raw pointers are immutable while shared
-// and owned/kept alive by `backing` (Vecs, or an Arc to a token Vec);
-// every `&mut self` mutation re-derives the pointers before returning.
-// Sharing or moving the arena across threads is sound.
-unsafe impl Send for RecordArena {}
-unsafe impl Sync for RecordArena {}
-
-/// Accumulates owned CSR buffers, then seals them into a [`RecordArena`].
+/// Accumulates a token buffer record by record, then seals it into a
+/// [`RecordArena`].
 struct ArenaBuilder {
     tokens: Vec<u32>,
-    offsets: Vec<u32>,
+    bounds: Vec<(u32, u32)>,
     rank_bound: u32,
 }
 
 impl ArenaBuilder {
     fn with_capacity(total_tokens: usize, rows: usize) -> Self {
-        let mut offsets = Vec::with_capacity(rows + 1);
-        offsets.push(0);
         ArenaBuilder {
             tokens: Vec::with_capacity(total_tokens),
-            offsets,
+            bounds: Vec::with_capacity(rows),
             rank_bound: 0,
         }
     }
 
-    /// Seals the tokens appended since the last record boundary as one
-    /// record, updating the rank bound.
+    /// Seals the tokens appended since the last record as one record,
+    /// updating the rank bound.
     fn close_record(&mut self) {
-        let start = *self.offsets.last().expect("offsets never empty") as usize;
+        let start = self.bounds.last().map_or(0, |&(_, end)| end);
+        let end = u32::try_from(self.tokens.len()).expect("token buffer overflow");
         // Records are sorted, so the last token is the largest.
-        if let Some(&max) = self.tokens.last() {
-            if self.tokens.len() > start {
-                self.rank_bound = self.rank_bound.max(max + 1);
-            }
+        if let Some(&max) = self.tokens[start as usize..].last() {
+            self.rank_bound = self.rank_bound.max(max + 1);
         }
-        self.offsets.push(self.tokens.len() as u32);
+        self.bounds.push((start, end));
+    }
+
+    fn push(&mut self, record: &[u32]) {
+        debug_assert!(
+            record.windows(2).all(|w| w[0] <= w[1]),
+            "records must be sorted"
+        );
+        self.tokens.extend_from_slice(record);
+        self.close_record();
     }
 
     fn finish(self) -> RecordArena {
-        RecordArena::from_owned(self.tokens, self.offsets, self.rank_bound)
+        RecordArena::from_spans(self.tokens, self.bounds, self.rank_bound)
     }
 }
 
 impl RecordArena {
     /// An empty arena.
     pub fn new() -> Self {
-        RecordArena::from_owned(Vec::new(), vec![0], 0)
+        RecordArena::default()
     }
 
-    /// Seals owned buffers into an arena, caching the data pointers.
-    /// Invariants (offsets shape, sortedness) are the caller's problem —
-    /// this is the crate's trusted constructor (the tokenizer's chunked
-    /// build seals its columns through it).
-    pub(crate) fn from_owned(tokens: Vec<u32>, offsets: Vec<u32>, rank_bound: u32) -> RecordArena {
-        debug_assert!(!offsets.is_empty());
-        let mut arena = RecordArena {
-            tokens: std::ptr::null(),
-            n_tokens: 0,
-            starts: std::ptr::null(),
-            ends: std::ptr::null(),
-            n_records: 0,
+    /// Seals a token buffer whose records' spans cover it exactly (no
+    /// garbage). Spans and sortedness are the caller's problem — this is
+    /// the crate's trusted constructor (the tokenizer's chunked build
+    /// seals its columns through it).
+    pub(crate) fn from_spans(tokens: Vec<u32>, bounds: Vec<(u32, u32)>, rank_bound: u32) -> Self {
+        RecordArena {
             live_tokens: tokens.len(),
+            tokens: Arc::new(tokens),
+            bounds,
             rank_bound,
-            backing: Backing::Owned { tokens, offsets },
-        };
-        arena.refresh_ptrs();
-        arena
-    }
-
-    /// Re-derives the cached data pointers from the backing. Must be
-    /// called after every mutation that may move a backing buffer.
-    fn refresh_ptrs(&mut self) {
-        match &self.backing {
-            Backing::Owned { tokens, offsets } => {
-                self.tokens = tokens.as_ptr();
-                self.n_tokens = tokens.len();
-                self.starts = offsets.as_ptr();
-                // SAFETY: `offsets` is non-empty, so one element in is in
-                // bounds or one-past-the-end; with `n_records =
-                // offsets.len() - 1` reads stay inside the Vec.
-                self.ends = unsafe { offsets.as_ptr().add(1) };
-                self.n_records = offsets.len() - 1;
-            }
-            Backing::Split {
-                tokens,
-                starts,
-                ends,
-            } => {
-                self.tokens = tokens.as_ptr();
-                self.n_tokens = tokens.len();
-                self.starts = starts.as_ptr();
-                self.ends = ends.as_ptr();
-                self.n_records = starts.len();
-            }
         }
     }
 
@@ -200,10 +141,7 @@ impl RecordArena {
         let total: usize = records.iter().map(|r| r.as_ref().len()).sum();
         let mut b = ArenaBuilder::with_capacity(total, records.len());
         for r in records {
-            let r = r.as_ref();
-            debug_assert!(r.windows(2).all(|w| w[0] <= w[1]), "records must be sorted");
-            b.tokens.extend_from_slice(r);
-            b.close_record();
+            b.push(r.as_ref());
         }
         b.finish()
     }
@@ -211,159 +149,101 @@ impl RecordArena {
     /// Number of records.
     #[inline]
     pub fn len(&self) -> usize {
-        self.n_records
+        self.bounds.len()
     }
 
     /// True if the arena holds no records.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.bounds.is_empty()
     }
 
     /// Record `i` as a sorted rank slice.
     #[inline]
     pub fn record(&self, i: TupleId) -> &[u32] {
-        let i = i as usize;
-        assert!(i < self.n_records, "record {i} out of bounds");
-        // SAFETY: `i < n_records` puts both bound reads in range; the
-        // backing guarantees `starts[i] <= ends[i] <= n_tokens` (CSR
-        // validation or the patch methods' bookkeeping), so the slice is
-        // inside the live token buffer.
-        unsafe {
-            let lo = *self.starts.add(i) as usize;
-            let hi = *self.ends.add(i) as usize;
-            debug_assert!(lo <= hi && hi <= self.n_tokens);
-            std::slice::from_raw_parts(self.tokens.add(lo), hi - lo)
-        }
+        let (start, end) = self.bounds[i as usize];
+        &self.tokens[start as usize..end as usize]
     }
 
     /// Iterates over all records in order.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.n_records).map(move |i| self.record(i as TupleId))
+        self.bounds
+            .iter()
+            .map(|&(start, end)| &self.tokens[start as usize..end as usize])
+    }
+
+    /// Every record's tokens in id order, as few slices as the layout
+    /// allows: each slice is a run of consecutive records whose spans
+    /// abut in the buffer. A fresh or compacted arena is one slice; the
+    /// store codecs write these, so encoding costs one copy either way.
+    pub fn token_runs(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        let mut spans = self.bounds.iter().peekable();
+        std::iter::from_fn(move || {
+            let &(start, mut end) = spans.next()?;
+            while let Some(&&(next_start, next_end)) = spans.peek() {
+                if next_start != end {
+                    break;
+                }
+                end = next_end;
+                spans.next();
+            }
+            Some(&self.tokens[start as usize..end as usize])
+        })
     }
 
     /// Exclusive upper bound on the token ranks held (`max rank + 1`;
     /// 0 when every record is empty). Sizes dense postings arrays. For
-    /// patched arenas this is an upper bound — patches only ever grow
-    /// it; [`RecordArena::compact`] re-tightens it.
+    /// patched arenas and masked views this is an upper bound — patches
+    /// only ever grow it; [`RecordArena::compact`] re-tightens it.
     #[inline]
     pub fn rank_bound(&self) -> u32 {
         self.rank_bound
     }
 
-    /// Total token count across all live records (multiset cardinality;
+    /// Total token count across all records (multiset cardinality;
     /// excludes garbage left behind by patches).
     #[inline]
     pub fn total_tokens(&self) -> usize {
         self.live_tokens
     }
 
-    /// True when the arena is in compact CSR form (records laid out
-    /// back-to-back, no patch garbage) — the only form the store codecs
-    /// accept. Patched or masked arenas answer `false` until
-    /// [`RecordArena::compact`].
+    /// True when every token in the buffer belongs to a record: a fresh
+    /// build, a decoded payload or a compacted arena. An arena whose
+    /// patches left garbage, or a view that hides a non-empty record,
+    /// answers `false`.
     pub fn is_compact(&self) -> bool {
-        !matches!(self.backing, Backing::Split { .. })
+        self.tokens.len() == self.live_tokens
     }
 
-    /// The flat token buffer (for serialization; see `mc-store`).
-    ///
-    /// # Panics
-    ///
-    /// If the arena is not compact ([`RecordArena::is_compact`]): a
-    /// patched buffer contains garbage spans that must not be persisted.
-    #[inline]
-    pub fn tokens(&self) -> &[u32] {
-        assert!(
-            self.is_compact(),
-            "tokens() requires a compact arena; call compact() first"
-        );
-        // SAFETY: pointer + length were derived from the live backing at
-        // construction; the backing is immutable while shared.
-        unsafe { std::slice::from_raw_parts(self.tokens, self.n_tokens) }
-    }
-
-    /// The record offsets array, length `len() + 1` (for serialization).
-    ///
-    /// # Panics
-    ///
-    /// If the arena is not compact — a Split backing has no single
-    /// offsets array.
-    #[inline]
-    pub fn offsets(&self) -> &[u32] {
-        assert!(
-            self.is_compact(),
-            "offsets() requires a compact arena; call compact() first"
-        );
-        // SAFETY: for compact backings `starts` points at the offsets
-        // array of length `n_records + 1`.
-        unsafe { std::slice::from_raw_parts(self.starts, self.n_records + 1) }
-    }
-
-    /// Converts the arena to the patchable Split backing in place,
-    /// reusing the owned token buffer; a no-op when already patchable.
-    /// Call before a batch of
-    /// [`RecordArena::patch_record`]s to make [`RecordArena::masked_view`]
-    /// share the buffer instead of copying it.
-    pub fn make_patchable(&mut self) {
-        if let Backing::Split { .. } = self.backing {
-            return;
-        }
-        let placeholder = Backing::Owned {
-            tokens: Vec::new(),
-            offsets: vec![0],
-        };
-        let Backing::Owned { tokens, offsets } = std::mem::replace(&mut self.backing, placeholder)
-        else {
-            unreachable!("handled above");
-        };
-        self.backing = Backing::Split {
-            tokens: Arc::new(tokens),
-            starts: offsets[..self.n_records].to_vec(),
-            ends: offsets[1..].to_vec(),
-        };
-        self.refresh_ptrs();
-    }
-
-    /// Replaces record `i`'s tokens: the old span is tombstoned (left as
-    /// garbage in the buffer) and the new tokens are appended. The new
-    /// record must be sorted ascending. Converts to the patchable
-    /// backing on first use.
-    pub fn patch_record(&mut self, i: TupleId, new_tokens: &[u32]) {
+    /// Appends `new_tokens` (sorted ascending) to the buffer, copying it
+    /// first if a clone or view shares it, and returns their span.
+    fn append(&mut self, new_tokens: &[u32]) -> (u32, u32) {
         debug_assert!(
             new_tokens.windows(2).all(|w| w[0] <= w[1]),
             "records must be sorted"
         );
-        self.make_patchable();
-        let Backing::Split {
-            tokens,
-            starts,
-            ends,
-        } = &mut self.backing
-        else {
-            unreachable!("make_patchable guarantees Split");
-        };
-        let i = i as usize;
-        assert!(i < starts.len(), "record {i} out of bounds");
-        self.live_tokens -= (ends[i] - starts[i]) as usize;
-        if new_tokens.is_empty() {
-            ends[i] = starts[i];
-        } else {
-            let buf = Arc::make_mut(tokens);
-            let lo = buf.len();
-            assert!(
-                lo + new_tokens.len() < u32::MAX as usize,
-                "token buffer overflow"
-            );
-            buf.extend_from_slice(new_tokens);
-            starts[i] = lo as u32;
-            ends[i] = buf.len() as u32;
-            self.live_tokens += new_tokens.len();
-            self.rank_bound = self
-                .rank_bound
-                .max(new_tokens.last().expect("non-empty") + 1);
+        let buf = Arc::make_mut(&mut self.tokens);
+        let start = buf.len();
+        let end = u32::try_from(start + new_tokens.len()).expect("token buffer overflow");
+        buf.extend_from_slice(new_tokens);
+        self.live_tokens += new_tokens.len();
+        if let Some(&max) = new_tokens.last() {
+            self.rank_bound = self.rank_bound.max(max + 1);
         }
-        self.refresh_ptrs();
+        // `start <= end`, which fits.
+        (start as u32, end)
+    }
+
+    /// Replaces record `i`'s tokens: the old span is left as garbage in
+    /// the buffer and the new tokens (sorted ascending) are appended.
+    pub fn patch_record(&mut self, i: TupleId, new_tokens: &[u32]) {
+        let (start, end) = self.bounds[i as usize];
+        self.live_tokens -= (end - start) as usize;
+        self.bounds[i as usize] = if new_tokens.is_empty() {
+            (start, start)
+        } else {
+            self.append(new_tokens)
+        };
     }
 
     /// Empties record `i`, leaving its old tokens as garbage. The id
@@ -374,190 +254,75 @@ impl RecordArena {
 
     /// Appends a new record (sorted ascending), returning its id.
     pub fn push_record(&mut self, new_tokens: &[u32]) -> TupleId {
-        debug_assert!(
-            new_tokens.windows(2).all(|w| w[0] <= w[1]),
-            "records must be sorted"
-        );
-        self.make_patchable();
-        let Backing::Split {
-            tokens,
-            starts,
-            ends,
-        } = &mut self.backing
-        else {
-            unreachable!("make_patchable guarantees Split");
-        };
-        assert!(starts.len() < u32::MAX as usize, "arena full");
-        let buf = Arc::make_mut(tokens);
-        let lo = buf.len();
-        assert!(
-            lo + new_tokens.len() < u32::MAX as usize,
-            "token buffer overflow"
-        );
-        buf.extend_from_slice(new_tokens);
-        starts.push(lo as u32);
-        ends.push(buf.len() as u32);
-        self.live_tokens += new_tokens.len();
-        if let Some(&max) = new_tokens.last() {
-            self.rank_bound = self.rank_bound.max(max + 1);
-        }
-        let id = (starts.len() - 1) as TupleId;
-        self.refresh_ptrs();
+        let id = TupleId::try_from(self.bounds.len()).expect("arena full");
+        let span = self.append(new_tokens);
+        self.bounds.push(span);
         id
     }
 
-    /// Fraction of the physical token buffer occupied by garbage
-    /// (tombstoned or superseded spans). 0 for compact arenas.
+    /// Fraction of the token buffer occupied by garbage (tombstoned or
+    /// superseded spans, and the tokens a view hides). 0 for compact
+    /// arenas.
     pub fn garbage_ratio(&self) -> f64 {
-        if self.n_tokens == 0 {
+        if self.tokens.is_empty() {
             0.0
         } else {
-            (self.n_tokens - self.live_tokens) as f64 / self.n_tokens as f64
+            (self.tokens.len() - self.live_tokens) as f64 / self.tokens.len() as f64
         }
     }
 
-    /// Rebuilds the compact CSR form in place: records re-laid
-    /// back-to-back, garbage dropped, rank bound re-tightened. A no-op
-    /// when already compact.
+    /// Lays the records out back to back in a fresh buffer: garbage
+    /// dropped, rank bound re-tightened.
     pub fn compact(&mut self) {
-        if self.is_compact() {
-            return;
+        let mut b = ArenaBuilder::with_capacity(self.live_tokens, self.len());
+        for record in self.iter() {
+            b.push(record);
         }
-        let mut tokens = Vec::with_capacity(self.live_tokens);
-        let mut offsets = Vec::with_capacity(self.n_records + 1);
-        offsets.push(0u32);
-        let mut bound = 0u32;
-        for i in 0..self.n_records {
-            let rec = self.record(i as TupleId);
-            tokens.extend_from_slice(rec);
-            if let Some(&max) = rec.last() {
-                bound = bound.max(max + 1);
-            }
-            offsets.push(tokens.len() as u32);
-        }
-        self.live_tokens = tokens.len();
-        self.rank_bound = bound;
-        self.backing = Backing::Owned { tokens, offsets };
-        self.refresh_ptrs();
+        *self = b.finish();
     }
 
     /// A view of this arena in which records failing `active` are empty
     /// (and therefore invisible to the join engine — empty records post
-    /// no events and are never discovered). Ids and live records'
-    /// contents are unchanged. When the arena is already patchable the
-    /// view shares the token buffer via `Arc`; compact arenas pay one
-    /// buffer copy — call [`RecordArena::make_patchable`] first to avoid
-    /// it.
+    /// no events and are never discovered). Ids, the rank bound and live
+    /// records' contents are unchanged, and the view shares the token
+    /// buffer.
     pub fn masked_view(&self, active: impl Fn(TupleId) -> bool) -> RecordArena {
-        let mut starts = Vec::with_capacity(self.n_records);
-        let mut ends = Vec::with_capacity(self.n_records);
-        let mut live = 0usize;
-        for i in 0..self.n_records {
-            // SAFETY: i < n_records, as in `record()`.
-            let (lo, hi) = unsafe { (*self.starts.add(i), *self.ends.add(i)) };
-            starts.push(lo);
-            if active(i as TupleId) {
-                ends.push(hi);
-                live += (hi - lo) as usize;
-            } else {
-                ends.push(lo);
+        let mut view = self.clone();
+        for (i, span) in view.bounds.iter_mut().enumerate() {
+            if !active(i as TupleId) {
+                view.live_tokens -= (span.1 - span.0) as usize;
+                span.1 = span.0;
             }
         }
-        let tokens = match &self.backing {
-            Backing::Split { tokens, .. } => Arc::clone(tokens),
-            // SAFETY: see `tokens()` — compact backings expose the full
-            // buffer.
-            _ => {
-                Arc::new(unsafe { std::slice::from_raw_parts(self.tokens, self.n_tokens) }.to_vec())
-            }
-        };
-        let mut view = RecordArena {
-            tokens: std::ptr::null(),
-            n_tokens: 0,
-            starts: std::ptr::null(),
-            ends: std::ptr::null(),
-            n_records: 0,
-            live_tokens: live,
-            rank_bound: self.rank_bound,
-            backing: Backing::Split {
-                tokens,
-                starts,
-                ends,
-            },
-        };
-        view.refresh_ptrs();
         view
     }
 
-    /// Rebuilds an arena from raw CSR parts, validating the offsets
-    /// invariant (starts at 0, non-decreasing, ends at `tokens.len()`)
-    /// and recomputing the rank bound. Returns `None` on any violation,
-    /// so corrupt store artifacts degrade to cache misses.
-    pub fn from_parts(tokens: Vec<u32>, offsets: Vec<u32>) -> Option<RecordArena> {
-        let rank_bound = validate_csr(&tokens, &offsets)?;
-        Some(RecordArena::from_owned(tokens, offsets, rank_bound))
-    }
-}
-
-/// Validates CSR invariants; returns the recomputed rank bound, or
-/// `None` when a token is `u32::MAX` and the bound does not fit.
-fn validate_csr(tokens: &[u32], offsets: &[u32]) -> Option<u32> {
-    if offsets.first() != Some(&0) {
-        return None;
-    }
-    if *offsets.last().expect("checked non-empty") as usize != tokens.len() {
-        return None;
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return None;
-    }
-    // Every record must be a sorted rank multiset — the join's run
-    // counters and postings depend on it.
-    if offsets.windows(2).any(|w| {
-        tokens[w[0] as usize..w[1] as usize]
-            .windows(2)
-            .any(|t| t[0] > t[1])
-    }) {
-        return None;
-    }
-    tokens.iter().max().map_or(Some(0), |&m| m.checked_add(1))
-}
-
-impl Default for RecordArena {
-    fn default() -> Self {
-        RecordArena::new()
-    }
-}
-
-impl Clone for RecordArena {
-    fn clone(&self) -> Self {
-        let mut clone = RecordArena {
-            tokens: self.tokens,
-            n_tokens: self.n_tokens,
-            starts: self.starts,
-            ends: self.ends,
-            n_records: self.n_records,
-            live_tokens: self.live_tokens,
-            rank_bound: self.rank_bound,
-            backing: match &self.backing {
-                Backing::Owned { tokens, offsets } => Backing::Owned {
-                    tokens: tokens.clone(),
-                    offsets: offsets.clone(),
-                },
-                Backing::Split {
-                    tokens,
-                    starts,
-                    ends,
-                } => Backing::Split {
-                    tokens: Arc::clone(tokens),
-                    starts: starts.clone(),
-                    ends: ends.clone(),
-                },
-            },
-        };
-        // Point at the clone's buffers.
-        clone.refresh_ptrs();
-        clone
+    /// Rebuilds an arena from CSR parts: record `i` is
+    /// `tokens[offsets[i] .. offsets[i + 1]]`. Validates the offsets
+    /// (start at 0, non-decreasing, end at `tokens.len()`) and that every
+    /// record is sorted, and recomputes the rank bound. Returns `None` on
+    /// any violation, or when a token is `u32::MAX` and the bound does
+    /// not fit, so corrupt store artifacts degrade to cache misses.
+    pub fn from_parts(tokens: Vec<u32>, offsets: &[u32]) -> Option<RecordArena> {
+        if offsets.first() != Some(&0) || *offsets.last()? as usize != tokens.len() {
+            return None;
+        }
+        let mut bounds = Vec::with_capacity(offsets.len() - 1);
+        let mut rank_bound = 0u32;
+        for w in offsets.windows(2) {
+            // `None` when the offsets decrease.
+            let record = tokens.get(w[0] as usize..w[1] as usize)?;
+            // Every record must be a sorted rank multiset — the join's
+            // run counters and postings depend on it.
+            if record.windows(2).any(|t| t[0] > t[1]) {
+                return None;
+            }
+            if let Some(&max) = record.last() {
+                rank_bound = rank_bound.max(max.checked_add(1)?);
+            }
+            bounds.push((w[0], w[1]));
+        }
+        Some(RecordArena::from_spans(tokens, bounds, rank_bound))
     }
 }
 
@@ -662,9 +427,7 @@ mod tests {
         assert_eq!(arena.record(2), &[4]);
         assert_eq!(arena.record(3), &[7, 7]);
         assert_eq!(arena.rank_bound(), 21);
-        // Compact form round-trips through the store codec accessors.
-        assert_eq!(arena.offsets(), &[0, 0, 3, 4, 6]);
-        assert_eq!(arena.tokens(), &[0, 9, 20, 4, 7, 7]);
+        assert_eq!(arena.total_tokens(), 6);
     }
 
     #[test]
@@ -679,8 +442,7 @@ mod tests {
 
     #[test]
     fn masked_view_hides_records_and_shares_buffer() {
-        let mut arena = RecordArena::from_records(&[vec![1u32, 5], vec![2, 3], vec![4]]);
-        arena.make_patchable();
+        let arena = RecordArena::from_records(&[vec![1u32, 5], vec![2, 3], vec![4]]);
         let view = arena.masked_view(|i| i == 1);
         assert_eq!(view.len(), 3, "ids are preserved");
         assert_eq!(view.record(0), &[] as &[u32]);
@@ -688,14 +450,10 @@ mod tests {
         assert_eq!(view.record(2), &[] as &[u32]);
         assert_eq!(view.total_tokens(), 2);
         assert_eq!(view.rank_bound(), arena.rank_bound());
+        assert!(Arc::ptr_eq(&view.tokens, &arena.tokens));
         // The view stays valid after the source is dropped (shared Arc).
         drop(arena);
         assert_eq!(view.record(1), &[2, 3]);
-        // Views of compact arenas work too (one-time copy).
-        let compact = RecordArena::from_records(&[vec![0u32], vec![6]]);
-        let v2 = compact.masked_view(|i| i == 0);
-        assert_eq!(v2.record(0), &[0]);
-        assert_eq!(v2.record(1), &[] as &[u32]);
     }
 
     #[test]
@@ -707,13 +465,5 @@ mod tests {
         assert_eq!(clone.record(0), &[8]);
         assert_eq!(clone.record(1), &[2], "clone unaffected by later patch");
         assert_eq!(arena.record(1), &[9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a compact arena")]
-    fn offsets_on_patched_arena_panics() {
-        let mut arena = RecordArena::from_records(&[vec![1u32]]);
-        arena.tombstone(0);
-        let _ = arena.offsets();
     }
 }

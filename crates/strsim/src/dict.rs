@@ -478,19 +478,18 @@ fn concat_chunks(chunks: &[Chunk<'_>], attr_count: usize, rows: usize) -> Tokeni
     let cols = (0..attr_count)
         .map(|ci| {
             let total = chunks.iter().map(|c| c.cols[ci].tokens.len()).sum();
-            // Offsets are u32: every one of them is at most `total`.
+            // Spans are u32: every bound is at most `total`.
             assert!(total <= u32::MAX as usize, "column exceeds u32 tokens");
             let mut tokens = Vec::with_capacity(total);
-            let mut offsets = Vec::with_capacity(rows + 1);
-            offsets.push(0u32);
+            let mut bounds = Vec::with_capacity(rows);
             let mut rank_bound = 0;
             for col in chunks.iter().map(|c| &c.cols[ci]) {
                 let base = tokens.len() as u32;
-                offsets.extend(col.offsets[1..].iter().map(|&o| base + o));
+                bounds.extend(col.offsets.windows(2).map(|w| (base + w[0], base + w[1])));
                 tokens.extend_from_slice(&col.tokens);
                 rank_bound = rank_bound.max(col.rank_bound);
             }
-            RecordArena::from_owned(tokens, offsets, rank_bound)
+            RecordArena::from_spans(tokens, bounds, rank_bound)
         })
         .collect();
     TokenizedTable { cols, rows }

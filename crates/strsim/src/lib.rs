@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # mc-strsim
 //!
@@ -7,8 +8,8 @@
 //! * [`tokenize`] — word and q-gram tokenizers;
 //! * [`dict`] — token interning, document frequencies, and the global token
 //!   order used by prefix-filtering joins (rare tokens first);
-//! * [`arena`] — flat CSR-style record storage (one contiguous token
-//!   buffer + offsets) that the top-k join hot loops operate on;
+//! * [`arena`] — flat record storage (one contiguous token buffer +
+//!   per-record bounds) that the top-k join hot loops operate on;
 //! * [`measures`] — set-based similarity (Jaccard, cosine, Dice, overlap)
 //!   on sorted token multisets, plus edit distance, with the per-measure
 //!   prefix upper bounds the top-k join relies on;

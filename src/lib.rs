@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! Umbrella crate for the MatchCatcher workspace: re-exports every
 //! sub-crate so examples and integration tests can use one import root.
 //! (The `mc-core` package's library is named `matchcatcher`.)

@@ -170,7 +170,8 @@ fn incremental_matches_cold_at_one_and_four_threads() {
 /// entry is exact, so the config never rejoins, even when fewer than
 /// `k` entries survive a rerun. At Cosine q 3 the fixture has configs
 /// whose whole universe is smaller than `k`; every rerun must equal a
-/// cold session without a single rejoin.
+/// cold session without a single rejoin, and the `valid_min` gauge,
+/// which counts only lists that can rejoin, must stay at `k` or above.
 #[test]
 fn complete_lists_never_rejoin() {
     let mut params = session_params(SetMeasure::Cosine, 3);
@@ -198,6 +199,10 @@ fn complete_lists_never_rejoin() {
             incr.metrics.counter("mc.core.incr.full_rejoins"),
             0,
             "round {round}: a config rejoined"
+        );
+        assert!(
+            incr.metrics.gauge("mc.core.incr.valid_min") >= k as i64,
+            "round {round}: valid_min reports a rejoin that never comes"
         );
     }
 }
