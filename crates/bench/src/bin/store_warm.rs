@@ -1,7 +1,7 @@
 //! Warm-start bench: measures the end-to-end debugging pipeline cold
 //! (empty artifact store, everything computed and published) versus warm
 //! (same store, tokenization and the whole joint top-k stage loaded from
-//! disk), and writes `BENCH_store.json` (`mc-bench-store/v3`).
+//! disk), and writes `BENCH_store.json` (`mc-bench-store/v4`).
 //!
 //! Per profile the bin opens a store directory, runs the full pipeline
 //! once (the *cold* leg on a fresh directory), then runs it `--runs`
@@ -9,18 +9,13 @@
 //! must produce identical debug reports — the bin asserts the ranked
 //! confirmed-match list and recall numbers match bit for bit.
 //!
-//! The *arena* leg then runs `--runs` times on the same tables with a
+//! The *tok* leg then runs `--runs` times on the same tables with a
 //! second killed set (the blocker output minus every tenth pair): the
-//! tokenization and every config arena hit, only the candidate union
-//! misses, and the bin asserts that no arena was rebuilt. Each
-//! repetition removes the union it published, so every repetition, and
-//! every later process over a shared `--store`, restores the arenas
-//! again.
-//!
-//! The arena leg's time is mostly the joint stage, verify and explain,
-//! so `restore_us` times the restore on its own: `Store::load` plus
-//! `map_arena` over both sides' `Postings` payloads of every config,
-//! best of `--runs`.
+//! tokenization hits, the candidate union misses, nothing else is looked
+//! up, and the arenas are built once from the loaded tokenization; the
+//! bin asserts all four. Each repetition removes the union it
+//! published, so every repetition, and every later process over a
+//! shared `--store`, misses the union again.
 //!
 //! Flags:
 //!
@@ -33,27 +28,25 @@
 //! * `--scale X`, `--seed N`, `--runs N`, `--threads N`, `--out PATH` —
 //!   as in the other bench bins. Set `MC_BENCH_SMOKE=1` for a shrunk CI
 //!   smoke run. Allocation counts of the cold leg and of the first warm
-//!   and arena repetitions ride along in the JSON for the
+//!   and tok repetitions ride along in the JSON for the
 //!   `mc bench-compare` gate.
 //!
 //! Every leg asserts that no stored artifact failed to decode
 //! (`mc.store.decode_failed`), so a store another build filled must
-//! restore in full.
+//! load in full.
 //!
 //! `cargo run --release -p mc-bench --bin store_warm [--scale X]
 //!  [--runs N] [--store DIR] [--assert-warm] [--out PATH]`
 
 use matchcatcher::debugger::{DebugReport, MatchCatcher};
 use matchcatcher::oracle::GoldOracle;
-use matchcatcher::store_io;
 use mc_bench::alloc::AllocStats;
 use mc_bench::blockers::best_hash_blocker;
 use mc_bench::env::BenchEnv;
 use mc_bench::harness::paper_params;
 use mc_datagen::profiles::DatasetProfile;
 use mc_obs::MetricsSnapshot;
-use mc_store::{ArtifactKind, Store, StoreConfig};
-use mc_strsim::tokenize::Tokenizer;
+use mc_store::StoreConfig;
 use mc_table::PairSet;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -69,13 +62,12 @@ struct ProfileReport {
     cold_publishes: u64,
     warm_hits: u64,
     warm_misses: u64,
-    arena_us: u64,
-    restore_us: u64,
-    arena_hits: u64,
-    arena_misses: u64,
+    tok_us: u64,
+    tok_hits: u64,
+    tok_misses: u64,
     cold_allocs: AllocStats,
     warm_allocs: AllocStats,
-    arena_allocs: AllocStats,
+    tok_allocs: AllocStats,
 }
 
 /// The result-bearing fields both legs must agree on.
@@ -165,14 +157,14 @@ fn run_profile(
     }
     let (warm_us, warm_delta) = best.expect("at least one warm run");
 
-    // The arena leg: a killed set no earlier leg used, so its union
-    // misses while the tokenization and the arenas hit.
+    // The tok leg: a killed set no earlier leg used, so its union misses
+    // while the tokenization hits.
     let mut pairs: Vec<(u32, u32)> = c.iter().collect();
     pairs.sort_unstable();
-    let mut c_arena = PairSet::new();
+    let mut c_tok = PairSet::new();
     for (i, &(a, b)) in pairs.iter().enumerate() {
         if i % 10 != 0 {
-            c_arena.insert(a, b);
+            c_tok.insert(a, b);
         }
     }
     let union_dir = store_dir.join("objects").join("union");
@@ -182,76 +174,56 @@ fn run_profile(
             .map(|e| e.expect("union entry").path())
             .collect()
     };
-    let mut arena_best: Option<(u64, MetricsSnapshot)> = None;
-    let mut arena_allocs = AllocStats::capture();
-    let mut arena_report = None;
+    let mut tok_best: Option<(u64, MetricsSnapshot)> = None;
+    let mut tok_allocs = AllocStats::capture();
+    let mut tok_report = None;
     for rep in 0..runs.max(1) {
         let before = unions();
-        let (us, report, delta, allocs) = leg(&c_arena);
+        let (us, report, delta, allocs) = leg(&c_tok);
         for published in unions().difference(&before) {
-            std::fs::remove_file(published).expect("remove the arena leg's union");
+            std::fs::remove_file(published).expect("remove the tok leg's union");
         }
         assert_eq!(
             delta.span("mc.strsim.dict.build").count,
             0,
-            "{}: the arena leg must hit the tokenization",
+            "{}: the tok leg must hit the tokenization",
             ds.name
         );
         assert!(
             delta.span("mc.core.joint.run").count > 0,
-            "{}: the arena leg must miss the union",
+            "{}: the tok leg must miss the union",
             ds.name
         );
         assert_eq!(
-            delta.span("mc.strsim.arena.build").count,
-            0,
-            "{}: the arena leg rebuilt an arena",
+            (
+                delta.counter("mc.store.hits"),
+                delta.counter("mc.store.misses")
+            ),
+            (1, 1),
+            "{}: the tok leg may look up the tokenization and the union only",
+            ds.name
+        );
+        assert_eq!(
+            delta.span("mc.core.joint.build_arenas").count,
+            1,
+            "{}: the tok leg must build the arenas once",
             ds.name
         );
         let fp = fingerprint(&report);
         assert_eq!(
-            arena_report.get_or_insert_with(|| fp.clone()),
+            tok_report.get_or_insert_with(|| fp.clone()),
             &fp,
-            "{}: arena repetitions diverged",
+            "{}: tok repetitions diverged",
             ds.name
         );
         if rep == 0 {
-            arena_allocs = allocs;
+            tok_allocs = allocs;
         }
-        if arena_best.as_ref().is_none_or(|(b, _)| us < *b) {
-            arena_best = Some((us, delta));
+        if tok_best.as_ref().is_none_or(|(b, _)| us < *b) {
+            tok_best = Some((us, delta));
         }
     }
-    let (arena_us, arena_delta) = arena_best.expect("at least one arena run");
-
-    // The restore alone, over the payloads the legs above restored. The
-    // promising attributes and the config tree depend on the tables
-    // only, so the cold report's are the arena leg's.
-    let store = Store::open(&StoreConfig::at(store_dir)).expect("open the store");
-    let tok = store_io::tok_key(
-        ds.a.content_digest(),
-        ds.b.content_digest(),
-        &cold_report.promising,
-        Tokenizer::Word,
-    );
-    let keys: Vec<_> = cold_report
-        .configs
-        .iter()
-        .flat_map(|c| [0, 1].map(|side| store_io::arena_key(tok, side, &c.positions())))
-        .collect();
-    let restore_us = (0..runs.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            for &key in &keys {
-                let arena = store
-                    .load(ArtifactKind::Postings, key)
-                    .and_then(store_io::map_arena);
-                assert!(arena.is_some(), "{}: an arena did not restore", ds.name);
-            }
-            start.elapsed().as_micros() as u64
-        })
-        .min()
-        .expect("at least one restore");
+    let (tok_us, tok_delta) = tok_best.expect("at least one tok run");
 
     ProfileReport {
         name: ds.name.clone(),
@@ -262,15 +234,12 @@ fn run_profile(
         cold_publishes: cold_delta.counter("mc.store.publishes"),
         warm_hits: warm_delta.counter("mc.store.hits"),
         warm_misses: warm_delta.counter("mc.store.misses"),
-        arena_us,
-        restore_us,
-        // Less the tokenization's hit and the union's miss, which the
-        // leg asserted.
-        arena_hits: arena_delta.counter("mc.store.hits") - 1,
-        arena_misses: arena_delta.counter("mc.store.misses") - 1,
+        tok_us,
+        tok_hits: tok_delta.counter("mc.store.hits"),
+        tok_misses: tok_delta.counter("mc.store.misses"),
         cold_allocs,
         warm_allocs,
-        arena_allocs,
+        tok_allocs,
     }
 }
 
@@ -317,7 +286,7 @@ fn main() {
     }
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"mc-bench-store/v3\",\n  \"profiles\": [");
+    json.push_str("{\n  \"schema\": \"mc-bench-store/v4\",\n  \"profiles\": [");
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {
             json.push(',');
@@ -325,50 +294,48 @@ fn main() {
         let _ = write!(
             json,
             "\n    {{\"name\": \"{}\", \"scale\": {}, \"cold_us\": {}, \"warm_us\": {}, \
-             \"arena_us\": {}, \"restore_us\": {}, \"speedup\": {:.2}, \
+             \"tok_us\": {}, \"speedup\": {:.2}, \
              \"store\": {{\"cold_hits\": {}, \
              \"cold_publishes\": {}, \"warm_hits\": {}, \"warm_misses\": {}, \
-             \"arena_hits\": {}, \"arena_misses\": {}}}, \
+             \"tok_hits\": {}, \"tok_misses\": {}}}, \
              \"allocs\": {{\"cold_count\": {}, \"cold_bytes\": {}, \
              \"warm_count\": {}, \"warm_bytes\": {}, \
-             \"arena_count\": {}, \"arena_bytes\": {}}}}}",
+             \"tok_count\": {}, \"tok_bytes\": {}}}}}",
             r.name,
             r.scale,
             r.cold_us,
             r.warm_us,
-            r.arena_us,
-            r.restore_us,
+            r.tok_us,
             r.cold_us as f64 / r.warm_us.max(1) as f64,
             r.cold_hits,
             r.cold_publishes,
             r.warm_hits,
             r.warm_misses,
-            r.arena_hits,
-            r.arena_misses,
+            r.tok_hits,
+            r.tok_misses,
             r.cold_allocs.allocations,
             r.cold_allocs.bytes,
             r.warm_allocs.allocations,
             r.warm_allocs.bytes,
-            r.arena_allocs.allocations,
-            r.arena_allocs.bytes
+            r.tok_allocs.allocations,
+            r.tok_allocs.bytes
         );
     }
     json.push_str("\n  ]\n}\n");
     std::fs::write(&out_path, &json).expect("write BENCH_store.json");
 
     println!(
-        "{:<16} {:>8} {:>12} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10}",
-        "dataset", "scale", "cold", "warm", "arena", "restore", "speedup", "warm-hits", "publishes"
+        "{:<16} {:>8} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10}",
+        "dataset", "scale", "cold", "warm", "tok", "speedup", "warm-hits", "publishes"
     );
     for r in &reports {
         println!(
-            "{:<16} {:>8.2} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>7.2}x {:>10} {:>10}",
+            "{:<16} {:>8.2} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>7.2}x {:>10} {:>10}",
             r.name,
             r.scale,
             r.cold_us as f64 / 1e3,
             r.warm_us as f64 / 1e3,
-            r.arena_us as f64 / 1e3,
-            r.restore_us as f64 / 1e3,
+            r.tok_us as f64 / 1e3,
             r.cold_us as f64 / r.warm_us.max(1) as f64,
             r.warm_hits,
             r.cold_publishes

@@ -13,17 +13,13 @@
 use crate::config::{Config, ConfigGenerator, ConfigGeneratorParams, ConfigTree, PromisingAttrs};
 use crate::explain::MatchExplanation;
 use crate::features::FeatureExtractor;
-use crate::joint::{
-    build_arenas, run_joint, run_joint_with_arenas, CandidateUnion, JointOutput, JointParams,
-    QStrategy,
-};
+use crate::joint::{run_joint, CandidateUnion, JointOutput, JointParams, QStrategy};
 use crate::oracle::Oracle;
 use crate::ssj::TopKList;
 use crate::store_io;
 use crate::verify::{run_verifier, IterationRecord, VerifierParams, VerifyOutcome};
 use mc_obs::{MetricsSnapshot, ObsContext};
 use mc_store::{ArtifactKind, Digest, Store, StoreConfig};
-use mc_strsim::arena::RecordArena;
 use mc_strsim::dict::TokenizedTable;
 use mc_strsim::tokenize::Tokenizer;
 use mc_table::{AttrId, PairSet, Table, TupleId};
@@ -47,13 +43,15 @@ pub struct DebuggerParams {
     /// `n = 20`.
     pub verifier: VerifierParams,
     /// Optional persistent artifact store for warm-start sessions.
-    /// When set, [`MatchCatcher::run`] consults the store before
-    /// tokenizing, building arenas, or executing the joint stage, and
-    /// publishes the artifacts it had to compute. A warm hit on the
-    /// candidate union produces a byte-identical ranked `D` while
-    /// skipping tokenization and every join. An unusable or corrupt
-    /// store silently degrades to a cold run (`mc.store.*` counters
-    /// record what happened).
+    /// When set, [`MatchCatcher::run`] looks up the tokenization before
+    /// tokenizing and the candidate union before the joint stage, and
+    /// publishes whichever of the two it had to compute; per-config
+    /// arenas are always rebuilt from the tokenization, never stored. A
+    /// warm hit on the candidate union produces a byte-identical ranked
+    /// `D` while skipping tokenization and every join. A
+    /// [`crate::incr::DebugSession`] only publishes its unions. An
+    /// unusable or corrupt store silently degrades to a cold run
+    /// (`mc.store.*` counters record what happened).
     pub store: Option<StoreConfig>,
     /// Observability context the run records into. The default is the
     /// process-global context (historical behaviour); give each
@@ -419,8 +417,9 @@ impl MatchCatcher {
     }
 
     /// Store-aware top-k stage. A candidate-union hit returns without
-    /// touching arenas or running a single join; a miss runs the joint
-    /// stage over (possibly restored) arenas and publishes the result.
+    /// building arenas or running a single join; a miss runs the joint
+    /// stage (arenas built from the tokenization) and publishes the
+    /// union.
     fn topk_cached(
         &self,
         prepared: &Prepared,
@@ -442,21 +441,12 @@ impl MatchCatcher {
                 mc_obs::counter!("mc.store.decode_failed").inc();
             }
         }
-        let arenas = assemble_arenas_cached(
-            &prepared.tok_a,
-            &prepared.tok_b,
-            &prepared.tree.configs(),
-            self.params.joint.threads,
-            store,
-            tok,
-        );
-        let out = run_joint_with_arenas(
+        let out = run_joint(
             &prepared.tok_a,
             &prepared.tok_b,
             c,
             &prepared.tree,
             self.params.joint,
-            &arenas,
         );
         let union = CandidateUnion::build(&out.lists);
         if let (Some(s), Some(k)) = (store, ukey) {
@@ -604,98 +594,6 @@ pub(crate) fn report(
         q_used,
         metrics: MetricsSnapshot::capture().since(baseline),
     }
-}
-
-/// Restores one arena from its [`ArtifactKind::Postings`] payload. A
-/// payload that fails validation, or holds a rank at or past
-/// `rank_bound`, is counted under `mc.store.decode_failed` and treated
-/// as a miss.
-fn restore_arena(s: &Store, key: Digest, rank_bound: u32) -> Option<RecordArena> {
-    let arena = store_io::map_arena(s.load(ArtifactKind::Postings, key)?);
-    decoded(arena.filter(|arena| arena.rank_bound() <= rank_bound))
-}
-
-/// Per-config record arenas, preferring store artifacts. With no hits
-/// the whole set is built in parallel (the cold
-/// `mc.core.joint.build_arenas` path) and published as
-/// [`ArtifactKind::Postings`]; partial hits — possible after a gc
-/// evicted some files — fill only the gaps. Shared by the one-shot warm
-/// path ([`MatchCatcher::run`]) and incremental sessions
-/// ([`MatchCatcher::start_session`]).
-pub(crate) fn assemble_arenas_cached(
-    tok_a: &TokenizedTable,
-    tok_b: &TokenizedTable,
-    configs: &[Config],
-    threads: usize,
-    store: Option<&Store>,
-    tok: Option<Digest>,
-) -> Vec<(RecordArena, RecordArena)> {
-    let (s, tok) = match (store, tok) {
-        (Some(s), Some(tok)) => (s, tok),
-        _ => return build_arenas(tok_a, tok_b, configs, threads),
-    };
-    let keys: Vec<(Digest, Digest)> = configs
-        .iter()
-        .map(|c| {
-            let pos = c.positions();
-            (
-                store_io::arena_key(tok, 0, &pos),
-                store_io::arena_key(tok, 1, &pos),
-            )
-        })
-        .collect();
-    // A config's arena holds its tokenized columns' ranks, so a restored
-    // arena with a larger bound is corrupt: the join would size its
-    // postings by it.
-    let rank_bound = tok_a
-        .columns()
-        .iter()
-        .chain(tok_b.columns())
-        .map(RecordArena::rank_bound)
-        .max()
-        .unwrap_or(0);
-    let mut out: Vec<Option<(RecordArena, RecordArena)>> = keys
-        .iter()
-        .map(|&(ka, kb)| {
-            let la = restore_arena(s, ka, rank_bound)?;
-            let lb = restore_arena(s, kb, rank_bound)?;
-            (la.len() == tok_a.rows() && lb.len() == tok_b.rows()).then_some((la, lb))
-        })
-        .collect();
-    let publish_pair = |pair: &(RecordArena, RecordArena), ka: Digest, kb: Digest| {
-        s.publish(
-            ArtifactKind::Postings,
-            ka,
-            &store_io::encode_arena_zc(&pair.0),
-        );
-        s.publish(
-            ArtifactKind::Postings,
-            kb,
-            &store_io::encode_arena_zc(&pair.1),
-        );
-    };
-    if out.iter().all(Option::is_none) {
-        let built = build_arenas(tok_a, tok_b, configs, threads);
-        for (pair, &(ka, kb)) in built.iter().zip(&keys) {
-            publish_pair(pair, ka, kb);
-        }
-        return built;
-    }
-    for (i, slot) in out.iter_mut().enumerate() {
-        if slot.is_none() {
-            let pos = configs[i].positions();
-            let pair = (
-                RecordArena::from_tokenized(tok_a, &pos),
-                RecordArena::from_tokenized(tok_b, &pos),
-            );
-            let (ka, kb) = keys[i];
-            publish_pair(&pair, ka, kb);
-            *slot = Some(pair);
-        }
-    }
-    out.into_iter()
-        .map(|o| o.expect("all slots filled"))
-        .collect()
 }
 
 #[cfg(test)]

@@ -107,9 +107,9 @@
 //! Everything the session computes is instrumented under
 //! `mc.core.incr.*` (see the metrics catalog in `DESIGN.md`).
 
-use crate::config::ConfigGenerator;
+use crate::config::{ConfigGenerator, ConfigTree, PromisingAttrs};
 use crate::debugger::{report, DebugReport, DebuggerParams, MatchCatcher, Prepared, Stage};
-use crate::joint::{run_joint_with_arenas, CandidateUnion, QStrategy};
+use crate::joint::{build_arenas, run_joint_with_arenas, CandidateUnion, QStrategy};
 use crate::oracle::Oracle;
 use crate::ssj::{
     topk_join_with_scratch, topk_semi_join, JoinScratch, SsjInstance, SsjParams, TopKList,
@@ -160,7 +160,6 @@ pub struct DebugSession {
     killed: PairSet,
     /// Promising attributes, config tree and both tokenized tables.
     prepared: Prepared,
-    configs: Vec<crate::config::Config>,
     dict: IncrementalDict,
     arenas: Vec<(RecordArena, RecordArena)>,
     /// Per-config maintained lists, in tree order.
@@ -268,39 +267,20 @@ impl MatchCatcher {
         let _obs = params.obs.attach();
         let _cpu = mc_obs::par::hold();
         let baseline = MetricsSnapshot::capture();
-        let (stats_a, stats_b, promising, tree) = {
+        let (stats_a, stats_b, prepared, dict) = {
             let _span = mc_obs::Span::enter(Stage::Prepare.span_name());
             let stats_a = IncrTableStats::compute(&a);
             let stats_b = IncrTableStats::compute(&b);
-            let generator = ConfigGenerator::new(params.config);
-            let promising =
-                generator.promising_from_stats(&a, &stats_a.snapshot(&a), &stats_b.snapshot(&b));
-            assert!(
-                !promising.attrs.is_empty(),
-                "no promising attributes — tables have no usable string/categorical columns"
-            );
-            let tree = generator.build_tree(&promising);
-            (stats_a, stats_b, promising, tree)
+            let (promising, tree) = select_configs(&params, &a, &b, &stats_a, &stats_b);
+            let (prepared, dict) = tokenize(&a, &b, promising, tree);
+            (stats_a, stats_b, prepared, dict)
         };
-        let (tok_a, tok_b, dict) = {
-            let _span = mc_obs::Span::enter(Stage::Prepare.span_name());
-            let (tok_a, tok_b, order, dict) =
-                TokenizedTable::build_pair_retained(&a, &b, &promising.attrs, Tokenizer::Word);
-            (tok_a, tok_b, IncrementalDict::new(dict, &order))
-        };
-        let configs = tree.configs();
         let mut session = DebugSession {
             params,
             a,
             b,
             killed,
-            prepared: Prepared {
-                promising,
-                tree,
-                tok_a,
-                tok_b,
-            },
-            configs,
+            prepared,
             dict,
             arenas: Vec::new(),
             lists: Vec::new(),
@@ -313,6 +293,46 @@ impl MatchCatcher {
         let report = session.finish(oracle, baseline);
         (session, report)
     }
+}
+
+/// The promising attributes and config tree a cold run would choose:
+/// the session's statistics equal a fresh scan of its tables.
+fn select_configs(
+    params: &DebuggerParams,
+    a: &Table,
+    b: &Table,
+    stats_a: &IncrTableStats,
+    stats_b: &IncrTableStats,
+) -> (PromisingAttrs, ConfigTree) {
+    let generator = ConfigGenerator::new(params.config);
+    let promising = generator.promising_from_stats(a, &stats_a.snapshot(a), &stats_b.snapshot(b));
+    assert!(
+        !promising.attrs.is_empty(),
+        "no promising attributes — tables have no usable string/categorical columns"
+    );
+    let tree = generator.build_tree(&promising);
+    (promising, tree)
+}
+
+/// Tokenizes both tables over the promising attributes into a fresh
+/// incremental dictionary: a session's start and a rerun whose delta
+/// changed the config tree both prepare this way, then run the joint
+/// stage cold ([`DebugSession::cold_joint`]).
+fn tokenize(
+    a: &Table,
+    b: &Table,
+    promising: PromisingAttrs,
+    tree: ConfigTree,
+) -> (Prepared, IncrementalDict) {
+    let (tok_a, tok_b, order, dict) =
+        TokenizedTable::build_pair_retained(a, b, &promising.attrs, Tokenizer::Word);
+    let prepared = Prepared {
+        promising,
+        tree,
+        tok_a,
+        tok_b,
+    };
+    (prepared, IncrementalDict::new(dict, &order))
 }
 
 impl DebugSession {
@@ -382,31 +402,15 @@ impl DebugSession {
                 .sum::<usize>()
     }
 
-    /// Builds arenas and runs the joint stage cold at capacity `K`,
-    /// replacing the session's arenas and lists.
-    ///
-    /// With a configured store the arenas are restored from their
-    /// `Postings` payloads first, and misses are built cold and
-    /// published, exactly like the one-shot [`MatchCatcher::run`].
+    /// Builds arenas from the tokenized tables and runs the joint stage
+    /// cold at capacity `K`, replacing the session's arenas and lists.
     fn cold_joint(&mut self) {
         let _span = mc_obs::Span::enter(Stage::TopK.span_name());
-        let store = self.params.open_store();
-        let tok_key = store.as_ref().map(|_| {
-            let (digest_a, digest_b) = store_io::content_digests(&self.a, &self.b);
-            store_io::tok_key(
-                digest_a,
-                digest_b,
-                &self.prepared.promising.attrs,
-                Tokenizer::Word,
-            )
-        });
-        self.arenas = crate::debugger::assemble_arenas_cached(
+        self.arenas = build_arenas(
             &self.prepared.tok_a,
             &self.prepared.tok_b,
-            &self.configs,
+            &self.prepared.tree.configs(),
             self.params.joint.threads,
-            store.as_ref(),
-            tok_key,
         );
         let mut jp = self.params.joint;
         jp.k = self.cap();
@@ -499,40 +503,17 @@ impl DebugSession {
             // Recompute both; if either differs from the session's, the
             // maintained lists describe the wrong configs — fall back to
             // a full cold rebuild (exact by construction).
-            let generator = ConfigGenerator::new(self.params.config);
-            let promising = {
+            let (promising, tree) = {
                 let _span = mc_obs::span!("mc.core.incr.promising");
-                generator.promising_from_stats(
-                    &self.a,
-                    &self.stats_a.snapshot(&self.a),
-                    &self.stats_b.snapshot(&self.b),
-                )
+                select_configs(&self.params, &self.a, &self.b, &self.stats_a, &self.stats_b)
             };
-            assert!(
-                !promising.attrs.is_empty(),
-                "no promising attributes left after patching"
-            );
-            let tree = generator.build_tree(&promising);
             let old_tree = &self.prepared.tree;
             let same_shape = promising.attrs == self.prepared.promising.attrs
-                && tree.configs() == self.configs
+                && tree.configs() == old_tree.configs()
                 && (0..tree.len()).all(|i| tree.parent(i) == old_tree.parent(i));
             if !same_shape {
                 mc_obs::counter!("mc.core.incr.full_rebuilds").inc();
-                let (tok_a, tok_b, order, dict) = TokenizedTable::build_pair_retained(
-                    &self.a,
-                    &self.b,
-                    &promising.attrs,
-                    Tokenizer::Word,
-                );
-                self.configs = tree.configs();
-                self.prepared = Prepared {
-                    promising,
-                    tree,
-                    tok_a,
-                    tok_b,
-                };
-                self.dict = IncrementalDict::new(dict, &order);
+                (self.prepared, self.dict) = tokenize(&self.a, &self.b, promising, tree);
                 self.cold_joint();
                 return Ok(self.finish(oracle, baseline));
             }
@@ -573,8 +554,9 @@ impl DebugSession {
             }
             tok.compact(COMPACT_THRESHOLD);
         }
-        for (ci, (arena_a, arena_b)) in self.arenas.iter_mut().enumerate() {
-            let pos = self.configs[ci].positions();
+        for ((arena_a, arena_b), config) in self.arenas.iter_mut().zip(self.prepared.tree.configs())
+        {
+            let pos = config.positions();
             for (arena, tok, changed) in [
                 (&mut *arena_a, &self.prepared.tok_a, changed_a),
                 (&mut *arena_b, &self.prepared.tok_b, changed_b),
@@ -713,7 +695,7 @@ impl DebugSession {
         store.publish(
             ArtifactKind::CandidateUnion,
             ukey,
-            &store_io::encode_union(&self.configs, self.q, union),
+            &store_io::encode_union(&self.prepared.tree.configs(), self.q, union),
         );
     }
 }
@@ -1123,62 +1105,23 @@ mod tests {
     }
 
     #[test]
-    fn warm_session_start_reuses_store_arenas_identically() {
-        use mc_store::StoreConfig;
-        let root = temp_store("warm");
+    fn session_start_records_each_stage_span_as_often_as_run() {
         let (a, b, killed, gold) = fixture();
-        let with_store = |root: &std::path::Path| {
+        let with_obs = || {
             let mut p = params();
-            p.store = Some(StoreConfig::at(root));
             p.obs = mc_obs::ObsContext::session();
-            p
+            MatchCatcher::new(p)
         };
-        let (_, cold) = MatchCatcher::new(with_store(&root)).start_session(
-            a.clone(),
-            b.clone(),
-            killed.clone(),
-            &mut GoldOracle::exact(&gold),
-        );
-        assert!(
-            cold.metrics.counter("mc.store.publishes") > 0,
-            "cold session publishes arenas"
-        );
-        // A second session over the same inputs warm-loads the arenas.
-        let (mut warm_session, warm) = MatchCatcher::new(with_store(&root)).start_session(
-            a,
-            b,
-            killed,
-            &mut GoldOracle::exact(&gold),
-        );
-        assert_eq!(summarize(&cold), summarize(&warm));
-        assert!(
-            warm.metrics.counter("mc.store.hits") > 0,
-            "warm session hits store artifacts"
-        );
-        assert!(warm_session.resident_bytes() > 0);
-        // Restored arenas stay fully patchable: a delta rerun on the warm
-        // session matches a cold session over the patched tables.
-        let donor = warm_session.table_b().tuple(0).clone();
-        let delta_b = TableDelta {
-            updates: Vec::new(),
-            deletes: Vec::new(),
-            inserts: vec![donor],
-        };
-        let mut oracle = GoldOracle::exact(&gold);
-        let incr = warm_session
-            .rerun(&TableDelta::new(), &delta_b, None, &mut oracle)
-            .unwrap();
-        let (_, reference) = MatchCatcher::new(params()).start_session(
-            warm_session.table_a().clone(),
-            warm_session.table_b().clone(),
-            warm_session.killed().clone(),
-            &mut GoldOracle::exact(&gold),
-        );
-        assert_eq!(summarize(&reference), summarize(&incr));
-        // Footprint estimation must survive patched arenas — serve
-        // polls it after every rerun for eviction.
-        assert!(warm_session.resident_bytes() > 0);
-        std::fs::remove_dir_all(root).ok();
+        let run = with_obs().run(&a, &b, &killed, &mut GoldOracle::exact(&gold));
+        let (_, start) = with_obs().start_session(a, b, killed, &mut GoldOracle::exact(&gold));
+        for stage in Stage::ALL {
+            let name = stage.span_name();
+            assert_eq!(
+                start.metrics.span(name).count,
+                run.metrics.span(name).count,
+                "{stage:?} spans of a session's first report"
+            );
+        }
     }
 
     #[test]

@@ -139,8 +139,9 @@ pub fn build_arenas(
 ///
 /// `tok_a`/`tok_b` are the promising-attribute tokenizations (shared rank
 /// space); `killed` is the blocker output `C`. Builds the per-config
-/// record arenas itself; warm-start callers that restored arenas from an
-/// artifact store should use [`run_joint_with_arenas`] instead.
+/// record arenas itself; callers that keep the arenas (an incremental
+/// session patches them) build them with [`build_arenas`] and call
+/// [`run_joint_with_arenas`] instead.
 pub fn run_joint(
     tok_a: &TokenizedTable,
     tok_b: &TokenizedTable,

@@ -1,23 +1,14 @@
 //! Cache-key derivation and artifact codecs for the persistent store.
 //!
 //! This module is the bridge between the pipeline's in-memory state and
-//! `mc-store`'s content-addressed blobs. Three artifact kinds are
-//! persisted by the pipeline (see [`mc_store::ArtifactKind`]):
+//! `mc-store`'s content-addressed blobs. The pipeline persists two
+//! artifact kinds (see [`mc_store::ArtifactKind`]):
 //!
 //! * **Tokenization** — the shared token order (`id → rank` table) plus
 //!   both tables' per-attribute sorted rank columns, keyed by the two
 //!   input tables' content digests, the promising attribute list and the
 //!   tokenizer. Loading it skips the `mc.strsim.dict.build` pass
 //!   entirely.
-//! * **Postings** — one side's record arena for one config as CSR
-//!   sections in the 64-byte-aligned layout ([`encode_arena_zc`]), keyed
-//!   by the tokenization key plus side and config positions. A warm start
-//!   copies the token and offset sections into an owned arena
-//!   ([`map_arena`]); a payload that fails validation is a miss, and the
-//!   arena is rebuilt. The pipeline no longer reads or writes the
-//!   byte-codec **Arena** kind ([`encode_arena`]/[`decode_arena`]);
-//!   store format v2 reads every artifact older builds wrote as a miss
-//!   anyway. The codec stays for tools that replay or test the store.
 //! * **CandidateUnion** — the joint stage's entire output (config masks,
 //!   `q_used`, the deduplicated pair list and per-config score matrix),
 //!   keyed by the tokenization key, the config-tree shape, every
@@ -27,6 +18,18 @@
 //!   bit-deterministic across thread counts (see [`crate::joint`]'s
 //!   module docs), so a union computed with 8 threads is byte-valid for
 //!   a 1-thread rerun.
+//!
+//! Per-config record arenas are not stored: a union miss rebuilds them
+//! from the tokenization ([`crate::joint::build_arenas`]), which costs
+//! less than publishing them did (zipf ×1, 2 vCPUs: 36 ms to build
+//! 12 arenas, 48 ms to publish them with fsync) and a restore only
+//! paid for itself after about four union misses over one
+//! tokenization. The arena codecs ([`arena_key`], [`encode_arena`] and
+//! [`decode_arena`] for the **Arena** kind, [`encode_arena_zc`] and
+//! [`map_arena`] for **Postings**) are kept only because the
+//! benchmark's replay of the former warm-arena path calls them; they go
+//! with the next benchmark change. Existing stores stay valid: nothing
+//! reads their arena files, and `gc` still counts and removes them.
 //!
 //! Every encoder walks the arena's records, so a patched arena or a
 //! masked view encodes to the bytes of its compacted copy: offsets `0`
@@ -100,7 +103,8 @@ pub fn tok_key(
 
 /// Key of one side's record arena for one config. `side` is 0 for table
 /// A, 1 for table B; `positions` are the config's positions into the
-/// promising set.
+/// promising set. The pipeline stores no arenas; kept for the
+/// benchmark's replay (module docs).
 pub fn arena_key(tok: Digest, side: u8, positions: &[usize]) -> Digest {
     let mut w = DigestWriter::new();
     w.write_str("mc-store/arena/v1");
@@ -265,7 +269,9 @@ pub fn decode_tokenization(bytes: &[u8]) -> Option<(TokenOrder, TokenizedTable, 
     Some((TokenOrder::from_rank_table(rank_table), tok_a, tok_b))
 }
 
-/// Encodes one record arena (tokens + offsets, both raw CSR parts).
+/// Encodes one record arena (tokens + offsets, both raw CSR parts). The
+/// pipeline stores no arenas; kept for the benchmark's replay (module
+/// docs).
 pub fn encode_arena(arena: &RecordArena) -> Vec<u8> {
     let mut w = ByteWriter::new();
     put_tokens(&mut w, arena);
@@ -274,7 +280,8 @@ pub fn encode_arena(arena: &RecordArena) -> Vec<u8> {
 }
 
 /// Decodes a record arena; validation happens in
-/// [`RecordArena::from_parts`].
+/// [`RecordArena::from_parts`]. Kept for the benchmark's replay (module
+/// docs).
 pub fn decode_arena(bytes: &[u8]) -> Option<RecordArena> {
     let mut r = ByteReader::new(bytes);
     let tokens = r.get_u32_vec()?;
@@ -301,9 +308,8 @@ const ZC_HEADER: usize = 64;
 /// ([`ArtifactKind::Postings`]): a 64-byte sub-header, the token section,
 /// padding to the next 64-byte boundary, then the offsets section.
 /// Values are little-endian, and the rank bound is the compacted copy's.
-/// Nothing reads the sections in place any more; the padding stays
-/// because the layout is part of store format v2, and changing it would
-/// turn every stored arena into a miss.
+/// The pipeline stores no arenas; the codec is kept for the benchmark's
+/// replay (module docs), and its layout is part of store format v2.
 ///
 /// [`ArtifactKind::Postings`]: mc_store::ArtifactKind::Postings
 ///
@@ -360,7 +366,7 @@ fn put_u32_section(dst: &mut [u8], vals: impl Iterator<Item = u32>) {
 /// lengths that disagree with the payload or with each other, section
 /// offsets off their 64-byte boundaries, out-of-bounds sections, or any
 /// violation [`RecordArena::from_parts`] finds. The name predates the
-/// copy; the benchmark's replay of the warm arena path calls it.
+/// copy; kept for the benchmark's replay (module docs).
 pub fn map_arena(payload: Vec<u8>) -> Option<RecordArena> {
     let b = payload.as_slice();
     if b.len() < ZC_HEADER || &b[0..8] != ZC_MAGIC {

@@ -13,9 +13,10 @@
 //! backpressure queue executing requests. Each client session wraps a
 //! [`matchcatcher::DebugSession`], so blocker-output / killed-set /
 //! label edits are **delta reruns** against resident state instead of
-//! cold runs; when the daemon is given a store root, sessions restore
-//! their config arenas through `mc-store` and publish arenas and
-//! candidate unions there; and every session attaches its own
+//! cold runs; when the daemon is given a store root, every session
+//! publishes its reports' candidate unions there through `mc-store`, so
+//! a one-shot `MatchCatcher::run` over the same inputs starts warm; and
+//! every session attaches its own
 //! [`mc_obs::ObsContext::session`], so the `metrics` verb returns
 //! exactly that session's activity.
 //!
@@ -88,9 +89,11 @@ pub struct ServeParams {
     /// see DESIGN.md.
     pub request_timeout_ms: u64,
     /// Warm artifact tier shared by every session: when set, sessions
-    /// open with `DebuggerParams::store = StoreConfig::at(root)`, so
-    /// tokenization-compatible arenas memory-map in from prior runs and
-    /// cold builds publish for the next session.
+    /// open with `DebuggerParams::store = StoreConfig::at(root)` and
+    /// publish every report's candidate union there, under the key a
+    /// one-shot `MatchCatcher::run` over the same tables derives. A
+    /// session builds its arenas from its own tokenization and reads
+    /// nothing from the store.
     pub store_root: Option<PathBuf>,
 }
 

@@ -63,7 +63,8 @@ pub enum ReqDelta {
     Explicit(TableDelta),
     /// `mc_datagen::delta::random_delta(table, fraction_of(rows, frac), seed)`.
     Scripted {
-        /// Fraction of rows to touch.
+        /// Fraction of rows to touch; a rerun answers `bad_request`
+        /// unless it lies in `[0, 1]`.
         frac: f64,
         /// RNG seed.
         seed: u64,
@@ -82,7 +83,9 @@ pub enum ReqKilled {
     Perturb {
         /// Probability of dropping each existing pair.
         unkill_rate: f64,
-        /// Fresh random pairs to add.
+        /// Fresh random pairs to add; a rerun answers `bad_request` when
+        /// the current pairs plus these, 8 bytes each, would exceed the
+        /// daemon's `max_resident_bytes`.
         kills: usize,
         /// RNG seed.
         seed: u64,

@@ -1,10 +1,10 @@
 //! Resident debug sessions: open/rerun/page/label/metrics/close over a
 //! [`matchcatcher::DebugSession`] per client session.
 //!
-//! Lifecycle: `open` runs the pipeline cold (warm-loading store
-//! artifacts when a store root is configured) and parks the live
-//! session; every later verb is a delta operation against that resident
-//! state. Sessions serialize on their own mutex — two requests to the
+//! Lifecycle: `open` runs the pipeline cold (publishing its candidate
+//! union when a store root is configured) and parks the live session;
+//! every later verb is a delta operation against that resident state.
+//! Sessions serialize on their own mutex — two requests to the
 //! *same* session queue behind each other, requests to different
 //! sessions run concurrently — and the manager's map lock is never held
 //! across pipeline work.
@@ -324,8 +324,38 @@ impl SessionManager {
         delta_b: Option<&ReqDelta>,
         killed: &ReqKilled,
     ) -> VerbResult {
+        for delta in [delta_a, delta_b].into_iter().flatten() {
+            if let ReqDelta::Scripted { frac, .. } = delta {
+                if !(0.0..=1.0).contains(frac) {
+                    return Err((
+                        ErrorCode::BadRequest,
+                        format!("scripted delta frac {frac} out of [0, 1]"),
+                    ));
+                }
+            }
+        }
         let slot = self.slot(id)?;
         let mut inner = self.lock_inner(&slot)?;
+        if let ReqKilled::Perturb { kills, .. } = killed {
+            // The perturbed set is sized for every current pair plus
+            // `kills` fresh ones, 8 bytes per pair key.
+            let bytes = inner
+                .session
+                .killed()
+                .len()
+                .saturating_add(*kills)
+                .saturating_mul(8);
+            if bytes > self.max_resident_bytes {
+                return Err((
+                    ErrorCode::BadRequest,
+                    format!(
+                        "perturb_killed kills {kills}: the killed set would need {bytes} \
+                         bytes, over the daemon's resident budget of {}",
+                        self.max_resident_bytes
+                    ),
+                ));
+            }
+        }
         let da = materialize(delta_a, inner.session.table_a(), 0x0a);
         let db = materialize(delta_b, inner.session.table_b(), 0x0b);
         let new_killed = match killed {
@@ -395,7 +425,7 @@ impl SessionManager {
         let inner = self.lock_inner(&slot)?;
         let total = inner.last.explanations.len();
         let schema = inner.session.table_a().schema().as_ref();
-        let items: Vec<JsonValue> = (offset..total.min(offset + limit))
+        let items: Vec<JsonValue> = (offset..total.min(offset.saturating_add(limit)))
             .map(|i| explain_item_json(&inner.last, i, schema))
             .collect();
         mc_obs::counter!("mc.serve.explains").inc();

@@ -10,8 +10,10 @@
 //! The debugger is iterative: the user inspects `D`, edits the blocker,
 //! and re-runs. Within one process run §4.2's joint execution already
 //! reuses overlaps and top-k lists, but every *new* process run rebuilds
-//! tokenized tables, dictionaries, per-config arenas, and the candidate
-//! union from raw CSVs. This crate persists those intermediates:
+//! tokenized tables, dictionaries and the candidate union from raw CSVs.
+//! This crate persists those intermediates (the pipeline writes
+//! tokenizations and candidate unions; per-config arenas are rebuilt
+//! from a tokenization, which is cheaper than storing them):
 //!
 //! * artifacts are **content-addressed** — the key is a stable
 //!   [`mc_table::Digest`] over the inputs that determine the artifact
@@ -28,9 +30,9 @@
 //!   `mc.store.corrupt`), falling back to a cold build.
 //!
 //! The store itself is payload-agnostic: it moves opaque byte payloads.
-//! Encoding/decoding of `TokenizedTable`s, `RecordArena`s, and
-//! `CandidateUnion`s lives next to those types (in `mc-core`), built on
-//! this crate's [`codec`].
+//! Encoding/decoding of `TokenizedTable`s and `CandidateUnion`s (and of
+//! `RecordArena`s, for the benchmark's replay) lives next to those types
+//! (in `mc-core`), built on this crate's [`codec`].
 //!
 //! ## File layout
 //!
@@ -39,8 +41,10 @@
 //!   STORE_MARKER            "mc-store/v1\n"
 //!   objects/
 //!     tok/<key-hex>.mcs     tokenization artifacts
-//!     arena/<key-hex>.mcs   per-config record arenas (byte codec)
-//!     post/<key-hex>.mcs    per-config record arenas (64-byte-aligned CSR)
+//!     arena/<key-hex>.mcs   per-config record arenas (byte codec; unused
+//!                           by the pipeline)
+//!     post/<key-hex>.mcs    per-config record arenas (64-byte-aligned CSR;
+//!                           unused by the pipeline)
 //!     union/<key-hex>.mcs   joint-stage candidate unions
 //! ```
 //!
@@ -89,17 +93,17 @@ pub enum ArtifactKind {
     /// Per-table-pair tokenizations + token order (`mc-strsim` dicts).
     Tokenization,
     /// One config's flat record arena (CSR token buffer + offsets) in
-    /// the byte codec. The pipeline publishes arenas as [`Postings`]
-    /// instead; this kind remains for tools that replay or test a store.
-    ///
-    /// [`Postings`]: ArtifactKind::Postings
+    /// the byte codec. The pipeline neither reads nor writes it; kept
+    /// for the benchmark's replay until the next benchmark change, and
+    /// so that [`Store::stats`] and [`Store::gc`] still see such files.
     Arena,
     /// The joint stage's candidate union (pairs + per-config scores).
     CandidateUnion,
     /// One config's record arena as a CSR payload whose token and
-    /// offset sections start on 64-byte boundaries; the pipeline
-    /// publishes and restores arenas as this kind. See `mc-core`'s
-    /// `store_io` for the layout.
+    /// offset sections start on 64-byte boundaries (layout in `mc-core`'s
+    /// `store_io`). The pipeline rebuilds arenas instead of storing them;
+    /// kept, like [`ArtifactKind::Arena`], for the benchmark's replay and
+    /// for the stores earlier builds filled.
     Postings,
 }
 
@@ -319,7 +323,8 @@ impl Store {
     }
 
     /// [`Store::load`] under the name the benchmark's replay of the
-    /// warm arena path calls; kept so that replay keeps compiling.
+    /// former warm-arena path calls; kept so that replay keeps compiling
+    /// until the next benchmark change.
     pub fn load_mapped(&self, kind: ArtifactKind, key: Digest) -> Option<Vec<u8>> {
         self.load(kind, key)
     }

@@ -545,3 +545,83 @@ fn blanking_a_listed_row_matches_cold() {
     let incr = rerun_matches_cold(&mc, (a, b, killed, gold), &TableDelta::new(), &delta_b);
     assert_eq!(incr.metrics.counter("mc.core.incr.records_patched"), 1);
 }
+
+/// Blanking one promising attribute in every row of both tables drops it
+/// from the promising set, so the config tree changes and the rerun
+/// rebuilds the session cold: tokenization, dictionary, arenas and
+/// lists. The report must equal a cold session over the patched tables,
+/// and the rebuilt state must keep patching exactly.
+#[test]
+fn config_tree_change_rebuilds_the_session_exactly() {
+    let (a, b, killed, gold) = fixture(17);
+    let mut params = session_params(SetMeasure::Jaccard, 1);
+    params.obs = mc_obs::ObsContext::session();
+    let mc = MatchCatcher::new(params);
+    let blanked = *mc
+        .prepare(&a, &b)
+        .promising
+        .attrs
+        .first()
+        .expect("promising attributes");
+    let blank_everywhere = |t: &Table| TableDelta {
+        updates: (0..t.len() as TupleId)
+            .map(|id| RowEdit {
+                id,
+                tuple: Tuple::new(
+                    (0..t.schema().len())
+                        .map(|i| {
+                            let attr = AttrId(i as u16);
+                            (attr != blanked)
+                                .then(|| t.value(id, attr).map(str::to_owned))
+                                .flatten()
+                        })
+                        .collect(),
+                ),
+            })
+            .collect(),
+        deletes: Vec::new(),
+        inserts: Vec::new(),
+    };
+    let mut oracle = GoldOracle::exact(&gold);
+    let (mut session, _) = mc.start_session(a, b, killed, &mut oracle);
+    let cold = |session: &matchcatcher::DebugSession| {
+        let (_, cold) = mc.start_session(
+            session.table_a().clone(),
+            session.table_b().clone(),
+            session.killed().clone(),
+            &mut GoldOracle::exact(&gold),
+        );
+        cold
+    };
+
+    let (delta_a, delta_b) = (
+        blank_everywhere(session.table_a()),
+        blank_everywhere(session.table_b()),
+    );
+    let rebuilt = session
+        .rerun(&delta_a, &delta_b, None, &mut oracle)
+        .unwrap();
+    assert_eq!(rebuilt.metrics.counter("mc.core.incr.full_rebuilds"), 1);
+    assert!(
+        !rebuilt.promising.contains(&blanked),
+        "the blanked attribute left the promising set"
+    );
+    assert_eq!(summarize(&cold(&session)), summarize(&rebuilt));
+
+    // Rows copied from the patched table keep the attribute blank, so
+    // the tree stays and this rerun patches the rebuilt state.
+    let a = session.table_a();
+    let delta_a = TableDelta {
+        updates: vec![RowEdit {
+            id: 3,
+            tuple: a.tuple(4).clone(),
+        }],
+        deletes: vec![1, 2],
+        inserts: vec![a.tuple(0).clone()],
+    };
+    let incr = session
+        .rerun(&delta_a, &TableDelta::new(), None, &mut oracle)
+        .unwrap();
+    assert_eq!(incr.metrics.counter("mc.core.incr.full_rebuilds"), 0);
+    assert_eq!(summarize(&cold(&session)), summarize(&incr));
+}

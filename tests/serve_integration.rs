@@ -526,3 +526,125 @@ fn hostile_thread_count_matches_one_thread() {
     let (_, protocol_errors) = daemon.shutdown();
     assert_eq!(protocol_errors, 0);
 }
+
+#[test]
+fn explain_with_the_largest_limit_pages_to_the_end() {
+    let daemon = Daemon::spawn(ServeParams::default()).expect("spawn");
+    let mut client = connect(&daemon);
+    let resp = client.call_ok(&open_profile_request()).expect("open");
+    let session = resp.get("session").unwrap().as_u64().expect("session id");
+    let explain = |client: &mut Client, offset: u64, limit: u64| {
+        client
+            .call_ok(&obj(vec![
+                ("verb", "explain".into()),
+                ("session", session.into()),
+                ("offset", offset.into()),
+                ("limit", limit.into()),
+            ]))
+            .expect("explain")
+    };
+    let all = explain(&mut client, 0, 1 << 20);
+    let total = all.get("total").unwrap().as_u64().unwrap();
+    assert!(total >= 2, "the fixture explains {total} matches");
+    // `offset + limit` overflows `usize` here: the page must still run
+    // to the last item.
+    let rest = explain(&mut client, 1, u64::MAX);
+    let items = rest.get("items").unwrap().as_array().unwrap();
+    assert_eq!(items.len() as u64, total - 1);
+    let tail = &all.get("items").unwrap().as_array().unwrap()[1..];
+    assert_eq!(
+        JsonValue::Arr(items.to_vec()),
+        JsonValue::Arr(tail.to_vec())
+    );
+
+    let (_, protocol_errors) = daemon.shutdown();
+    assert_eq!(protocol_errors, 0);
+}
+
+/// A `rerun` on a freshly opened fixture session: returns the error code
+/// of `request` (built from the session id), or `"ok"`.
+fn rerun_code(params: ServeParams, request: impl Fn(u64) -> JsonValue) -> String {
+    let daemon = Daemon::spawn(params).expect("spawn");
+    let mut client = connect(&daemon);
+    let resp = client.call_ok(&open_profile_request()).expect("open");
+    let session = resp.get("session").unwrap().as_u64().expect("session id");
+    let code = match client.call_ok(&request(session)) {
+        Ok(_) => "ok".to_string(),
+        Err((code, _)) => code,
+    };
+    // The session survives a refused rerun.
+    client
+        .call_ok(&obj(vec![
+            ("verb", "rerun".into()),
+            ("session", session.into()),
+        ]))
+        .expect("a plain rerun after the refused one");
+    let (_, protocol_errors) = daemon.shutdown();
+    assert_eq!(
+        protocol_errors, 0,
+        "the requests parse; only their values are refused"
+    );
+    code
+}
+
+#[test]
+fn scripted_delta_frac_outside_the_unit_interval_is_a_bad_request() {
+    let scripted = |frac: f64| {
+        move |session: u64| {
+            obj(vec![
+                ("verb", "rerun".into()),
+                ("session", session.into()),
+                (
+                    "delta_b",
+                    obj(vec![(
+                        "spec",
+                        obj(vec![("frac", JsonValue::Num(frac)), ("seed", 1u64.into())]),
+                    )]),
+                ),
+            ])
+        }
+    };
+    // 1e9 of a table's rows would ask for rows * 2.5e8 inserted tuples.
+    for frac in [1e9, 1.5, -0.25] {
+        assert_eq!(
+            rerun_code(ServeParams::default(), scripted(frac)),
+            "bad_request",
+            "frac {frac}"
+        );
+    }
+    assert_eq!(rerun_code(ServeParams::default(), scripted(0.02)), "ok");
+}
+
+#[test]
+fn perturbed_kills_past_the_resident_budget_are_a_bad_request() {
+    let perturb = |kills: u64| {
+        move |session: u64| {
+            obj(vec![
+                ("verb", "rerun".into()),
+                ("session", session.into()),
+                (
+                    "perturb_killed",
+                    obj(vec![
+                        ("unkill_rate", JsonValue::Num(0.1)),
+                        ("kills", kills.into()),
+                        ("seed", 3u64.into()),
+                    ]),
+                ),
+            ])
+        }
+    };
+    // 10^12 pair keys is 8 TB: sizing the set for them would abort the
+    // daemon, not just fail the request.
+    assert_eq!(
+        rerun_code(ServeParams::default(), perturb(1_000_000_000_000)),
+        "bad_request"
+    );
+    // The bound is the daemon's own budget: 1 MiB holds fewer than
+    // 131,072 pair keys, the killed set included.
+    let small = || ServeParams {
+        max_resident_bytes: 1 << 20,
+        ..ServeParams::default()
+    };
+    assert_eq!(rerun_code(small(), perturb(1 << 17)), "bad_request");
+    assert_eq!(rerun_code(small(), perturb(100)), "ok");
+}

@@ -4,10 +4,10 @@
 //!
 //! Contracts:
 //!
-//! * both sessions produce **byte-identical** result-bearing reports,
-//!   whether their arenas came from a cold build or a concurrent
-//!   publisher's arena artifact (first-to-publish wins is invisible in
-//!   results);
+//! * both sessions produce **byte-identical** result-bearing reports
+//!   while both publish their candidate unions to the shared store
+//!   (the same bytes under the same keys, so first-to-publish wins is
+//!   invisible in results);
 //! * each session's `ObsContext` snapshot counts only its **own**
 //!   incremental work — `mc.core.incr.*` metrics must not bleed across
 //!   concurrently attached sessions on different threads.
@@ -75,8 +75,8 @@ fn racing_sessions_share_a_store_without_bleeding() {
                     params.obs = ctx.clone();
                     let mc = MatchCatcher::new(params);
                     let mut oracle = GoldOracle::exact(&ds.gold);
-                    // Race the opens: whichever publishes arenas first,
-                    // the other may warm-load them mid-build.
+                    // Race the opens and reruns: both publish unions to
+                    // the shared store concurrently.
                     barrier.wait();
                     let (mut session, start) = mc.start_session(ds.a, ds.b, killed, &mut oracle);
                     let reruns = t as usize + 1;

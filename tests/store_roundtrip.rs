@@ -5,6 +5,8 @@
 //!   byte (ranked `D`, iteration records, recall numbers) at any thread
 //!   count, while recording store hits and **skipping** tokenization and
 //!   arena building entirely;
+//! * the pipeline stores tokenizations and candidate unions, never
+//!   arenas: a union miss rebuilds them from the stored tokenization;
 //! * corrupt or truncated artifacts must silently degrade to a cold
 //!   recomputation with identical results;
 //! * randomized tables and configs must round-trip structurally through
@@ -22,12 +24,12 @@ use matchcatcher::verify::IterationRecord;
 use matchcatcher::Config;
 use mc_blocking::{Blocker, KeyFunc};
 use mc_datagen::profiles::DatasetProfile;
-use mc_obs::MetricsSnapshot;
+use mc_obs::{MetricsSnapshot, ObsContext};
 use mc_store::{ArtifactKind, Digest, DigestWriter, Store, StoreConfig};
 use mc_strsim::arena::RecordArena;
 use mc_strsim::dict::TokenizedTable;
 use mc_strsim::tokenize::Tokenizer;
-use mc_table::{pair_key, AttrId, Schema, Table, Tuple, TupleId};
+use mc_table::{pair_key, AttrId, PairSet, Schema, Table, Tuple, TupleId};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -250,118 +252,81 @@ fn artifact_files(dir: &Path, kind: &str) -> Vec<PathBuf> {
     files
 }
 
-/// Removes every candidate union, so the next run reaches the arenas.
-fn drop_unions(dir: &Path) {
-    for path in artifact_files(dir, "union") {
-        std::fs::remove_file(path).expect("remove union");
-    }
-}
-
-/// An artifact file's payload (the bytes after its 32-byte header).
-fn payload(path: &Path) -> Vec<u8> {
-    std::fs::read(path).expect("read artifact")[32..].to_vec()
-}
-
-/// Replaces an artifact's payload, rewriting the header's length and
-/// checksum so the store still verifies the file.
-fn rewrite_payload(path: &Path, payload: &[u8]) {
-    let mut bytes = std::fs::read(path).expect("read artifact");
-    bytes.truncate(32);
-    bytes[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes[24..32].copy_from_slice(&mc_store::payload_checksum(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    std::fs::write(path, bytes).expect("write artifact");
-}
-
+/// The artifact inventory of store-backed runs: cold, warm, and a union
+/// miss (a killed set no earlier run used) over one store, then a
+/// session over the same store. The pipeline stores tokenizations and
+/// candidate unions only; a union miss rebuilds the arenas from the
+/// stored tokenization, and a session touches the store only to publish
+/// its union. Every report equals a store-less run's.
 #[test]
-fn postings_arenas_restore_warm_and_rebuild_on_corruption() {
+fn store_backed_runs_store_only_tokenizations_and_unions() {
     let _guard = SERIAL.lock().unwrap();
-    let dir = temp_store_dir("post");
-    let (cold, _) = run_once(&dir, 2);
+    let dir = temp_store_dir("inventory");
+    let ds = DatasetProfile::FodorsZagats.generate_scaled(3, 0.4);
+    let c = Blocker::Hash(KeyFunc::Attr(AttrId(0))).apply(&ds.a, &ds.b);
+    let mut pairs: Vec<(TupleId, TupleId)> = c.iter().collect();
+    pairs.sort_unstable();
+    let other_c: PairSet = pairs.iter().copied().step_by(2).collect();
+    let params = |store: Option<&Path>| {
+        let mut params = DebuggerParams::small();
+        params.joint.q = QStrategy::Fixed(1);
+        params.store = store.map(StoreConfig::at);
+        params.obs = ObsContext::session();
+        MatchCatcher::new(params)
+    };
+    let run = |store: Option<&Path>, c: &PairSet| {
+        params(store).run(&ds.a, &ds.b, c, &mut GoldOracle::exact(&ds.gold))
+    };
 
-    let post_files = artifact_files(&dir, "post");
-    assert!(!post_files.is_empty(), "arenas must be published");
-
-    // Without the unions the warm run restores every arena and builds
-    // none.
-    drop_unions(&dir);
-    let (warm, delta) = run_once(&dir, 2);
-    assert_eq!(summarize(&cold), summarize(&warm), "restored warm diverged");
+    let reference = summarize(&run(None, &c));
+    let cold = run(Some(&dir), &c);
+    assert_eq!(summarize(&cold), reference, "cold run diverged");
+    let warm = run(Some(&dir), &c);
+    assert_eq!(summarize(&warm), reference, "warm run diverged");
+    assert_eq!(warm.metrics.span("mc.core.joint.run").count, 0, "union hit");
+    let miss = run(Some(&dir), &other_c);
     assert_eq!(
-        delta.span("mc.strsim.arena.build").count,
+        summarize(&miss),
+        summarize(&run(None, &other_c)),
+        "union-miss run diverged"
+    );
+    assert_eq!(
+        miss.metrics.span("mc.strsim.dict.build").count,
         0,
-        "no arena rebuild on the restore path"
+        "the union miss loads the tokenization"
     );
-
-    // Corrupt the arena *payload* while keeping the store header valid
-    // (recompute the checksum): the store hits, `map_arena` refuses, and
-    // with no byte-codec fallback artifact the arenas rebuild — with
-    // identical results.
-    for path in &post_files {
-        let mut mangled = payload(path);
-        mangled[0] ^= 0xff; // breaks the sub-magic
-        rewrite_payload(path, &mangled);
-    }
-    drop_unions(&dir);
-    let (rebuilt, delta2) = run_once(&dir, 2);
-    assert_eq!(summarize(&cold), summarize(&rebuilt), "fallback diverged");
-    assert!(
-        delta2.counter("mc.store.decode_failed") > 0,
-        "refused payloads must be counted"
-    );
-    assert!(
-        delta2.span("mc.strsim.arena.build").count > 0,
-        "arenas must rebuild after the payload is refused"
-    );
-
-    // The rebuild republished; a third run restores cleanly again.
-    drop_unions(&dir);
-    let (third, delta3) = run_once(&dir, 2);
-    assert_eq!(summarize(&cold), summarize(&third));
     assert_eq!(
-        delta3.span("mc.strsim.arena.build").count,
-        0,
-        "restored again"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn postings_rank_past_the_tokenization_rebuilds_that_arena() {
-    let _guard = SERIAL.lock().unwrap();
-    let dir = temp_store_dir("rank");
-    let (cold, _) = run_once(&dir, 2);
-
-    // A well-formed arena payload, checksummed, whose last record ends
-    // in a rank just past the tokenization's rank table.
-    let tok_files = artifact_files(&dir, "tok");
-    assert_eq!(tok_files.len(), 1, "one tokenization");
-    let (order, _, _) =
-        store_io::decode_tokenization(&payload(&tok_files[0])).expect("tokenization decodes");
-    let post = artifact_files(&dir, "post").remove(0);
-    let arena = store_io::map_arena(payload(&post)).expect("arena decodes");
-    let mut records: Vec<Vec<u32>> = arena.iter().map(<[u32]>::to_vec).collect();
-    records
-        .last_mut()
-        .expect("arena has records")
-        .push(order.len() as u32);
-    rewrite_payload(
-        &post,
-        &store_io::encode_arena_zc(&RecordArena::from_records(&records)),
-    );
-
-    drop_unions(&dir);
-    let (again, delta) = run_once(&dir, 2);
-    assert_eq!(summarize(&cold), summarize(&again), "forged rank leaked");
-    assert_eq!(
-        delta.counter("mc.store.decode_failed"),
+        miss.metrics.span("mc.core.joint.build_arenas").count,
         1,
-        "exactly the forged arena is refused"
+        "the union miss builds the arenas once"
     );
-    assert!(
-        delta.span("mc.strsim.arena.build").count > 0,
-        "the refused arena must be rebuilt"
+    assert_eq!(
+        miss.metrics.counter("mc.store.hits"),
+        1,
+        "tokenization only"
     );
+    assert_eq!(miss.metrics.counter("mc.store.misses"), 1, "union only");
+
+    let (_, start) = params(Some(&dir)).start_session(
+        ds.a.clone(),
+        ds.b.clone(),
+        c.clone(),
+        &mut GoldOracle::exact(&ds.gold),
+    );
+    assert_eq!(summarize(&start), reference, "session start diverged");
+    let looked_up =
+        start.metrics.counter("mc.store.hits") + start.metrics.counter("mc.store.misses");
+    assert_eq!(looked_up, 0, "a session reads nothing from the store");
+    assert_eq!(start.metrics.counter("mc.store.publishes"), 1, "its union");
+
+    assert_eq!(artifact_files(&dir, "tok").len(), 1);
+    assert_eq!(artifact_files(&dir, "union").len(), 2);
+    for kind in ["post", "arena"] {
+        assert!(
+            artifact_files(&dir, kind).is_empty(),
+            "objects/{kind} must stay empty"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
