@@ -5,9 +5,9 @@
 //! — ROADMAP item 3's "fast enough to run on every session" target. The
 //! candidate union models the joint top-k output across a config tree:
 //! a seeded sample of the cross product at ~8 candidates per A-row,
-//! which under the Zipfian value distribution makes repeated value
-//! pairs (the kernel cache's bread and butter) the common case, exactly
-//! as on real data. A slice of the union plays the confirmed
+//! which under the Zipfian value distribution makes repeated values
+//! (each interned and prepared once by the kernel) the common case,
+//! exactly as on real data. A slice of the union plays the confirmed
 //! killed-match list.
 //!
 //! Two scenarios, best-of-N each:
@@ -17,8 +17,8 @@
 //!   every pair, single-threaded.
 //! * `batch` — [`DiagnosisKernel::build`] (value/token interning over
 //!   both tables, parallel per attribute) **plus**
-//!   [`DiagnosisKernel::pervasiveness`] (sharded diagnosis with the
-//!   value-pair cache). Build time is included — the speedup is
+//!   [`DiagnosisKernel::pervasiveness`] (sharded, header-driven
+//!   diagnosis of every cell). Build time is included — the speedup is
 //!   end-to-end, not amortized.
 //!
 //! The identity gate runs on every rep: the batch groups must equal the
@@ -150,7 +150,7 @@ fn main() {
     let speedup = slow_best as f64 / batch_best.max(1) as f64;
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"mc-bench-explain/v1\",\n  \"datasets\": [");
+    json.push_str("{\n  \"schema\": \"mc-bench-explain/v2\",\n  \"datasets\": [");
     let _ = write!(
         json,
         "\n    {{\"name\": \"{name}\", \"rows_a\": {}, \"rows_b\": {}, \
@@ -159,8 +159,8 @@ fn main() {
          \"allocs\": {{\"count\": {}, \"bytes\": {}}}}},\n      \
          {{\"name\": \"batch\", \"total_us\": {batch_best}, \"build_us\": {build_best}, \
          \"allocs\": {{\"count\": {}, \"bytes\": {}}}}}\n    ], \
-         \"counters\": {{\"lookups\": {}, \"cache_entries\": {}, \"cache_hits\": {}, \
-         \"distinct_values\": {}}}, \"identity\": true, \"speedup\": {speedup:.4}}}",
+         \"counters\": {{\"lookups\": {}, \"distinct_values\": {}}}, \
+         \"identity\": true, \"speedup\": {speedup:.4}}}",
         ds.a.len(),
         ds.b.len(),
         union.pairs.len(),
@@ -171,8 +171,6 @@ fn main() {
         batch_allocs.allocations,
         batch_allocs.bytes,
         stats.lookups,
-        stats.cache_entries,
-        stats.cache_hits(),
         stats.distinct_values,
     );
     json.push_str("\n  ]\n}\n");
@@ -198,10 +196,10 @@ fn main() {
         build_best as f64 / 1e3
     );
     println!(
-        "identity ok; {} groups; cache {}/{} hits; speedup {speedup:.1}x",
+        "identity ok; {} groups; {} lookups over {} distinct values; speedup {speedup:.1}x",
         slow_groups.len(),
-        stats.cache_hits(),
-        stats.lookups
+        stats.lookups,
+        stats.distinct_values
     );
     println!("wrote {out_path}");
 

@@ -18,7 +18,7 @@
 //! paper-vs-measured results.
 //!
 //! The perf-regression side of the harness lives in three support
-//! modules: [`env`] (the shared `--flag`/`MC_BENCH_SMOKE` parsing every
+//! modules: [`env`](mod@env) (the shared `--flag`/`MC_BENCH_SMOKE` parsing every
 //! bench binary uses), [`alloc`] (a counting global allocator that turns
 //! allocation pressure into a deterministic work counter), and
 //! [`compare`] (the tolerance-budget gate behind `mc bench-compare`).

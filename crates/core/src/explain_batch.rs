@@ -14,12 +14,12 @@
 //!    prepared (tokenized, normalized, sorted, abbreviation forms,
 //!    numeric parse) exactly once. On Zipfian data the distinct count is
 //!    a small fraction of the row count.
-//! 2. **Sharded diagnosis cache** — per attribute, a sharded
-//!    `(id_a, id_b) → Diagnosis` map. Repeated value pairs (the common
-//!    case once heads of a Zipfian distribution collide across the
-//!    union) cost one lookup. The diagnosis function is pure, so a
-//!    racing duplicate computation is harmless — both writers insert the
-//!    same value and the output is scheduling-independent.
+//! 2. **Direct, header-driven diagnosis** — every cell with both values
+//!    present runs the cascade on its two value ids; each value's
+//!    one-cache-line fingerprint (`ValueHeader`) rejects most checks
+//!    before the deep forms load. There is no value-pair memo: on the
+//!    committed explain profile one served under 5% of lookups, and the
+//!    sweep ran faster without it.
 //! 3. **Pair sharding** — batch entry points split the pair list into
 //!    one contiguous share per allowed worker, claimed by the workers of
 //!    the CPU budget ([`mc_obs::par`]), each with its own scratch,
@@ -27,154 +27,29 @@
 //!
 //! The kernel is **bit-identical** to the per-pair path by construction
 //! (the prepared cascade mirrors `diagnose_values` branch for branch,
-//! reusing the same [`bounded_edit_distance`] early-exit kernel) and by
-//! proof (`tests/explain_properties.rs` drives a randomized oracle over
-//! every diagnosis class; the `explain_baseline` bench asserts equality
-//! again at zipf scale).
+//! reusing the same
+//! [`bounded_edit_distance`](mc_strsim::measures::bounded_edit_distance)
+//! early-exit kernel) and by proof (`tests/explain_properties.rs` drives
+//! a randomized oracle over every diagnosis class; the
+//! `explain_baseline` bench asserts equality again at zipf scale).
 
 use crate::explain::{summarize_problems, Diagnosis, MatchExplanation};
 use crate::joint::CandidateUnion;
 use crate::pervasive::{ProblemClass, ProblemGroup, Signature};
 use mc_strsim::dict::{is_strict_sorted_subset, ValueDict};
 use mc_strsim::measures::{bounded_edit_distance_chars, EditScratch};
-use mc_table::hash::{hash_u64, FxHashMap, FxHashSet};
+use mc_table::hash::{FxHashMap, FxHashSet};
 use mc_table::{split_pair_key, AttrId, Table, TupleId};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 std::thread_local! {
     /// Per-thread edit-distance buffers (two char operands + DP rows):
     /// the diagnosis hot loop runs on fan-out workers, so a
     /// thread-local keeps every worker allocation-free without
-    /// threading scratch through the cache.
+    /// threading scratch through the sweeps.
     static EDIT_SCRATCH: RefCell<(Vec<char>, Vec<char>, EditScratch)> =
         RefCell::new((Vec::new(), Vec::new(), EditScratch::default()));
-}
-
-/// One byte for a [`Diagnosis`] — tag in the high nibble, `SmallEdit`
-/// payload (≤ 3, the DP cutoff) in the low nibble. Used to pack a cache
-/// entry into a single atomic word.
-fn encode_diag(d: Diagnosis) -> u8 {
-    match d {
-        Diagnosis::Exact => 0,
-        Diagnosis::CaseOrPunct => 0x10,
-        Diagnosis::MissingOneSide => 0x20,
-        Diagnosis::MissingBoth => 0x30,
-        Diagnosis::Abbreviation => 0x40,
-        Diagnosis::WordReorder => 0x50,
-        Diagnosis::TokenSubset => 0x60,
-        Diagnosis::SmallEdit(k) => 0x70 | (k & 0xF),
-        Diagnosis::NumericClose => 0x80,
-        Diagnosis::Different => 0x90,
-    }
-}
-
-/// Inverse of [`encode_diag`].
-fn decode_diag(b: u8) -> Diagnosis {
-    match b >> 4 {
-        0 => Diagnosis::Exact,
-        1 => Diagnosis::CaseOrPunct,
-        2 => Diagnosis::MissingOneSide,
-        3 => Diagnosis::MissingBoth,
-        4 => Diagnosis::Abbreviation,
-        5 => Diagnosis::WordReorder,
-        6 => Diagnosis::TokenSubset,
-        7 => Diagnosis::SmallEdit(b & 0xF),
-        8 => Diagnosis::NumericClose,
-        _ => Diagnosis::Different,
-    }
-}
-
-/// Lock-free memo table for `(id_a, id_b) → Diagnosis`.
-///
-/// A flat open-addressing array of `AtomicU64` words, each packing
-/// `key << 8 | encode_diag(diagnosis) + 1` (`0` = empty slot), sized at
-/// build so the common probe touches exactly one cache line and an
-/// insert is one compare-and-swap — no locks, no rehashing. The
-/// diagnosis function is pure, so a racing duplicate computation is
-/// benign: both writers would store the identical word, and whichever
-/// CAS wins the reader decodes the same value. A `Mutex<FxHashMap>`
-/// overflow tier absorbs the (never expected) case of the flat table
-/// filling past its load limit, keeping correctness unconditional.
-struct PairCache {
-    /// Packed `key << 8 | diag + 1` words; `0` = empty.
-    slots: Vec<AtomicU64>,
-    /// `slots.len() - 1` (power-of-two sizing).
-    mask: usize,
-    /// Flat-tier fill limit (¾ of slots) — beyond it, new keys go to
-    /// `overflow` so linear probes stay short and always terminate.
-    limit: u64,
-    /// Occupied flat slots.
-    filled: AtomicU64,
-    /// Spill tier for keys that arrive after `limit` is hit.
-    overflow: Mutex<FxHashMap<u64, Diagnosis>>,
-}
-
-impl PairCache {
-    /// Sizes the flat tier for a column with `distinct` prepared values:
-    /// distinct *pairs* seen by real sweeps are a small multiple of the
-    /// distinct value count, so 8× slots keeps the load factor low.
-    fn for_distinct(distinct: usize) -> PairCache {
-        let slots = distinct.saturating_mul(8).next_power_of_two().max(1024);
-        PairCache {
-            slots: (0..slots).map(|_| AtomicU64::new(0)).collect(),
-            mask: slots - 1,
-            limit: (slots as u64 / 4) * 3,
-            filled: AtomicU64::new(0),
-            overflow: Mutex::new(FxHashMap::default()),
-        }
-    }
-
-    /// Looks up `key` (< 2^56), computing and publishing the diagnosis
-    /// on first sight. Lock-free on the flat tier.
-    fn get_or_insert_with(&self, key: u64, f: impl FnOnce() -> Diagnosis) -> Diagnosis {
-        debug_assert!(key < 1 << 56);
-        let mut f = Some(f);
-        let mut computed: Option<Diagnosis> = None;
-        // Fx-style multiply mixes the *high* bits well and the low bits
-        // poorly — fold the top half down before masking.
-        let h = hash_u64(key);
-        let mut idx = ((h >> 32) ^ h) as usize & self.mask;
-        loop {
-            let w = self.slots[idx].load(Ordering::Acquire);
-            if w != 0 {
-                if w >> 8 == key {
-                    return decode_diag((w & 0xFF) as u8 - 1);
-                }
-                idx = (idx + 1) & self.mask;
-                continue;
-            }
-            // Empty slot ⇒ `key` is not in the flat tier (no deletions,
-            // so a stored key's probe chain never crosses an empty).
-            if self.filled.load(Ordering::Relaxed) >= self.limit {
-                let mut map = self.overflow.lock().unwrap();
-                return *map
-                    .entry(key)
-                    .or_insert_with(|| computed.unwrap_or_else(|| (f.take().unwrap())()));
-            }
-            let d = *computed.get_or_insert_with(|| (f.take().unwrap())());
-            let word = (key << 8) | (encode_diag(d) as u64 + 1);
-            match self.slots[idx].compare_exchange(0, word, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    self.filled.fetch_add(1, Ordering::Relaxed);
-                    return d;
-                }
-                Err(cur) if cur >> 8 == key => {
-                    return decode_diag((cur & 0xFF) as u8 - 1);
-                }
-                Err(_) => {
-                    // Another key claimed this slot; keep probing.
-                    idx = (idx + 1) & self.mask;
-                }
-            }
-        }
-    }
-
-    /// Distinct keys stored across both tiers.
-    fn entries(&self) -> u64 {
-        self.filled.load(Ordering::Relaxed) + self.overflow.lock().unwrap().len() as u64
-    }
 }
 
 /// Histogram bins in [`ValueHeader::hist`].
@@ -571,8 +446,8 @@ impl AttrColumn {
     }
 }
 
-/// One attribute's columnar state: value-id columns for both tables,
-/// prepared forms per distinct value, and the sharded diagnosis cache.
+/// One attribute's columnar state: value-id columns for both tables and
+/// the prepared forms of every distinct value.
 struct AttrColumn {
     /// Row → value id for table A ([`ValueDict::MISSING`] = `None`).
     col_a: Vec<u32>,
@@ -586,11 +461,6 @@ struct AttrColumn {
     text: String,
     /// Shared id arena for all token sequences (appearance + sorted).
     tok_arena: Vec<u32>,
-    /// `(id_a, id_b) → Diagnosis` memo (flat lock-free tier + spill).
-    cache: PairCache,
-    /// Value ids exceed 28 bits (never in practice) — keys then use the
-    /// overflow tier with full-width packing.
-    wide_ids: bool,
 }
 
 impl AttrColumn {
@@ -624,8 +494,6 @@ impl AttrColumn {
             headers.push(h);
             values.push(v);
         }
-        let cache = PairCache::for_distinct(values.len());
-        let wide_ids = values.len() >= (1 << 28);
         AttrColumn {
             col_a,
             col_b,
@@ -633,53 +501,27 @@ impl AttrColumn {
             values,
             text,
             tok_arena,
-            cache,
-            wide_ids,
         }
-    }
-
-    /// Cached diagnosis for a cell with both sides present.
-    fn diagnose_present(&self, va: u32, vb: u32) -> Diagnosis {
-        if self.wide_ids {
-            let key = ((va as u64) << 32) | vb as u64;
-            let mut map = self.cache.overflow.lock().unwrap();
-            return *map.entry(key).or_insert_with(|| self.diagnose_ids(va, vb));
-        }
-        let key = ((va as u64) << 28) | vb as u64;
-        self.cache
-            .get_or_insert_with(key, || self.diagnose_ids(va, vb))
-    }
-
-    /// Distinct `(id_a, id_b)` pairs diagnosed so far.
-    fn cache_entries(&self) -> u64 {
-        self.cache.entries()
     }
 }
 
-/// Deterministic cache statistics for one kernel.
+/// Deterministic work statistics for one kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
     /// Distinct values interned across all attributes (both tables).
     pub distinct_values: u64,
-    /// Cell diagnoses requested with both sides present. Deterministic:
-    /// a pure function of the tables and the pair lists.
+    /// Cell diagnoses run with both sides present. Deterministic: a
+    /// pure function of the tables and the pair lists.
     pub lookups: u64,
-    /// Distinct `(value_a, value_b)` pairs actually computed — the cache
-    /// resident set. Deterministic even under racing workers (duplicate
-    /// computations insert the same key).
-    pub cache_entries: u64,
 }
 
-impl KernelStats {
-    /// Lookups served from the cache (`lookups - cache_entries`).
-    pub fn cache_hits(&self) -> u64 {
-        self.lookups.saturating_sub(self.cache_entries)
-    }
-}
+/// Attributes per packed signature word: one nibble each (class count
+/// is 6 < 15).
+const ATTRS_PER_WORD: usize = 16;
 
 /// The batch diagnosis engine. Build once per `(A, B)` table pair, then
 /// run any number of batch explain / signature / pervasiveness passes
-/// against it; the diagnosis cache persists across calls.
+/// against it; the prepared columns are shared by every call.
 pub struct DiagnosisKernel {
     attrs: Vec<AttrId>,
     cols: Vec<AttrColumn>,
@@ -716,7 +558,7 @@ impl DiagnosisKernel {
         }
     }
 
-    /// Diagnoses one pair across every schema attribute — the cached
+    /// Diagnoses one pair across every schema attribute — the batch
     /// equivalent of [`crate::explain::explain_match`]'s body.
     pub fn diagnose_pair(&self, aid: TupleId, bid: TupleId) -> Vec<(AttrId, Diagnosis)> {
         let mut lookups = 0u64;
@@ -724,13 +566,13 @@ impl DiagnosisKernel {
             .attrs
             .iter()
             .zip(&self.cols)
-            .map(|(&attr, col)| (attr, self.cell(col, aid, bid, &mut lookups)))
+            .map(|(&attr, col)| (attr, Self::cell(col, aid, bid, &mut lookups)))
             .collect();
         self.lookups.fetch_add(lookups, Ordering::Relaxed);
         out
     }
 
-    fn cell(&self, col: &AttrColumn, aid: TupleId, bid: TupleId, lookups: &mut u64) -> Diagnosis {
+    fn cell(col: &AttrColumn, aid: TupleId, bid: TupleId, lookups: &mut u64) -> Diagnosis {
         let va = col.col_a[aid as usize];
         let vb = col.col_b[bid as usize];
         match (va == ValueDict::MISSING, vb == ValueDict::MISSING) {
@@ -739,7 +581,7 @@ impl DiagnosisKernel {
             _ => {}
         }
         *lookups += 1;
-        col.diagnose_present(va, vb)
+        col.diagnose_ids(va, vb)
     }
 
     /// Explains every pair (one [`MatchExplanation`] each, in input
@@ -751,86 +593,46 @@ impl DiagnosisKernel {
         })
     }
 
-    /// Problem signatures for every pair, in input order — the batch
-    /// equivalent of [`Signature::of`] per pair.
-    pub fn signatures(&self, pairs: &[(TupleId, TupleId)]) -> Vec<Signature> {
-        self.par_map(pairs, |(x, y)| self.signature_of(x, y))
+    /// `u64` words per packed signature: enough nibbles for every
+    /// attribute, and at least one, so a pair always owns a slot.
+    fn sig_words(&self) -> usize {
+        self.attrs.len().div_ceil(ATTRS_PER_WORD).max(1)
     }
 
-    /// One pair's signature without materializing the diagnosis list —
-    /// clean pairs (the common case in a candidate union) allocate
-    /// nothing.
-    fn signature_of(&self, x: TupleId, y: TupleId) -> Signature {
+    /// Writes the packed signatures of `pairs` into `out` (zeroed,
+    /// [`Self::sig_words`] words per pair): nibble `i % 16` of word
+    /// `i / 16` holds `class + 1` for the `i`-th kernel attribute (`0` =
+    /// no problem), so a clean pair is all zeros and no per-pair
+    /// allocation ever happens. The sweep is *columnar*: one full pass
+    /// over `pairs` per attribute, so a pass's working set is a single
+    /// column's headers instead of every attribute's interleaved.
+    /// Returns the lookups made.
+    fn sweep(&self, pairs: &[(TupleId, TupleId)], out: &mut [u64]) -> u64 {
+        let words = self.sig_words();
         let mut lookups = 0u64;
-        let mut problems = Vec::new();
-        for (&attr, col) in self.attrs.iter().zip(&self.cols) {
-            let d = self.cell(col, x, y, &mut lookups);
-            if let Some(c) = ProblemClass::from_diagnosis(d) {
-                problems.push((attr, c));
-            }
-        }
-        self.lookups.fetch_add(lookups, Ordering::Relaxed);
-        Signature::from_problems(problems)
-    }
-
-    /// Whether the schema is narrow enough for [`Self::packed_signature_of`]
-    /// (one nibble per attribute in a `u64`; class count is 6 < 15).
-    fn can_pack(&self) -> bool {
-        self.attrs.len() <= 16
-    }
-
-    /// [`Self::signature_of`] as a packed `u64` — nibble `i` holds
-    /// `class + 1` for the `i`-th kernel attribute (`0` = no problem),
-    /// so a clean pair is `0` and no per-pair allocation ever happens.
-    /// Only valid when [`Self::can_pack`].
-    fn packed_signature_of(&self, x: TupleId, y: TupleId) -> u64 {
-        let mut lookups = 0u64;
-        let mut packed = 0u64;
         for (i, col) in self.cols.iter().enumerate() {
-            let d = self.cell(col, x, y, &mut lookups);
-            if let Some(c) = ProblemClass::from_diagnosis(d) {
-                packed |= (c as u64 + 1) << (4 * i);
-            }
-        }
-        self.lookups.fetch_add(lookups, Ordering::Relaxed);
-        packed
-    }
-
-    /// Packed signatures for every pair, in input order. Unlike
-    /// [`Self::packed_signature_of`] per pair, the sweep is *columnar*:
-    /// each worker runs one full pass over its chunk per attribute, so
-    /// a pass's working set is a single column's headers and cache
-    /// table (LLC-resident at debugger scale) instead of every
-    /// attribute's interleaved. Lookup counts are batched per chunk.
-    /// Only valid when [`Self::can_pack`].
-    fn packed_signatures(&self, pairs: &[(TupleId, TupleId)]) -> Vec<u64> {
-        let sweep = |chunk: &[(TupleId, TupleId)], out: &mut [u64]| -> u64 {
-            let mut lookups = 0u64;
-            for (i, col) in self.cols.iter().enumerate() {
-                let shift = 4 * i as u32;
-                for (&(x, y), slot) in chunk.iter().zip(out.iter_mut()) {
-                    let va = col.col_a[x as usize];
-                    let vb = col.col_b[y as usize];
-                    let d = match (va == ValueDict::MISSING, vb == ValueDict::MISSING) {
-                        (true, true) => Diagnosis::MissingBoth,
-                        (true, false) | (false, true) => Diagnosis::MissingOneSide,
-                        _ => {
-                            lookups += 1;
-                            col.diagnose_present(va, vb)
-                        }
-                    };
-                    if let Some(c) = ProblemClass::from_diagnosis(d) {
-                        *slot |= (c as u64 + 1) << shift;
-                    }
+            let word = i / ATTRS_PER_WORD;
+            let shift = 4 * (i % ATTRS_PER_WORD) as u32;
+            for (&(x, y), sig) in pairs.iter().zip(out.chunks_exact_mut(words)) {
+                let d = Self::cell(col, x, y, &mut lookups);
+                if let Some(c) = ProblemClass::from_diagnosis(d) {
+                    sig[word] |= (c as u64 + 1) << shift;
                 }
             }
-            lookups
-        };
-        let mut out = vec![0u64; pairs.len()];
+        }
+        lookups
+    }
+
+    /// Packed signatures for every pair, in input order, [`Self::sweep`]
+    /// run over one contiguous share of the pairs per worker. Lookup
+    /// counts are batched per share.
+    fn packed_signatures(&self, pairs: &[(TupleId, TupleId)]) -> Vec<u64> {
+        let words = self.sig_words();
+        let mut out = vec![0u64; pairs.len() * words];
         let per = mc_obs::par::share_len(pairs.len(), self.threads);
-        let mut jobs: Vec<_> = pairs.chunks(per).zip(out.chunks_mut(per)).collect();
+        let mut jobs: Vec<_> = pairs.chunks(per).zip(out.chunks_mut(per * words)).collect();
         mc_obs::par::for_each(&mut jobs, self.threads, |(chunk_in, chunk_out)| {
-            let lookups = sweep(chunk_in, chunk_out);
+            let lookups = self.sweep(chunk_in, chunk_out);
             self.lookups.fetch_add(lookups, Ordering::Relaxed);
         });
         out
@@ -838,13 +640,13 @@ impl DiagnosisKernel {
 
     /// Expands a packed signature back into the [`Signature`] the
     /// per-pair oracle would have produced.
-    fn unpack_signature(&self, packed: u64) -> Signature {
+    fn unpack_signature(&self, packed: &[u64]) -> Signature {
         let problems = self
             .attrs
             .iter()
             .enumerate()
             .filter_map(|(i, &attr)| {
-                let nib = (packed >> (4 * i)) & 0xF;
+                let nib = (packed[i / ATTRS_PER_WORD] >> (4 * (i % ATTRS_PER_WORD))) & 0xF;
                 if nib == 0 {
                     return None;
                 }
@@ -874,53 +676,25 @@ impl DiagnosisKernel {
         let pairs: Vec<(TupleId, TupleId)> =
             union.pairs.iter().map(|&k| split_pair_key(k)).collect();
         let confirmed_set: FxHashSet<(TupleId, TupleId)> = confirmed.iter().copied().collect();
-        let mut out: Vec<ProblemGroup> = if self.can_pack() {
-            // Fast path: group by the packed `u64` signature — the full
-            // `Signature` materializes once per *group*, never per pair.
-            let sigs = self.packed_signatures(&pairs);
-            let mut groups: FxHashMap<u64, ProblemGroup> = FxHashMap::default();
-            for (&(x, y), packed) in pairs.iter().zip(sigs) {
-                if packed == 0 {
-                    continue;
-                }
-                let g = groups.entry(packed).or_insert_with(|| ProblemGroup {
-                    signature: self.unpack_signature(packed),
-                    pairs: Vec::new(),
-                    confirmed: 0,
-                });
-                if confirmed_set.contains(&(x, y)) {
-                    g.confirmed += 1;
-                }
-                g.pairs.push((x, y));
+        // Group by the packed word slice — the full `Signature`
+        // materializes once per *group*, never per pair.
+        let sigs = self.packed_signatures(&pairs);
+        let mut groups: FxHashMap<&[u64], ProblemGroup> = FxHashMap::default();
+        for (&(x, y), packed) in pairs.iter().zip(sigs.chunks_exact(self.sig_words())) {
+            if packed.iter().all(|&w| w == 0) {
+                continue;
             }
-            groups.into_values().collect()
-        } else {
-            let sigs = self.signatures(&pairs);
-            let mut groups: FxHashMap<Signature, ProblemGroup> = FxHashMap::default();
-            for (&(x, y), sig) in pairs.iter().zip(sigs) {
-                if sig.is_clean() {
-                    continue;
-                }
-                // check-then-insert instead of `entry(sig.clone())`: the
-                // signature is cloned once per *group*, not once per pair.
-                if !groups.contains_key(&sig) {
-                    groups.insert(
-                        sig.clone(),
-                        ProblemGroup {
-                            signature: sig.clone(),
-                            pairs: Vec::new(),
-                            confirmed: 0,
-                        },
-                    );
-                }
-                let g = groups.get_mut(&sig).expect("just inserted");
-                if confirmed_set.contains(&(x, y)) {
-                    g.confirmed += 1;
-                }
-                g.pairs.push((x, y));
+            let g = groups.entry(packed).or_insert_with(|| ProblemGroup {
+                signature: self.unpack_signature(packed),
+                pairs: Vec::new(),
+                confirmed: 0,
+            });
+            if confirmed_set.contains(&(x, y)) {
+                g.confirmed += 1;
             }
-            groups.into_values().collect()
-        };
+            g.pairs.push((x, y));
+        }
+        let mut out: Vec<ProblemGroup> = groups.into_values().collect();
         out.sort_by(|x, y| {
             y.confirmed
                 .cmp(&x.confirmed)
@@ -939,46 +713,42 @@ impl DiagnosisKernel {
     ) -> Vec<(TupleId, TupleId)> {
         let pairs: Vec<(TupleId, TupleId)> =
             union.pairs.iter().map(|&k| split_pair_key(k)).collect();
-        if self.can_pack() {
-            // Packed subsignature test: at most one problem class per
-            // attribute, so "other exhibits every problem in target"
-            // means every non-zero target nibble matches exactly.
-            let target = self.packed_signature_of(killed_match.0, killed_match.1);
-            let mask = nibble_mask(target);
-            let sigs = self.packed_signatures(&pairs);
-            return pairs
-                .into_iter()
-                .zip(sigs)
-                .filter(|&((x, y), sig)| (x, y) != killed_match && sig & mask == target)
-                .map(|(p, _)| p)
-                .collect();
-        }
-        let target = self.signature_of(killed_match.0, killed_match.1);
-        let sigs = self.signatures(&pairs);
+        // Packed subsignature test: at most one problem class per
+        // attribute, so "other exhibits every problem in target" means
+        // every non-zero target nibble matches exactly, word by word.
+        let words = self.sig_words();
+        let mut target = vec![0u64; words];
+        let lookups = self.sweep(&[killed_match], &mut target);
+        self.lookups.fetch_add(lookups, Ordering::Relaxed);
+        let mask: Vec<u64> = target.iter().map(|&w| nibble_mask(w)).collect();
+        let sigs = self.packed_signatures(&pairs);
         pairs
             .into_iter()
-            .zip(sigs)
-            .filter(|&((x, y), ref sig)| (x, y) != killed_match && target.is_subsignature_of(sig))
+            .zip(sigs.chunks_exact(words))
+            .filter(|&((x, y), sig)| {
+                (x, y) != killed_match
+                    && sig
+                        .iter()
+                        .zip(&mask)
+                        .zip(&target)
+                        .all(|((&s, &m), &t)| s & m == t)
+            })
             .map(|(p, _)| p)
             .collect()
     }
 
-    /// Deterministic cache statistics (see [`KernelStats`]).
+    /// Deterministic work statistics (see [`KernelStats`]).
     pub fn stats(&self) -> KernelStats {
         KernelStats {
             distinct_values: self.cols.iter().map(|c| c.values.len() as u64).sum(),
             lookups: self.lookups.load(Ordering::Relaxed),
-            cache_entries: self.cols.iter().map(AttrColumn::cache_entries).sum(),
         }
     }
 
-    /// Records the kernel's cache behaviour into the attached metrics
-    /// context (`mc.core.explain.*`).
+    /// Records the kernel's diagnosis count into the attached metrics
+    /// context (`mc.core.explain.diagnosed`).
     pub fn publish_counters(&self) {
-        let stats = self.stats();
-        mc_obs::counter!("mc.core.explain.diagnosed").add(stats.lookups);
-        mc_obs::counter!("mc.core.explain.cache_entries").add(stats.cache_entries);
-        mc_obs::counter!("mc.core.explain.cache_hits").add(stats.cache_hits());
+        mc_obs::counter!("mc.core.explain.diagnosed").add(self.stats().lookups);
     }
 
     /// Maps `f` over `pairs` preserving order, one contiguous share per
@@ -1146,7 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_dedupes_repeated_value_pairs() {
+    fn repeated_values_intern_once_and_every_cell_counts_a_lookup() {
         let schema = Arc::new(Schema::from_names(["city"]));
         let mut a = Table::new("A", Arc::clone(&schema));
         let mut b = Table::new("B", schema);
@@ -1163,8 +933,6 @@ mod tests {
         let stats = kernel.stats();
         assert_eq!(stats.distinct_values, 2);
         assert_eq!(stats.lookups, 50);
-        assert_eq!(stats.cache_entries, 1);
-        assert_eq!(stats.cache_hits(), 49);
     }
 
     #[test]

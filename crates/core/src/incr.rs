@@ -362,12 +362,14 @@ impl DebugSession {
     }
 
     /// Estimated resident heap footprint of the session's pipeline
-    /// state, in bytes: raw tables, tokenized rank columns, per-config
-    /// arenas, maintained top-K lists and every pooled join scratch,
-    /// whose buffers are `O(|A| + |B| + postings)`. An *estimate* for
-    /// eviction budgeting (`mc-serve`'s max-resident-bytes policy), not
-    /// an allocator-exact accounting: per-allocation headers and `Vec`
-    /// slack are approximated by a flat per-row constant.
+    /// state, in bytes: raw tables, the incremental table statistics
+    /// (a lowercased key per distinct value per attribute), tokenized
+    /// rank columns, per-config arenas, maintained top-K lists and every
+    /// pooled join scratch, whose buffers are `O(|A| + |B| + postings)`.
+    /// An *estimate* for eviction budgeting (`mc-serve`'s
+    /// max-resident-bytes policy), not an allocator-exact accounting:
+    /// per-allocation headers and `Vec` slack are approximated by flat
+    /// per-row and per-entry constants.
     pub fn resident_bytes(&self) -> usize {
         const PER_VEC: usize = 24; // Vec header (ptr, len, cap)
         let mut total = 0usize;
@@ -381,6 +383,7 @@ impl DebugSession {
                 }
             }
         }
+        total += self.stats_a.resident_bytes() + self.stats_b.resident_bytes();
         // Live tokens plus one `(start, end)` span per record; garbage
         // spans pending compaction are deliberately not billed.
         let arena_bytes = |arena: &RecordArena| arena.total_tokens() * 4 + arena.len() * 8;
@@ -1173,6 +1176,40 @@ mod tests {
         let warm = session.resident_bytes();
         session.scratch_pool.clear();
         assert_eq!(warm - session.resident_bytes(), warmed + helper_bytes);
+    }
+
+    #[test]
+    fn resident_bytes_counts_the_table_statistics() {
+        let (a, b, killed, gold) = fixture();
+        let mut oracle = GoldOracle::exact(&gold);
+        let (mut session, _) = MatchCatcher::new(params()).start_session(a, b, killed, &mut oracle);
+        let stats_bytes =
+            |s: &DebugSession| s.stats_a.resident_bytes() + s.stats_b.resident_bytes();
+        let counted = stats_bytes(&session);
+        assert!(counted > 0, "the statistics own a key per distinct value");
+        // An insert with values no row holds yet adds keys.
+        let mut fresh = session.table_a().tuple(0).clone();
+        for attr in session.table_a().schema().attr_ids() {
+            fresh.set(attr, Some(format!("unseen value {}", attr.index())));
+        }
+        let delta_a = TableDelta {
+            updates: Vec::new(),
+            deletes: Vec::new(),
+            inserts: vec![fresh],
+        };
+        session
+            .rerun(&delta_a, &TableDelta::new(), None, &mut oracle)
+            .unwrap();
+        assert!(stats_bytes(&session) > counted, "fresh values add keys");
+        // Dropping the statistics takes exactly their bytes off the total.
+        let before = session.resident_bytes();
+        let grown = stats_bytes(&session);
+        let schema = session.table_a().schema().clone();
+        let empty = || IncrTableStats::compute(&Table::new("E", schema.clone()));
+        session.stats_a = empty();
+        session.stats_b = empty();
+        assert_eq!(stats_bytes(&session), 0);
+        assert_eq!(before - session.resident_bytes(), grown);
     }
 
     /// Each config's maintenance is one job, fanned out at most

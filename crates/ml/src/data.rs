@@ -4,7 +4,7 @@
 //! row-major `f64` buffer (mc-core's `FeatureMatrix`); [`RowsView`] is
 //! the borrowed window mc-ml trains and predicts from — no per-row
 //! allocations, no ownership transfer, prefetch-friendly sequential
-//! scans. The [`Samples`] trait unifies that flat layout with the
+//! scans. The crate-internal `Samples` trait unifies that flat layout with the
 //! classic `&[Vec<f64>]` API so both share one tree-growing core.
 
 /// A borrowed row-major matrix: one contiguous buffer plus a stride.

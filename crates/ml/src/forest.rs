@@ -165,7 +165,7 @@ impl RandomForest {
     }
 
     /// `(confidence, mean_proba)` for each row of `rows` selected by
-    /// `idx`, scored in parallel chunks of [`PREDICT_CHUNK`] rows across
+    /// `idx`, scored in parallel chunks of `PREDICT_CHUNK` rows across
     /// up to `threads` workers (`0` = all cores). Row order is preserved and
     /// results are identical at any thread count.
     pub fn score_batch(

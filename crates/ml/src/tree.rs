@@ -5,7 +5,7 @@
 //! forest's decorrelation device); single trees can pass
 //! `features_per_split = all`.
 //!
-//! Training is generic over [`Samples`](crate::data::Samples): the same
+//! Training is generic over the crate-internal `Samples` trait: the same
 //! growing core fits owned `Vec<f64>` rows and index slices into a shared
 //! flat matrix (the forest's clone-free bootstrap path). Because splits
 //! are only placed between *distinct* sorted feature values, a node's

@@ -130,7 +130,7 @@ impl JsonValue {
             JsonValue::Num(n) => write_num(*n, out),
             JsonValue::Str(s) => {
                 out.push('"');
-                out.push_str(&escape(s));
+                escape_into(s, out);
                 out.push('"');
             }
             JsonValue::Arr(items) => {
@@ -150,7 +150,7 @@ impl JsonValue {
                         out.push(',');
                     }
                     out.push('"');
-                    out.push_str(&escape(k));
+                    escape_into(k, out);
                     out.push_str("\":");
                     v.write(out);
                 }
@@ -220,15 +220,33 @@ fn write_num(n: f64, out: &mut String) {
 /// Shared by every emitter in the workspace: snapshot/report writers,
 /// the Prometheus/trace exporters, and the `mc-serve` wire codec.
 pub fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+    let mut out = String::with_capacity(s.len());
+    escape_into(s, &mut out);
+    out
+}
+
+/// [`escape`], appended to `out` in one pass: runs that need no escape
+/// are copied as slices, so the only allocations are `out` growing.
+/// Every escaped character is ASCII, so byte offsets are char bounds.
+fn escape_into(s: &str, out: &mut String) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            _ => {
+                use std::fmt::Write;
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 struct Parser<'a> {

@@ -17,7 +17,7 @@
 //!   few relaxed atomic ops; the [`counter!`]/[`gauge!`]/[`histogram!`]
 //!   macros cache the resolved handle per call site per thread, keyed by
 //!   the current context's epoch.
-//! * **Spans** ([`span`]) — RAII timed regions with thread-local parent
+//! * **Spans** ([`span`](mod@span)) — RAII timed regions with thread-local parent
 //!   tracking. Durations feed per-name histograms; completions feed the
 //!   owning context's **flight recorder**, a fixed-capacity ring buffer
 //!   of the most recent spans/events for post-hoc debugging of a run.

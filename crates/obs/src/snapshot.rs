@@ -3,7 +3,7 @@
 //! bench harness.
 //!
 //! [`MetricsSnapshot::capture`] freezes the **current**
-//! [`ObsContext`](crate::ObsContext) — the global one unless a session
+//! [`ObsContext`] — the global one unless a session
 //! context is attached, so pre-existing callers keep their process-wide
 //! semantics while scoped callers get per-session numbers for free.
 //! Registries are cumulative for the life of their context, so callers

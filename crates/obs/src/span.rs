@@ -8,7 +8,7 @@
 //! buffer holding the most recent completed spans, cheap enough to leave
 //! on in production and dump when a run needs debugging.
 //!
-//! Spans resolve their [`ObsContext`](crate::ObsContext) when entered,
+//! Spans resolve their [`ObsContext`] when entered,
 //! so a span opened inside an attached session scope lands in that
 //! session's recorder and histogram registry (and, via metric chaining,
 //! in the global histogram too). Each context owns its own recorder, so
@@ -108,7 +108,7 @@ impl FlightRecorder {
 }
 
 /// The process-global flight recorder (the global
-/// [`ObsContext`](crate::ObsContext)'s).
+/// [`ObsContext`]'s).
 pub fn flight_recorder() -> &'static FlightRecorder {
     ObsContext::global().recorder()
 }

@@ -6,7 +6,7 @@
 //! - **accept thread**: blocks on [`std::net::TcpListener::accept`],
 //!   spawns one reader thread per connection.
 //! - **reader threads**: block on their socket with a short read
-//!   timeout, parse frames, and enqueue [`Job`]s. Each job carries a
+//!   timeout, parse frames, and enqueue `Job`s. Each job carries a
 //!   reply channel; the reader writes responses back in request order,
 //!   so one connection is a sequential script while different
 //!   connections interleave freely in the pool.
@@ -22,7 +22,7 @@
 //! [`SessionManager::execute`]) and `mc.serve.<verb>.encode_us` (response
 //! encoding plus the frame write).
 //!
-//! Shutdown (`shutdown` verb or [`DaemonHandle::shutdown`]) is a
+//! Shutdown (`shutdown` verb or [`Daemon::shutdown`]) is a
 //! **graceful drain**: the flag flips, the listener is woken by a
 //! self-connection and stops accepting, readers answer `shutting_down`
 //! to new requests and exit at their next idle poll, workers finish the

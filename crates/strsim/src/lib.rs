@@ -15,9 +15,7 @@
 //!   prefix upper bounds the top-k join relies on;
 //! * [`prefix`] — prefix lengths and length filters for threshold joins;
 //! * [`join`] — prefix-filtering threshold similarity joins (the execution
-//!   engine behind SIM blockers, §2 of the paper);
-//! * [`jaro`] — Jaro / Jaro-Winkler similarity for short name-like
-//!   strings.
+//!   engine behind SIM blockers, §2 of the paper).
 //!
 //! Tokens are interned to dense `u32` ranks ordered by ascending document
 //! frequency, so a record is a sorted `u32` slice and every similarity
@@ -25,7 +23,6 @@
 
 pub mod arena;
 pub mod dict;
-pub mod jaro;
 pub mod join;
 pub mod measures;
 pub mod prefix;
@@ -33,7 +30,6 @@ pub mod tokenize;
 
 pub use arena::RecordArena;
 pub use dict::{TokenDict, TokenizedTable};
-pub use jaro::{jaro, jaro_winkler, jaro_winkler_above};
 pub use measures::{
     bounded_edit_distance, edit_distance, edit_similarity, multiset_overlap, overlap_bound_key,
     overlap_with_bound, required_overlap, required_overlap_keyed, within_edit_distance, SetMeasure,

@@ -100,13 +100,6 @@ pub fn fx_set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
     FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
 }
 
-/// Hashes a single `u64` with the Fx scheme, without constructing a
-/// hasher (the explain kernel's pair cache probes with it).
-#[inline]
-pub fn hash_u64(x: u64) -> u64 {
-    x.rotate_left(5).wrapping_mul(SEED64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,12 +152,5 @@ mod tests {
         assert!(s.contains("x"));
         let m: FxHashMap<u32, u32> = fx_map_with_capacity(8);
         assert!(m.capacity() >= 8);
-    }
-
-    #[test]
-    fn hash_u64_spreads_low_bits() {
-        // Dense small integers should land in different shards (top bits).
-        let shards: HashSet<u64> = (0..64u64).map(|i| hash_u64(i) >> 58).collect();
-        assert!(shards.len() > 16, "poor shard spread: {}", shards.len());
     }
 }

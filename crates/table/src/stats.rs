@@ -271,6 +271,20 @@ impl IncrTableStats {
         }
     }
 
+    /// Estimated heap bytes the counters own: every distinct-value key's
+    /// capacity plus a flat per-entry map overhead (the key's `String`
+    /// header, its count, the control byte and load-factor slack). An
+    /// estimate for eviction budgeting, not an allocator-exact count.
+    pub fn resident_bytes(&self) -> usize {
+        const PER_ENTRY: usize = 40;
+        self.attrs
+            .iter()
+            .map(|st| {
+                st.counts.len() * PER_ENTRY + st.counts.keys().map(String::capacity).sum::<usize>()
+            })
+            .sum()
+    }
+
     /// Converts the counters into the [`TableStats`] a fresh
     /// [`TableStats::compute`] over the same rows would produce.
     pub fn snapshot(&self, table: &Table) -> TableStats {

@@ -59,10 +59,8 @@ fn main() {
     }
     let stats = kernel.stats();
     println!(
-        "\nkernel: {} diagnoses served from {} cached value pairs ({} hits)",
-        stats.lookups,
-        stats.cache_entries,
-        stats.cache_hits()
+        "\nkernel: {} diagnoses over {} distinct values",
+        stats.lookups, stats.distinct_values
     );
 
     // Drill into the first confirmed match.

@@ -25,7 +25,7 @@
 //! directory and the second run skips tokenization and every join.
 //!
 //! `trace` runs the same pipeline inside its own session
-//! [`ObsContext`](mc_obs::ObsContext) and writes the run's spans and
+//! [`mc_obs::ObsContext`] and writes the run's spans and
 //! events as a Chrome/Perfetto trace (load the file in `about:tracing`
 //! or <https://ui.perfetto.dev>). `--snapshot` and `--prom` additionally
 //! write the session's `mc-obs/v2` JSON and OpenMetrics renderings —

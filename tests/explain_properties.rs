@@ -65,6 +65,32 @@ fn random_table(name: &str, schema: &Arc<Schema>, rows: usize, rng: &mut StdRng)
     t
 }
 
+/// A table whose cells mostly repeat one shared value, so pairs show few
+/// problems and signatures repeat across pairs; a `noise` share of the
+/// cells is drawn from the pool instead.
+fn mostly_clean_table(
+    name: &str,
+    schema: &Arc<Schema>,
+    rows: usize,
+    noise: f64,
+    rng: &mut StdRng,
+) -> Table {
+    let mut t = Table::new(name, Arc::clone(schema));
+    for _ in 0..rows {
+        let row: Vec<Option<String>> = (0..schema.len())
+            .map(|_| {
+                if rng.random_bool(noise) {
+                    POOL[rng.random_range(0..POOL.len())].map(str::to_string)
+                } else {
+                    Some("dave smith".to_string())
+                }
+            })
+            .collect();
+        t.push(Tuple::new(row));
+    }
+    t
+}
+
 /// A synthetic candidate union: a random subset of the cross product,
 /// with two configs' worth of random scores (some absent).
 fn random_union(n_a: usize, n_b: usize, frac: f64, rng: &mut StdRng) -> CandidateUnion {
@@ -95,6 +121,20 @@ fn batch_diagnoses_equal_per_pair_oracle_on_every_cell() {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random_table("A", &schema, 30, &mut rng);
         let b = random_table("B", &schema, 30, &mut rng);
+        // Every cell with both values present is one lookup, and every
+        // distinct present value, per attribute across both tables, is
+        // interned once.
+        let mut present_cells = 0u64;
+        let mut distinct_values = 0u64;
+        for attr in schema.attr_ids() {
+            let col_a = (0..a.len() as TupleId).map(|x| a.value(x, attr));
+            let col_b = (0..b.len() as TupleId).map(|y| b.value(y, attr));
+            let present_a = col_a.clone().flatten().count() as u64;
+            let present_b = col_b.clone().flatten().count() as u64;
+            present_cells += present_a * present_b;
+            let distinct: HashSet<&str> = col_a.chain(col_b).flatten().collect();
+            distinct_values += distinct.len() as u64;
+        }
         for threads in [1usize, 4] {
             let kernel = DiagnosisKernel::build(&a, &b, threads);
             for x in 0..a.len() as TupleId {
@@ -113,9 +153,13 @@ fn batch_diagnoses_equal_per_pair_oracle_on_every_cell() {
                 }
             }
             let stats = kernel.stats();
-            assert!(
-                stats.cache_hits() > 0,
-                "a pool-drawn table must produce repeated value pairs"
+            assert_eq!(
+                stats.lookups, present_cells,
+                "seed {seed} threads {threads}"
+            );
+            assert_eq!(
+                stats.distinct_values, distinct_values,
+                "seed {seed} threads {threads}"
             );
         }
     }
@@ -174,6 +218,64 @@ fn batch_pervasiveness_and_similar_pairs_equal_slow_path() {
                 "seed {seed}: similar_pairs({m:?}) diverges"
             );
         }
+    }
+}
+
+/// A schema wider than one packed signature word (16 attributes): the
+/// kernel's sweep spreads each signature over two words, and grouping and
+/// the similar-pairs mask must still match the per-pair path.
+#[test]
+fn wide_schema_pervasiveness_and_similar_pairs_equal_slow_path() {
+    let names: Vec<String> = (0..20).map(|i| format!("f{i}")).collect();
+    let schema = Arc::new(Schema::from_names(names));
+    for seed in [3u64, 0xabc] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = mostly_clean_table("A", &schema, 30, 0.06, &mut rng);
+        let b = mostly_clean_table("B", &schema, 30, 0.06, &mut rng);
+        let union = random_union(a.len(), b.len(), 0.4, &mut rng);
+        let confirmed: Vec<(TupleId, TupleId)> = union
+            .pairs
+            .iter()
+            .step_by(11)
+            .map(|&k| mc_table::split_pair_key(k))
+            .collect();
+        let slow = pervasive::pervasiveness(&a, &b, &union, &confirmed);
+        assert!(
+            slow.iter().any(|g| g.pairs.len() > 1),
+            "seed {seed}: some signature must be shared"
+        );
+        assert!(
+            slow.iter().any(|g| g
+                .signature
+                .problems()
+                .iter()
+                .any(|(attr, _)| attr.index() >= 16)),
+            "seed {seed}: some problem must sit past the first signature word"
+        );
+        let mut similar_found = false;
+        for threads in [1usize, 4] {
+            let kernel = DiagnosisKernel::build(&a, &b, threads);
+            let fast = kernel.pervasiveness(&union, &confirmed);
+            assert_eq!(fast.len(), slow.len(), "seed {seed}: group counts diverge");
+            for (f, s) in fast.iter().zip(&slow) {
+                assert_eq!(f.signature, s.signature, "seed {seed} threads {threads}");
+                assert_eq!(f.pairs, s.pairs, "seed {seed} threads {threads}");
+                assert_eq!(f.confirmed, s.confirmed, "seed {seed} threads {threads}");
+            }
+            for &m in confirmed.iter().take(6) {
+                let sim = kernel.similar_pairs(&union, m);
+                assert_eq!(
+                    sim,
+                    pervasive::similar_pairs(&a, &b, &union, m),
+                    "seed {seed} threads {threads}: similar_pairs({m:?}) diverges"
+                );
+                similar_found |= !sim.is_empty();
+            }
+        }
+        assert!(
+            similar_found,
+            "seed {seed}: some similar-pair list must be non-empty"
+        );
     }
 }
 

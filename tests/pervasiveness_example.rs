@@ -74,12 +74,27 @@ fn pervasiveness_example_scenario_holds() {
     // (a killed match with no blocker problem would be unexplainable).
     assert!(attributed > 0, "killed matches must land in problem groups");
 
-    // Zipfian value reuse: the cache must have deduplicated work.
+    // The sweep diagnoses every union cell with both values present,
+    // and restaurant data repeats values, so interning prepares fewer
+    // values than the tables hold cells.
     let stats = kernel.stats();
-    assert!(stats.lookups > 0);
+    let present = |t: &mc_table::Table, id: u32, attr| t.value(id, attr).is_some();
+    let expected_lookups: usize = union
+        .pairs
+        .iter()
+        .map(|&k| {
+            let (x, y) = mc_table::split_pair_key(k);
+            schema
+                .attr_ids()
+                .filter(|&f| present(&ds.a, x, f) && present(&ds.b, y, f))
+                .count()
+        })
+        .sum();
+    assert_eq!(stats.lookups, expected_lookups as u64);
+    let cells = (ds.a.len() + ds.b.len()) * schema.len();
     assert!(
-        stats.cache_hits() > 0,
-        "restaurant data repeats values; the cache must hit"
+        stats.distinct_values < cells as u64,
+        "restaurant data repeats values; interning must dedupe them"
     );
 
     // Drill-down: similar pairs of a killed match equal the slow path
