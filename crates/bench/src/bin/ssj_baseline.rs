@@ -11,6 +11,10 @@
 //!   total, best of `--runs` repetitions);
 //! * `config_us` — sum of per-config join spans in the best run.
 //!
+//! Its `counters` are that run's `mc.core.ssj.{events, scored,
+//! merge_aborts, position_pruned}` (the last counts the partners the
+//! positional prefilter skipped before any scoring work).
+//!
 //! The main numbers run with a fixed `q = 1` so the candidate sets stay
 //! comparable across versions; a separate `auto_q` section per profile
 //! runs empirical q selection and reports its work (`events` and
@@ -54,6 +58,7 @@ struct ProfileReport {
     events: u64,
     scored: u64,
     merge_aborts: u64,
+    position_pruned: u64,
     allocs: AllocStats,
     tokenize_allocs: AllocStats,
     auto_q: AutoQReport,
@@ -163,6 +168,7 @@ fn run_profile(
         events: delta.counter("mc.core.ssj.events"),
         scored: delta.counter("mc.core.ssj.scored"),
         merge_aborts: delta.counter("mc.core.ssj.merge_aborts"),
+        position_pruned: delta.counter("mc.core.ssj.position_pruned"),
         allocs,
         tokenize_allocs,
         auto_q,
@@ -200,7 +206,7 @@ fn main() {
     ];
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"mc-bench-ssj/v3\",\n  \"profiles\": [");
+    json.push_str("{\n  \"schema\": \"mc-bench-ssj/v4\",\n  \"profiles\": [");
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {
             json.push(',');
@@ -210,7 +216,7 @@ fn main() {
             "\n    {{\"name\": \"{}\", \"scale\": {}, \"k\": {}, \"configs\": {}, \
              \"candidates\": {}, \"stages\": {{\"tokenize_us\": {}, \"joint_us\": {}, \
              \"config_us\": {}}}, \"counters\": {{\"events\": {}, \"scored\": {}, \
-             \"merge_aborts\": {}}}, \
+             \"merge_aborts\": {}, \"position_pruned\": {}}}, \
              \"allocs\": {{\"count\": {}, \"bytes\": {}, \"tokenize_count\": {}}}, \
              \"auto_q\": {{\"q_used\": {}, \"select_q_us\": {}, \"joint_us\": {}, \
              \"events\": {}, \"scored\": {}}}}}",
@@ -225,6 +231,7 @@ fn main() {
             r.events,
             r.scored,
             r.merge_aborts,
+            r.position_pruned,
             r.allocs.allocations,
             r.allocs.bytes,
             r.tokenize_allocs.allocations,

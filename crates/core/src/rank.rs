@@ -91,11 +91,18 @@ impl RankedLists {
 
 /// MedRank global order: item indexes best-first. Ties broken by item
 /// index (the union is already sorted by best score, so this is
-/// deterministic and sensible).
+/// deterministic and sensible). Each item's median is computed once.
 pub fn medrank_order(ranked: &RankedLists) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..ranked.items()).collect();
-    order.sort_by_key(|&i| (ranked.median_rank(i), i));
-    order
+    order_by_rank(ranked.items(), |i| ranked.median_rank(i))
+}
+
+/// Items `0..items` ascending by `(rank(i), i)`, calling `rank` once per
+/// item: the keys allocate, and a sort would call a key function twice
+/// per comparison.
+fn order_by_rank(items: usize, rank: impl Fn(usize) -> u32) -> Vec<usize> {
+    let mut keyed: Vec<(u32, usize)> = (0..items).map(|i| (rank(i), i)).collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Per-list weights for WMR.
@@ -135,11 +142,12 @@ impl WmrWeights {
     }
 }
 
-/// WMR global order under the given weights.
+/// WMR global order under the given weights (ties by item index, each
+/// item's weighted median computed once).
 pub fn wmr_order(ranked: &RankedLists, weights: &WmrWeights) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..ranked.items()).collect();
-    order.sort_by_key(|&i| (ranked.weighted_median_rank(i, weights.weights()), i));
-    order
+    order_by_rank(ranked.items(), |i| {
+        ranked.weighted_median_rank(i, weights.weights())
+    })
 }
 
 #[cfg(test)]
@@ -230,6 +238,37 @@ mod tests {
         assert!(w.weights()[0] > w.weights()[1]);
         let sum: f64 = w.weights().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn orders_equal_the_per_comparison_key_sort() {
+        // Random ranked lists with many ties (ranks from a small range,
+        // missing items sharing the last rank): computing each key once
+        // gives exactly the order a sort calling the key per comparison
+        // gave.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        for case in 0..200 {
+            let items = next(40) as usize;
+            let lists = 1 + next(7) as usize;
+            let ranks: Vec<Vec<u32>> = (0..lists)
+                .map(|_| (0..items).map(|_| 1 + next(6) as u32).collect())
+                .collect();
+            let ranked = RankedLists { ranks, items };
+            let mut medrank: Vec<usize> = (0..items).collect();
+            medrank.sort_by_key(|&i| (ranked.median_rank(i), i));
+            assert_eq!(medrank_order(&ranked), medrank, "case {case}");
+            let mut w = WmrWeights::uniform(lists);
+            w.update(&(0..lists).map(|_| next(4) as usize).collect::<Vec<_>>());
+            let mut wmr: Vec<usize> = (0..items).collect();
+            wmr.sort_by_key(|&i| (ranked.weighted_median_rank(i, w.weights()), i));
+            assert_eq!(wmr_order(&ranked, &w), wmr, "case {case}");
+        }
     }
 
     #[test]

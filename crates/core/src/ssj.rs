@@ -30,7 +30,8 @@
 //! per-record bounds) and tokens are dense dictionary ranks, so the inverted index
 //! is a **`Vec`-indexed postings array** rather than a hash map, and
 //! each posting carries the number of copies of its token the posting
-//! record's prefix holds. Together with a per-record *current-token run
+//! record's prefix holds and the 0-indexed position of the first copy
+//! (see "Positional prefilter"). Together with a per-record *current-token run
 //! counter* this removes the two per-event `partition_point` binary
 //! searches the occurrence check used to need: a record's own occurrence
 //! count is maintained incrementally as its prefix extends, and a
@@ -59,27 +60,54 @@
 //! A prune counts every still-queued event plus the popped one in
 //! `bound_pruned`.
 //!
+//! For the Overlap measure the prefix bound needs a lower bound on the
+//! partner's length (its score divides by the shorter record): the join
+//! passes the shortest non-empty record over both arenas, which is sound
+//! for either side, so one bucket table serves both.
+//!
+//! ## Positional prefilter
+//!
+//! Take the prober `r` at 0-indexed position `p` with token `t`, its
+//! `occ`-th copy, and a partner `o` whose prefix holds at least `occ`
+//! copies of `t`, the first at `o`'s position `pos_o`. Whatever the pair
+//! shares below `t` is in both prefixes already; what it can still
+//! share lies after this copy of `t` in both records, so its overlap is
+//! at most `common + min(|r| − p − 1, |o| − pos_o − occ)`, where
+//! `common` counts this incidence. The loop only acts on pairs whose
+//! count is at most `q` here (a discovery at 1, a score at `q`), so it
+//! caps the overlap at `q + min(|r| − p − 1, |o| − pos_o − occ)` (and at
+//! the shorter record) and tests the cap against the overlap the list's
+//! gate requires (served by the scratch's bound memo). A partner below it is
+//! skipped before anything else happens, counted in
+//! `mc.core.ssj.position_pruned`: its score cannot pass the gate now,
+//! and the gate only rises, so it would have been refuted whenever it
+//! reached `q`. Lists, `events`, `scored` and `bound_pruned` are
+//! therefore those of the unfiltered loop; `candidates`, `merge_aborts`
+//! and `killed_skipped` count only pairs that passed the test.
+//! [`topk_semi_join`] applies the same test at each pair's first
+//! incidence.
+//!
 //! ## Pair counts without pair states
 //!
 //! A pair is *discovered* at its first common prefix token and scored
 //! at its `q`-th. Both need the pair's common count, which the loop
-//! derives instead of storing. Take the prober `r` at position `p` with
-//! token `t`, its `occ`-th copy, and a partner `o` whose prefix holds at
-//! least `occ` copies of `t`. Records are sorted, so `o`'s prefix holds
-//! every token of `o` below `t`, and `r`'s prefix holds every token of
-//! `r` below `t` plus `occ − 1` copies of `t`. Their common count before
-//! this incidence is thus `Σ_{u<t} min(copies_r(u), copies_o(u)) + occ −
-//! 1`. The sum is what a walk of the partner-side postings of `r`'s
-//! completed token runs accumulates, with `copies_o(u)` read off `o`'s
-//! posting. The loop keeps it in a generation-stamped per-partner array,
-//! the same shape as [`topk_semi_join`]'s per-probe pair states. It
-//! extends the array in place while `r`'s events run back to back (no
-//! partner prefix changes in between) and rebuilds it on any other
-//! event. Records put their rarest tokens first, so the walk covers the
-//! shortest postings lists, and at `p = 0` there is nothing to walk. A
-//! count of 1 is a discovery, a count of `q` is scored, and any other
-//! count was handled at an earlier incidence. Seeded pairs sit in a
-//! small sorted set consulted only at those two counts, so they are
+//! derives instead of storing. With `r`, `t`, `occ` and `o` as above,
+//! records are sorted, so `o`'s prefix holds every token of `o` below
+//! `t`, and `r`'s prefix holds every token of `r` below `t` plus `occ −
+//! 1` copies of `t`. Their common count before this incidence is thus
+//! `Σ_{u<t} min(copies_r(u), copies_o(u)) + occ − 1`. The sum is what a
+//! walk of the partner-side postings of `r`'s completed token runs
+//! accumulates, with `copies_o(u)` read off `o`'s posting. The loop
+//! keeps it in a generation-stamped per-partner array, the same shape as
+//! [`topk_semi_join`]'s per-probe pair states, and builds or extends it
+//! only once some partner of the event survives the positional
+//! prefilter. It extends the array in place while `r`'s events run back
+//! to back (no partner prefix changes in between) and rebuilds it on any
+//! other event. Records put their rarest tokens first, so the walk
+//! covers the shortest postings lists, and at `p = 0` there is nothing
+//! to walk. A count of 1 is a discovery, a count of `q` is scored, and
+//! any other count was handled at an earlier incidence. Seeded pairs sit
+//! in a small sorted set consulted only at those two counts, so they are
 //! never discovered and never rescored.
 //!
 //! ## One scoring path
@@ -292,6 +320,30 @@ struct BoundMemo {
 const BOUND_MEMO_MAX: usize = 1 << 12;
 
 impl BoundMemo {
+    /// The overlap a pair of records of lengths `la` and `lb` needs to
+    /// score strictly above `gate` ([`required_overlap_keyed`]: equal to
+    /// the exact bound when it is reachable, above `min(la, lb)` when it
+    /// is not).
+    #[inline]
+    fn required(&mut self, measure: SetMeasure, la: usize, lb: usize, gate: f64) -> usize {
+        let key = overlap_bound_key(measure, la, lb);
+        if key >= BOUND_MEMO_MAX {
+            return required_overlap_keyed(measure, gate, key);
+        }
+        if self.gate != gate {
+            self.gate = gate;
+            self.by_key.clear();
+        }
+        if self.by_key.len() <= key {
+            self.by_key.resize(key + 1, u32::MAX);
+        }
+        let slot = &mut self.by_key[key];
+        if *slot == u32::MAX {
+            *slot = required_overlap_keyed(measure, gate, key) as u32;
+        }
+        *slot as usize
+    }
+
     /// Threshold-gated score: `Some(s)` **iff** `measure.score(ra, rb)`
     /// is strictly above `gate`, with `s` bit-identical to it. This is
     /// [`SetMeasure::score_above`] with the required overlap served from
@@ -304,25 +356,19 @@ impl BoundMemo {
         rb: &[u32],
         gate: f64,
     ) -> Option<f64> {
-        let key = overlap_bound_key(measure, ra.len(), rb.len());
-        let o_min = if key >= BOUND_MEMO_MAX {
-            required_overlap_keyed(measure, gate, key)
-        } else {
-            if self.gate != gate {
-                self.gate = gate;
-                self.by_key.clear();
-            }
-            if self.by_key.len() <= key {
-                self.by_key.resize(key + 1, u32::MAX);
-            }
-            let slot = &mut self.by_key[key];
-            if *slot == u32::MAX {
-                *slot = required_overlap_keyed(measure, gate, key) as u32;
-            }
-            *slot as usize
-        };
+        let o_min = self.required(measure, ra.len(), rb.len(), gate);
         let o = merge(ra, rb, o_min)?;
         Some(measure.from_overlap(o, ra.len(), rb.len()))
+    }
+
+    /// The positional prefilter's test (module docs): true if a pair of
+    /// records of lengths `la` and `lb` whose overlap is at most `cap`
+    /// provably scores at or below `gate`. Capping at the shorter record
+    /// keeps the outcome equal to the exact bound's, also where that
+    /// bound is unreachable.
+    #[inline]
+    fn prunes(&mut self, measure: SetMeasure, la: usize, lb: usize, cap: usize, gate: f64) -> bool {
+        cap.min(la.min(lb)) < self.required(measure, la, lb, gate)
     }
 }
 
@@ -342,21 +388,25 @@ fn merge(ra: &[u32], rb: &[u32], o_min: usize) -> Option<usize> {
 struct Work {
     /// Queue events (the event loop) or prefix tokens (the semi-join).
     events: u64,
-    /// Pairs discovered at their first common prefix token.
+    /// Pairs discovered at their first common prefix token that passed
+    /// the positional prefilter there.
     candidates: u64,
     /// Completed merges.
     scored: u64,
     /// Merges refuted by the gate before completion.
     merge_aborts: u64,
     /// `Σ |ra| + |rb|` over scoring attempts, aborted merges included: a
-    /// machine-independent proxy for scoring cost that gating does not
-    /// change, so [`select_q`]'s cost model is stable across kernels.
+    /// machine-independent proxy for scoring cost that merge gating does
+    /// not change, so [`select_q`]'s cost model is stable across kernels.
+    /// A partner the positional prefilter skips makes no attempt.
     scored_tokens: u64,
-    /// Pairs that reached `q` common tokens but are in the blocker
-    /// output.
+    /// Pairs that reached `q` common tokens and passed the positional
+    /// prefilter but are in the blocker output.
     killed_skipped: u64,
     /// Events (or prefix tokens) the prefix bound pruned.
     bound_pruned: u64,
+    /// Partners the positional prefilter skipped.
+    position_pruned: u64,
 }
 
 impl Work {
@@ -368,6 +418,7 @@ impl Work {
         mc_obs::counter!("mc.core.ssj.merge_aborts").add(self.merge_aborts);
         mc_obs::counter!("mc.core.ssj.killed_skipped").add(self.killed_skipped);
         mc_obs::counter!("mc.core.ssj.bound_pruned").add(self.bound_pruned);
+        mc_obs::counter!("mc.core.ssj.position_pruned").add(self.position_pruned);
     }
 }
 
@@ -408,11 +459,19 @@ fn offer(
 
 /// Prefix bound with a token *credit* for QJoin's deferred pairs: an
 /// unscored pair may already hold up to `credit = q − 1` common tokens,
-/// so its achievable overlap is `min(la, rem + credit)`.
+/// so its achievable overlap is `min(la, rem + credit)`. `min_other` is
+/// a lower bound on the partner's length (see [`shortest_record`]),
+/// which only the Overlap measure reads.
 #[inline]
-fn bound_with_credit(measure: SetMeasure, la: usize, p: usize, credit: usize) -> f64 {
+fn bound_with_credit(
+    measure: SetMeasure,
+    la: usize,
+    p: usize,
+    credit: usize,
+    min_other: usize,
+) -> f64 {
     if credit == 0 {
-        return measure.prefix_ubound(la, p, 1);
+        return measure.prefix_ubound(la, p, min_other);
     }
     let rem = (la - p + 1 + credit).min(la) as f64;
     let la_f = la as f64;
@@ -420,8 +479,20 @@ fn bound_with_credit(measure: SetMeasure, la: usize, p: usize, credit: usize) ->
         SetMeasure::Jaccard => rem / la_f,
         SetMeasure::Cosine => (rem / la_f).sqrt(),
         SetMeasure::Dice => 2.0 * rem / (la_f + rem),
-        SetMeasure::Overlap => 1.0,
+        SetMeasure::Overlap => (rem / la.min(min_other.max(1)) as f64).min(1.0),
     }
+}
+
+/// The shortest non-empty record over both arenas (1 if there is none):
+/// a lower bound on any partner's length on either side, and so the
+/// `min_other` of [`bound_with_credit`].
+fn shortest_record(arenas: [&RecordArena; 2]) -> usize {
+    arenas
+        .iter()
+        .flat_map(|arena| arena.iter().map(<[u32]>::len))
+        .filter(|&len| len > 0)
+        .min()
+        .unwrap_or(1)
 }
 
 /// Empty-link sentinel of [`BucketQueue`]'s lists and "no owner" for the
@@ -442,8 +513,8 @@ const SEMI_SCORED: u32 = 1 << 31;
 /// The event loop's exact priority queue: a monotone bucket queue with
 /// one bucket per distinct prefix-bound value.
 ///
-/// An event's bound is `bound_with_credit(measure, len, p, credit)` of
-/// its record's length and next 1-indexed position, so
+/// An event's bound is `bound_with_credit(measure, len, p, credit,
+/// min_other)` of its record's length and next 1-indexed position, so
 /// [`BucketQueue::reset`] tabulates it for every (length, position) the
 /// instance can produce, numbers the distinct bit patterns by descending
 /// value and maps every (length, position) to its bucket. Buckets open
@@ -493,6 +564,10 @@ impl BucketQueue {
                 self.row[rec.len()] = 0;
             }
         }
+        // The shortest length present is `shortest_record` of the arenas.
+        let min_other = (1..self.row.len())
+            .find(|&len| self.row[len] != ABSENT)
+            .unwrap_or(1);
         let mut total = 0u32;
         for (len, row) in self.row.iter_mut().enumerate().skip(1) {
             if *row != ABSENT {
@@ -500,7 +575,8 @@ impl BucketQueue {
                 total += len as u32;
             }
         }
-        let bound = |len: usize, p: usize| bound_with_credit(measure, len, p, credit).to_bits();
+        let bound =
+            |len: usize, p: usize| bound_with_credit(measure, len, p, credit, min_other).to_bits();
         self.bits.clear();
         self.bits.reserve(total as usize);
         for len in 1..self.row.len() {
@@ -587,14 +663,25 @@ impl BucketQueue {
     }
 }
 
+/// One entry of a token's postings list: a record whose prefix holds
+/// the token.
+#[derive(Clone, Copy)]
+struct Posting {
+    rec: TupleId,
+    /// Copies of the token the record's prefix holds (a duplicate bumps
+    /// the entry its first copy made).
+    copies: u32,
+    /// 0-indexed position of the record's first copy of the token.
+    pos: u32,
+}
+
 /// A dense (rank-indexed) inverted index over the records' prefixes.
 ///
-/// `lists[rank]` holds `(record, copies)` postings: every record whose
-/// prefix contains `rank`, with the number of copies the prefix holds.
-/// Reset clears only the lists touched by the previous join.
+/// `lists[rank]` holds one [`Posting`] per record whose prefix contains
+/// `rank`. Reset clears only the lists touched by the previous join.
 #[derive(Default)]
 struct DensePostings {
-    lists: Vec<Vec<(TupleId, u32)>>,
+    lists: Vec<Vec<Posting>>,
     touched: Vec<u32>,
 }
 
@@ -766,6 +853,40 @@ fn next_acc_gen(gen: &mut u32, acc: &mut [AccSlot]) -> u32 {
     *gen
 }
 
+/// Extends the event loop's accumulator over the prober's completed
+/// token runs from `*upto` to `run_start`: every partner posted under a
+/// run's token `u` gains `min(copies_r(u), copies_o(u))`. Records are
+/// ordered rarest token first, so these are the shortest postings lists.
+#[inline]
+fn extend_acc(
+    rec: &[u32],
+    upto: &mut usize,
+    run_start: usize,
+    lists: &[Vec<Posting>],
+    acc: &mut [AccSlot],
+    gen: u32,
+) {
+    while *upto < run_start {
+        let u = rec[*upto];
+        let mut end = *upto + 1;
+        while rec[end] == u {
+            end += 1;
+        }
+        let copies = (end - *upto) as u32;
+        for posting in &lists[u as usize] {
+            let slot = &mut acc[posting.rec as usize];
+            if slot.stamp != gen {
+                *slot = AccSlot {
+                    stamp: gen,
+                    count: 0,
+                };
+            }
+            slot.count += posting.copies.min(copies);
+        }
+        *upto = end;
+    }
+}
+
 /// Slack for comparisons between a *prefix bound* and the list
 /// threshold. Bounds and scores are computed by different floating-point
 /// expression trees, so a bound that equals a later score in exact
@@ -912,42 +1033,49 @@ pub fn topk_join_with_scratch(
         // accumulator's sum. The count is at least `occ`, so beyond `q`
         // no pair can be discovered or reach `q`.
         if !partners.is_empty() && occ as usize <= q {
-            if acc_owner == NIL {
-                next_acc_gen(acc_gen, acc);
-                acc_owner = key;
-                acc_upto = 0;
-            }
-            let gen = *acc_gen;
-            // Extend over our completed runs before `tok`'s. Records are
-            // ordered rarest token first, so these are the shortest
-            // postings lists.
-            let run_start = p + 1 - occ as usize;
-            while acc_upto < run_start {
-                let u = rec[acc_upto];
-                let mut end = acc_upto + 1;
-                while rec[end] == u {
-                    end += 1;
-                }
-                let copies = (end - acc_upto) as u32;
-                for &(o, o_copies) in &postings[other].lists[u as usize] {
-                    let slot = &mut acc[o as usize];
-                    if slot.stamp != gen {
-                        *slot = AccSlot {
-                            stamp: gen,
-                            count: 0,
-                        };
-                    }
-                    slot.count += o_copies.min(copies);
-                }
-                acc_upto = end;
-            }
-            for &(o, o_count) in partners {
+            let len = rec.len();
+            // Tokens after this one in our own record.
+            let rest = len - p - 1;
+            let other_arena = if side == 0 {
+                inst.records_b
+            } else {
+                inst.records_a
+            };
+            let mut gate = k_list.gate();
+            for &Posting {
+                rec: o,
+                copies: o_count,
+                pos: o_pos,
+            } in partners
+            {
                 // The pair's prefix multiset overlap grows by one exactly
                 // when the partner's prefix already holds ≥ occ copies of
                 // this token (its posting counts them).
                 if o_count < occ {
                     continue;
                 }
+                // Positional prefilter: decided before the accumulator
+                // is touched (module docs).
+                let o_len = other_arena.record_len(o);
+                let o_rest = o_len - o_pos as usize - occ as usize;
+                if memo.prunes(params.measure, len, o_len, q + rest.min(o_rest), gate) {
+                    work.position_pruned += 1;
+                    continue;
+                }
+                if acc_owner == NIL {
+                    next_acc_gen(acc_gen, acc);
+                    acc_owner = key;
+                    acc_upto = 0;
+                }
+                let gen = *acc_gen;
+                extend_acc(
+                    rec,
+                    &mut acc_upto,
+                    p + 1 - occ as usize,
+                    &postings[other].lists,
+                    acc,
+                    gen,
+                );
                 let slot = acc[o as usize];
                 let before = if slot.stamp == gen { slot.count } else { 0 };
                 let common = (before + occ) as usize;
@@ -968,12 +1096,14 @@ pub fn topk_join_with_scratch(
                 }
                 if common == q {
                     offer(inst, params.measure, pair, &mut k_list, memo, &mut work);
+                    gate = k_list.gate();
                 }
             }
         }
         // Register this token in our own prefix index: a record posts
-        // each distinct token once and bumps its posting's copy count for
-        // duplicates (the slot stays valid because lists only grow).
+        // each distinct token once, at its first copy's position, and
+        // bumps its posting's copy count for duplicates (the slot stays
+        // valid because lists only grow).
         if last_posted[side][idx] != tok {
             last_posted[side][idx] = tok;
             let list = &mut postings[side].lists[tok as usize];
@@ -981,10 +1111,14 @@ pub fn topk_join_with_scratch(
                 postings[side].touched.push(tok);
             }
             slot[side][idx] = list.len() as u32;
-            list.push((r, 1));
+            list.push(Posting {
+                rec: r,
+                copies: 1,
+                pos: p as u32,
+            });
         } else {
             let s = slot[side][idx] as usize;
-            postings[side].lists[tok as usize][s].1 += 1;
+            postings[side].lists[tok as usize][s].copies += 1;
         }
 
         pos[side][idx] += 1;
@@ -1068,6 +1202,13 @@ pub fn topk_semi_join(
         inst.records_b
     };
     scratch.prepare_semi(post, post_arena.len(), rank_bound);
+    // Only the Overlap bound reads the partner-length bound, so the
+    // other measures skip the scan over both tables.
+    let min_other = if measure == SetMeasure::Overlap {
+        shortest_record([inst.records_a, inst.records_b])
+    } else {
+        1
+    };
     let JoinScratch {
         postings,
         acc,
@@ -1107,7 +1248,8 @@ pub fn topk_semi_join(
         let mut slot_idx = 0usize;
         for (p, &tok) in rec.iter().enumerate() {
             if threshold > 0.0
-                && bound_with_credit(measure, len, p + 1, credit) < threshold - BOUND_SLACK
+                && bound_with_credit(measure, len, p + 1, credit, min_other)
+                    < threshold - BOUND_SLACK
             {
                 work.bound_pruned += (len - p) as u64;
                 break;
@@ -1120,9 +1262,13 @@ pub fn topk_semi_join(
                     postings[post].touched.push(tok);
                 }
                 slot_idx = list.len();
-                list.push((r, 1));
+                list.push(Posting {
+                    rec: r,
+                    copies: 1,
+                    pos: p as u32,
+                });
             } else {
-                postings[post].lists[tok as usize][slot_idx].1 += 1;
+                postings[post].lists[tok as usize][slot_idx].copies += 1;
             }
         }
     }
@@ -1155,7 +1301,8 @@ pub fn topk_semi_join(
         for (p, &tok) in rec.iter().enumerate() {
             let threshold = k_list.threshold();
             if threshold > 0.0
-                && bound_with_credit(measure, len, p + 1, credit) < threshold - BOUND_SLACK
+                && bound_with_credit(measure, len, p + 1, credit, min_other)
+                    < threshold - BOUND_SLACK
             {
                 work.bound_pruned += (len - p) as u64;
                 break;
@@ -1181,11 +1328,13 @@ pub fn topk_semi_join(
             if partners.is_empty() {
                 continue;
             }
-            // Stale-but-sound gate for the length pre-gate below: read
-            // once per token, so inserts inside the partner loop make it
-            // conservative (too low), never unsound.
-            let len_gate = k_list.gate();
-            for &(o, o_count) in partners {
+            let mut gate = k_list.gate();
+            for &Posting {
+                rec: o,
+                copies: o_count,
+                pos: o_pos,
+            } in partners
+            {
                 // Same multiset accounting as the event loop: this
                 // incidence advances the pair iff the partner's prefix
                 // holds at least `occ` copies.
@@ -1195,21 +1344,19 @@ pub fn topk_semi_join(
                 let oi = o as usize;
                 if acc[oi].stamp != gen {
                     acc[oi].stamp = gen;
-                    work.candidates += 1;
-                    // Length pre-gate, applied once at the pair's first
-                    // incidence: `from_overlap` is monotone in `o`
-                    // (also under f64 rounding), so the score at full
-                    // containment caps the pair's achievable score. At
-                    // or below the gate the scorer would refute the
-                    // attempt anyway — mark the pair scored so every
-                    // later incidence skips on the stamp alone.
-                    // (Vacuous for the overlap measure, whose
-                    // containment score is always 1.)
-                    let plen = post_arena.record(o).len();
-                    if measure.from_overlap(len.min(plen), len, plen) <= len_gate {
+                    // The event loop's positional prefilter, applied once
+                    // at the pair's first incidence. A pair it refutes
+                    // can never pass the (only rising) gate, so it is
+                    // marked scored and every later incidence skips on
+                    // the stamp alone.
+                    let plen = post_arena.record_len(o);
+                    let rest = (len - p - 1).min(plen - o_pos as usize - occ as usize);
+                    if memo.prunes(measure, len, plen, params.q + rest, gate) {
+                        work.position_pruned += 1;
                         acc[oi].count = SEMI_SCORED;
                         continue;
                     }
+                    work.candidates += 1;
                     acc[oi].count = 0;
                 }
                 let c = acc[oi].count;
@@ -1228,6 +1375,7 @@ pub fn topk_semi_join(
                     pair_key(r, o)
                 };
                 offer(inst, measure, pair, &mut k_list, memo, &mut work);
+                gate = k_list.gate();
             }
         }
     }
@@ -1275,7 +1423,10 @@ pub fn brute_force_topk(inst: SsjInstance<'_>, k: usize, measure: SetMeasure) ->
 /// the winning `q`'s main run scores the root config afresh, which costs
 /// it under 1% more scoring attempts (DESIGN.md, "Scoring kernel &
 /// pruning"). The cost model reads events and *attempt-time* scored
-/// tokens, which threshold gating does not change.
+/// tokens: gating a merge does not change them, but the positional
+/// prefilter (module docs) skips partners before any attempt, so the
+/// model prices the filtered kernel that the main run executes: the
+/// prefilter leaves events as they are and lets fewer attempts through.
 pub fn select_q(
     inst: SsjInstance<'_>,
     measure: SetMeasure,
@@ -1632,12 +1783,44 @@ mod tests {
 
     #[test]
     fn credit_bound_is_weaker_but_valid() {
-        for p in 1..=6 {
-            let b0 = bound_with_credit(SetMeasure::Jaccard, 6, p, 0);
-            let b2 = bound_with_credit(SetMeasure::Jaccard, 6, p, 2);
-            assert!(b2 >= b0);
-            assert!(b2 <= 1.0 + 1e-12);
+        for m in SetMeasure::ALL {
+            for min_other in [1, 3, 9] {
+                for p in 1..=6 {
+                    let b0 = bound_with_credit(m, 6, p, 0, min_other);
+                    let b2 = bound_with_credit(m, 6, p, 2, min_other);
+                    assert!(b2 >= b0, "{m:?} min_other={min_other} p={p}");
+                    assert!(b2 <= 1.0 + 1e-12, "{m:?} min_other={min_other} p={p}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn overlap_bound_with_min_other_is_admissible_and_prunes() {
+        // A partner of at least `min_other` tokens sharing `credit`
+        // tokens before position p and the whole suffix from p on
+        // scores at most the bound.
+        let a: Vec<u32> = (0..8).collect();
+        for min_other in 1..=8usize {
+            for credit in 0..3usize {
+                for p in 1..=a.len() {
+                    let shared = (p - 1).min(credit);
+                    let mut b: Vec<u32> = a[..shared].to_vec();
+                    b.extend_from_slice(&a[p - 1..]);
+                    b.extend(100..100 + min_other.saturating_sub(b.len()) as u32);
+                    let bound =
+                        bound_with_credit(SetMeasure::Overlap, a.len(), p, credit, min_other);
+                    let score = SetMeasure::Overlap.score(&a, &b);
+                    assert!(
+                        score <= bound + 1e-12,
+                        "min_other={min_other} credit={credit} p={p}: {score} > {bound}"
+                    );
+                }
+            }
+        }
+        // With a real partner-length bound the cap falls below 1.
+        assert!(bound_with_credit(SetMeasure::Overlap, 8, 8, 0, 4) < 1.0);
+        assert!(bound_with_credit(SetMeasure::Overlap, 8, 7, 1, 4) < 1.0);
     }
 
     #[test]

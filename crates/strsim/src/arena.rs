@@ -165,6 +165,13 @@ impl RecordArena {
         &self.tokens[start as usize..end as usize]
     }
 
+    /// The length of record `i`, without forming its slice.
+    #[inline]
+    pub fn record_len(&self, i: TupleId) -> usize {
+        let (start, end) = self.bounds[i as usize];
+        (end - start) as usize
+    }
+
     /// Iterates over all records in order.
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
         self.bounds

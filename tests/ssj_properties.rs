@@ -233,14 +233,16 @@ mod reference {
 /// The arena event loop as it stood before the bucket queue and the
 /// per-prober accumulator: a max-heap of bound events and a table of
 /// per-pair states (its hash-map form; the dense form behaved
-/// identically). It returns its list together with its work counters,
-/// so the production join can be held to the same lists *and* the same
-/// work, event for event. It scores with the unmemoized
-/// `SetMeasure::score_above`, so the production join's memoized bounds
-/// are held to the direct computation as well.
+/// identically), with the production join's positional prefilter and
+/// Overlap prefix bound. It returns its list together with its work
+/// counters, so the production join can be held to the same lists *and*
+/// the same work, event for event. It scores with the unmemoized
+/// `SetMeasure::score_above` and tests positions against the unmemoized
+/// `required_overlap`, so the production join's memoized bounds are held
+/// to the direct computation as well.
 mod heap_loop {
     use matchcatcher::ssj::{SsjInstance, SsjParams, TopKList};
-    use mc_strsim::measures::SetMeasure;
+    use mc_strsim::measures::{required_overlap, SetMeasure};
     use mc_table::hash::{fx_map, FxHashMap};
     use mc_table::{pair_key, split_pair_key, TupleId};
     use std::collections::BinaryHeap;
@@ -254,11 +256,20 @@ mod heap_loop {
         pub merge_aborts: u64,
         pub killed_skipped: u64,
         pub bound_pruned: u64,
+        pub position_pruned: u64,
     }
 
-    fn bound_with_credit(measure: SetMeasure, la: usize, p: usize, credit: usize) -> f64 {
+    /// The prefix bound; `min_other` (the shortest non-empty record of
+    /// either side) gives Overlap a real bound, with credit or without.
+    fn bound_with_credit(
+        measure: SetMeasure,
+        la: usize,
+        p: usize,
+        credit: usize,
+        min_other: usize,
+    ) -> f64 {
         if credit == 0 {
-            return measure.prefix_ubound(la, p, 1);
+            return measure.prefix_ubound(la, p, min_other);
         }
         let rem = (la - p + 1 + credit).min(la) as f64;
         let la_f = la as f64;
@@ -266,7 +277,7 @@ mod heap_loop {
             SetMeasure::Jaccard => rem / la_f,
             SetMeasure::Cosine => (rem / la_f).sqrt(),
             SetMeasure::Dice => 2.0 * rem / (la_f + rem),
-            SetMeasure::Overlap => 1.0,
+            SetMeasure::Overlap => (rem / la.min(min_other) as f64).min(1.0),
         }
     }
 
@@ -294,13 +305,18 @@ mod heap_loop {
         }
     }
 
+    /// A pair's exact common prefix count, kept at every incidence
+    /// (pruned ones included), and whether it is a live seed.
     #[derive(Default)]
     struct PairState {
         common: u32,
-        scored: bool,
+        seeded: bool,
     }
 
     const BOUND_SLACK: f64 = 1e-12;
+
+    /// `(record, copies in its prefix, position of its first copy)`.
+    type Posting = (TupleId, u32, usize);
 
     pub fn topk_join(
         inst: SsjInstance<'_>,
@@ -310,6 +326,12 @@ mod heap_loop {
         let credit = params.q - 1;
         let arenas = [inst.records_a, inst.records_b];
         let (na, nb) = (arenas[0].len(), arenas[1].len());
+        let min_other = arenas
+            .iter()
+            .flat_map(|arena| arena.iter().map(<[u32]>::len))
+            .filter(|&len| len > 0)
+            .min()
+            .unwrap_or(1);
         let mut work = Work::default();
         let mut states: FxHashMap<u64, PairState> = fx_map();
         let mut k_list = TopKList::new(params.k);
@@ -322,7 +344,7 @@ mod heap_loop {
                         pair,
                         PairState {
                             common: 0,
-                            scored: true,
+                            seeded: true,
                         },
                     );
                 }
@@ -332,13 +354,13 @@ mod heap_loop {
         let mut run = [vec![0u32; na], vec![0u32; nb]];
         let mut last_posted = [vec![u32::MAX; na], vec![u32::MAX; nb]];
         let mut slot = [vec![0usize; na], vec![0usize; nb]];
-        let mut postings: [FxHashMap<u32, Vec<(TupleId, u32)>>; 2] = [fx_map(), fx_map()];
+        let mut postings: [FxHashMap<u32, Vec<Posting>>; 2] = [fx_map(), fx_map()];
         let mut heap = BinaryHeap::new();
         for (side, arena) in arenas.iter().enumerate() {
             for (r, rec) in arena.iter().enumerate() {
                 if !rec.is_empty() {
                     heap.push(Event {
-                        bound: bound_with_credit(params.measure, rec.len(), 1, credit),
+                        bound: bound_with_credit(params.measure, rec.len(), 1, credit, min_other),
                         side: side as u8,
                         rec: r as TupleId,
                     });
@@ -364,30 +386,46 @@ mod heap_loop {
                 1
             };
             run[side][idx] = occ;
-            for &(o, o_count) in postings[other].get(&tok).map_or(&[][..], Vec::as_slice) {
-                if o_count < occ {
+            let occ = occ as usize;
+            for &(o, o_count, o_pos) in postings[other].get(&tok).map_or(&[][..], Vec::as_slice) {
+                if (o_count as usize) < occ {
                     continue;
                 }
                 let (a, b) = if side == 0 { (ev.rec, o) } else { (o, ev.rec) };
                 let key = pair_key(a, b);
-                let st = states.entry(key).or_insert_with(|| {
-                    work.candidates += 1;
-                    PairState::default()
-                });
-                if st.scored {
-                    continue;
-                }
+                let st = states.entry(key).or_default();
                 st.common += 1;
-                if (st.common as usize) < params.q {
+                // Past its `q`-th common token a pair needs nothing, and
+                // the kernel tests no partner of a copy beyond the `q`-th.
+                if occ > params.q {
                     continue;
                 }
-                st.scored = true;
+                // Positional prefilter: this incidence's pair can still
+                // share only tokens after it in both records.
+                let o_len = arenas[other].record(o).len();
+                let rest = (rec.len() - p - 1).min(o_len - o_pos - occ);
+                let cap = (params.q + rest).min(rec.len()).min(o_len);
+                let gate = k_list.gate();
+                if cap < required_overlap(params.measure, gate, rec.len(), o_len) {
+                    work.position_pruned += 1;
+                    continue;
+                }
+                let common = st.common as usize;
+                if st.seeded || (common != 1 && common != params.q) {
+                    continue;
+                }
+                if common == 1 {
+                    work.candidates += 1;
+                }
+                if common != params.q {
+                    continue;
+                }
                 if inst.killed.contains_key(key) {
                     work.killed_skipped += 1;
                     continue;
                 }
                 let (ra, rb) = (inst.records_a.record(a), inst.records_b.record(b));
-                match params.measure.score_above(ra, rb, k_list.gate()) {
+                match params.measure.score_above(ra, rb, gate) {
                     Some(s) => {
                         work.scored += 1;
                         k_list.insert(s, key);
@@ -399,13 +437,13 @@ mod heap_loop {
             if last_posted[side][idx] != tok {
                 last_posted[side][idx] = tok;
                 slot[side][idx] = list.len();
-                list.push((ev.rec, 1));
+                list.push((ev.rec, 1, p));
             } else {
                 list[slot[side][idx]].1 += 1;
             }
             pos[side][idx] += 1;
             if p + 1 < rec.len() {
-                let b = bound_with_credit(params.measure, rec.len(), p + 2, credit);
+                let b = bound_with_credit(params.measure, rec.len(), p + 2, credit, min_other);
                 let threshold = k_list.threshold();
                 if threshold == 0.0 || b >= threshold - BOUND_SLACK {
                     heap.push(Event {
@@ -600,6 +638,7 @@ fn topkjoin_lists_and_work_equal_the_heap_loop() {
                             merge_aborts: d.counter("mc.core.ssj.merge_aborts"),
                             killed_skipped: d.counter("mc.core.ssj.killed_skipped"),
                             bound_pruned: d.counter("mc.core.ssj.bound_pruned"),
+                            position_pruned: d.counter("mc.core.ssj.position_pruned"),
                         };
                         let what = format!("case {case} {m:?} q={q} k={k} seeds={}", seed.len());
                         assert_eq!(new.sorted_entries(), old.sorted_entries(), "{what}");
@@ -616,6 +655,176 @@ fn topkjoin_lists_and_work_equal_the_heap_loop() {
                         );
                         assert_eq!(semi.sorted_entries(), old.sorted_entries(), "{what}");
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The top-k of every pair outside `C` sharing at least `q` tokens: the
+/// universe QJoin ranks (it never scores a pair below `q` common tokens),
+/// and for `q = 1` exactly `brute_force_topk`.
+fn brute_force_q(inst: SsjInstance<'_>, k: usize, measure: SetMeasure, q: usize) -> TopKList {
+    let mut list = TopKList::new(k);
+    for (a, ra) in inst.records_a.iter().enumerate() {
+        for (b, rb) in inst.records_b.iter().enumerate() {
+            let key = mc_table::pair_key(a as u32, b as u32);
+            if multiset_overlap(ra, rb) >= q && !inst.killed.contains_key(key) {
+                list.insert(measure.score(ra, rb), key);
+            }
+        }
+    }
+    list
+}
+
+/// Runs the event loop and the semi-join (both post sides) on one
+/// instance, asserts that each returns `brute_force_q`'s list bit for
+/// bit and that the event loop does the heap-loop oracle's work, and
+/// returns each kernel's `mc.core.ssj.position_pruned`.
+fn kernels_equal_brute_force(inst: SsjInstance<'_>, params: SsjParams, what: &str) -> [u64; 3] {
+    use matchcatcher::ssj::topk_semi_join;
+    let want = brute_force_q(inst, params.k, params.measure, params.q).sorted_entries();
+    let mut pruned = [0; 3];
+    let mut scratch = JoinScratch::new();
+    let base = mc_obs::MetricsSnapshot::capture();
+    let list = topk_join_with_scratch(inst, params, &[], None, &mut scratch);
+    let d = mc_obs::MetricsSnapshot::capture().since(&base);
+    assert_eq!(list.sorted_entries(), want, "{what}: event loop");
+    let (oracle, work) = heap_loop::topk_join(inst, params, &[]);
+    assert_eq!(oracle.sorted_entries(), want, "{what}: heap loop");
+    assert_eq!(d.counter("mc.core.ssj.events"), work.events, "{what}");
+    assert_eq!(
+        d.counter("mc.core.ssj.candidates"),
+        work.candidates,
+        "{what}"
+    );
+    assert_eq!(d.counter("mc.core.ssj.scored"), work.scored, "{what}");
+    assert_eq!(
+        d.counter("mc.core.ssj.merge_aborts"),
+        work.merge_aborts,
+        "{what}"
+    );
+    assert_eq!(
+        d.counter("mc.core.ssj.position_pruned"),
+        work.position_pruned,
+        "{what}"
+    );
+    pruned[0] = work.position_pruned;
+    for post_side in [0u8, 1] {
+        let base = mc_obs::MetricsSnapshot::capture();
+        let semi = topk_semi_join(inst, params, &[], None, &mut scratch, post_side);
+        let d = mc_obs::MetricsSnapshot::capture().since(&base);
+        assert_eq!(
+            semi.sorted_entries(),
+            want,
+            "{what}: semi-join posting {post_side}"
+        );
+        pruned[1 + post_side as usize] = d.counter("mc.core.ssj.position_pruned");
+    }
+    pruned
+}
+
+#[test]
+fn positional_prefilter_prunes_late_overlaps_without_changing_lists() {
+    // Long records whose first common tokens fall late: each record
+    // opens with 18-45 tokens no other record holds (the rarest ranks)
+    // and ends in 6-17 tokens drawn, with duplicates, from a small pool
+    // of frequent ranks. Every incidence happens deep in both records,
+    // where few tokens remain to share, so the prefilter has partners to
+    // skip in both kernels while the lists stay the brute force's.
+    let ctx = mc_obs::ObsContext::session();
+    let _guard = ctx.attach();
+    let mut rng = StdRng::seed_from_u64(0x90_51_71_0E);
+    let mut next_rare = 0u32;
+    let mut gen = |rng: &mut StdRng, n: usize| -> Vec<Vec<u32>> {
+        (0..n)
+            .map(|_| {
+                let rare = rng.random_range(18..46u32);
+                let mut v: Vec<u32> = (next_rare..next_rare + rare).collect();
+                next_rare += rare;
+                let common = rng.random_range(6..18usize);
+                v.extend((0..common).map(|_| 100_000 + rng.random_range(0..14u32)));
+                v.sort_unstable();
+                v
+            })
+            .collect()
+    };
+    let (ra, rb) = (gen(&mut rng, 36), gen(&mut rng, 28));
+    assert!(ra.iter().any(|r| r.windows(2).any(|w| w[0] == w[1])));
+    let a = RecordArena::from_records(&ra);
+    let b = RecordArena::from_records(&rb);
+    let killed = random_killed(&mut rng, ra.len(), rb.len());
+    let inst = SsjInstance {
+        records_a: &a,
+        records_b: &b,
+        killed: &killed,
+    };
+    for m in SetMeasure::ALL {
+        for q in 1..=3usize {
+            for k in [3usize, 12] {
+                let params = SsjParams { k, q, measure: m };
+                let pruned = kernels_equal_brute_force(inst, params, &format!("{m:?} q={q} k={k}"));
+                for (kernel, &n) in ["event loop", "semi-join A", "semi-join B"]
+                    .iter()
+                    .zip(&pruned)
+                {
+                    assert!(n > 0, "{m:?} q={q} k={k}: {kernel} skipped no partner");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn degenerate_joins_equal_brute_force() {
+    // The degenerate shapes of a join: a one-token vocabulary (records
+    // are runs of one rank), all-identical records (every pair ties at
+    // 1.0, so the list is decided by pair keys alone), k at or beyond
+    // |A × B|, and one side empty (no records, or only empty records).
+    let ctx = mc_obs::ObsContext::session();
+    let _guard = ctx.attach();
+    let mut rng = StdRng::seed_from_u64(0x00DE_6E7E);
+    let one_token = |rng: &mut StdRng, n: usize| -> Vec<Vec<u32>> {
+        (0..n)
+            .map(|_| vec![7; rng.random_range(0..6usize)])
+            .collect()
+    };
+    let same = vec![vec![1u32, 2, 2, 5, 9]; 9];
+    let none: Vec<Vec<u32>> = Vec::new();
+    let empties: Vec<Vec<u32>> = vec![Vec::new(); 4];
+    type Records = Vec<Vec<u32>>;
+    let shapes: Vec<(&str, Records, Records)> = vec![
+        ("one token", one_token(&mut rng, 9), one_token(&mut rng, 11)),
+        ("identical", same.clone(), same[..7].to_vec()),
+        (
+            "full cross product",
+            random_records(&mut rng, 9),
+            random_records(&mut rng, 9),
+        ),
+        ("A empty", none.clone(), random_records(&mut rng, 9)),
+        ("B empty", random_records(&mut rng, 9), none),
+        (
+            "A all-empty records",
+            empties.clone(),
+            random_records(&mut rng, 9),
+        ),
+        ("B all-empty records", random_records(&mut rng, 9), empties),
+    ];
+    for (name, ra, rb) in shapes {
+        let a = RecordArena::from_records(&ra);
+        let b = RecordArena::from_records(&rb);
+        let killed = PairSet::new();
+        let inst = SsjInstance {
+            records_a: &a,
+            records_b: &b,
+            killed: &killed,
+        };
+        let cross = ra.len() * rb.len();
+        for m in SetMeasure::ALL {
+            for q in 1..=3usize {
+                for k in [1, 4, cross.max(1), cross + 5] {
+                    let params = SsjParams { k, q, measure: m };
+                    kernels_equal_brute_force(inst, params, &format!("{name}: {m:?} q={q} k={k}"));
                 }
             }
         }
