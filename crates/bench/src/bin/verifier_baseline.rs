@@ -1,13 +1,23 @@
-//! Verifier perf baseline: runs the **§5 Match Verifier** end-to-end on a
-//! datagen profile (hash-city blocker, exact gold oracle as the synthetic
+//! Verifier perf baseline: runs the **§5 Match Verifier** end-to-end on
+//! datagen profiles (a hash blocker, exact gold oracle as the synthetic
 //! user) and writes per-stage wall-clock numbers — derived from the
 //! `mc-obs` snapshot delta — to `BENCH_verifier.json`, establishing the
 //! perf trajectory future PRs must not regress.
+//!
+//! Three profiles: fodors-zagats under the paper's running-example
+//! blocker and amazon-google ×0.25 under its best hash blocker, both
+//! with the paper's parameters, stop after a few rounds; `products-session`
+//! is shaped like one `mcd` session of the products-serve benchmark
+//! (amazon-google, hash blocker on attribute 0, `DebuggerParams::small`
+//! with k = 200, n = 20, q = 1) and runs past round 20, so `fit_us`
+//! measures a long refit loop.
 //!
 //! Stages per profile (best of `--runs` repetitions of the verify stage):
 //!
 //! * `feature_build_us` — flat feature-matrix materialization
 //!   (`mc.core.verify.feature_matrix.build` span total);
+//! * `rank_us` — ranking the matrix for training, once per run
+//!   (`mc.core.verify.rank_matrix` span total);
 //! * `fit_us` — forest (re)fits across all iterations
 //!   (`mc.core.verify.forest_fit` span total);
 //! * `predict_us` — candidate scoring across all iterations
@@ -23,18 +33,41 @@
 //! `cargo run --release -p mc-bench --bin verifier_baseline [--scale X]
 //!  [--runs N] [--threads N] [--out PATH]`
 
-use matchcatcher::debugger::MatchCatcher;
+use matchcatcher::debugger::{DebuggerParams, MatchCatcher};
 use matchcatcher::features::FeatureExtractor;
-use matchcatcher::joint::CandidateUnion;
+use matchcatcher::joint::{CandidateUnion, QStrategy};
 use matchcatcher::oracle::GoldOracle;
 use matchcatcher::verify::run_verifier;
 use mc_bench::alloc::AllocStats;
 use mc_bench::blockers::best_hash_blocker;
 use mc_bench::env::BenchEnv;
 use mc_bench::harness::paper_params;
+use mc_blocking::{Blocker, KeyFunc};
 use mc_datagen::profiles::DatasetProfile;
 use mc_obs::MetricsSnapshot;
+use mc_table::AttrId;
 use std::fmt::Write as _;
+
+/// One verification workload.
+struct Workload {
+    /// Report name; the dataset's own name when `None`.
+    name: Option<&'static str>,
+    profile: DatasetProfile,
+    scale: f64,
+    /// A hash blocker on this attribute (an `mcd open`'s
+    /// `blocker_attr`); the profile's paper blocker when `None`.
+    blocker_attr: Option<AttrId>,
+    params: DebuggerParams,
+}
+
+/// The parameters an `mcd open` of a products-serve session resolves to.
+fn session_params() -> DebuggerParams {
+    let mut p = DebuggerParams::small();
+    p.joint.k = 200;
+    p.joint.q = QStrategy::Fixed(1);
+    p.verifier.n_per_iter = 20;
+    p
+}
 
 struct ProfileReport {
     name: String,
@@ -45,6 +78,7 @@ struct ProfileReport {
     matches: usize,
     threads: usize,
     feature_build_us: u64,
+    rank_us: u64,
     fit_us: u64,
     predict_us: u64,
     verify_us: u64,
@@ -52,26 +86,21 @@ struct ProfileReport {
     allocs: AllocStats,
 }
 
-fn run_profile(
-    profile: DatasetProfile,
-    scale: f64,
-    seed: u64,
-    runs: usize,
-    threads: usize,
-) -> ProfileReport {
-    let ds = profile.generate_scaled(seed, scale);
-    // Fodors-Zagats uses the paper's running-example blocker (hash on
-    // city), which kills many matches and drives a long learning run; the
-    // other profiles use their §6.2 best-hash blocker.
-    let blocker = match profile {
-        DatasetProfile::FodorsZagats => {
-            mc_blocking::Blocker::Hash(mc_blocking::KeyFunc::Attr(ds.a.schema().expect_id("city")))
+fn run_profile(w: Workload, seed: u64, runs: usize, threads: usize) -> ProfileReport {
+    let ds = w.profile.generate_scaled(seed, w.scale);
+    let blocker = match w.blocker_attr {
+        Some(attr) => Blocker::Hash(KeyFunc::Attr(attr)),
+        // Fodors-Zagats uses the paper's running-example blocker (hash
+        // on city), which kills many matches and drives a long learning
+        // run; the other paper profile uses its §6.2 best-hash blocker.
+        None if w.profile == DatasetProfile::FodorsZagats => {
+            Blocker::Hash(KeyFunc::Attr(ds.a.schema().expect_id("city")))
         }
-        _ => best_hash_blocker(profile, ds.a.schema()),
+        None => best_hash_blocker(w.profile, ds.a.schema()),
     };
     let c = blocker.apply(&ds.a, &ds.b);
 
-    let mut params = paper_params();
+    let mut params = w.params;
     if threads != 0 {
         params.joint.threads = threads;
         params.verifier.forest.threads = threads;
@@ -118,14 +147,15 @@ fn run_profile(
     let (verify_us, delta, iterations, labeled, matches) = best.expect("at least one run");
 
     ProfileReport {
-        name: ds.name.clone(),
-        scale,
+        name: w.name.map_or_else(|| ds.name.clone(), str::to_string),
+        scale: w.scale,
         candidates: union.len(),
         iterations,
         labeled,
         matches,
         threads: mc_ml_threads(params.verifier.forest.threads),
         feature_build_us: delta.span("mc.core.verify.feature_matrix.build").total_us,
+        rank_us: delta.span("mc.core.verify.rank_matrix").total_us,
         fit_us: delta.span("mc.core.verify.forest_fit").total_us,
         predict_us: delta.span("mc.core.verify.forest_predict").total_us,
         verify_us,
@@ -153,27 +183,35 @@ fn main() {
     let threads = env.threads();
     let out_path = env.out("BENCH_verifier.json");
 
-    // Two contrasting verification workloads: short restaurant records
-    // (many near-ties, long verification) and long product records.
+    // Two contrasting paper workloads — short restaurant records (many
+    // near-ties) and long product records — and one long refit loop.
     let reports = [
-        run_profile(
-            DatasetProfile::FodorsZagats,
-            scale.min(1.0),
-            seed,
-            runs,
-            threads,
-        ),
-        run_profile(
-            DatasetProfile::AmazonGoogle,
-            0.25 * scale,
-            seed,
-            runs,
-            threads,
-        ),
-    ];
+        Workload {
+            name: None,
+            profile: DatasetProfile::FodorsZagats,
+            scale: scale.min(1.0),
+            blocker_attr: None,
+            params: paper_params(),
+        },
+        Workload {
+            name: None,
+            profile: DatasetProfile::AmazonGoogle,
+            scale: 0.25 * scale,
+            blocker_attr: None,
+            params: paper_params(),
+        },
+        Workload {
+            name: Some("products-session"),
+            profile: DatasetProfile::AmazonGoogle,
+            scale,
+            blocker_attr: Some(AttrId(0)),
+            params: session_params(),
+        },
+    ]
+    .map(|w| run_profile(w, seed, runs, threads));
 
     let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"mc-bench-verifier/v1\",\n  \"profiles\": [");
+    json.push_str("{\n  \"schema\": \"mc-bench-verifier/v2\",\n  \"profiles\": [");
     for (i, r) in reports.iter().enumerate() {
         if i > 0 {
             json.push(',');
@@ -182,8 +220,8 @@ fn main() {
             json,
             "\n    {{\"name\": \"{}\", \"scale\": {}, \"candidates\": {}, \
              \"iterations\": {}, \"labeled\": {}, \"matches\": {}, \"threads\": {}, \
-             \"stages\": {{\"feature_build_us\": {}, \"fit_us\": {}, \"predict_us\": {}, \
-             \"verify_us\": {}, \"per_iter_us\": {}}}, \
+             \"stages\": {{\"feature_build_us\": {}, \"rank_us\": {}, \"fit_us\": {}, \
+             \"predict_us\": {}, \"verify_us\": {}, \"per_iter_us\": {}}}, \
              \"allocs\": {{\"count\": {}, \"bytes\": {}}}}}",
             r.name,
             r.scale,
@@ -193,6 +231,7 @@ fn main() {
             r.matches,
             r.threads,
             r.feature_build_us,
+            r.rank_us,
             r.fit_us,
             r.predict_us,
             r.verify_us,
@@ -205,17 +244,18 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write BENCH_verifier.json");
 
     println!(
-        "{:<16} {:>8} {:>8} {:>6} {:>12} {:>12} {:>12} {:>12}",
-        "dataset", "scale", "|E|", "iters", "feat-build", "fit", "predict", "verify"
+        "{:<16} {:>8} {:>8} {:>6} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "dataset", "scale", "|E|", "iters", "feat-build", "rank", "fit", "predict", "verify"
     );
     for r in &reports {
         println!(
-            "{:<16} {:>8.2} {:>8} {:>6} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>10.2}ms",
+            "{:<16} {:>8.2} {:>8} {:>6} {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>10.2}ms {:>10.2}ms",
             r.name,
             r.scale,
             r.candidates,
             r.iterations,
             r.feature_build_us as f64 / 1e3,
+            r.rank_us as f64 / 1e3,
             r.fit_us as f64 / 1e3,
             r.predict_us as f64 / 1e3,
             r.verify_us as f64 / 1e3,

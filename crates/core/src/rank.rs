@@ -60,7 +60,13 @@ impl RankedLists {
 
     /// The (lower) median rank of item `i` across lists.
     pub fn median_rank(&self, i: usize) -> u32 {
-        let mut rs: Vec<u32> = self.ranks.iter().map(|r| r[i]).collect();
+        self.median_rank_with(i, &mut Vec::new())
+    }
+
+    /// [`RankedLists::median_rank`] sorting in the caller's buffer.
+    fn median_rank_with(&self, i: usize, rs: &mut Vec<u32>) -> u32 {
+        rs.clear();
+        rs.extend(self.ranks.iter().map(|r| r[i]));
         rs.sort_unstable();
         rs[(rs.len() - 1) / 2]
     }
@@ -69,17 +75,24 @@ impl RankedLists {
     /// the lists ranking `i` at or better than `x` hold at least half the
     /// total weight.
     pub fn weighted_median_rank(&self, i: usize, weights: &[f64]) -> u32 {
+        self.weighted_median_rank_with(i, weights, &mut Vec::new())
+    }
+
+    /// [`RankedLists::weighted_median_rank`] sorting in the caller's
+    /// buffer.
+    fn weighted_median_rank_with(
+        &self,
+        i: usize,
+        weights: &[f64],
+        pairs: &mut Vec<(u32, f64)>,
+    ) -> u32 {
         debug_assert_eq!(weights.len(), self.lists());
-        let mut pairs: Vec<(u32, f64)> = self
-            .ranks
-            .iter()
-            .zip(weights)
-            .map(|(r, &w)| (r[i], w))
-            .collect();
+        pairs.clear();
+        pairs.extend(self.ranks.iter().zip(weights).map(|(r, &w)| (r[i], w)));
         pairs.sort_unstable_by_key(|p| p.0);
         let total: f64 = weights.iter().sum();
         let mut acc = 0.0;
-        for (rank, w) in pairs {
+        for &(rank, w) in pairs.iter() {
             acc += w;
             if acc * 2.0 >= total {
                 return rank;
@@ -93,13 +106,14 @@ impl RankedLists {
 /// index (the union is already sorted by best score, so this is
 /// deterministic and sensible). Each item's median is computed once.
 pub fn medrank_order(ranked: &RankedLists) -> Vec<usize> {
-    order_by_rank(ranked.items(), |i| ranked.median_rank(i))
+    let mut buf = Vec::with_capacity(ranked.lists());
+    order_by_rank(ranked.items(), |i| ranked.median_rank_with(i, &mut buf))
 }
 
 /// Items `0..items` ascending by `(rank(i), i)`, calling `rank` once per
-/// item: the keys allocate, and a sort would call a key function twice
-/// per comparison.
-fn order_by_rank(items: usize, rank: impl Fn(usize) -> u32) -> Vec<usize> {
+/// item: a sort would call a key function twice per comparison. `rank`
+/// sorts each item's ranks in one buffer the caller reuses.
+fn order_by_rank(items: usize, mut rank: impl FnMut(usize) -> u32) -> Vec<usize> {
     let mut keyed: Vec<(u32, usize)> = (0..items).map(|i| (rank(i), i)).collect();
     keyed.sort_unstable();
     keyed.into_iter().map(|(_, i)| i).collect()
@@ -145,8 +159,9 @@ impl WmrWeights {
 /// WMR global order under the given weights (ties by item index, each
 /// item's weighted median computed once).
 pub fn wmr_order(ranked: &RankedLists, weights: &WmrWeights) -> Vec<usize> {
+    let mut buf = Vec::with_capacity(ranked.lists());
     order_by_rank(ranked.items(), |i| {
-        ranked.weighted_median_rank(i, weights.weights())
+        ranked.weighted_median_rank_with(i, weights.weights(), &mut buf)
     })
 }
 

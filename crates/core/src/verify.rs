@@ -22,7 +22,7 @@ use crate::features::{FeatureExtractor, FeatureMatrix};
 use crate::joint::CandidateUnion;
 use crate::oracle::Oracle;
 use crate::rank::{medrank_order, wmr_order, RankedLists, WmrWeights};
-use mc_ml::{ForestParams, RandomForest};
+use mc_ml::{ForestParams, RandomForest, RankMatrix};
 use mc_table::split_pair_key;
 
 /// Which re-ranking machinery the verifier uses.
@@ -152,8 +152,11 @@ pub fn run_verifier(
     // phase is actually reached.
     let mut matrix = FeatureMatrix::new(items, fx.n_features());
     if params.strategy == RankStrategy::Learning {
-        matrix.ensure_upto((4 * n).min(items), &union.pairs, fx, threads);
+        matrix.ensure_upto(n.saturating_mul(4).min(items), &union.pairs, fx, threads);
     }
+    // The training copy of the whole matrix, ranked at the first training
+    // round; every refit gathers its labeled rows from it.
+    let mut ranks: Option<RankMatrix> = None;
 
     // Incrementally maintained state: indexes still unlabeled (union
     // order), and the labeled training set sorted by candidate index.
@@ -191,22 +194,20 @@ pub fn run_verifier(
                     next_unlabeled(&base_order, &mut medrank_cursor, &labels, n)
                 } else {
                     // (Re)train on everything labeled so far. Training
-                    // samples are index slices into the shared matrix —
-                    // no row is copied, here or inside the forest's
-                    // bootstrap resampling.
+                    // samples are indexes into the ranked matrix — no
+                    // value is sorted again, here or inside the forest.
                     matrix.ensure_all(&union.pairs, fx, threads);
+                    let ranks = ranks.get_or_insert_with(|| {
+                        let _rank = mc_obs::span!("mc.core.verify.rank_matrix");
+                        RankMatrix::new(matrix.view())
+                    });
                     train_idx.clear();
                     train_y.clear();
                     train_idx.extend(labeled_pairs.iter().map(|&(i, _)| i));
                     train_y.extend(labeled_pairs.iter().map(|&(_, l)| l));
                     let f = {
                         let _fit = mc_obs::span!("mc.core.verify.forest_fit");
-                        RandomForest::fit_matrix(
-                            matrix.view(),
-                            &train_idx,
-                            &train_y,
-                            &params.forest,
-                        )
+                        RandomForest::fit_matrix(ranks, &train_idx, &train_y, &params.forest)
                     };
                     {
                         let _predict = mc_obs::span!("mc.core.verify.forest_predict");
@@ -284,13 +285,15 @@ pub fn run_verifier(
 
 /// The next up-to-`n` unlabeled entries of `order`, advancing `cursor`
 /// past everything examined (valid because labels are never retracted).
+/// The batch is sized by what is left of the order, never by `n` alone,
+/// which a request may set to anything.
 fn next_unlabeled(
     order: &[usize],
     cursor: &mut usize,
     labels: &[Option<bool>],
     n: usize,
 ) -> Vec<usize> {
-    let mut batch = Vec::with_capacity(n);
+    let mut batch = Vec::with_capacity(n.min(order.len() - *cursor));
     while *cursor < order.len() && batch.len() < n {
         let i = order[*cursor];
         *cursor += 1;
@@ -510,6 +513,31 @@ mod tests {
         m.sort_unstable();
         m.dedup();
         assert_eq!(m.len(), out.matches.len());
+    }
+
+    #[test]
+    fn a_batch_size_past_the_union_labels_it_once() {
+        // `n_per_iter` comes from requests; only the union may size a
+        // batch (a batch sized by n alone would abort on allocation).
+        let (a, b, gold, union) = scenario(25);
+        let (attrs, ta, tb) = extractor_parts(&a, &b);
+        let fx = FeatureExtractor::new(&a, &b, &attrs, &ta, &tb);
+        for strategy in [
+            RankStrategy::Learning,
+            RankStrategy::Wmr,
+            RankStrategy::MedRank,
+        ] {
+            let mut oracle = GoldOracle::exact(&gold);
+            let params = VerifierParams {
+                n_per_iter: usize::MAX / 2,
+                strategy,
+                ..Default::default()
+            };
+            let out = run_verifier(&union, &fx, &mut oracle, &params);
+            assert_eq!(out.iterations.len(), 1, "{strategy:?}");
+            assert_eq!(out.labeled, union.len(), "{strategy:?}");
+            assert_eq!(out.matches.len(), 25, "{strategy:?}");
+        }
     }
 
     #[test]

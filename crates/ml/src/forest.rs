@@ -10,14 +10,14 @@
 //! **bit-identical at any thread count**: tree `t` is grown from its own
 //! `StdRng` seeded by a per-tree derivation of the base seed, so no tree's
 //! randomness depends on how work was scheduled, and batch scores are
-//! written into disjoint per-chunk output slices. Bootstrap samples are
-//! index lists into shared training data ([`RowsView`]) — resampling
-//! never clones a row.
+//! written into disjoint per-chunk output slices. Training reads a
+//! [`RankMatrix`]: a fit gathers its rows' ranks once, and each tree's
+//! bootstrap is one weight per row — resampling never copies a row.
 
-use crate::data::{MatrixSamples, RowsView, Samples, VecSamples};
+use crate::data::{RankMatrix, RowsView};
 use crate::tree::{DecisionTree, TreeParams, TreeScratch};
 use rand::rngs::StdRng;
-use rand::{RngExt as _, SeedableRng};
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -81,30 +81,30 @@ impl RandomForest {
     ///
     /// Each tree sees a bootstrap sample (with replacement) of the training
     /// rows; splits consider a random feature subset of size
-    /// `features_per_split` (default `ceil(sqrt(n_features))`).
+    /// `features_per_split` (default `ceil(sqrt(n_features))`). Panics on
+    /// a NaN feature.
     pub fn fit(x: &[Vec<f64>], y: &[bool], params: &ForestParams) -> Self {
         assert_eq!(x.len(), y.len(), "feature/label length mismatch");
         assert!(!x.is_empty(), "cannot fit a forest on zero samples");
-        Self::fit_impl(&VecSamples { x, y }, params)
+        let idx: Vec<usize> = (0..x.len()).collect();
+        Self::fit_matrix(&RankMatrix::from_rows(x), &idx, y, params)
     }
 
-    /// Fits a forest where training sample `s` is row `idx[s]` of the flat
-    /// matrix `rows`, labeled `y[s]`. This is the verifier's refit path:
-    /// the matrix is built once and every refit only touches index lists.
+    /// Fits a forest where training sample `s` is row `idx[s]` of the
+    /// rank-encoded `matrix`, labeled `y[s]` (rows may repeat). This is
+    /// the verifier's refit path: the matrix is ranked once and every
+    /// refit only gathers its rows.
     pub fn fit_matrix(
-        rows: RowsView<'_>,
+        matrix: &RankMatrix,
         idx: &[usize],
         y: &[bool],
         params: &ForestParams,
     ) -> Self {
         assert_eq!(idx.len(), y.len(), "index/label length mismatch");
         assert!(!idx.is_empty(), "cannot fit a forest on zero samples");
-        Self::fit_impl(&MatrixSamples { rows, idx, y }, params)
-    }
-
-    fn fit_impl<S: Samples + Sync>(samples: &S, params: &ForestParams) -> Self {
         let _span = mc_obs::span!("mc.ml.forest.fit_par");
-        let n_features = samples.n_features();
+        let fit = matrix.gather(idx);
+        let n_features = matrix.n_features();
         let per_split = if params.features_per_split == 0 {
             (n_features as f64).sqrt().ceil() as usize
         } else {
@@ -115,14 +115,13 @@ impl RandomForest {
             min_samples_split: params.min_samples_split,
             features_per_split: per_split.max(1),
         };
-        let m = samples.n_samples();
 
         let fit_one = |t: usize, scratch: &mut TreeScratch| -> DecisionTree {
             let mut rng = StdRng::seed_from_u64(tree_seed(params.seed, t));
-            let picks: Vec<usize> = (0..m).map(|_| rng.random_range(0..m)).collect();
+            scratch.bootstrap(idx.len(), &mut rng);
             // Single-class bootstrap samples still produce a valid
             // (leaf-only) tree, so no stratification is needed.
-            DecisionTree::fit_samples(samples, picks, &tree_params, &mut rng, scratch)
+            DecisionTree::fit_weighted(&fit, y, &tree_params, &mut rng, scratch)
         };
 
         // Deterministic parallel fit: slot t only ever receives tree t,
@@ -394,7 +393,7 @@ mod tests {
         let idx: Vec<usize> = (0..x.len()).collect();
         let p = ForestParams::default();
         let owned = RandomForest::fit(&x, &y, &p);
-        let matrix = RandomForest::fit_matrix(rows, &idx, &y, &p);
+        let matrix = RandomForest::fit_matrix(&RankMatrix::new(rows), &idx, &y, &p);
         assert_eq!(owned, matrix);
     }
 
@@ -468,6 +467,147 @@ mod tests {
         let y = vec![true, true];
         let f = RandomForest::fit(&x, &y, &ForestParams::default());
         assert_eq!(f.feature_importance(), vec![0.0]);
+    }
+
+    /// A random tie-heavy training set: `n` rows of up to 12 features,
+    /// each feature drawn from its own grid (special values such as ±0.0,
+    /// ±1e300, neighbouring doubles and `±f64::MAX`, small integers, ratios
+    /// of small integers, or a continuum), and labels that are constant,
+    /// noise, or a noisy threshold on one feature.
+    fn random_case(rng: &mut StdRng) -> (Vec<Vec<f64>>, Vec<bool>) {
+        use rand::RngExt as _;
+        const SPECIAL: [f64; 14] = [
+            -1e300,
+            -2.5,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            1.0 + 2.0 * f64::EPSILON,
+            3.0,
+            1e300,
+            1e308,
+            1.5e308,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        let n = if rng.random_bool(0.3) {
+            rng.random_range(1..=12usize)
+        } else {
+            rng.random_range(1..=600usize)
+        };
+        let width = rng.random_range(1..=12usize);
+        let kinds: Vec<(u32, u32)> = (0..width)
+            .map(|_| (rng.random_range(0..4u32), rng.random_range(1..=8u32)))
+            .collect();
+        let x: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                kinds
+                    .iter()
+                    .map(|&(kind, g)| match kind {
+                        0 => SPECIAL[rng.random_range(0..SPECIAL.len())],
+                        1 => rng.random_range(0..g) as f64,
+                        2 => rng.random_range(0..=g) as f64 / g as f64,
+                        _ => rng.random_range(-1.0..1.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let signal = rng.random_range(0..width);
+        let y = match rng.random_range(0..4u32) {
+            0 => vec![false; n],
+            1 => vec![true; n],
+            2 => (0..n).map(|_| rng.random_bool(0.3)).collect(),
+            _ => x
+                .iter()
+                .map(|r| (r[signal] > 0.5) != rng.random_bool(0.1))
+                .collect(),
+        };
+        (x, y)
+    }
+
+    #[test]
+    fn fits_equal_the_per_node_sort_reference() {
+        // The rank-encoded core against the grower it replaced (per-node
+        // `(f64, bool)` sorts over a duplicated pick list, kept in
+        // `crate::reference`): every tree node for node, bit for bit, at
+        // one and four threads.
+        use crate::reference::{RefParams, RefTree};
+        use rand::RngExt as _;
+        let mut rng = StdRng::seed_from_u64(0x7ee5);
+        for case in 0..400 {
+            let (rows, row_labels) = random_case(&mut rng);
+            let width = rows[0].len();
+            // Samples may repeat rows, and a repeat may carry another label.
+            let idx: Vec<usize> = if rng.random_bool(0.5) {
+                (0..rows.len()).collect()
+            } else {
+                let m = rng.random_range(1..=(rows.len() * 2).min(600));
+                (0..m).map(|_| rng.random_range(0..rows.len())).collect()
+            };
+            let y: Vec<bool> = idx
+                .iter()
+                .map(|&i| row_labels[i] != rng.random_bool(0.05))
+                .collect();
+            let params = ForestParams {
+                n_trees: rng.random_range(1..=8usize),
+                max_depth: [0, 1, 3, 8][rng.random_range(0..4usize)],
+                min_samples_split: [2, 3, 7][rng.random_range(0..3usize)],
+                features_per_split: [0, 1, width][rng.random_range(0..3usize)],
+                seed: rng.random_range(0..u64::MAX),
+                threads: 1,
+            };
+            let samples: Vec<Vec<f64>> = idx.iter().map(|&i| rows[i].clone()).collect();
+            let per_split = match params.features_per_split {
+                0 => (width as f64).sqrt().ceil() as usize,
+                k => k,
+            };
+            let tree_params = RefParams {
+                max_depth: params.max_depth,
+                min_samples_split: params.min_samples_split,
+                features_per_split: per_split,
+            };
+            let want: Vec<_> = (0..params.n_trees)
+                .map(|t| {
+                    let mut tree_rng = StdRng::seed_from_u64(tree_seed(params.seed, t));
+                    let m = samples.len();
+                    let picks = (0..m).map(|_| tree_rng.random_range(0..m)).collect();
+                    RefTree::fit(&samples, &y, picks, tree_params, &mut tree_rng).nodes
+                })
+                .collect();
+            let buf: Vec<f64> = rows.iter().flatten().copied().collect();
+            let matrix = RankMatrix::new(RowsView::new(&buf, width));
+            for threads in [1, 4] {
+                let forest = RandomForest::fit_matrix(
+                    &matrix,
+                    &idx,
+                    &y,
+                    &ForestParams { threads, ..params },
+                );
+                let got: Vec<_> = forest.trees.iter().map(|t| t.reference_nodes()).collect();
+                assert_eq!(got, want, "case {case}, {threads} threads, {params:?}");
+            }
+
+            // A single tree on every sample once.
+            let single = TreeParams {
+                max_depth: params.max_depth,
+                min_samples_split: params.min_samples_split,
+                features_per_split: params.features_per_split,
+            };
+            let tree = DecisionTree::fit(&samples, &y, &single, &mut StdRng::seed_from_u64(case));
+            let reference = RefTree::fit(
+                &samples,
+                &y,
+                (0..samples.len()).collect(),
+                RefParams {
+                    features_per_split: single.features_per_split,
+                    ..tree_params
+                },
+                &mut StdRng::seed_from_u64(case),
+            );
+            assert_eq!(tree.reference_nodes(), reference.nodes, "tree case {case}");
+        }
     }
 
     #[test]

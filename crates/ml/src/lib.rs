@@ -19,14 +19,25 @@
 //! [`StdRng`](rand::rngs::StdRng) seeded by a per-tree derivation of the
 //! base seed, so the forest is bit-identical at any worker-thread count;
 //! [`RandomForest::score_batch`] preserves row order across parallel
-//! chunks. Training data can be owned `Vec<f64>` rows or a borrowed flat
-//! row-major matrix ([`RowsView`]), into which bootstrap samples are
-//! index lists rather than cloned rows.
+//! chunks.
+//!
+//! Training runs on ranks, not floats. A [`RankMatrix`] stores each
+//! feature column once as every row's rank among the column's distinct
+//! values, plus one value per rank. [`RandomForest::fit_matrix`] gathers
+//! a fit's rows from it, each tree weighs rows by its bootstrap draws,
+//! and a node finds its split with integer counts: no value is sorted
+//! after the matrix is built. Owned `Vec<f64>` rows
+//! ([`RandomForest::fit`], [`DecisionTree::fit`]) are ranked first and
+//! take the same path. Scoring reads a borrowed flat row-major matrix
+//! ([`RowsView`]).
 
 pub mod data;
 pub mod forest;
 pub mod tree;
 
-pub use data::RowsView;
+pub use data::{RankMatrix, RowsView};
 pub use forest::{ForestParams, RandomForest};
 pub use tree::{DecisionTree, TreeParams};
+
+#[cfg(test)]
+mod reference;

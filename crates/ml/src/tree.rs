@@ -5,17 +5,21 @@
 //! forest's decorrelation device); single trees can pass
 //! `features_per_split = all`.
 //!
-//! Training is generic over the crate-internal `Samples` trait: the same
-//! growing core fits owned `Vec<f64>` rows and index slices into a shared
-//! flat matrix (the forest's clone-free bootstrap path). Because splits
-//! are only placed between *distinct* sorted feature values, a node's
-//! subtree depends on the multiset of its samples, not their order — so
-//! passing bootstrap picks directly as the root index list yields the
-//! same tree as materializing the resampled rows.
+//! Every fit runs one core on integer ranks. A fit's rows come as a
+//! [`RankMatrix`] whose ranks span only the fit's own distinct values
+//! (`RankMatrix::gather`), and a tree weighs each row by how often its
+//! bootstrap drew it. A node searches a feature with one counting pass:
+//! it tallies its rows' weights per rank, then walks the ranks upward,
+//! visiting the boundaries between the node's distinct values in
+//! ascending order with the integer counts a per-node sort of the
+//! duplicated `(value, label)` samples would hold. So the grown tree is
+//! the same, and the search never depends on the order of a node's rows,
+//! only on their weighted multiset.
 
-use crate::data::{Samples, VecSamples};
+use crate::data::RankMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use rand::RngExt as _;
 
 /// Training hyperparameters for a single tree.
 #[derive(Debug, Clone, Copy)]
@@ -38,13 +42,31 @@ impl Default for TreeParams {
     }
 }
 
-/// Reusable per-worker buffers for tree growth: the feature-subset list
-/// and the sorted `(value, label)` column. One scratch per fitting thread
-/// keeps the hot refit loop allocation-free across nodes and trees.
+/// Reusable per-worker buffers for tree growth: the bootstrap weights,
+/// the node row list, the feature subset and the rank tallies. One
+/// scratch per fitting thread keeps the refit loop allocation-free across
+/// nodes and trees.
 #[derive(Debug, Default)]
 pub(crate) struct TreeScratch {
+    /// How often the tree's bootstrap drew each row.
+    weights: Vec<u32>,
+    rows: Vec<u32>,
     features: Vec<usize>,
-    column: Vec<(f64, bool)>,
+    /// Per rank (a fit has at most one per row): `[weight, positive
+    /// weight]` of the node's rows; all zero between counting passes.
+    counts: Vec<[u32; 2]>,
+}
+
+impl TreeScratch {
+    /// Draws a bootstrap of `n` samples from `0..n` with the same
+    /// `random_range` calls a pick list would make, keeping counts.
+    pub(crate) fn bootstrap(&mut self, n: usize, rng: &mut StdRng) {
+        self.weights.clear();
+        self.weights.resize(n, 0);
+        for _ in 0..n {
+            self.weights[rng.random_range(0..n)] += 1;
+        }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -74,36 +96,57 @@ impl DecisionTree {
     /// Fits a tree on row-major features `x` and boolean labels `y`.
     ///
     /// `rng` drives feature subsampling. Panics if `x` and `y` have
-    /// different lengths or `x` is empty.
+    /// different lengths, `x` is empty or holds a NaN.
     pub fn fit(x: &[Vec<f64>], y: &[bool], params: &TreeParams, rng: &mut StdRng) -> Self {
         assert_eq!(x.len(), y.len(), "feature/label length mismatch");
         assert!(!x.is_empty(), "cannot fit a tree on zero samples");
-        let idx: Vec<usize> = (0..x.len()).collect();
-        Self::fit_samples(
-            &VecSamples { x, y },
-            idx,
-            params,
-            rng,
-            &mut TreeScratch::default(),
-        )
+        let mut scratch = TreeScratch {
+            weights: vec![1; x.len()],
+            ..TreeScratch::default()
+        };
+        Self::fit_weighted(&RankMatrix::from_rows(x), y, params, rng, &mut scratch)
     }
 
-    /// Fits a tree on the samples selected by `idx` (duplicates allowed —
-    /// this is how bootstrap resampling enters without cloning rows).
-    pub(crate) fn fit_samples<S: Samples>(
-        samples: &S,
-        mut idx: Vec<usize>,
+    /// Fits a tree on the rows of `fit`, labeled `labels`, each counted
+    /// `scratch.weights[s]` times (a bootstrap's draws, without the
+    /// duplicated pick list). `fit` must hold ranks below its row count,
+    /// as [`RankMatrix::gather`] and [`RankMatrix::from_rows`] do.
+    pub(crate) fn fit_weighted(
+        fit: &RankMatrix,
+        labels: &[bool],
         params: &TreeParams,
         rng: &mut StdRng,
         scratch: &mut TreeScratch,
     ) -> Self {
-        assert!(!idx.is_empty(), "cannot fit a tree on zero samples");
-        let mut tree = DecisionTree {
+        let TreeScratch {
+            weights,
+            rows,
+            features,
+            counts,
+        } = scratch;
+        assert_eq!(labels.len(), fit.n_rows(), "one label per row");
+        assert_eq!(weights.len(), fit.n_rows(), "one weight per row");
+        rows.clear();
+        rows.extend((0..fit.n_rows() as u32).filter(|&s| weights[s as usize] > 0));
+        assert!(!rows.is_empty(), "cannot fit a tree on zero samples");
+        if counts.len() < fit.n_rows() {
+            counts.resize(fit.n_rows(), [0; 2]);
+        }
+        let mut grower = Grower {
+            fit,
+            labels,
+            weights,
+            params,
+            rng,
+            features,
+            counts,
             nodes: Vec::new(),
-            n_features: samples.n_features(),
         };
-        tree.grow(samples, &mut idx, 0, params, rng, scratch);
-        tree
+        grower.grow(rows, 0);
+        DecisionTree {
+            nodes: grower.nodes,
+            n_features: fit.n_features(),
+        }
     }
 
     /// Probability estimate that `sample` is positive (the positive
@@ -157,117 +200,192 @@ impl DecisionTree {
         }
         counts
     }
+}
 
-    /// Grows the subtree for `idx`, returning its node index. A split
-    /// partitions `idx` in place into its two children's runs; the order
-    /// inside a run is arbitrary, which is safe because a subtree depends
-    /// only on the multiset of its samples (see the module docs).
-    fn grow<S: Samples>(
-        &mut self,
-        samples: &S,
-        idx: &mut [usize],
-        depth: usize,
-        params: &TreeParams,
-        rng: &mut StdRng,
-        scratch: &mut TreeScratch,
-    ) -> usize {
-        let positives = idx.iter().filter(|&&i| samples.label(i)).count();
-        let prob = positives as f64 / idx.len() as f64;
-        let pure = positives == 0 || positives == idx.len();
-        if pure || depth >= params.max_depth || idx.len() < params.min_samples_split {
+/// The split a node keeps: the first best boundary in search order.
+struct Best {
+    feature: usize,
+    /// The fit rank of the boundary's lower value `a`; rows at or below
+    /// it go left.
+    rank: u32,
+    threshold: f64,
+    gini: f64,
+}
+
+/// One tree's growth over a fit.
+struct Grower<'a> {
+    fit: &'a RankMatrix,
+    labels: &'a [bool],
+    weights: &'a [u32],
+    params: &'a TreeParams,
+    rng: &'a mut StdRng,
+    features: &'a mut Vec<usize>,
+    counts: &'a mut [[u32; 2]],
+    nodes: Vec<Node>,
+}
+
+impl Grower<'_> {
+    /// Grows the subtree for the distinct sample rows `rows`, returning
+    /// its node index. A split partitions `rows` in place into its two
+    /// children's runs; the order inside a run is arbitrary, which is safe
+    /// because a subtree depends only on its weighted multiset (see the
+    /// module docs).
+    fn grow(&mut self, rows: &mut [u32], depth: usize) -> usize {
+        let (mut n, mut positives) = (0usize, 0usize);
+        for &s in rows.iter() {
+            let w = self.weights[s as usize] as usize;
+            n += w;
+            if self.labels[s as usize] {
+                positives += w;
+            }
+        }
+        let prob = positives as f64 / n as f64;
+        let pure = positives == 0 || positives == n;
+        if pure || depth >= self.params.max_depth || n < self.params.min_samples_split {
             self.nodes.push(Node::Leaf { prob });
             return self.nodes.len() - 1;
         }
-        let Some((feature, threshold)) = self.best_split(samples, idx, params, rng, scratch) else {
+        let Some(best) = self.best_split(rows, n, positives) else {
             self.nodes.push(Node::Leaf { prob });
             return self.nodes.len() - 1;
         };
+        // Rank order is value order and `a <= threshold < b` for the
+        // boundary's values, so this is the `value <= threshold` test.
+        let ranks = self.fit.ranks(best.feature);
         let mut n_left = 0;
-        for k in 0..idx.len() {
-            if samples.feature(idx[k], feature) <= threshold {
-                idx.swap(n_left, k);
+        for k in 0..rows.len() {
+            if ranks[rows[k] as usize] <= best.rank {
+                rows.swap(n_left, k);
                 n_left += 1;
             }
         }
-        let (li, ri) = idx.split_at_mut(n_left);
+        let (li, ri) = rows.split_at_mut(n_left);
         debug_assert!(!li.is_empty() && !ri.is_empty());
         // Reserve a slot for this split node before growing children.
         let at = self.nodes.len();
         self.nodes.push(Node::Leaf { prob }); // placeholder
-        let left = self.grow(samples, li, depth + 1, params, rng, scratch);
-        let right = self.grow(samples, ri, depth + 1, params, rng, scratch);
+        let left = self.grow(li, depth + 1);
+        let right = self.grow(ri, depth + 1);
         self.nodes[at] = Node::Split {
-            feature,
-            threshold,
+            feature: best.feature,
+            threshold: best.threshold,
             left,
             right,
         };
         at
     }
 
-    /// The `(feature, threshold)` minimizing weighted Gini impurity over a
-    /// random feature subset; `None` if no split separates the samples.
-    fn best_split<S: Samples>(
-        &self,
-        samples: &S,
-        idx: &[usize],
-        params: &TreeParams,
-        rng: &mut StdRng,
-        scratch: &mut TreeScratch,
-    ) -> Option<(usize, f64)> {
-        let TreeScratch { features, column } = scratch;
+    /// The boundary minimizing weighted Gini impurity over a random
+    /// feature subset; `None` if no boundary separates the rows. `n` and
+    /// `positives` are the rows' weighted totals.
+    fn best_split(&mut self, rows: &[u32], n: usize, positives: usize) -> Option<Best> {
+        let n_features = self.fit.n_features();
+        let features = &mut *self.features;
         features.clear();
-        features.extend(0..self.n_features);
-        let take = if params.features_per_split == 0 {
-            self.n_features
+        features.extend(0..n_features);
+        let take = if self.params.features_per_split == 0 {
+            n_features
         } else {
-            params.features_per_split.min(self.n_features)
+            self.params.features_per_split.min(n_features)
         };
-        if take < self.n_features {
-            features.shuffle(rng);
+        if take < n_features {
+            features.shuffle(self.rng);
             features.truncate(take);
         }
 
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gini)
-        let total = idx.len() as f64;
+        let gini = |n: f64, pos: f64| {
+            if n == 0.0 {
+                0.0
+            } else {
+                let p = pos / n;
+                2.0 * p * (1.0 - p)
+            }
+        };
+        let (total, total_pos) = (n as f64, positives as f64);
+        let mut best: Option<Best> = None;
         for &f in features.iter() {
-            column.clear();
-            column.extend(
-                idx.iter()
-                    .map(|&i| (samples.feature(i, f), samples.label(i))),
-            );
-            column.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            let total_pos = column.iter().filter(|(_, l)| *l).count() as f64;
-            let mut left_n = 0f64;
-            let mut left_pos = 0f64;
-            for w in 0..column.len() - 1 {
-                left_n += 1.0;
-                if column[w].1 {
-                    left_pos += 1.0;
-                }
-                // Only split between distinct values.
-                if column[w].0 == column[w + 1].0 {
-                    continue;
-                }
-                let right_n = total - left_n;
-                let right_pos = total_pos - left_pos;
-                let gini = |n: f64, pos: f64| {
-                    if n == 0.0 {
-                        0.0
-                    } else {
-                        let p = pos / n;
-                        2.0 * p * (1.0 - p)
-                    }
-                };
-                let weighted = left_n / total * gini(left_n, left_pos)
-                    + right_n / total * gini(right_n, right_pos);
-                let threshold = (column[w].0 + column[w + 1].0) / 2.0;
-                if best.as_ref().is_none_or(|&(_, _, g)| weighted < g - 1e-12) {
-                    best = Some((f, threshold, weighted));
+            let ranks = self.fit.ranks(f);
+            let values = self.fit.values(f);
+            for &s in rows {
+                let w = self.weights[s as usize];
+                let c = &mut self.counts[ranks[s as usize] as usize];
+                c[0] += w;
+                if self.labels[s as usize] {
+                    c[1] += w;
                 }
             }
+            // Walk the ranks upward, zeroing the tallies, and score the
+            // boundary between each two consecutive ranks the node holds;
+            // only a strict improvement beyond 1e-12 replaces `best`, so
+            // the first best boundary in search order wins.
+            let (mut left_n, mut left_pos) = (0usize, 0usize);
+            let mut prev: Option<usize> = None;
+            for (rank, c) in self.counts[..values.len()].iter_mut().enumerate() {
+                let [w, pos] = std::mem::take(c);
+                if w == 0 {
+                    continue;
+                }
+                if let Some(a) = prev {
+                    // Integer counts in f64 hold the values a per-sample
+                    // `+= 1.0` scan reaches, so these are its exact floats.
+                    let (ln, lp) = (left_n as f64, left_pos as f64);
+                    let (rn, rp) = (total - ln, total_pos - lp);
+                    let weighted = ln / total * gini(ln, lp) + rn / total * gini(rn, rp);
+                    if best.as_ref().is_none_or(|b| weighted < b.gini - 1e-12) {
+                        best = Some(Best {
+                            feature: f,
+                            rank: a as u32,
+                            threshold: threshold(values[a], values[rank]),
+                            gini: weighted,
+                        });
+                    }
+                }
+                left_n += w as usize;
+                left_pos += pos as usize;
+                prev = Some(rank);
+            }
         }
-        best.map(|(f, t, _)| (f, t))
+        best
+    }
+}
+
+/// A threshold `t` with `a <= t < b` for adjacent distinct values
+/// `a < b`: their midpoint, or `a` where the midpoint rounds up to `b`
+/// (neighbouring doubles) or overflows to infinity. A threshold equal to
+/// `b` would send every sample left.
+fn threshold(a: f64, b: f64) -> f64 {
+    let mid = (a + b) / 2.0;
+    if a <= mid && mid < b {
+        mid
+    } else {
+        a
+    }
+}
+
+#[cfg(test)]
+impl DecisionTree {
+    /// The nodes in the reference grower's form, for exact comparison.
+    pub(crate) fn reference_nodes(&self) -> Vec<crate::reference::RefNode> {
+        use crate::reference::RefNode;
+        self.nodes
+            .iter()
+            .map(|n| match *n {
+                Node::Leaf { prob } => RefNode::Leaf {
+                    prob_bits: prob.to_bits(),
+                },
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => RefNode::Split {
+                    feature,
+                    threshold_bits: threshold.to_bits(),
+                    left,
+                    right,
+                },
+            })
+            .collect()
     }
 }
 
@@ -345,6 +463,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "is NaN")]
+    fn nan_feature_panics() {
+        let x = vec![vec![0.0], vec![f64::NAN]];
+        let _ = DecisionTree::fit(&x, &[true, false], &TreeParams::default(), &mut rng());
+    }
+
+    #[test]
     fn deterministic_given_seed() {
         let x: Vec<Vec<f64>> = (0..30)
             .map(|i| vec![(i % 7) as f64, (i % 3) as f64])
@@ -362,71 +487,63 @@ mod tests {
         }
     }
 
+    /// Two samples on adjacent distinct values must split into two pure
+    /// leaves that classify both sides of the threshold.
+    fn assert_splits_cleanly(a: f64, b: f64) {
+        let x = vec![vec![a], vec![b]];
+        let t = DecisionTree::fit(&x, &[false, true], &TreeParams::default(), &mut rng());
+        assert_eq!(t.node_count(), 3, "{a:e} | {b:e}");
+        assert_eq!(t.predict_proba(&[a]), 0.0);
+        assert_eq!(t.predict_proba(&[b]), 1.0);
+        assert_eq!(t.predict_proba(&[f64::INFINITY]), 1.0);
+    }
+
     #[test]
-    fn tree_depends_only_on_the_sample_multiset() {
-        // `grow` partitions its index slice in place, so children see
-        // their samples in an arbitrary order; any order of the same
-        // bootstrap multiset must grow the same tree.
+    fn a_midpoint_rounding_up_to_the_upper_value_falls_back() {
+        // (1+ε + 1+2ε) / 2 rounds to 1+2ε: every sample would go left.
+        let a = 1.0 + f64::EPSILON;
+        let b = 1.0 + 2.0 * f64::EPSILON;
+        assert_eq!((a + b) / 2.0, b);
+        assert_splits_cleanly(a, b);
+    }
+
+    #[test]
+    fn a_midpoint_overflowing_to_infinity_falls_back() {
+        assert_eq!((1e308 + 1.5e308) / 2.0, f64::INFINITY);
+        assert_splits_cleanly(1e308, 1.5e308);
+        assert_splits_cleanly(-f64::MAX, f64::MAX);
+    }
+
+    #[test]
+    fn weights_equal_duplicated_rows() {
+        // A bootstrap's weights must grow the tree its duplicated pick
+        // list grows, in any order of the picks.
         let x: Vec<Vec<f64>> = (0..40)
             .map(|i| vec![(i % 7) as f64, ((i * 5) % 11) as f64, (i % 3) as f64])
             .collect();
         let y: Vec<bool> = (0..40).map(|i| (i % 7) * 2 + (i % 3) > 6).collect();
-        let samples = VecSamples { x: &x, y: &y };
         let params = TreeParams {
             features_per_split: 2,
             ..TreeParams::default()
         };
-        let mut picks: Vec<usize> = (0..60).map(|i| (i * 17 + 3) % 40).collect();
-        let fit = |idx: Vec<usize>| {
-            let mut rng = StdRng::seed_from_u64(5);
-            DecisionTree::fit_samples(
-                &samples,
-                idx,
-                &params,
-                &mut rng,
-                &mut TreeScratch::default(),
-            )
-        };
-        let want = fit(picks.clone());
-        assert!(want.node_count() > 3, "the fixture must split");
+        let fit = RankMatrix::from_rows(&x);
+        let mut draw = StdRng::seed_from_u64(11);
+        let mut scratch = TreeScratch::default();
+        scratch.bootstrap(x.len(), &mut draw);
+        let weighted = DecisionTree::fit_weighted(&fit, &y, &params, &mut rng(), &mut scratch);
+        assert!(weighted.node_count() > 3, "the fixture must split");
+        let mut picks: Vec<usize> = (0..x.len())
+            .flat_map(|s| std::iter::repeat_n(s, scratch.weights[s] as usize))
+            .collect();
         for round in 0..5u64 {
             picks.shuffle(&mut StdRng::seed_from_u64(round));
-            assert_eq!(fit(picks.clone()), want, "order {round}");
+            let xs: Vec<Vec<f64>> = picks.iter().map(|&s| x[s].clone()).collect();
+            let ys: Vec<bool> = picks.iter().map(|&s| y[s]).collect();
+            assert_eq!(
+                DecisionTree::fit(&xs, &ys, &params, &mut rng()),
+                weighted,
+                "order {round}"
+            );
         }
-    }
-
-    #[test]
-    fn matrix_samples_match_owned_rows() {
-        // The same data through the flat-matrix path (with an index
-        // mapping that shuffles row storage order) must grow the same
-        // tree as the owned-row path.
-        use crate::data::{MatrixSamples, RowsView};
-        let x: Vec<Vec<f64>> = (0..24)
-            .map(|i| vec![(i % 5) as f64, ((i * 3) % 7) as f64])
-            .collect();
-        let y: Vec<bool> = (0..24).map(|i| (i % 5) >= 2).collect();
-        let owned = DecisionTree::fit(&x, &y, &TreeParams::default(), &mut rng());
-
-        // Store rows back-to-front in the flat buffer; idx maps sample
-        // position to its storage row.
-        let n = x.len();
-        let mut buf = vec![0.0; n * 2];
-        for (i, row) in x.iter().enumerate() {
-            buf[(n - 1 - i) * 2..(n - i) * 2].copy_from_slice(row);
-        }
-        let idx: Vec<usize> = (0..n).map(|i| n - 1 - i).collect();
-        let samples = MatrixSamples {
-            rows: RowsView::new(&buf, 2),
-            idx: &idx,
-            y: &y,
-        };
-        let flat = DecisionTree::fit_samples(
-            &samples,
-            (0..n).collect(),
-            &TreeParams::default(),
-            &mut rng(),
-            &mut TreeScratch::default(),
-        );
-        assert_eq!(owned, flat);
     }
 }

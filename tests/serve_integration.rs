@@ -528,6 +528,27 @@ fn hostile_thread_count_matches_one_thread() {
 }
 
 #[test]
+fn a_batch_size_past_any_union_is_answered() {
+    let daemon = Daemon::spawn(ServeParams::default()).expect("spawn");
+    let mut client = connect(&daemon);
+    // 2^50 pairs per verifier round: the batch may only be sized by the
+    // union, or this one `open` aborts the daemon on allocation.
+    let mut req = open_profile_request();
+    if let JsonValue::Obj(members) = &mut req {
+        members.push(("n_per_iter".into(), (1u64 << 50).into()));
+    }
+    let resp = client.call_ok(&req).expect("open");
+    assert!(resp.get("session").and_then(JsonValue::as_u64).is_some());
+    // The daemon serves its next request.
+    client
+        .call_ok(&open_profile_request())
+        .expect("the next open");
+
+    let (_, protocol_errors) = daemon.shutdown();
+    assert_eq!(protocol_errors, 0);
+}
+
+#[test]
 fn explain_with_the_largest_limit_pages_to_the_end() {
     let daemon = Daemon::spawn(ServeParams::default()).expect("spawn");
     let mut client = connect(&daemon);

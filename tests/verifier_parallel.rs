@@ -5,18 +5,24 @@
 //! implementation (replicated here from the seed revision as a reference
 //! oracle) on the standard `scenario()` fixtures.
 
+// The per-node-sort tree grower the rank-encoded core replaced, shared
+// with mc-ml's own equivalence tests.
+#[path = "../crates/ml/src/reference.rs"]
+mod reference;
+
 use matchcatcher::features::{FeatureExtractor, FeatureMatrix};
 use matchcatcher::joint::CandidateUnion;
 use matchcatcher::oracle::{GoldOracle, Oracle};
 use matchcatcher::rank::{medrank_order, RankedLists};
 use matchcatcher::ssj::TopKList;
 use matchcatcher::verify::{run_verifier, RankStrategy, VerifierParams, VerifyOutcome};
-use mc_ml::{DecisionTree, ForestParams, RandomForest, RowsView, TreeParams};
+use mc_ml::{ForestParams, RandomForest, RankMatrix, RowsView};
 use mc_strsim::dict::TokenizedTable;
 use mc_strsim::tokenize::Tokenizer;
 use mc_table::{pair_key, split_pair_key, AttrId, GoldMatches, Schema, Table, Tuple};
 use rand::rngs::StdRng;
 use rand::{RngExt as _, SeedableRng};
+use reference::{RefParams, RefTree};
 use std::sync::Arc;
 
 /// The verification scenario from `verify.rs`'s unit tests: 40 A/B
@@ -172,10 +178,10 @@ fn forest_fit_is_bit_identical_across_thread_counts_on_scenario_features() {
     }
     // The flat-matrix path must grow the same trees as the owned-row path.
     let buf: Vec<f64> = x.iter().flatten().copied().collect();
-    let rows = RowsView::new(&buf, fx.n_features());
+    let rows = RankMatrix::new(RowsView::new(&buf, fx.n_features()));
     let idx: Vec<usize> = (0..x.len()).collect();
     let matrix_fit = RandomForest::fit_matrix(
-        rows,
+        &rows,
         &idx,
         &y,
         &ForestParams {
@@ -190,12 +196,13 @@ fn forest_fit_is_bit_identical_across_thread_counts_on_scenario_features() {
 //
 // A faithful replica of the seed revision's serial verifier: the shared
 // sequential forest rng (bootstrap rows cloned per tree from one
-// `StdRng` stream), lazily extracted per-candidate feature vectors, and
-// full-sort batch selection. The new pipeline must reproduce its exact
+// `StdRng` stream, each tree grown by the per-node-sort reference
+// grower), lazily extracted per-candidate feature vectors, and full-sort
+// batch selection. The new pipeline must reproduce its exact
 // `VerifyOutcome` on the scenario fixtures.
 
 struct OldForest {
-    trees: Vec<DecisionTree>,
+    trees: Vec<RefTree>,
 }
 
 impl OldForest {
@@ -206,7 +213,7 @@ impl OldForest {
         } else {
             params.features_per_split
         };
-        let tree_params = TreeParams {
+        let tree_params = RefParams {
             max_depth: params.max_depth,
             min_samples_split: params.min_samples_split,
             features_per_split: per_split.max(1),
@@ -223,13 +230,18 @@ impl OldForest {
                 bx.push(x[i].clone());
                 by.push(y[i]);
             }
-            trees.push(DecisionTree::fit(&bx, &by, &tree_params, &mut rng));
+            let all = (0..bx.len()).collect();
+            trees.push(RefTree::fit(&bx, &by, all, tree_params, &mut rng));
         }
         OldForest { trees }
     }
 
     fn confidence(&self, sample: &[f64]) -> f64 {
-        let votes = self.trees.iter().filter(|t| t.predict(sample)).count();
+        let votes = self
+            .trees
+            .iter()
+            .filter(|t| t.predict_proba(sample) > 0.5)
+            .count();
         votes as f64 / self.trees.len() as f64
     }
 
